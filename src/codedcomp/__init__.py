@@ -31,7 +31,6 @@ from .config import (
 )
 from .decoding import (
     PeelingDecoder,
-    gc_aggregate,
     mcc_decode_values,
     recovery_threshold,
     rref_recoverable,
@@ -47,7 +46,6 @@ from .latency import (
     LatencyModel,
     prob_at_least,
     prob_exactly,
-    sample_worker,
     type_probability,
 )
 from .regression import (
@@ -115,7 +113,6 @@ __all__ = [
     "completion_cdf",
     "concrete_assignment",
     "enumerate_successful",
-    "gc_aggregate",
     "generate_dataset",
     "gram",
     "hybrid_example",
@@ -132,7 +129,6 @@ __all__ = [
     "rcs_encode",
     "recovery_threshold",
     "rref_recoverable",
-    "sample_worker",
     "simulate_iteration",
     "success_table",
     "successful_score_vector",

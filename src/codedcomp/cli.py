@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    TrainSettings,
     assignment_source,
     concrete_assignment,
     parse_config,
@@ -242,41 +244,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    direct = {
-        key: getattr(args, key)
-        for key in (
-            "scheme", "workers", "q", "seed", "trials", "mu", "alpha", "degrees",
-            "load", "kbar", "groups", "z", "offsets", "eval_points", "mode", "redraw",
-        )
-        if getattr(args, key, None) is not None
+    """The flags that were given, keyed by config field; train flags form a
+    partial ``train`` section."""
+    values = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("command", "config", "out")
     }
-    train_over = {
-        key: getattr(args, key)
-        for key in ("dim", "samples", "eta", "iterations")
-        if getattr(args, key, None) is not None
-    }
+    train_over = {f.name: values.pop(f.name) for f in fields(TrainSettings) if f.name in values}
     if train_over:
-        direct["train"] = train_over
-    return direct
+        values["train"] = train_over
+    return values
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = _overrides_from(args)
-    base: dict | str = args.config if args.config else {}
-    if "train" in overrides and isinstance(base, dict):
-        base = dict(base)
-        base.setdefault("train", {})
     try:
-        if isinstance(base, str):
-            file_data = json.loads(Path(base).read_text(encoding="utf-8"))
-            if "train" in overrides:
-                merged_train = dict(file_data.get("train", {}))
-                merged_train.update(overrides.pop("train"))
-                overrides["train"] = merged_train
-            cfg = parse_config(file_data, overrides)
-        else:
-            cfg = parse_config(base, overrides)
+        cfg = parse_config(args.config or {}, _overrides_from(args))
     except ConfigError as exc:
         print("invalid configuration:", file=sys.stderr)
         for violation in exc.violations:

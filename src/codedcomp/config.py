@@ -1,15 +1,19 @@
 """Experiment configuration: parsing, full validation, assignment factories.
 
-Configs are plain JSON objects.  Parsing never stops at the first problem:
-every violation is collected (with its field name) and reported at once via
-ConfigError.  A parsed config resolves all defaults, serializes back to an
-equal dict, and can build the assignment factory used by the simulator.
+Configs are plain JSON objects.  Each field is declared once, on
+ExperimentConfig or TrainSettings, together with its parser and default, and
+parse_config is the one place that reads a config file and merges it with
+overrides.  Parsing never stops at the first problem: every violation is
+collected (with its field name) and reported at once via ConfigError.  A
+parsed config resolves all defaults, serializes back to an equal dict, and
+can build the assignment factory used by the simulator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -40,6 +44,7 @@ _ALIASES = {
     "K": "workers",
     "Kbar": "kbar",
 }
+_TRAIN_ALIASES = {"d": "dim", "n": "samples"}
 _MODE_ALIASES = {
     "coded-computation": MODE_COMPUTATION,
     "coded-communication": MODE_COMMUNICATION,
@@ -55,81 +60,11 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    dim: int
-    samples: int
-    eta: float = 0.1
-    iterations: int = 50
-    noise_std: float = 0.01
+# Field parsers: each takes (key, value, violations), returns the parsed
+# value, or records a violation and returns None.
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scheme: str
-    workers: int
-    mode: str = MODE_COMPUTATION
-    degrees: tuple[int, ...] | None = None
-    load: int | None = None
-    kbar: int | None = None
-    groups: int = 1
-    z: tuple[int, ...] | None = None
-    offsets: tuple[int, ...] | None = None
-    eval_points: tuple[float, ...] | None = None
-    q: float = 0.0
-    mu: float = 10.0
-    alpha: float = 0.01
-    trials: int = 10000
-    seed: int = DEFAULT_SEED
-    redraw: bool = True
-    train: TrainSettings | None = None
-
-    @property
-    def k_total(self) -> int:
-        return self.workers * (self.groups if self.scheme == "rcs-general" else 1)
-
-    def model(self) -> LatencyModel:
-        return LatencyModel(mu=self.mu, alpha=self.alpha)
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "scheme": self.scheme,
-            "workers": self.workers,
-            "mode": self.mode,
-            "q": self.q,
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "seed": self.seed,
-            "redraw": self.redraw,
-        }
-        if self.degrees is not None:
-            data["degrees"] = list(self.degrees)
-        if self.load is not None:
-            data["load"] = self.load
-        if self.kbar is not None:
-            data["kbar"] = self.kbar
-        if self.scheme == "rcs-general":
-            data["groups"] = self.groups
-        if self.z is not None:
-            data["z"] = list(self.z)
-        if self.offsets is not None:
-            data["offsets"] = list(self.offsets)
-        if self.eval_points is not None:
-            data["eval_points"] = list(self.eval_points)
-        if self.train is not None:
-            data["train"] = {
-                "dim": self.train.dim,
-                "samples": self.train.samples,
-                "eta": self.train.eta,
-                "iterations": self.train.iterations,
-                "noise_std": self.train.noise_std,
-            }
-        return data
-
-
-def _as_int(data, key, violations, minimum=None) -> int | None:
-    value = data[key]
+def _as_int(key, value, violations, minimum=None) -> int | None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         if isinstance(value, float) and float(value).is_integer():
             value = int(value)
@@ -143,8 +78,7 @@ def _as_int(data, key, violations, minimum=None) -> int | None:
     return value
 
 
-def _as_number(data, key, violations, positive=False) -> float | None:
-    value = data[key]
+def _as_number(key, value, violations, positive=False) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         violations.append(f"{key}: expected a number, got {value!r}")
         return None
@@ -155,13 +89,25 @@ def _as_number(data, key, violations, positive=False) -> float | None:
     return value
 
 
-def _as_int_list(data, key, violations) -> tuple[int, ...] | None:
-    value = data[key]
+_as_count = partial(_as_int, minimum=1)
+_as_positive = partial(_as_number, positive=True)
+
+
+def _as_tolerance(key, value, violations) -> float | None:
+    value = _as_number(key, value, violations)
+    if value is not None and not 0.0 <= value <= 1.0:
+        violations.append(f"{key}: tolerance must lie in [0, 1], got {value}")
+        return None
+    return value
+
+
+def _as_int_list(key, value, violations) -> tuple[int, ...] | None:
+    raw = value
     if isinstance(value, str):
         try:
             value = [int(part) for part in value.split(",") if part.strip()]
         except ValueError:
-            violations.append(f"{key}: could not parse integer list from {data[key]!r}")
+            violations.append(f"{key}: could not parse integer list from {raw!r}")
             return None
     if not isinstance(value, (list, tuple)) or not all(
         isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value
@@ -169,6 +115,153 @@ def _as_int_list(data, key, violations) -> tuple[int, ...] | None:
         violations.append(f"{key}: expected a list of integers, got {value!r}")
         return None
     return tuple(int(v) for v in value)
+
+
+def _as_number_list(key, value, violations) -> tuple[float, ...] | None:
+    raw = value
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        violations.append(f"{key}: expected a list of numbers, got {raw!r}")
+        return None
+
+
+def _as_bool(key, value, violations) -> bool | None:
+    if isinstance(value, str):
+        if value.lower() in ("true", "1", "yes"):
+            return True
+        if value.lower() in ("false", "0", "no"):
+            return False
+    if not isinstance(value, bool):
+        violations.append(f"{key}: expected true or false, got {value!r}")
+        return None
+    return value
+
+
+def _as_scheme(key, value, violations) -> str | None:
+    if value not in SCHEMES:
+        violations.append(
+            f"{key}: unknown value {value!r} (expected one of {', '.join(SCHEMES)})"
+        )
+        return None
+    return value
+
+
+def _as_mode(key, value, violations) -> str | None:
+    if isinstance(value, str):
+        value = _MODE_ALIASES.get(value, value)
+    if value not in (MODE_COMPUTATION, MODE_COMMUNICATION):
+        violations.append(
+            f"{key}: unknown value {value!r} (expected {MODE_COMPUTATION} or {MODE_COMMUNICATION})"
+        )
+        return None
+    return value
+
+
+def _as_train(key, value, violations) -> TrainSettings | None:
+    if not isinstance(value, Mapping):
+        violations.append(f"{key}: expected an object, got {value!r}")
+        return None
+    sub: list[str] = []
+    values = _parse_fields(TrainSettings, value, key + ".", sub)
+    violations.extend(sub)
+    return None if sub else TrainSettings(**values)
+
+
+def _field(parse, default=MISSING):
+    """A config field: its parser and its default, declared together."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    dim: int = _field(_as_count)
+    samples: int = _field(_as_count)
+    eta: float = _field(_as_positive, 0.1)
+    iterations: int = _field(_as_count, 50)
+    noise_std: float = _field(_as_number, 0.01)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    scheme: str = _field(_as_scheme)
+    workers: int = _field(_as_count)
+    mode: str = _field(_as_mode, MODE_COMPUTATION)
+    degrees: tuple[int, ...] | None = _field(_as_int_list, None)
+    load: int | None = _field(_as_count, None)
+    kbar: int | None = _field(_as_count, None)
+    groups: int = _field(_as_count, 1)
+    z: tuple[int, ...] | None = _field(_as_int_list, None)
+    offsets: tuple[int, ...] | None = _field(_as_int_list, None)
+    eval_points: tuple[float, ...] | None = _field(_as_number_list, None)
+    q: float = _field(_as_tolerance, 0.0)
+    mu: float = _field(_as_positive, 10.0)
+    alpha: float = _field(_as_positive, 0.01)
+    trials: int = _field(_as_count, 10000)
+    seed: int = _field(partial(_as_int, minimum=0), DEFAULT_SEED)
+    redraw: bool = _field(_as_bool, True)
+    train: TrainSettings | None = _field(_as_train, None)
+
+    @property
+    def k_total(self) -> int:
+        return self.workers * (self.groups if self.scheme == "rcs-general" else 1)
+
+    def model(self) -> LatencyModel:
+        return LatencyModel(mu=self.mu, alpha=self.alpha)
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready fields; unset optional fields and unused groups are left out."""
+        data: dict[str, Any] = {}
+        for key, value in asdict(self).items():
+            if value is None or (key == "groups" and self.scheme != "rcs-general"):
+                continue
+            data[key] = list(value) if isinstance(value, tuple) else value
+        return data
+
+
+def _parse_fields(
+    cls, values: Mapping[str, Any], prefix: str, violations: list[str]
+) -> dict[str, Any]:
+    """Parse every field of a config dataclass from values.
+
+    Unknown keys and missing required fields are recorded as violations.  An
+    absent or invalid field takes its declared default (None if it has
+    none), so cross-field checks still see usable values.
+    """
+    declared = fields(cls)
+    names = {f.name for f in declared}
+    violations.extend(f"{prefix}{key}: unknown field" for key in values if key not in names)
+    parsed: dict[str, Any] = {}
+    for f in declared:
+        value = None
+        if f.name in values:
+            value = f.metadata["parse"](prefix + f.name, values[f.name], violations)
+        elif f.default is MISSING:
+            violations.append(f"{prefix}{f.name}: required field is missing")
+        if value is None and f.default is not MISSING:
+            value = f.default
+        parsed[f.name] = value
+    return parsed
+
+
+def _merge(sources) -> dict[str, Any]:
+    """Later sources win key by key, also inside ``train``; None means unset."""
+    merged: dict[str, Any] = {}
+    for source in sources:
+        for key, value in source.items():
+            if value is None:
+                continue
+            key = _ALIASES.get(key, key)
+            if key == "train" and isinstance(value, Mapping):
+                earlier = merged.get("train")
+                value = {
+                    **(earlier if isinstance(earlier, Mapping) else {}),
+                    **{_TRAIN_ALIASES.get(k, k): v for k, v in value.items()},
+                }
+            merged[key] = value
+    return merged
 
 
 def parse_config(
@@ -180,196 +273,61 @@ def parse_config(
     Args:
         data: a mapping, or a path to a JSON file.
         overrides: values taking precedence over the file contents (CLI
-            flags).
+            flags); a ``train`` mapping overrides the file's ``train``
+            section key by key.
 
     Returns:
         A resolved ExperimentConfig.
 
     Raises:
         ConfigError: listing every violation found, each prefixed with the
-            offending field.
+            offending field (``config`` for an unreadable file).
     """
     if isinstance(data, (str, Path)):
-        with open(data, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(data, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError([f"config: cannot read {data}: {exc.strerror}"]) from exc
+        except ValueError as exc:
+            raise ConfigError([f"config: {data} is not valid JSON: {exc}"]) from exc
     if not isinstance(data, Mapping):
         raise ConfigError(["config: expected a JSON object"])
-    merged: dict[str, Any] = {}
-    for source in (data, overrides or {}):
-        for key, value in source.items():
-            if value is None:
-                continue
-            merged[_ALIASES.get(key, key)] = value
+    merged = _merge((data, overrides or {}))
 
     violations: list[str] = []
-    known = {
-        "scheme", "workers", "mode", "degrees", "load", "kbar", "groups", "z",
-        "offsets", "eval_points", "q", "mu", "alpha", "trials", "seed",
-        "redraw", "train",
-    }
-    for key in merged:
-        if key not in known:
-            violations.append(f"{key}: unknown field")
-
-    scheme = merged.get("scheme")
-    if scheme is None:
-        violations.append("scheme: required field is missing")
-    elif scheme not in SCHEMES:
-        violations.append(
-            f"scheme: unknown value {scheme!r} (expected one of {', '.join(SCHEMES)})"
-        )
-        scheme = None
-
-    workers = None
-    if "workers" not in merged:
-        violations.append("workers: required field is missing")
-    else:
-        workers = _as_int(merged, "workers", violations, minimum=1)
-
-    mode = merged.get("mode")
-    mode = _MODE_ALIASES.get(mode, mode)
-    if mode is None:
-        mode = MODE_COMMUNICATION if scheme == "gc" else MODE_COMPUTATION
-    elif mode not in (MODE_COMPUTATION, MODE_COMMUNICATION):
-        violations.append(
-            f"mode: unknown value {mode!r} (expected {MODE_COMPUTATION} or {MODE_COMMUNICATION})"
-        )
-        mode = MODE_COMPUTATION
-
-    degrees = _as_int_list(merged, "degrees", violations) if "degrees" in merged else None
-    load = _as_int(merged, "load", violations, minimum=1) if "load" in merged else None
-    kbar = _as_int(merged, "kbar", violations, minimum=1) if "kbar" in merged else None
-    groups = _as_int(merged, "groups", violations, minimum=1) if "groups" in merged else 1
-    z = _as_int_list(merged, "z", violations) if "z" in merged else None
-    offsets = _as_int_list(merged, "offsets", violations) if "offsets" in merged else None
-
-    eval_points = None
-    if "eval_points" in merged:
-        raw = merged["eval_points"]
-        if isinstance(raw, str):
-            raw = [p for p in raw.split(",") if p.strip()]
-        try:
-            eval_points = tuple(float(v) for v in raw)
-        except (TypeError, ValueError):
-            violations.append(f"eval_points: expected a list of numbers, got {merged['eval_points']!r}")
-
-    q = _as_number(merged, "q", violations) if "q" in merged else 0.0
-    if q is not None and not 0.0 <= q <= 1.0:
-        violations.append(f"q: tolerance must lie in [0, 1], got {q}")
-        q = 0.0
-    mu = _as_number(merged, "mu", violations, positive=True) if "mu" in merged else 10.0
-    alpha = _as_number(merged, "alpha", violations, positive=True) if "alpha" in merged else 0.01
-    trials = _as_int(merged, "trials", violations, minimum=1) if "trials" in merged else 10000
-    seed = _as_int(merged, "seed", violations) if "seed" in merged else DEFAULT_SEED
-    redraw = merged.get("redraw", True)
-    if isinstance(redraw, str):
-        if redraw.lower() in ("true", "1", "yes"):
-            redraw = True
-        elif redraw.lower() in ("false", "0", "no"):
-            redraw = False
-    if not isinstance(redraw, bool):
-        violations.append(f"redraw: expected true or false, got {merged.get('redraw')!r}")
-        redraw = True
-
-    if scheme is not None and workers is not None:
-        _validate_scheme(
-            scheme, workers, mode, degrees, load, kbar, groups, z, offsets,
-            eval_points, violations,
-        )
-
-    train = None
-    if "train" in merged:
-        train = _parse_train(merged["train"], violations)
-
-    if (
-        train is not None
-        and scheme is not None
-        and workers is not None
-        and not violations
-    ):
-        k_total = workers * (groups if scheme == "rcs-general" else 1)
-        if scheme == "gc" or mode == MODE_COMMUNICATION:
-            violations.append(
-                "train: requires a matrix-vector scheme in computation mode "
-                "(exact-sum coding recovers no coordinate blocks)"
-            )
-        elif train.dim % k_total:
-            violations.append(
-                f"train.dim: {train.dim} is not divisible into {k_total} blocks"
-            )
-
+    values = _parse_fields(ExperimentConfig, merged, "", violations)
+    scheme = values["scheme"]
+    if scheme == "gc" and "mode" not in merged:
+        values["mode"] = MODE_COMMUNICATION
+    if scheme is not None and values["workers"] is not None:
+        _validate_scheme(violations, **values)
     if violations:
         raise ConfigError(violations)
-    cfg = ExperimentConfig(
-        scheme=scheme,
-        workers=workers,
-        mode=mode,
-        degrees=degrees,
-        load=load,
-        kbar=kbar,
-        groups=groups if scheme == "rcs-general" else 1,
-        z=z,
-        offsets=offsets,
-        eval_points=eval_points,
-        q=q,
-        mu=mu,
-        alpha=alpha,
-        trials=trials,
-        seed=seed,
-        redraw=redraw,
-        train=train,
-    )
+    if scheme != "rcs-general":
+        values["groups"] = 1
+    cfg = ExperimentConfig(**values)
+
+    if cfg.train is not None:
+        if scheme == "gc" or cfg.mode == MODE_COMMUNICATION:
+            raise ConfigError([
+                "train: requires a matrix-vector scheme in computation mode "
+                "(exact-sum coding recovers no coordinate blocks)"
+            ])
+        if cfg.train.dim % cfg.k_total:
+            raise ConfigError([
+                f"train.dim: {cfg.train.dim} is not divisible into {cfg.k_total} blocks"
+            ])
     try:
         build_assignment(cfg, np.random.default_rng(0))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError([f"scheme: cannot construct assignment: {exc}"]) from exc
     return cfg
 
 
-def _parse_train(raw, violations) -> TrainSettings | None:
-    if not isinstance(raw, Mapping):
-        violations.append(f"train: expected an object, got {raw!r}")
-        return None
-    sub: list[str] = []
-    aliases = {"d": "dim", "n": "samples"}
-    known = {"dim", "samples", "eta", "iterations", "noise_std"}
-    values = {aliases.get(k, k): v for k, v in raw.items()}
-    for key in values:
-        if key not in known:
-            sub.append(f"train.{key}: unknown field")
-    dim = samples = None
-    if "dim" not in values:
-        sub.append("train.dim: required field is missing")
-    else:
-        dim = _as_int({"train.dim": values["dim"]}, "train.dim", sub, minimum=1)
-    if "samples" not in values:
-        sub.append("train.samples: required field is missing")
-    else:
-        samples = _as_int({"train.samples": values["samples"]}, "train.samples", sub, minimum=1)
-    eta = (
-        _as_number({"train.eta": values["eta"]}, "train.eta", sub, positive=True)
-        if "eta" in values
-        else 0.1
-    )
-    iterations = (
-        _as_int({"train.iterations": values["iterations"]}, "train.iterations", sub, minimum=1)
-        if "iterations" in values
-        else 50
-    )
-    noise = (
-        _as_number({"train.noise_std": values["noise_std"]}, "train.noise_std", sub)
-        if "noise_std" in values
-        else 0.01
-    )
-    violations.extend(sub)
-    if sub or dim is None or samples is None or eta is None or iterations is None:
-        return None
-    return TrainSettings(dim=dim, samples=samples, eta=eta, iterations=iterations, noise_std=noise)
-
-
 def _validate_scheme(
-    scheme, workers, mode, degrees, load, kbar, groups, z, offsets, eval_points,
-    violations,
+    violations, *, scheme, workers, mode, degrees, load, kbar, groups, z, offsets,
+    eval_points, **_,
 ) -> None:
     if scheme in ("rcs", "rcs-general"):
         if degrees is None:

@@ -5,8 +5,10 @@ task is immediately reduced by the already-recovered blocks, degree-one
 residuals release new blocks, and releases cascade until no residual has
 degree one.  An exact rational row-reduction oracle (``rref_recoverable``)
 upper-bounds what any linear decoder could recover and is used to sanity-check
-the peeling results.  Dense MDS groups and exact-sum schemes use counting
-rules instead (``mcc_decode_values``, ``gc_aggregate``).
+the peeling results.  Dense MDS groups and exact-sum schemes decode at a
+complete-worker count instead (the counting rule in
+``simulate.make_decode_state``); ``mcc_decode_values`` recovers the values of
+an MDS-coded assignment.
 """
 
 from __future__ import annotations
@@ -211,17 +213,6 @@ def rref_recoverable(tasks: Iterable[CodedTask], k_total: int) -> set[int]:
         if sum(1 for x in rows[r] if x != 0) == 1:
             recoverable.add(col)
     return recoverable
-
-
-def gc_aggregate(received_workers: Iterable[int], k: int, load: int) -> bool:
-    """Whether an exact-sum scheme can reconstruct the full result.
-
-    Any k - load + 1 complete workers suffice when each computes ``load``
-    cyclic partial results.
-    """
-    if not 1 <= load <= k:
-        raise ValueError(f"load must lie in [1, {k}], got {load}")
-    return len(set(received_workers)) >= k - load + 1
 
 
 def mcc_decode_values(

@@ -9,6 +9,7 @@ completion-time CDF.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 from .blocks import ComputationAssignment, CumulativeType
@@ -112,7 +113,10 @@ def enumerate_successful(
 
 def total_vectors(ctype: CumulativeType) -> int:
     """Number of distinct score vectors of the type (multinomial count)."""
-    return sum(1 for _ in score_vectors_of_type(ctype))
+    count = math.factorial(ctype.worker_count)
+    for c in ctype.counts:
+        count //= math.factorial(c)
+    return count
 
 
 def success_table(

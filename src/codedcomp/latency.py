@@ -33,14 +33,6 @@ class LatencyModel:
         return self.alpha + rng.exponential(1.0 / self.mu, n)
 
 
-def sample_worker(model: LatencyModel, rng: np.random.Generator) -> float:
-    """Draw one worker's per-unit computation time alpha + Exp(mu).
-
-    Finishing s unit computations then takes s times this value.
-    """
-    return float(model.alpha + rng.exponential(1.0 / model.mu))
-
-
 def prob_at_least(s: int, t: float, model: LatencyModel, task_cost: float = 1.0) -> float:
     """P(a worker finishes at least s tasks by time t); each task costs
     task_cost * (alpha + E)."""

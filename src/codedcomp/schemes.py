@@ -109,7 +109,8 @@ def build_rcs_assignment(
     rng: np.random.Generator | None = None,
     offsets: Sequence[int] | None = None,
 ) -> AssignmentMatrix:
-    """Draw the row-shift assignment of a circular-shift code.
+    """Draw the row-shift assignment of a circular-shift code: the one-group
+    case of :func:`build_generalized_assignment`.
 
     Args:
         k: number of workers (= blocks).
@@ -124,22 +125,8 @@ def build_rcs_assignment(
     Raises:
         ValueError: if L exceeds k, or offsets are invalid/duplicated.
     """
-    dv = validate_degree_vector(degrees)
-    total = dv.total
-    if total > k:
-        raise ValueError(
-            f"degree vector needs {total} distinct shifts but only {k} exist"
-        )
-    if offsets is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        offsets = tuple(int(o) + 1 for o in rng.permutation(k)[:total])
-    else:
-        offsets = _check_offsets(offsets, k, total)
-    grid = np.stack([_shift_row(k, o) for o in offsets])
-    return AssignmentMatrix(
-        grid=grid, offsets=offsets, groups=(0,) * total, group_count=1
-    )
+    plan = GroupPlan(1, (1,) * validate_degree_vector(degrees).total)
+    return build_generalized_assignment(k, plan, degrees, rng, offsets)
 
 
 def rcs_encode(
@@ -230,10 +217,9 @@ def build_generalized_assignment(
         if rng is None:
             rng = np.random.default_rng()
         pools = {
-            g: [int(o) + 1 for o in rng.permutation(k)]
-            for g in range(1, plan.group_count + 1)
+            g: iter(rng.permutation(k) + 1) for g in range(1, plan.group_count + 1)
         }
-        offsets = tuple(pools[g].pop(0) for g in plan.row_groups)
+        offsets = tuple(int(next(pools[g])) for g in plan.row_groups)
     else:
         offsets = tuple(int(o) for o in offsets)
         if len(offsets) != total:

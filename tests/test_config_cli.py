@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcomp import ConfigError, parse_config
 from codedcomp.cli import main, read_embedded_config
+from codedcomp.config import SCHEMES
 
 TABLE_CONFIG = {
     "scheme": "rcs",
@@ -17,6 +20,67 @@ TABLE_CONFIG = {
     "alpha": 0.01,
     "trials": 10000,
 }
+
+
+def _optional(draw, data, key, strategy):
+    if draw(st.booleans()):
+        data[key] = draw(strategy)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid config mappings for every scheme, optional fields present or not."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    workers = 4 if scheme == "hybrid-example" else draw(st.integers(1, 12))
+    data = {"scheme": scheme, draw(st.sampled_from(["workers", "k", "K"])): workers}
+    groups = draw(st.integers(1, 3)) if scheme == "rcs-general" else 1
+    computation = scheme != "gc"
+    if scheme in ("rcs", "rcs-general"):
+        degrees = [1]
+        for step in draw(st.lists(st.integers(0, 2), max_size=3)):
+            if sum(degrees) + degrees[-1] + step > workers * groups:
+                break
+            degrees.append(degrees[-1] + step)
+        data["degrees"] = degrees
+        rows = sum(degrees)
+        z = [1] * rows
+        if scheme == "rcs-general":
+            pool = [g for g in range(1, groups + 1) for _ in range(workers)]
+            z = draw(st.permutations(pool))[:rows]
+            data.update(groups=groups, z=z)
+        if draw(st.booleans()):
+            pools = {
+                g: iter(draw(st.permutations(range(1, workers + 1))))
+                for g in range(1, groups + 1)
+            }
+            data["offsets"] = [next(pools[g]) for g in z]
+        mode = draw(st.sampled_from([None, "computation", "communication"]))
+        if mode is not None:
+            data["mode"] = mode
+            computation = mode == "computation"
+    elif scheme == "mcc":
+        data["kbar"] = draw(st.integers(1, workers))
+        _optional(draw, data, "eval_points", st.lists(
+            st.floats(-1e3, 1e3), min_size=workers, max_size=workers + 2, unique=True
+        ))
+    elif scheme in ("uc-mmc", "gc"):
+        data["load"] = draw(st.integers(1, workers))
+    _optional(draw, data, "q", st.floats(0.0, 1.0))
+    _optional(draw, data, "mu", st.floats(1e-3, 1e3))
+    _optional(draw, data, "alpha", st.floats(1e-3, 1e3))
+    _optional(draw, data, "trials", st.integers(1, 10**6))
+    _optional(draw, data, "seed", st.integers(0, 2**64))
+    _optional(draw, data, "redraw", st.booleans())
+    if computation and draw(st.booleans()):
+        train = {
+            "dim": workers * groups * draw(st.integers(1, 5)),
+            "samples": draw(st.integers(1, 10**4)),
+        }
+        _optional(draw, train, "eta", st.floats(1e-6, 10.0))
+        _optional(draw, train, "iterations", st.integers(1, 1000))
+        _optional(draw, train, "noise_std", st.floats(-1e3, 1e3))
+        data["train"] = train
+    return data
 
 
 class TestParseConfig:
@@ -161,6 +225,53 @@ class TestParseConfig:
         )
         assert parse_config(cfg.to_dict()) == cfg
 
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(valid_configs())
+    def test_round_trip_property(self, data):
+        cfg = parse_config(data)
+        assert parse_config(cfg.to_dict()) == cfg
+
+    def test_train_override_merges_key_by_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TABLE_CONFIG, "train": {"d": 400, "samples": 2000}}))
+        cfg = parse_config(path, {"train": {"iterations": 5, "n": 100}})
+        assert (cfg.train.dim, cfg.train.samples, cfg.train.iterations) == (400, 100, 5)
+
+    @pytest.mark.parametrize(
+        "contents, message",
+        [(None, "cannot read"), ("{not json", "not valid JSON")],
+        ids=["missing", "malformed"],
+    )
+    def test_unreadable_file(self, tmp_path, contents, message):
+        path = tmp_path / "cfg.json"
+        if contents is not None:
+            path.write_text(contents)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.violations[0].startswith("config: ")
+        assert message in err.value.violations[0]
+
+    @pytest.mark.parametrize(
+        "overrides, violation",
+        [
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"mode": ["computation"]}, "mode: unknown value"),
+            (
+                {"scheme": "rcs-general", "groups": 0, "degrees": [1, 1], "z": [1, 1]},
+                "groups: must be >= 1, got 0",
+            ),
+            (
+                {"scheme": "mcc", "workers": 9, "kbar": 3, "eval_points": [1e200] + list(range(2, 10))},
+                "scheme: cannot construct assignment",
+            ),
+        ],
+        ids=["negative-seed", "unhashable-mode", "zero-groups", "overflowing-points"],
+    )
+    def test_bad_values_are_violations(self, overrides, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(TABLE_CONFIG, overrides)
+        assert any(v.startswith(violation) for v in err.value.violations)
+
     def test_train_dimension_checked(self):
         with pytest.raises(ConfigError, match="train.dim"):
             parse_config(
@@ -271,6 +382,43 @@ class TestCli:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = self.run(
+            "simulate", "--scheme", "uc-mmc", "--workers", "4", "--load", "2",
+            "--seed", "-1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "contents", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]
+    )
+    def test_unreadable_config_file(self, tmp_path, capsys, contents):
+        path = tmp_path / "cfg.json"
+        if contents is not None:
+            path.write_text(contents)
+        code = self.run(
+            "train", "--config", str(path), "--iterations", "3", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "  - config: " in capsys.readouterr().err
+
+    def test_config_file_train_section_with_flag(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scheme": "rcs", "workers": 8, "degrees": [1, 2],
+            "train": {"dim": 40, "n": 100, "iterations": 50},
+        }))
+        code = self.run(
+            "train", "--config", str(path), "--iterations", "3",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        embedded = read_embedded_config(tmp_path / "out" / "training.csv")
+        assert embedded["train"]["dim"] == 40
+        assert embedded["train"]["samples"] == 100
+        assert embedded["train"]["iterations"] == 3
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -8,12 +8,13 @@ import pytest
 from codedcomp import (
     CodedTask,
     PeelingDecoder,
+    build_gc,
     build_mcc,
-    gc_aggregate,
     mcc_decode_values,
     recovery_threshold,
     rref_recoverable,
 )
+from codedcomp.simulate import make_decode_state
 
 
 def random_instance(rng, max_blocks=8, max_tasks=12):
@@ -205,6 +206,15 @@ class TestRref:
     def test_redundant_rows_ignored(self):
         tasks = [CodedTask.of_blocks([0, 1])] * 3
         assert rref_recoverable(tasks, 2) == set()
+
+
+def gc_aggregate(received_workers, k, load):
+    """Whether the exact-sum decode rule recovers everything from these
+    complete workers."""
+    state = make_decode_state(build_gc(k, load))
+    for w in received_workers:
+        state.ingest_message(w, 0)
+    return state.recovered_count == k
 
 
 class TestGcThreshold:

@@ -85,6 +85,10 @@ class TestHelpers:
         assert total_vectors(type_of([2, 1, 1, 0], 2)) == 12
         assert total_vectors(type_of([2, 2, 2, 2], 2)) == 1
 
+    def test_total_vectors_matches_enumeration(self):
+        for ctype in all_types(5, 2):
+            assert total_vectors(ctype) == sum(1 for _ in score_vectors_of_type(ctype))
+
     def test_all_types_count(self):
         # compositions of 4 into 3 labelled bins
         assert len(all_types(4, 2)) == 15

@@ -9,7 +9,6 @@ from codedcomp import (
     LatencyModel,
     prob_at_least,
     prob_exactly,
-    sample_worker,
     type_of,
     type_probability,
 )
@@ -45,12 +44,12 @@ class TestModel:
 
     def test_single_worker_draw(self):
         model = LatencyModel(mu=10, alpha=0.01)
-        draws = [sample_worker(model, np.random.default_rng(i)) for i in range(500)]
+        draws = [model.sample_unit_times(np.random.default_rng(i), 1)[0] for i in range(500)]
         assert all(tau >= 0.01 for tau in draws)
         assert np.mean(draws) == pytest.approx(0.11, rel=0.15)
         # same stream, same draw
-        assert sample_worker(model, np.random.default_rng(3)) == sample_worker(
-            model, np.random.default_rng(3)
+        assert model.sample_unit_times(np.random.default_rng(3), 1)[0] == (
+            model.sample_unit_times(np.random.default_rng(3), 1)[0]
         )
 
 
