@@ -12,6 +12,7 @@ can build the assignment factory used by the simulator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment, degree_vector_violations
+from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
 from .latency import LatencyModel
 from .schemes import (
     GroupPlan,
@@ -28,7 +29,10 @@ from .schemes import (
     build_mcc,
     build_rcs,
     build_uc_mmc,
+    circular_shift_violations,
     hybrid_example,
+    load_violations,
+    mds_violations,
 )
 
 DEFAULT_SEED = 1729
@@ -50,6 +54,20 @@ _MODE_ALIASES = {
     "coded-communication": MODE_COMMUNICATION,
 }
 _CONSTRUCTION_TAG = 4294967295
+_REQUIRED = {
+    "rcs": ("degrees",),
+    "rcs-general": ("degrees", "z"),
+    "mcc": ("kbar",),
+    "uc-mmc": ("load",),
+    "gc": ("load",),
+}
+# Schemes whose builder fixes the mode: (the mode, why).
+_FIXED_MODES = {
+    "mcc": (MODE_COMPUTATION, "codes before computation"),
+    "uc-mmc": (MODE_COMPUTATION, "sends its blocks uncoded"),
+    "hybrid-example": (MODE_COMPUTATION, "has a fixed computation schedule"),
+    "gc": (MODE_COMMUNICATION, "codes after computation"),
+}
 
 
 class ConfigError(ValueError):
@@ -83,6 +101,9 @@ def _as_number(key, value, violations, positive=False) -> float | None:
         violations.append(f"{key}: expected a number, got {value!r}")
         return None
     value = float(value)
+    if not math.isfinite(value):
+        violations.append(f"{key}: must be finite, got {value}")
+        return None
     if positive and value <= 0:
         violations.append(f"{key}: must be positive, got {value}")
         return None
@@ -298,10 +319,10 @@ def parse_config(
     violations: list[str] = []
     values = _parse_fields(ExperimentConfig, merged, "", violations)
     scheme = values["scheme"]
-    if scheme == "gc" and "mode" not in merged:
-        values["mode"] = MODE_COMMUNICATION
+    if scheme in _FIXED_MODES and "mode" not in merged:
+        values["mode"] = _FIXED_MODES[scheme][0]
     if scheme is not None and values["workers"] is not None:
-        _validate_scheme(violations, **values)
+        _validate_scheme(violations, values)
     if violations:
         raise ConfigError(violations)
     if scheme != "rcs-general":
@@ -309,7 +330,7 @@ def parse_config(
     cfg = ExperimentConfig(**values)
 
     if cfg.train is not None:
-        if scheme == "gc" or cfg.mode == MODE_COMMUNICATION:
+        if cfg.mode == MODE_COMMUNICATION:
             raise ConfigError([
                 "train: requires a matrix-vector scheme in computation mode "
                 "(exact-sum coding recovers no coordinate blocks)"
@@ -325,62 +346,24 @@ def parse_config(
     return cfg
 
 
-def _validate_scheme(
-    violations, *, scheme, workers, mode, degrees, load, kbar, groups, z, offsets,
-    eval_points, **_,
-) -> None:
-    if scheme in ("rcs", "rcs-general"):
-        if degrees is None:
-            violations.append(f"degrees: required for scheme {scheme!r}")
-        else:
-            violations.extend(f"degrees: {v}" for v in degree_vector_violations(degrees))
-            total = sum(degrees)
-            if scheme == "rcs" and total > workers:
-                violations.append(
-                    f"degrees: sum {total} exceeds the {workers} available shifts"
-                )
-            if offsets is not None and len(offsets) != total:
-                violations.append(
-                    f"offsets: expected {total} entries (sum of degrees), got {len(offsets)}"
-                )
-    if scheme == "rcs-general":
-        if z is None:
-            violations.append("z: required for scheme 'rcs-general'")
-        elif degrees is not None:
-            if len(z) != sum(degrees):
-                violations.append(
-                    f"z: expected {sum(degrees)} entries (sum of degrees), got {len(z)}"
-                )
-            bad = [g for g in z if not 1 <= g <= groups]
-            if bad:
-                violations.append(f"z: entries {bad} outside [1, {groups}]")
-            for g in range(1, groups + 1):
-                used = sum(1 for x in z if x == g)
-                if used > workers:
-                    violations.append(
-                        f"z: group {g} used {used} times but only {workers} shifts exist"
-                    )
-    if scheme == "mcc":
-        if kbar is None:
-            violations.append("kbar: required for scheme 'mcc'")
-        elif kbar > workers:
-            violations.append(f"kbar: must not exceed workers ({workers}), got {kbar}")
-        if eval_points is not None:
-            if len(eval_points) < workers:
-                violations.append(
-                    f"eval_points: need {workers} points, got {len(eval_points)}"
-                )
-            elif len(set(eval_points)) != len(eval_points):
-                violations.append("eval_points: points must be distinct")
-        if mode == MODE_COMMUNICATION:
-            violations.append("mode: scheme 'mcc' codes before computation; use 'computation'")
-    if scheme in ("uc-mmc", "gc"):
-        if load is None:
-            violations.append(f"load: required for scheme {scheme!r}")
-        elif load > workers:
-            violations.append(f"load: must not exceed workers ({workers}), got {load}")
-    if scheme == "gc" and mode == MODE_COMPUTATION:
-        violations.append("mode: scheme 'gc' codes after computation; use 'communication'")
+def _validate_scheme(violations, values) -> None:
+    """Required fields, allowed modes and fixed sizes; the construction rules
+    themselves come from the schemes module."""
+    scheme, workers = values["scheme"], values["workers"]
+    missing = [name for name in _REQUIRED.get(scheme, ()) if values[name] is None]
+    violations.extend(f"{name}: required for scheme {scheme!r}" for name in missing)
+    if not missing and scheme in ("rcs", "rcs-general"):
+        z = values["z"] if scheme == "rcs-general" else None
+        violations.extend(circular_shift_violations(
+            workers, values["degrees"], values["groups"], z, values["offsets"]
+        ))
+    elif not missing and scheme == "mcc":
+        violations.extend(mds_violations(workers, values["kbar"], values["eval_points"]))
+    elif not missing and scheme in ("uc-mmc", "gc"):
+        violations.extend(load_violations(workers, values["load"]))
+    fixed, reason = _FIXED_MODES.get(scheme, (values["mode"], ""))
+    if values["mode"] != fixed:
+        violations.append(f"mode: scheme {scheme!r} {reason}; use {fixed!r}")
     if scheme == "hybrid-example" and workers != 4:
         violations.append(f"workers: scheme 'hybrid-example' is fixed at 4 workers, got {workers}")
 

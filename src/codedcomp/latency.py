@@ -25,8 +25,8 @@ class LatencyModel:
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.mu <= 0 or self.alpha <= 0:
-            raise ValueError(f"mu and alpha must be positive, got {self.mu}, {self.alpha}")
+        if not (0 < self.mu < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError(f"mu and alpha must be positive and finite, got {self.mu}, {self.alpha}")
 
     def sample_unit_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw per-unit computation times for n workers."""

@@ -1,4 +1,4 @@
-"""Builders for the computation-assignment schemes.
+"""Builders for the computation-assignment schemes, and their rules.
 
 Five families are provided:
 
@@ -12,17 +12,22 @@ Five families are provided:
 * MDS-coded computation (``build_mcc``): interleaved block groups combined
   with Vandermonde coefficients; any ``kbar`` complete workers recover
   everything, nothing is recovered before that;
-* uncoded multi-message (``build_uc_mmc``): cyclically shifted raw blocks,
-  one message per block;
-* exact-sum coding for additive partial results (``build_gc``): cyclic
-  uncoded partial computations, a single coded message per worker, and a
+* uncoded multi-message (``build_uc_mmc``): the circular-shift code with
+  ``load`` degree-1 orders and consecutive shifts, one message per block;
+* exact-sum coding for additive partial results (``build_gc``): the same
+  cyclic placement coded at send time, a single message per worker, and a
   fixed complete-worker threshold.
+
+Each construction rule is stated once, in ``circular_shift_violations``,
+``mds_violations`` or ``load_violations``, as messages prefixed with the field
+at fault: the builders raise them and config validation lists them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +42,7 @@ from .blocks import (
     ComputationAssignment,
     DegreeVector,
     Message,
+    degree_vector_violations,
     validate_degree_vector,
 )
 
@@ -77,30 +83,73 @@ class GroupPlan:
     group_count: int
     row_groups: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.group_count < 1:
-            raise ValueError("group_count must be positive")
-        bad = [g for g in self.row_groups if not 1 <= g <= self.group_count]
+
+def _check(errors: list[str]) -> None:
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+def circular_shift_violations(
+    k: int,
+    degrees: Sequence[int] | DegreeVector,
+    groups: int,
+    z: Sequence[int] | None,
+    offsets: Sequence[int] | None,
+) -> list[str]:
+    """Violations of the circular-shift rules, each prefixed with its field.
+
+    z=None is the one-group code, whose degree sum the k distinct shifts
+    bound; otherwise each group of z is bounded.  Offsets are distinct per group.
+    """
+    if isinstance(degrees, DegreeVector):
+        degrees = degrees.degrees
+    errors = [f"degrees: {v}" for v in degree_vector_violations(degrees)]
+    total = sum(degrees)
+    if z is None:
+        if total > k:
+            errors.append(f"degrees: sum {total} exceeds the {k} available distinct shifts")
+        z = (1,) * total
+    else:
+        if len(z) != total:
+            errors.append(f"z: expected {total} entries (sum of degrees), got {len(z)}")
+        bad = [g for g in z if not 1 <= g <= groups]
         if bad:
-            raise ValueError(
-                f"row groups {bad} outside [1, {self.group_count}]"
-            )
+            errors.append(f"z: entries {bad} outside [1, {groups}]")
+        for g, used in sorted(Counter(z).items()):
+            if used > k and 1 <= g <= groups:
+                errors.append(f"z: group {g} used {used} times but only {k} distinct shifts exist")
+    if offsets is not None:
+        offsets = [int(o) for o in offsets]
+        if len(offsets) != total:
+            errors.append(f"offsets: expected {total} entries (sum of degrees), got {len(offsets)}")
+        if any(not 1 <= o <= k for o in offsets):
+            errors.append(f"offsets: must lie in [1, {k}], got {offsets}")
+        pairs = set(zip(z, offsets))
+        if len(pairs) < min(len(z), len(offsets)):
+            errors.append(f"offsets: must be distinct within a group, got {offsets}")
+    return errors
 
 
-def _shift_row(k: int, offset: int) -> np.ndarray:
-    """Block sequence 0..k-1 circularly shifted to start at offset-1."""
-    return (np.arange(k) + (offset - 1)) % k
-
-
-def _check_offsets(offsets: Sequence[int], k: int, count: int) -> tuple[int, ...]:
+def _shift_assignment(k, degrees, groups, z, rng, offsets) -> AssignmentMatrix:
+    _check(circular_shift_violations(k, degrees, groups, z, offsets))
+    if z is None:
+        z = (1,) * validate_degree_vector(degrees).total
+    if offsets is None:
+        if rng is None:
+            rng = np.random.default_rng()
+        # One permutation per group, in group order, then offsets in row
+        # order: this draw order fixes every seeded construction stream.
+        pools = [iter(rng.permutation(k) + 1) for _ in range(groups)]
+        offsets = [next(pools[g - 1]) for g in z]
     offsets = tuple(int(o) for o in offsets)
-    if len(offsets) != count:
-        raise ValueError(f"expected {count} offsets, got {len(offsets)}")
-    if any(not 1 <= o <= k for o in offsets):
-        raise ValueError(f"offsets must lie in [1, {k}], got {list(offsets)}")
-    if len(set(offsets)) != len(offsets):
-        raise ValueError(f"offsets must be distinct, got {list(offsets)}")
-    return offsets
+    row_groups = np.asarray(z) - 1
+    grid = row_groups[:, None] * k + (np.arange(k) + np.asarray(offsets)[:, None] - 1) % k
+    return AssignmentMatrix(
+        grid=grid,
+        offsets=offsets,
+        groups=tuple(g - 1 for g in z),
+        group_count=groups,
+    )
 
 
 def build_rcs_assignment(
@@ -123,10 +172,9 @@ def build_rcs_assignment(
         AssignmentMatrix with L rows; row i is 1..K shifted by offsets[i]-1.
 
     Raises:
-        ValueError: if L exceeds k, or offsets are invalid/duplicated.
+        ValueError: listing every :func:`circular_shift_violations`.
     """
-    plan = GroupPlan(1, (1,) * validate_degree_vector(degrees).total)
-    return build_generalized_assignment(k, plan, degrees, rng, offsets)
+    return _shift_assignment(k, degrees, 1, None, rng, offsets)
 
 
 def rcs_encode(
@@ -201,41 +249,7 @@ def build_generalized_assignment(
     drawn without replacement within each group, so no worker ever sees the
     same block twice.
     """
-    dv = validate_degree_vector(degrees)
-    total = dv.total
-    if len(plan.row_groups) != total:
-        raise ValueError(
-            f"plan assigns {len(plan.row_groups)} rows but degrees sum to {total}"
-        )
-    for g in range(1, plan.group_count + 1):
-        used = sum(1 for x in plan.row_groups if x == g)
-        if used > k:
-            raise ValueError(
-                f"group {g} used by {used} rows but only {k} distinct shifts exist"
-            )
-    if offsets is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        pools = {
-            g: iter(rng.permutation(k) + 1) for g in range(1, plan.group_count + 1)
-        }
-        offsets = tuple(int(next(pools[g])) for g in plan.row_groups)
-    else:
-        offsets = tuple(int(o) for o in offsets)
-        if len(offsets) != total:
-            raise ValueError(f"expected {total} offsets, got {len(offsets)}")
-        for g in range(1, plan.group_count + 1):
-            own = [o for o, rg in zip(offsets, plan.row_groups) if rg == g]
-            _check_offsets(own, k, len(own))
-    rows = []
-    for off, g in zip(offsets, plan.row_groups):
-        rows.append((g - 1) * k + _shift_row(k, off))
-    return AssignmentMatrix(
-        grid=np.stack(rows),
-        offsets=offsets,
-        groups=tuple(g - 1 for g in plan.row_groups),
-        group_count=plan.group_count,
-    )
+    return _shift_assignment(k, degrees, plan.group_count, plan.row_groups, rng, offsets)
 
 
 def build_generalized_rcs(
@@ -260,6 +274,23 @@ def default_eval_points(k: int) -> tuple[float, ...]:
     return tuple(float(2**i) for i in range(k))
 
 
+def mds_violations(k: int, kbar: int, eval_points: Sequence[float] | None) -> list[str]:
+    """Violations of the MDS construction rules, each prefixed with its
+    config field: kbar in [1, k], and at least k finite, distinct points."""
+    errors = []
+    if not 1 <= kbar <= k:
+        errors.append(f"kbar: must lie in [1, {k}], got {kbar}")
+    if eval_points is not None:
+        points = [float(x) for x in eval_points]
+        if len(points) < k:
+            errors.append(f"eval_points: need {k} points, got {len(points)}")
+        if not all(math.isfinite(x) for x in points):
+            errors.append(f"eval_points: must be finite, got {points}")
+        elif len(set(points)) != len(points):
+            errors.append("eval_points: points must be distinct")
+    return errors
+
+
 def build_mcc(
     k: int,
     kbar: int,
@@ -275,17 +306,12 @@ def build_mcc(
     degenerates to the uncoded one-block-per-worker assignment.
 
     Raises:
-        ValueError: if kbar is outside [1, k] or eval points repeat.
+        ValueError: listing every :func:`mds_violations`.
     """
-    if not 1 <= kbar <= k:
-        raise ValueError(f"kbar must lie in [1, {k}], got {kbar}")
+    _check(mds_violations(k, kbar, eval_points))
     if eval_points is None:
         eval_points = default_eval_points(k)
     eval_points = tuple(float(x) for x in eval_points)
-    if len(eval_points) < k:
-        raise ValueError(f"need {k} evaluation points, got {len(eval_points)}")
-    if len(set(eval_points)) != len(eval_points):
-        raise ValueError("evaluation points must be distinct")
     r = math.ceil(k / kbar)
     if kbar == k:
         rows = [tuple(CodedTask((w,), (1.0,)) for w in range(k))]
@@ -315,30 +341,24 @@ def build_mcc(
     )
 
 
+def load_violations(k: int, load: int) -> list[str]:
+    """Violation of the cyclic-load rule of uc-mmc and gc: load in [1, k]."""
+    return [] if 1 <= load <= k else [f"load: must lie in [1, {k}], got {load}"]
+
+
 def build_uc_mmc(k: int, load: int) -> ComputationAssignment:
-    """Uncoded multi-message assignment: cyclic raw blocks, one message each.
+    """Uncoded multi-message assignment: the circular-shift code with
+    ``load`` degree-1 orders and consecutive shifts 1..load.
 
     Worker w's order-j task is block (w + j) mod k, so any ``load``
     consecutive workers jointly cover disjoint windows of blocks.
     """
-    if not 1 <= load <= k:
-        raise ValueError(f"load must lie in [1, {k}], got {load}")
-    rows = tuple(
-        tuple(CodedTask(((w + j) % k,), (1.0,)) for w in range(k))
-        for j in range(load)
-    )
-    return ComputationAssignment(
-        n_workers=k,
-        k_total=k,
-        tasks=rows,
-        messages=tuple(Message(j + 1, (j,)) for j in range(load)),
-        mode=MODE_COMPUTATION,
-        decode=DECODE_PEEL,
-    )
+    _check(load_violations(k, load))
+    return build_rcs(k, (1,) * load, offsets=range(1, load + 1))
 
 
 def build_gc(k: int, load: int) -> ComputationAssignment:
-    """Exact-sum coding: cyclic partial computations, one coded message.
+    """Exact-sum coding: the uc-mmc placement, coded at send time.
 
     Worker w computes the ``load`` cyclically consecutive partial results
     starting at w, then sends a single combination chosen so that any
@@ -346,16 +366,8 @@ def build_gc(k: int, load: int) -> ComputationAssignment:
     below that threshold are useless, and the tolerance parameter cannot
     relax the scheme.
     """
-    if not 1 <= load <= k:
-        raise ValueError(f"load must lie in [1, {k}], got {load}")
-    rows = tuple(
-        tuple(CodedTask(((w + j) % k,), (1.0,)) for w in range(k))
-        for j in range(load)
-    )
-    return ComputationAssignment(
-        n_workers=k,
-        k_total=k,
-        tasks=rows,
+    return replace(
+        build_uc_mmc(k, load),
         messages=(Message(load, tuple(range(load))),),
         mode=MODE_COMMUNICATION,
         decode=DECODE_THRESHOLD,

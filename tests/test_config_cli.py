@@ -183,6 +183,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"scheme": "gc", "workers": 6, "load": 2, "mode": "computation"})
 
+    def test_gc_train_rejected(self):
+        with pytest.raises(ConfigError, match="train: requires"):
+            parse_config({"scheme": "gc", "workers": 4, "load": 2, "train": {"dim": 8, "samples": 10}})
+
     def test_grouped_config(self):
         cfg = parse_config(
             {
@@ -264,8 +268,32 @@ class TestParseConfig:
                 {"scheme": "mcc", "workers": 9, "kbar": 3, "eval_points": [1e200] + list(range(2, 10))},
                 "scheme: cannot construct assignment",
             ),
+            ({"mu": float("nan")}, "mu: must be finite, got nan"),
+            ({"alpha": float("inf")}, "alpha: must be finite, got inf"),
+            ({"train": {"dim": 40, "samples": 10, "eta": float("inf")}}, "train.eta: must be finite"),
+            (
+                {"train": {"dim": 40, "samples": 10, "noise_std": float("nan")}},
+                "train.noise_std: must be finite",
+            ),
+            (
+                {"scheme": "mcc", "workers": 3, "kbar": 2, "eval_points": [1, float("nan"), 2]},
+                "eval_points: must be finite",
+            ),
+            ({"scheme": "rcs", "workers": 10, "degrees": [1, 1], "offsets": [3, 3]}, "offsets: must be distinct"),
+            ({"scheme": "rcs", "workers": 10, "degrees": [1, 1], "offsets": [0, 11]}, "offsets: must lie in [1, 10]"),
+            (
+                {"scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2, "z": [1, 1], "offsets": [2, 2]},
+                "offsets: must be distinct within a group",
+            ),
+            ({"scheme": "uc-mmc", "workers": 4, "load": 2, "mode": "communication"}, "mode: scheme 'uc-mmc'"),
+            ({"scheme": "hybrid-example", "workers": 4, "mode": "communication"}, "mode: scheme 'hybrid-example'"),
         ],
-        ids=["negative-seed", "unhashable-mode", "zero-groups", "overflowing-points"],
+        ids=[
+            "negative-seed", "unhashable-mode", "zero-groups", "overflowing-points",
+            "nan-mu", "inf-alpha", "inf-eta", "nan-noise-std", "nan-eval-point",
+            "duplicate-offsets", "out-of-range-offsets", "duplicate-grouped-offsets",
+            "uc-mmc-communication", "hybrid-communication",
+        ],
     )
     def test_bad_values_are_violations(self, overrides, violation):
         with pytest.raises(ConfigError) as err:

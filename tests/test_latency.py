@@ -32,6 +32,13 @@ class TestModel:
         with pytest.raises(ValueError):
             LatencyModel(mu=10, alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "mu, alpha", [(math.nan, 0.01), (math.inf, 0.01), (10, math.nan), (10, math.inf)]
+    )
+    def test_parameters_finite(self, mu, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyModel(mu=mu, alpha=alpha)
+
     def test_samples_bounded_below_by_alpha(self):
         model = LatencyModel(mu=10, alpha=0.01)
         tau = model.sample_unit_times(np.random.default_rng(0), 1000)

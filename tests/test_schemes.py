@@ -1,9 +1,15 @@
 """Scheme builders: pinned constructions plus structural invariants."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcomp import (
+    ConfigError,
     GroupPlan,
     build_gc,
     build_generalized_rcs,
@@ -13,10 +19,15 @@ from codedcomp import (
     build_uc_mmc,
     hybrid_example,
     order_uniform,
+    parse_config,
     rcs_encode,
     worker_uniform,
 )
-from codedcomp.schemes import build_generalized_assignment
+from codedcomp.schemes import (
+    build_generalized_assignment,
+    circular_shift_violations,
+    mds_violations,
+)
 
 # Pinned 20-worker circular-shift construction: offsets drawn in the order
 # [1, 4, 11, 15, 6, 18] with degrees [1, 2, 3].
@@ -282,3 +293,77 @@ class TestUniformity:
 
         broken = AssignmentMatrix(bad, mat.offsets, mat.groups, mat.group_count)
         assert not order_uniform(broken, [1, 2])
+
+
+@st.composite
+def shift_inputs(draw):
+    """Small circular-shift inputs, valid and invalid: (k, degrees, groups, z, offsets).
+
+    z is None for the one-group construction (scheme rcs)."""
+    k = draw(st.integers(1, 6))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        degrees = [1] + sorted(degrees[1:])
+    rows = sum(degrees)
+    z = None
+    groups = 1
+    if draw(st.booleans()):
+        groups = draw(st.integers(1, 3))
+        tag = st.integers(1, groups) | st.sampled_from([0, groups + 1])
+        z = draw(st.lists(tag, min_size=rows - 1, max_size=rows + 1))
+    offsets = None
+    if draw(st.booleans()):
+        shift = st.integers(1, k) | st.sampled_from([0, k + 1])
+        offsets = draw(st.lists(shift, min_size=rows - 1, max_size=rows + 1))
+    return k, degrees, groups, z, offsets
+
+
+@st.composite
+def mds_inputs(draw):
+    """Small MDS inputs, valid and invalid: (k, kbar, eval_points)."""
+    k = draw(st.integers(1, 6))
+    kbar = draw(st.integers(1, k + 1))
+    point = st.floats(-4, 4) | st.sampled_from([1.0, math.nan, math.inf])
+    points = draw(st.none() | st.lists(point, min_size=k - 1, max_size=k + 1))
+    return k, kbar, points
+
+
+def _same_rules(errors, build, config):
+    """The builder raises exactly the rule messages, and parse_config lists them."""
+    if errors:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "; ".join(errors)
+        with pytest.raises(ConfigError) as cfg_err:
+            parse_config(config)
+        assert cfg_err.value.violations == errors
+    else:
+        build()
+        parse_config(config)
+
+
+class TestSharedRules:
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(shift_inputs())
+    def test_circular_shift_rules(self, case):
+        k, degrees, groups, z, offsets = case
+        rng = np.random.default_rng(0)
+        config = {"scheme": "rcs", "workers": k, "degrees": degrees}
+        if offsets is not None:
+            config["offsets"] = offsets
+        if z is None:
+            build = partial(build_rcs, k, degrees, rng, offsets)
+        else:
+            config.update(scheme="rcs-general", groups=groups, z=z)
+            plan = GroupPlan(groups, tuple(z))
+            build = partial(build_generalized_rcs, k, plan, degrees, rng, offsets)
+        _same_rules(circular_shift_violations(k, degrees, groups, z, offsets), build, config)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(mds_inputs())
+    def test_mds_rules(self, case):
+        k, kbar, points = case
+        config = {"scheme": "mcc", "workers": k, "kbar": kbar}
+        if points is not None:
+            config["eval_points"] = points
+        _same_rules(mds_violations(k, kbar, points), partial(build_mcc, k, kbar, points), config)
