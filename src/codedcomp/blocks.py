@@ -5,12 +5,17 @@ tasks (sparse linear combinations of blocks), compute them against the
 current parameter vector, and stream back one message per completed task
 group.  The master stops as soon as a tolerated fraction of the blocks is
 recoverable.
+
+An assignment stores its tasks as arrays, one (workers x degree) array of
+block ids and one of coefficients per order; ``CodedTask`` objects are views
+built on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -241,25 +246,35 @@ class Message(NamedTuple):
     orders: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComputationAssignment:
     """Complete description of what every worker computes and sends.
 
-    tasks[j][w] is worker w's order-j task.  messages is the shared send
-    schedule (identical for all workers).  mode records whether coding is
-    applied before computation ("computation": each task is one matrix-vector
-    product on a coded block) or after ("communication": each task is one
-    uncoded partial computation and coding happens at message time).
+    Tasks are stored as one pair of arrays per order: support[j] is an int
+    array of shape (n_workers, d_j) whose row w holds the block ids of worker
+    w's order-j task, and coefficients[j] holds the matching weights (all
+    ones for binary schemes).  Every order has a single degree d_j, so no
+    padding is needed.  The arrays are shared, not copied, and must not be
+    modified.  tasks[j][w] is the same task as a CodedTask, built on first
+    use (for printing and tests); the decoders read the arrays.
+
+    messages is the shared send schedule (identical for all workers).  mode
+    records whether coding is applied before computation ("computation":
+    each task is one matrix-vector product on a coded block) or after
+    ("communication": each task is one uncoded partial computation and
+    coding happens at message time).
     task_cost scales a single task relative to one full-size block product
     (e.g. 1/group_count when blocks are split into smaller groups).
     decode names the recovery rule: "peel" for sparse peeling, "mds" for
     any-kbar-workers group decoding, "threshold" for exact-sum schemes that
-    need a fixed number of complete workers.
+    need a fixed number of complete workers.  Assignments hold arrays, so
+    they compare by identity.
     """
 
     n_workers: int
     k_total: int
-    tasks: tuple[tuple[CodedTask, ...], ...]
+    support: tuple[np.ndarray, ...]
+    coefficients: tuple[np.ndarray, ...]
     messages: tuple[Message, ...]
     mode: str = MODE_COMPUTATION
     task_cost: float = 1.0
@@ -274,9 +289,21 @@ class ComputationAssignment:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.decode not in (DECODE_PEEL, DECODE_MDS, DECODE_THRESHOLD):
             raise ValueError(f"unknown decode rule {self.decode!r}")
-        for row in self.tasks:
-            if len(row) != self.n_workers:
+        if len(self.coefficients) != len(self.support):
+            raise ValueError("support and coefficients must have one array per order")
+        for ids, coefs in zip(self.support, self.coefficients):
+            if ids.ndim != 2 or ids.shape[0] != self.n_workers:
                 raise ValueError("task grid must have one task per worker per order")
+            if ids.dtype.kind not in "iu":
+                raise ValueError(f"block ids must be integers, got {ids.dtype}")
+            if ids.shape[1] == 0:
+                raise ValueError("coded task must combine at least one block")
+            if coefs.shape != ids.shape:
+                raise ValueError("support and coefficients must have equal length")
+        if self.support:
+            ids = np.concatenate([ids.ravel() for ids in self.support])
+            if ids.min() < 0 or ids.max() >= self.k_total:
+                raise ValueError(f"task support outside [0, {self.k_total})")
         prev = 0
         seen: set[int] = set()
         for msg in self.messages:
@@ -284,17 +311,30 @@ class ComputationAssignment:
                 raise ValueError("message schedule must be strictly increasing")
             prev = msg.tasks_done
             for order in msg.orders:
-                if not 0 <= order < len(self.tasks) or order in seen:
+                if not 0 <= order < self.n_orders or order in seen:
                     raise ValueError("each order must appear in exactly one message")
                 seen.add(order)
-        if len(seen) != len(self.tasks):
+        if len(seen) != self.n_orders:
             raise ValueError("every order must be carried by some message")
         if self.task_cost <= 0:
             raise ValueError("task_cost must be positive")
 
+    @cached_property
+    def block_ids(self) -> tuple[list[list[int]], ...]:
+        """block_ids[j][w]: worker w's order-j support as a list of ints."""
+        return tuple(ids.tolist() for ids in self.support)
+
+    @cached_property
+    def tasks(self) -> tuple[tuple[CodedTask, ...], ...]:
+        """tasks[j][w]: worker w's order-j task as a CodedTask."""
+        return tuple(
+            tuple(CodedTask(tuple(s), tuple(c)) for s, c in zip(ids, coefs.tolist()))
+            for ids, coefs in zip(self.block_ids, self.coefficients)
+        )
+
     @property
     def n_orders(self) -> int:
-        return len(self.tasks)
+        return len(self.support)
 
     @property
     def max_score(self) -> int:

@@ -21,6 +21,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
+from .decoding import recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
     GroupPlan,
@@ -34,6 +35,7 @@ from .schemes import (
     load_violations,
     mds_violations,
 )
+from .simulate import make_decode_state
 
 DEFAULT_SEED = 1729
 SCHEMES = ("rcs", "rcs-general", "mcc", "uc-mmc", "gc", "hybrid-example")
@@ -100,7 +102,11 @@ def _as_number(key, value, violations, positive=False) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         violations.append(f"{key}: expected a number, got {value!r}")
         return None
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        violations.append(f"{key}: must be finite, got an integer too large for a float")
+        return None
     if not math.isfinite(value):
         violations.append(f"{key}: must be finite, got {value}")
         return None
@@ -144,6 +150,9 @@ def _as_number_list(key, value, violations) -> tuple[float, ...] | None:
         value = [p for p in value.split(",") if p.strip()]
     try:
         return tuple(float(v) for v in value)
+    except OverflowError:
+        violations.append(f"{key}: must be finite, got an integer too large for a float")
+        return None
     except (TypeError, ValueError):
         violations.append(f"{key}: expected a list of numbers, got {raw!r}")
         return None
@@ -340,10 +349,31 @@ def parse_config(
                 f"train.dim: {cfg.train.dim} is not divisible into {cfg.k_total} blocks"
             ])
     try:
-        build_assignment(cfg, np.random.default_rng(0))
+        asn = build_assignment(cfg, np.random.default_rng(0))
     except (ValueError, OverflowError) as exc:
         raise ConfigError([f"scheme: cannot construct assignment: {exc}"]) from exc
+    violations = _tolerance_violations(asn, cfg.q)
+    if violations:
+        raise ConfigError(violations)
     return cfg
+
+
+def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
+    """A ``q:`` violation if even every message together recovers fewer
+    blocks than the tolerance needs: every trial would then run to the end
+    without a result.  One drawn assignment decides it, since a
+    circular-shift code recovers the same whole groups whatever its offsets."""
+    state = make_decode_state(asn)
+    for m in range(len(asn.messages)):
+        for w in range(asn.n_workers):
+            state.ingest_message(w, m)
+    needed = recovery_threshold(asn.k_total, q)
+    if state.recovered_count >= needed:
+        return []
+    return [
+        f"q: all messages together recover {state.recovered_count} of "
+        f"{asn.k_total} blocks, but tolerance {q} needs {needed}"
+    ]
 
 
 def _validate_scheme(violations, values) -> None:

@@ -3,7 +3,10 @@
 The peeling decoder is the workhorse for sparse binary codes: every incoming
 task is immediately reduced by the already-recovered blocks, degree-one
 residuals release new blocks, and releases cascade until no residual has
-degree one.  An exact rational row-reduction oracle (``rref_recoverable``)
+degree one.  A residual is two numbers, its count of unknown blocks and the
+sum of their ids, so a count of one names the released block directly; the
+simulator feeds it the assignment's per-order block-id arrays, with no task
+objects.  An exact rational row-reduction oracle (``rref_recoverable``)
 upper-bounds what any linear decoder could recover and is used to sanity-check
 the peeling results.  Dense MDS groups and exact-sum schemes decode at a
 complete-worker count instead (the counting rule in
@@ -45,7 +48,7 @@ def recovery_threshold(k_total: int, q: float) -> int:
 class _Residual:
     __slots__ = ("coeffs", "payload")
 
-    def __init__(self, coeffs: dict[int, float], payload):
+    def __init__(self, coeffs: dict[int, float], payload: np.ndarray):
         self.coeffs = coeffs
         self.payload = payload
 
@@ -53,16 +56,18 @@ class _Residual:
 class PeelingDecoder:
     """Incremental peeling decoder over coded tasks.
 
-    State is kept fully reduced: no stored residual ever references a
-    recovered block.  Payloads are optional; when supplied they are combined
-    along with the symbolic bookkeeping so recovered block values can be read
-    back with :meth:`decode_values`.
+    Every stored residual keeps two numbers: how many of its blocks are still
+    unknown, and the sum of their ids; every block lists the residuals it
+    occurs in.  Recovering a block lowers the count and the id sum of each of
+    its residuals, and a residual whose count reaches one releases the block
+    whose id its sum now is (the LT-code peeling rule), so releases cascade
+    without any per-residual block sets.  A residual fed with a payload also
+    keeps its coefficient map and its reduced payload, so recovered block
+    values can be read back with :meth:`decode_values`.
 
     Attributes:
         k_total: number of distinct blocks in play.
         messages_ingested: count of tasks fed in.
-        redundant_messages: tasks whose content was already implied by
-            earlier ones (reduced to nothing).
     """
 
     def __init__(self, k_total: int):
@@ -70,11 +75,12 @@ class PeelingDecoder:
             raise ValueError("k_total must be positive")
         self.k_total = k_total
         self._values: dict[int, np.ndarray | None] = {}
-        self._pending: dict[int, _Residual] = {}
-        self._by_block: dict[int, set[int]] = {}
-        self._next_id = 0
+        self._unknown: list[int] = []
+        self._id_sum: list[int] = []
+        self._numeric: dict[int, _Residual] = {}
+        self._by_block: list[list[int]] = [[] for _ in range(k_total)]
+        self._pending = 0
         self.messages_ingested = 0
-        self.redundant_messages = 0
 
     @property
     def recovered(self) -> set[int]:
@@ -86,7 +92,16 @@ class PeelingDecoder:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self._pending
+
+    @property
+    def redundant_messages(self) -> int:
+        """Tasks whose content was already implied by earlier ones.
+
+        Every ingested task ends up pending, as the source of exactly one
+        recovered block, or redundant, so the count follows from the others.
+        """
+        return self.messages_ingested - self._pending - len(self._values)
 
     def recovered_mask(self) -> np.ndarray:
         mask = np.zeros(self.k_total, dtype=bool)
@@ -107,53 +122,79 @@ class PeelingDecoder:
         Returns:
             The set of newly recovered block ids (possibly empty).
         """
-        self.messages_ingested += 1
         coeffs = dict(zip(task.support, task.coefficients))
         if any(not 0 <= b < self.k_total for b in coeffs):
             raise ValueError(f"task support {task.support} outside [0, {self.k_total})")
-        if payload is not None:
-            payload = np.asarray(payload, dtype=float).copy()
-        for b in list(coeffs):
-            if b in self._values:
-                c = coeffs.pop(b)
-                if payload is not None:
-                    known = self._values[b]
-                    payload = None if known is None else payload - c * known
-        if not coeffs:
-            self.redundant_messages += 1
-            return set()
+        if payload is None:
+            return self.ingest_ids(list(coeffs))
+        self.messages_ingested += 1
+        payload = np.asarray(payload, dtype=float).copy()
+        for b in [b for b in coeffs if b in self._values]:
+            known = self._values[b]
+            c = coeffs.pop(b)
+            payload = None if payload is None or known is None else payload - c * known
         if len(coeffs) == 1:
-            return self._release(coeffs, payload)
-        rid = self._next_id
-        self._next_id += 1
-        self._pending[rid] = _Residual(coeffs, payload)
-        for b in coeffs:
-            self._by_block.setdefault(b, set()).add(rid)
+            ((block, coef),) = coeffs.items()
+            return self._release(block, None if payload is None else payload / coef)
+        if coeffs:
+            rid = self._store(list(coeffs))
+            if payload is not None:
+                self._numeric[rid] = _Residual(coeffs, payload)
         return set()
 
-    def _release(self, coeffs: dict[int, float], payload) -> set[int]:
-        (block, coef), = coeffs.items()
-        stack = [(block, None if payload is None else payload / coef)]
+    def ingest_ids(self, ids: list[int]) -> set[int]:
+        """Feed one task given only by its distinct block ids, all in
+        [0, k_total), without a payload: :meth:`ingest` minus the checks."""
+        self.messages_ingested += 1
+        values = self._values
+        unknown = [b for b in ids if b not in values]
+        if len(unknown) == 1:
+            return self._release(unknown[0], None)
+        if unknown:
+            self._store(unknown)
+        return set()
+
+    def _store(self, unknown: list[int]) -> int:
+        """Keep a residual over two or more unknown blocks; return its id."""
+        rid = len(self._unknown)
+        self._unknown.append(len(unknown))
+        self._id_sum.append(sum(unknown))
+        for b in unknown:
+            self._by_block[b].append(rid)
+        self._pending += 1
+        return rid
+
+    def _release(self, block: int, value) -> set[int]:
+        """Recover block (with value, or None) and cascade: every residual
+        left with one unknown block releases the block its id sum names."""
+        values, unknown, id_sum, numeric = self._values, self._unknown, self._id_sum, self._numeric
+        stack = [(block, value)]
         newly: set[int] = set()
         while stack:
             block, value = stack.pop()
-            if block in self._values:
-                self.redundant_messages += 1
+            if block in values:
                 continue
-            self._values[block] = value
+            values[block] = value
             newly.add(block)
-            for rid in self._by_block.pop(block, set()):
-                res = self._pending[rid]
-                coef = res.coeffs.pop(block)
-                if res.payload is not None:
-                    res.payload = None if value is None else res.payload - coef * value
-                if len(res.coeffs) == 1:
-                    del self._pending[rid]
-                    (b2, c2), = res.coeffs.items()
-                    self._by_block[b2].discard(rid)
-                    if not self._by_block[b2]:
-                        del self._by_block[b2]
-                    stack.append((b2, None if res.payload is None else res.payload / c2))
+            for rid in self._by_block[block]:
+                left = unknown[rid] - 1
+                unknown[rid] = left
+                id_sum[rid] -= block
+                res = numeric.get(rid)
+                if res is not None:
+                    if value is None:
+                        del numeric[rid]
+                        res = None
+                    else:
+                        res.payload = res.payload - res.coeffs.pop(block) * value
+                if left == 1:
+                    self._pending -= 1
+                    last = id_sum[rid]
+                    if res is None:
+                        stack.append((last, None))
+                    else:
+                        del numeric[rid]
+                        stack.append((last, res.payload / res.coeffs[last]))
         return newly
 
     def decode_values(self) -> dict[int, np.ndarray]:

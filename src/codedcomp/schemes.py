@@ -38,7 +38,6 @@ from .blocks import (
     DECODE_THRESHOLD,
     MODE_COMMUNICATION,
     MODE_COMPUTATION,
-    CodedTask,
     ComputationAssignment,
     DegreeVector,
     Message,
@@ -200,13 +199,7 @@ def rcs_encode(
         )
     k = matrix.n_workers
     cums = dv.cumulative()
-    rows = []
-    for j, d in enumerate(dv.degrees):
-        lo = cums[j] - d
-        chunk = matrix.grid[lo : cums[j]]
-        rows.append(
-            tuple(CodedTask.of_blocks(chunk[:, w].tolist()) for w in range(k))
-        )
+    support = tuple(matrix.grid[c - d : c].T for c, d in zip(cums, dv.degrees))
     if mode == MODE_COMPUTATION:
         messages = tuple(Message(j + 1, (j,)) for j in range(len(dv)))
     elif mode == MODE_COMMUNICATION:
@@ -216,7 +209,8 @@ def rcs_encode(
     return ComputationAssignment(
         n_workers=k,
         k_total=k * matrix.group_count,
-        tasks=tuple(rows),
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
         messages=messages,
         mode=mode,
         task_cost=1.0 / matrix.group_count,
@@ -314,25 +308,22 @@ def build_mcc(
     eval_points = tuple(float(x) for x in eval_points)
     r = math.ceil(k / kbar)
     if kbar == k:
-        rows = [tuple(CodedTask((w,), (1.0,)) for w in range(k))]
+        support = (np.arange(k)[:, None],)
+        coefficients = (np.ones((k, 1)),)
     else:
-        rows = []
-        for g in range(r):
-            row = []
-            for w in range(k):
-                support = []
-                coeffs = []
-                for p in range(kbar):
-                    block = g + p * r
-                    if block < k:
-                        support.append(block)
-                        coeffs.append(eval_points[w] ** p)
-                row.append(CodedTask(tuple(support), tuple(coeffs)))
-            rows.append(tuple(row))
+        # Group g holds blocks g, g + r, g + 2r, ...; the powers stay Python
+        # floats so an overflow raises instead of turning into infinity.
+        groups = [np.arange(g, k, r) for g in range(r)]
+        support = tuple(np.tile(ids, (k, 1)) for ids in groups)
+        coefficients = tuple(
+            np.array([[x**p for p in range(len(ids))] for x in eval_points[:k]])
+            for ids in groups
+        )
     return ComputationAssignment(
         n_workers=k,
         k_total=k,
-        tasks=tuple(rows),
+        support=support,
+        coefficients=coefficients,
         messages=(Message(r, tuple(range(r))),),
         mode=MODE_COMPUTATION,
         decode=DECODE_MDS,
@@ -382,15 +373,12 @@ def hybrid_example() -> ComputationAssignment:
     {2,4}, {1,2} (1-based).  Every block appears once per round across the
     workers, which makes small success counts easy to tabulate by hand.
     """
-    second = ((2, 3), (0, 2), (1, 3), (0, 1))
-    rows = (
-        tuple(CodedTask((w,), (1.0,)) for w in range(4)),
-        tuple(CodedTask.of_blocks(s) for s in second),
-    )
+    support = (np.arange(4)[:, None], np.array([[2, 3], [0, 2], [1, 3], [0, 1]]))
     return ComputationAssignment(
         n_workers=4,
         k_total=4,
-        tasks=rows,
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
         messages=(Message(1, (0,)), Message(2, (1,))),
         mode=MODE_COMPUTATION,
         decode=DECODE_PEEL,

@@ -38,15 +38,17 @@ class IterationOutcome:
 
 
 class _PeelState:
-    """Peeling decoder adapter used during replay."""
+    """Peeling decoder adapter used during replay: feeds the assignment's
+    cached block-id lists to the decoder, with no task objects."""
 
     def __init__(self, assignment: ComputationAssignment):
-        self._asn = assignment
+        self._ids = assignment.block_ids
+        self._orders = [msg.orders for msg in assignment.messages]
         self._dec = PeelingDecoder(assignment.k_total)
 
     def ingest_message(self, worker: int, msg_index: int) -> None:
-        for order in self._asn.messages[msg_index].orders:
-            self._dec.ingest(self._asn.tasks[order][worker])
+        for order in self._orders[msg_index]:
+            self._dec.ingest_ids(self._ids[order][worker])
 
     @property
     def recovered_count(self) -> int:
@@ -136,8 +138,8 @@ def simulate_iteration(
     n_workers = assignment.n_workers
     stop_time = np.inf
     completed = False
-    for flat in order:
-        m, w = divmod(int(flat), n_workers)
+    for flat in order.tolist():
+        m, w = divmod(flat, n_workers)
         state.ingest_message(w, m)
         if state.recovered_count >= threshold:
             stop_time = float(arrivals[m, w])

@@ -1,0 +1,52 @@
+"""Pinned digests of Monte Carlo and enumeration outputs.
+
+The digests were recorded before tasks were stored as arrays and peeled with
+unknown-block counts; a faster construction or decoder must reproduce every
+per-trial array, and every success count, bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from codedcomp import assignment_source, concrete_assignment, monte_carlo, parse_config, success_table
+
+MONTE_CARLO = {
+    "rcs": (
+        {"scheme": "rcs", "workers": 40, "degrees": [1, 2, 4], "q": 0.15, "trials": 300, "seed": 1729},
+        "d86ba2fc8351ff8606d1b0c5e1175d9e4d20de73cbc774548e3fc26ba39eec66",
+    ),
+    "rcs-general": (
+        {
+            "scheme": "rcs-general", "workers": 20, "degrees": [1, 2, 3], "groups": 2,
+            "z": [1, 1, 2, 1, 2, 2], "q": 0.2, "trials": 200, "seed": 7,
+        },
+        "e638a97babb44c0aa091132565bc6654fbc9fda731bce403819de9ca8f565e1f",
+    ),
+    "uc-mmc": (
+        {"scheme": "uc-mmc", "workers": 40, "load": 3, "q": 0.15, "trials": 300, "seed": 1729},
+        "efe318f960bc51f3d208db58b4074b031e7ed2e4c35d83157a84361b519494fd",
+    ),
+}
+
+ENUM_RCS = {"scheme": "rcs", "workers": 9, "degrees": [1, 2], "offsets": [1, 3, 5], "q": 0.0}
+ENUM_RCS_DIGEST = "a8bad6918bd1192b71b14e6aec03c823a804bdb57413887d9355302417ecb81a"
+
+
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO))
+def test_monte_carlo_arrays(name):
+    data, digest = MONTE_CARLO[name]
+    cfg = parse_config(data)
+    result = monte_carlo(assignment_source(cfg), cfg.q, cfg.model(), cfg.trials, cfg.seed)
+    h = hashlib.sha256()
+    for values in (result.times, result.messages, result.redundant, result.recovered, result.completed):
+        h.update(values.dtype.str.encode())
+        h.update(np.ascontiguousarray(values).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_success_table():
+    cfg = parse_config(ENUM_RCS)
+    rows = [(c.counts, good, total) for c, good, total in success_table(concrete_assignment(cfg), cfg.q)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ENUM_RCS_DIGEST

@@ -145,28 +145,60 @@ class TestCodedTask:
 
 class TestAssignmentInvariants:
     @staticmethod
-    def _row(k):
-        return tuple(CodedTask((w,), (1.0,)) for w in range(k))
+    def _rows(k, n_orders):
+        """Support and coefficient arrays: worker w computes block w in every order."""
+        ids = np.arange(k)[:, None]
+        return {"support": (ids,) * n_orders, "coefficients": (np.ones((k, 1)),) * n_orders}
 
     def test_schedule_monotone_enforced(self):
-        rows = (self._row(3), self._row(3))
+        rows = self._rows(3, 2)
         with pytest.raises(ValueError, match="strictly increasing"):
             ComputationAssignment(
-                n_workers=3, k_total=3, tasks=rows,
+                n_workers=3, k_total=3, **rows,
                 messages=(Message(2, (0,)), Message(2, (1,))),
             )
 
     def test_every_order_sent(self):
-        rows = (self._row(3), self._row(3))
+        rows = self._rows(3, 2)
         with pytest.raises(ValueError, match="every order"):
             ComputationAssignment(
-                n_workers=3, k_total=3, tasks=rows, messages=(Message(1, (0,)),),
+                n_workers=3, k_total=3, **rows, messages=(Message(1, (0,)),),
             )
 
-    def test_schedule_scaled_by_cost(self):
-        rows = (self._row(2), self._row(2))
+    @pytest.mark.parametrize(
+        "support, coefficients, match",
+        [
+            ((np.array([[0], [3], [1]]),), (np.ones((3, 1)),), "outside"),
+            ((np.array([[0], [-1], [1]]),), (np.ones((3, 1)),), "outside"),
+            ((np.zeros((3, 0), dtype=int),), (np.ones((3, 0)),), "at least one block"),
+            ((np.arange(3)[:, None],), (np.ones((3, 2)),), "equal length"),
+            ((np.arange(2)[:, None],), (np.ones((2, 1)),), "one task per worker"),
+            ((np.arange(3.0)[:, None],), (np.ones((3, 1)),), "integers"),
+        ],
+        ids=["too-large", "negative", "empty", "coefficient-shape", "worker-count", "float-ids"],
+    )
+    def test_task_arrays_checked(self, support, coefficients, match):
+        with pytest.raises(ValueError, match=match):
+            ComputationAssignment(
+                n_workers=3, k_total=3, support=support, coefficients=coefficients,
+                messages=(Message(1, (0,)),),
+            )
+
+    def test_task_views(self):
         asn = ComputationAssignment(
-            n_workers=2, k_total=2, tasks=rows,
+            n_workers=2, k_total=3,
+            support=(np.array([[0], [1]]), np.array([[1, 2], [2, 0]])),
+            coefficients=(np.ones((2, 1)), np.array([[1.0, 2.0], [3.0, 4.0]])),
+            messages=(Message(1, (0,)), Message(2, (1,))),
+        )
+        assert asn.block_ids == ([[0], [1]], [[1, 2], [2, 0]])
+        assert asn.tasks[1][1] == CodedTask((2, 0), (3.0, 4.0))
+        assert asn.worker_tasks(0) == [CodedTask((0,), (1.0,)), CodedTask((1, 2), (1.0, 2.0))]
+
+    def test_schedule_scaled_by_cost(self):
+        rows = self._rows(2, 2)
+        asn = ComputationAssignment(
+            n_workers=2, k_total=2, **rows,
             messages=(Message(1, (0,)), Message(2, (1,))), task_cost=0.5,
         )
         assert np.allclose(asn.schedule(), [0.5, 1.0])

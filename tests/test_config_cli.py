@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line front end."""
 
+import itertools
 import json
 
 import numpy as np
@@ -27,6 +28,21 @@ def _optional(draw, data, key, strategy):
         data[key] = draw(strategy)
 
 
+def _recoverable_groups(degrees, z):
+    """Groups a grouped circular-shift code recovers once every message is
+    in: a group is released by an order with exactly one row outside the
+    groups already recovered, starting from the degree-1 first order."""
+    cums = list(itertools.accumulate(degrees))
+    orders = [z[c - d : c] for c, d in zip(cums, degrees)]
+    known: set[int] = set()
+    while True:
+        unknown = [[g for g in rows if g not in known] for rows in orders]
+        new = {rows[0] for rows in unknown if len(rows) == 1}
+        if not new:
+            return known
+        known |= new
+
+
 @st.composite
 def valid_configs(draw):
     """Valid config mappings for every scheme, optional fields present or not."""
@@ -35,6 +51,7 @@ def valid_configs(draw):
     data = {"scheme": scheme, draw(st.sampled_from(["workers", "k", "K"])): workers}
     groups = draw(st.integers(1, 3)) if scheme == "rcs-general" else 1
     computation = scheme != "gc"
+    min_q = 0.0
     if scheme in ("rcs", "rcs-general"):
         degrees = [1]
         for step in draw(st.lists(st.integers(0, 2), max_size=3)):
@@ -48,6 +65,9 @@ def valid_configs(draw):
             pool = [g for g in range(1, groups + 1) for _ in range(workers)]
             z = draw(st.permutations(pool))[:rows]
             data.update(groups=groups, z=z)
+            # The tolerance must cover the groups no message can release.
+            lost = 1 - len(_recoverable_groups(degrees, z)) / groups
+            min_q = lost + 1e-6 if lost else 0.0
         if draw(st.booleans()):
             pools = {
                 g: iter(draw(st.permutations(range(1, workers + 1))))
@@ -65,7 +85,10 @@ def valid_configs(draw):
         ))
     elif scheme in ("uc-mmc", "gc"):
         data["load"] = draw(st.integers(1, workers))
-    _optional(draw, data, "q", st.floats(0.0, 1.0))
+    if min_q:
+        data["q"] = draw(st.floats(min_q, 1.0))
+    else:
+        _optional(draw, data, "q", st.floats(0.0, 1.0))
     _optional(draw, data, "mu", st.floats(1e-3, 1e3))
     _optional(draw, data, "alpha", st.floats(1e-3, 1e3))
     _optional(draw, data, "trials", st.integers(1, 10**6))
@@ -300,6 +323,21 @@ class TestParseConfig:
             parse_config(TABLE_CONFIG, overrides)
         assert any(v.startswith(violation) for v in err.value.violations)
 
+    @pytest.mark.parametrize("q, finishes", [(0.0, False), (0.5, True)])
+    def test_unfinishable_config_rejected(self, q, finishes):
+        # Group 2 only occurs in the degree-2 order, so no message ever
+        # releases one of its blocks: half of the 12 blocks stay unknown.
+        data = {"scheme": "rcs-general", "workers": 6, "degrees": [1, 1, 2],
+                "groups": 2, "z": [1, 1, 2, 2], "q": q}
+        if finishes:
+            assert parse_config(data).q == q
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config(data)
+            assert err.value.violations == [
+                "q: all messages together recover 6 of 12 blocks, but tolerance 0.0 needs 12"
+            ]
+
     def test_train_dimension_checked(self):
         with pytest.raises(ConfigError, match="train.dim"):
             parse_config(
@@ -418,6 +456,24 @@ class TestCli:
         )
         assert code == 2
         assert "seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("mu", {"scheme": "rcs", "workers": 4, "degrees": [1], "mu": 10**400}),
+            ("q", {"scheme": "rcs", "workers": 4, "degrees": [1], "q": 10**400}),
+            ("eval_points", {"scheme": "mcc", "workers": 4, "kbar": 2, "eval_points": [1, 2, 10**400, 4]}),
+        ],
+        ids=["mu", "q", "eval_points"],
+    )
+    def test_huge_integer_is_violation(self, tmp_path, capsys, key, config):
+        # JSON integers have no size limit; one too large for a float is
+        # reported like infinity, not as a traceback.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = self.run("simulate", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert f"  - {key}: must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "contents", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcomp import (
     CodedTask,
@@ -127,9 +129,13 @@ class TestPeeling:
             dec = PeelingDecoder(k)
             for t in tasks:
                 dec.ingest(t)
-                for res in dec._pending.values():
-                    assert not set(res.coeffs) & dec.recovered
-                    assert len(res.coeffs) >= 2
+                pending = [rid for rid, left in enumerate(dec._unknown) if left >= 2]
+                assert dec.pending_count == len(pending)
+                for rid in pending:
+                    blocks = {b for b in range(k) if rid in dec._by_block[b]}
+                    unknown = blocks - dec.recovered
+                    assert len(unknown) == dec._unknown[rid]
+                    assert sum(unknown) == dec._id_sum[rid]
 
     def test_support_range_checked(self):
         dec = PeelingDecoder(3)
@@ -167,6 +173,70 @@ class TestPeeling:
         values = dec.decode_values()
         assert values[1] == pytest.approx(2.0)
         assert values[0] == pytest.approx(1.0)  # 5 - 2*2
+
+
+@st.composite
+def binary_instances(draw):
+    """(k, tasks): up to 12 binary tasks over k <= 8 blocks."""
+    k = draw(st.integers(1, 8))
+    supports = st.sets(st.integers(0, k - 1), min_size=1).map(sorted)
+    tasks = draw(st.lists(supports, min_size=1, max_size=12))
+    return k, [CodedTask.of_blocks(t) for t in tasks]
+
+
+def _peel(tasks, k, payloads=None):
+    dec = PeelingDecoder(k)
+    for i, t in enumerate(tasks):
+        dec.ingest(t, None if payloads is None else payloads[i])
+    return dec
+
+
+class TestPeelingProperties:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(binary_instances())
+    def test_subset_of_elimination(self, case):
+        k, tasks = case
+        assert _peel(tasks, k).recovered <= rref_recoverable(tasks, k)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(binary_instances(), st.randoms(use_true_random=False))
+    def test_order_invariant(self, case, random):
+        k, tasks = case
+        shuffled = random.sample(tasks, len(tasks))
+        a, b = _peel(tasks, k), _peel(shuffled, k)
+        assert a.recovered == b.recovered
+        assert a.recovered_count == b.recovered_count
+        assert a.redundant_messages == b.redundant_messages
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(binary_instances())
+    def test_message_accounting(self, case):
+        k, tasks = case
+        dec = _peel(tasks, k)
+        known = dec.recovered
+        assert dec.messages_ingested == len(tasks)
+        assert dec.redundant_messages == (
+            dec.messages_ingested - dec.pending_count - dec.recovered_count
+        )
+        # Peeling stops with no task one block short of known: a task is
+        # pending iff two or more of its blocks stay unknown, and every other
+        # task either released one recovered block or was redundant.
+        unknown = [len(set(t.support) - known) for t in tasks]
+        assert 1 not in unknown
+        assert dec.pending_count == sum(u >= 2 for u in unknown)
+        assert dec.redundant_messages == unknown.count(0) - dec.recovered_count
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(binary_instances(), st.integers(0, 2**32 - 1))
+    def test_payload_values(self, case, seed):
+        k, tasks = case
+        blocks = np.random.default_rng(seed).standard_normal((k, 3))
+        payloads = [blocks[list(t.support)].sum(axis=0) for t in tasks]
+        dec = _peel(tasks, k, payloads)
+        values = dec.decode_values()
+        assert set(values) == dec.recovered
+        for b, v in values.items():
+            assert np.allclose(v, blocks[b], rtol=0, atol=1e-9)
 
 
 class TestRref:

@@ -5,6 +5,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -49,3 +51,23 @@ def test_cli_keeps_patched_calls():
     assert patched == {"monte_carlo", "train", "success_table"}
     cli = importlib.import_module("codedcomp.cli")
     assert all(callable(getattr(cli, name, None)) for name in patched)
+
+
+def test_replay_matches_untraced_calls(monkeypatch):
+    """The traced replays feed ``asn.tasks[o][w]`` to ``PeelingDecoder.ingest``:
+    that path must give what the program's own calls give."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    replay = importlib.import_module("replay")
+    from codedcomp import assignment_source, concrete_assignment, monte_carlo, parse_config, success_table
+
+    cfg = parse_config({"scheme": "rcs", "workers": 8, "degrees": [1, 2], "q": 0.25, "trials": 20})
+    traced = replay.replay_monte_carlo(replay.Tracer(), cfg)
+    result = monte_carlo(assignment_source(cfg), cfg.q, cfg.model(), cfg.trials, cfg.seed)
+    for name, values in traced.items():
+        assert np.array_equal(values, getattr(result, name))
+
+    cfg = parse_config({"scheme": "rcs", "workers": 5, "degrees": [1, 2], "offsets": [1, 2, 4], "q": 0})
+    table = success_table(concrete_assignment(cfg), cfg.q)
+    assert replay.replay_success_table(replay.Tracer(), cfg) == [
+        (ctype.counts, good, total) for ctype, good, total in table
+    ]

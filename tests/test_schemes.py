@@ -348,7 +348,8 @@ class TestSharedRules:
     def test_circular_shift_rules(self, case):
         k, degrees, groups, z, offsets = case
         rng = np.random.default_rng(0)
-        config = {"scheme": "rcs", "workers": k, "degrees": degrees}
+        # q=1 needs no block, so only the construction rules can reject.
+        config = {"scheme": "rcs", "workers": k, "degrees": degrees, "q": 1.0}
         if offsets is not None:
             config["offsets"] = offsets
         if z is None:

@@ -109,12 +109,13 @@ class TestSimulateIteration:
 
     def test_threshold_unreachable_reported(self):
         # single worker computing only 1 of 2 blocks can never satisfy q=0
-        from codedcomp.blocks import CodedTask, ComputationAssignment, Message
+        from codedcomp.blocks import ComputationAssignment, Message
 
         asn = ComputationAssignment(
             n_workers=1,
             k_total=2,
-            tasks=((CodedTask((0,), (1.0,)),),),
+            support=(np.array([[0]]),),
+            coefficients=(np.array([[1.0]]),),
             messages=(Message(1, (0,)),),
         )
         out = simulate_iteration(asn, 0.0, MODEL, np.random.default_rng(0))
