@@ -67,7 +67,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -107,7 +107,10 @@ def _cmd_encode(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_enumerate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     asn = concrete_assignment(cfg)
-    table = success_table(asn, cfg.q)
+    try:
+        table = success_table(asn, cfg.q)
+    except ValueError as exc:
+        raise ConfigError([f"workers: {exc}"]) from exc
     header = [f"workers_at_{s}" for s in range(asn.max_score, -1, -1)]
     header += ["successful_vectors", "total_vectors"]
     rows = []

@@ -18,6 +18,10 @@ from .latency import LatencyModel, type_probability
 from .simulate import make_decode_state
 
 
+# Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
+_MAX_SCORE_VECTORS = 10**7
+
+
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Yield the distinct permutations of ``items`` in lexicographic order."""
     pool = sorted(items)
@@ -122,7 +126,19 @@ def total_vectors(ctype: CumulativeType) -> int:
 def success_table(
     assignment: ComputationAssignment, q: float
 ) -> list[tuple[CumulativeType, int, int]]:
-    """(type, successful vectors, total vectors) for every cumulative type."""
+    """(type, successful vectors, total vectors) for every cumulative type.
+
+    Raises:
+        ValueError: if the (max_score + 1) ** n_workers score vectors are
+            more than the enumeration limit of 10**7.
+    """
+    count = (assignment.max_score + 1) ** assignment.n_workers
+    if count > _MAX_SCORE_VECTORS:
+        raise ValueError(
+            f"enumeration needs {count} score vectors "
+            f"({assignment.max_score + 1}^{assignment.n_workers}), "
+            f"above the limit of {_MAX_SCORE_VECTORS}"
+        )
     rows = []
     for ctype in all_types(assignment.n_workers, assignment.max_score):
         good = enumerate_successful(assignment, q, ctype)

@@ -1,15 +1,29 @@
-"""Event-driven simulation of one coded-computation iteration and Monte Carlo
-aggregation over many iterations.
+"""Simulation of one coded-computation iteration and Monte Carlo aggregation
+over many iterations.
 
 Each worker draws a single per-unit latency for the iteration; its messages
-arrive at schedule * unit time.  Arrivals are replayed in time order into the
-scheme's decoder until the tolerance threshold is met, which gives the
-iteration completion time and the number of messages the master had to
-receive (ties with the final arrival included).
+arrive at schedule * unit time, in time order with ties broken by message
+then worker index.  The master stops once the tolerance threshold is met,
+which gives the iteration completion time and the number of messages it had
+to receive (ties with the final arrival included).
+
+Where no peeling cascade can occur the stop has a closed form, computed for
+a batch of trials at once with array operations:
+
+* count rules (``mds``, ``threshold``): everything unlocks at the
+  ``needed``-th earliest worker, an order statistic of the workers' first
+  arrivals;
+* peel codes whose tasks all have degree 1 (uc-mmc): a block is recovered by
+  the first message that carries it, so the stop is the arrival at which the
+  count of distinct blocks reaches the threshold.
+
+Peel codes with coded tasks (rcs, rcs-general, hybrid) replay the arrivals
+into the peeling decoder one message at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -20,6 +34,10 @@ from .decoding import PeelingDecoder, recovery_threshold
 from .latency import LatencyModel
 
 AssignmentSource = Union[ComputationAssignment, Callable[[np.random.Generator], ComputationAssignment]]
+
+# Trials per batch of the closed form, so its memory does not grow with the
+# trial count.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -85,15 +103,19 @@ class _CountState:
         return np.full(self._k, self.recovered_count > 0)
 
 
+def _workers_needed(assignment: ComputationAssignment) -> int:
+    """Complete workers a count rule waits for."""
+    if assignment.decode == DECODE_MDS:
+        return assignment.kbar
+    return assignment.n_workers - assignment.n_orders + 1
+
+
 def make_decode_state(assignment: ComputationAssignment):
     """Fresh decoder state implementing the assignment's recovery rule."""
     if assignment.decode == DECODE_PEEL:
         return _PeelState(assignment)
-    if assignment.decode == DECODE_MDS:
-        return _CountState(assignment.k_total, assignment.kbar)
-    if assignment.decode == DECODE_THRESHOLD:
-        needed = assignment.n_workers - assignment.n_orders + 1
-        return _CountState(assignment.k_total, needed)
+    if assignment.decode in (DECODE_MDS, DECODE_THRESHOLD):
+        return _CountState(assignment.k_total, _workers_needed(assignment))
     raise ValueError(f"unknown decode rule {assignment.decode!r}")
 
 
@@ -107,6 +129,74 @@ def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> 
     return np.outer(assignment.schedule(), unit_times)
 
 
+def _closed_form(assignment: ComputationAssignment) -> bool:
+    """Whether no peeling cascade can occur: a count rule, or a peel code
+    whose every task is a single block."""
+    return assignment.decode != DECODE_PEEL or all(ids.shape[1] == 1 for ids in assignment.support)
+
+
+def _closed_form_trials(assignment: ComputationAssignment, threshold: int, unit_times: np.ndarray):
+    """Outcomes of a batch of trials of an assignment with no peeling cascade.
+
+    unit_times has one row of per-worker unit times per trial.  Returns the
+    per-trial arrays (completion times, messages received, redundant tasks,
+    recovered-block masks of shape (trials, k_total), completed flags), equal
+    to replaying each trial's arrivals into :func:`make_decode_state`.
+    """
+    n_trials, n_workers = unit_times.shape
+    k_total = assignment.k_total
+    if threshold == 0:
+        zeros = np.zeros(n_trials, dtype=int)
+        masks = np.zeros((n_trials, k_total), dtype=bool)
+        return np.zeros(n_trials), zeros, zeros, masks, np.ones(n_trials, dtype=bool)
+    # arrivals[t, m, w] is the same product message_times gives for trial t.
+    arrivals = assignment.schedule()[None, :, None] * unit_times[:, None, :]
+    if assignment.decode != DECODE_PEEL:
+        # A worker counts from its first message; the stop is the arrival
+        # that brings the count to `needed` (the first one if needed < 1).
+        needed = _workers_needed(assignment)
+        hit = max(needed, 1)
+        done = hit <= n_workers
+        if done:
+            stop = np.partition(arrivals[:, 0], hit - 1, axis=1)[:, hit - 1]
+        else:
+            stop = np.full(n_trials, np.inf)
+        completed = np.full(n_trials, done)
+        redundant = np.full(n_trials, hit - needed if done else 0)
+        masks = np.full((n_trials, k_total), done)
+    else:
+        # Each task is one block carried by one message of the flattened
+        # (message, worker) grid.  A block is recovered by the earliest
+        # message, in arrival order, that carries it; the stop is the
+        # threshold-th block to be recovered.
+        flat = arrivals.reshape(n_trials, -1)
+        n_flat = flat.shape[1]
+        tasks = [(m, j) for m, message in enumerate(assignment.messages) for j in message.orders]
+        msg = np.concatenate([m * n_workers + np.arange(n_workers) for m, _ in tasks])
+        block = np.concatenate([assignment.support[j][:, 0] for _, j in tasks])
+        by_block = np.argsort(block, kind="stable")
+        covered, starts = np.unique(block[by_block], return_index=True)
+        order = np.argsort(flat, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n_flat), axis=1)
+        first = np.minimum.reduceat(rank[:, msg[by_block]], starts, axis=1)
+        completed = np.full(n_trials, threshold <= len(covered))
+        if threshold <= len(covered):
+            stop_rank = np.partition(first, threshold - 1, axis=1)[:, threshold - 1]
+            stop_msg = np.take_along_axis(order, stop_rank[:, None], axis=1)
+            stop = np.take_along_axis(flat, stop_msg, axis=1)[:, 0]
+        else:
+            stop_rank = np.full(n_trials, n_flat - 1)
+            stop = np.full(n_trials, np.inf)
+        masks = np.zeros((n_trials, k_total), dtype=bool)
+        masks[:, covered] = first <= stop_rank[:, None]
+        tasks_of = np.bincount(msg, minlength=n_flat)
+        ingested = np.where(rank <= stop_rank[:, None], tasks_of, 0).sum(axis=1)
+        redundant = ingested - np.count_nonzero(masks, axis=1)
+    messages = np.count_nonzero(arrivals <= stop[:, None, None], axis=(1, 2))
+    return stop, messages, redundant, masks, completed
+
+
 def simulate_iteration(
     assignment: ComputationAssignment,
     q: float,
@@ -115,15 +205,30 @@ def simulate_iteration(
 ) -> IterationOutcome:
     """Simulate one iteration and stop at the tolerance threshold.
 
-    Messages are replayed in arrival order (ties broken by message then
-    worker index) until ceil((1-q) * k_total) blocks are recoverable.  The
-    outcome reports the stop time, how many messages had arrived by then
-    (ties included), and the recovered-block mask.  If even all messages
-    cannot meet the threshold the outcome is flagged incomplete with an
-    infinite completion time.
+    The master stops once ceil((1-q) * k_total) blocks are recoverable from
+    the messages received in arrival order (ties broken by message then
+    worker index).  The outcome reports the stop time, how many messages had
+    arrived by then (ties included), and the recovered-block mask.  If even
+    all messages cannot meet the threshold the outcome is flagged incomplete
+    with an infinite completion time.
+
+    Count rules and peel codes of degree 1 take the closed form of
+    :func:`_closed_form_trials` on a one-trial batch; other peel codes replay
+    the arrivals into the peeling decoder.
     """
     threshold = recovery_threshold(assignment.k_total, q)
     unit_times = model.sample_unit_times(rng, assignment.n_workers)
+    if _closed_form(assignment):
+        stop, messages, redundant, masks, completed = _closed_form_trials(
+            assignment, threshold, unit_times[None, :]
+        )
+        return IterationOutcome(
+            completion_time=float(stop[0]),
+            messages_received=int(messages[0]),
+            recovered_mask=masks[0],
+            redundant_messages=int(redundant[0]),
+            completed=bool(completed[0]),
+        )
     if threshold == 0:
         return IterationOutcome(
             completion_time=0.0,
@@ -134,7 +239,7 @@ def simulate_iteration(
         )
     arrivals = message_times(assignment, unit_times)
     order = np.argsort(arrivals, axis=None, kind="stable")
-    state = make_decode_state(assignment)
+    state = _PeelState(assignment)
     n_workers = assignment.n_workers
     stop_time = np.inf
     completed = False
@@ -183,7 +288,9 @@ class MonteCarloResult:
         return {f"p{p}": float(np.percentile(self.times, p)) for p in qs}
 
     def summary(self) -> dict:
-        return {
+        """Run statistics for JSON output.  A statistic that is not finite
+        (a mean or percentile over incomplete trials) is None."""
+        stats = {
             "trials": self.trials,
             "seed": self.seed,
             "mean_time": self.mean_time,
@@ -192,6 +299,10 @@ class MonteCarloResult:
             "mean_recovered": float(np.mean(self.recovered)),
             "completion_rate": self.completion_rate,
             **self.time_percentiles(),
+        }
+        return {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in stats.items()
         }
 
 
@@ -220,6 +331,12 @@ def monte_carlo(
 
     Returns:
         MonteCarloResult with one entry per trial.
+
+    A fixed assignment with no peeling cascade (a count rule, or a peel code
+    of degree 1) runs its trials through the closed form, in batches of
+    ``_CHUNK`` trials; factories and other peel codes simulate one trial at
+    a time.  Both draw trial t's latencies from ``trial_rng(seed, t)`` and
+    give the same arrays.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -229,15 +346,28 @@ def monte_carlo(
     recovered = np.empty(trials, dtype=int)
     completed = np.empty(trials, dtype=bool)
     fixed = None if callable(source) else source
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        assignment = source(rng) if fixed is None else fixed
-        out = simulate_iteration(assignment, q, model, rng)
-        times[t] = out.completion_time
-        messages[t] = out.messages_received
-        redundant[t] = out.redundant_messages
-        recovered[t] = out.recovered_count
-        completed[t] = out.completed
+    if fixed is not None and _closed_form(fixed):
+        threshold = recovery_threshold(fixed.k_total, q)
+        for start in range(0, trials, _CHUNK):
+            batch = slice(start, min(start + _CHUNK, trials))
+            unit_times = np.array([
+                model.sample_unit_times(trial_rng(seed, t), fixed.n_workers)
+                for t in range(batch.start, batch.stop)
+            ])
+            times[batch], messages[batch], redundant[batch], masks, completed[batch] = (
+                _closed_form_trials(fixed, threshold, unit_times)
+            )
+            recovered[batch] = np.count_nonzero(masks, axis=1)
+    else:
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            assignment = source(rng) if fixed is None else fixed
+            out = simulate_iteration(assignment, q, model, rng)
+            times[t] = out.completion_time
+            messages[t] = out.messages_received
+            redundant[t] = out.redundant_messages
+            recovered[t] = out.recovered_count
+            completed[t] = out.completed
     return MonteCarloResult(
         trials=trials,
         seed=int(seed),

@@ -1,8 +1,9 @@
 """Pinned digests of Monte Carlo and enumeration outputs.
 
 The digests were recorded before tasks were stored as arrays and peeled with
-unknown-block counts; a faster construction or decoder must reproduce every
-per-trial array, and every success count, bit for bit.
+unknown-block counts (the mcc and gc digests before their trials were
+computed in closed form); a faster construction, decoder or simulator must
+reproduce every per-trial array, and every success count, bit for bit.
 """
 
 import hashlib
@@ -27,6 +28,14 @@ MONTE_CARLO = {
     "uc-mmc": (
         {"scheme": "uc-mmc", "workers": 40, "load": 3, "q": 0.15, "trials": 300, "seed": 1729},
         "efe318f960bc51f3d208db58b4074b031e7ed2e4c35d83157a84361b519494fd",
+    ),
+    "mcc": (
+        {"scheme": "mcc", "workers": 40, "kbar": 14, "q": 0.0, "trials": 2500, "seed": 1729},
+        "0d14c1f6fd68ca12e994f3a61941656ff9fba3fdd698e3aa91cb8280b1843a3f",
+    ),
+    "gc": (
+        {"scheme": "gc", "workers": 40, "load": 6, "q": 0.0, "trials": 2500, "seed": 1729},
+        "a38f1861aecd99d7d9f659430abf807b2a4e27a9deef1c15d02fe09b848a267c",
     ),
 }
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedcomp import ConfigError, parse_config
-from codedcomp.cli import main, read_embedded_config
+from codedcomp.cli import _write_json, main, read_embedded_config
 from codedcomp.config import SCHEMES
 
 TABLE_CONFIG = {
@@ -448,6 +448,22 @@ class TestCli:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_enumerate_too_large_is_violation(self, tmp_path, capsys):
+        code = self.run(
+            "enumerate", "--scheme", "uc-mmc", "--workers", "40", "--load", "3",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "  - workers: enumeration needs 1208925819614629174706176 score vectors" in err
+        assert not (tmp_path / "success_counts.csv").exists()
+
+    def test_json_output_is_strict(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "summary.json", {"mean_time": float("inf")})
+        _write_json(tmp_path / "summary.json", {"mean_time": None})
+        assert json.loads((tmp_path / "summary.json").read_text()) == {"mean_time": None}
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = self.run(

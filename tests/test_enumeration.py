@@ -210,3 +210,17 @@ class TestCompletionCdf:
             exact = completion_cdf(asn, 0.0, t, self.MODEL)
             empirical = float(np.mean(res.times <= t))
             assert empirical == pytest.approx(exact, abs=0.015)
+
+
+class TestSizeGuard:
+    def test_large_enumeration_rejected(self):
+        # 4 scores per worker, 40 workers: 4**40 vectors
+        with pytest.raises(ValueError, match=r"needs 1208925819614629174706176 score vectors \(4\^40\)"):
+            success_table(build_uc_mmc(40, 3), 0.0)
+
+    def test_limit_is_ten_million(self):
+        # 3**15 = 14,348,907 is just above the limit
+        with pytest.raises(ValueError, match="above the limit of 10000000"):
+            success_table(build_uc_mmc(15, 2), 0.0)
+        with pytest.raises(ValueError, match="above the limit"):
+            completion_cdf(build_uc_mmc(15, 2), 0.0, 0.1, LatencyModel())

@@ -1,4 +1,6 @@
-"""Event-driven iteration simulator and Monte Carlo aggregation."""
+"""Iteration simulator and Monte Carlo aggregation."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from codedcomp import (
     hybrid_example,
     message_times,
     monte_carlo,
+    recovery_threshold,
     simulate_iteration,
     trial_rng,
 )
+from codedcomp.blocks import ComputationAssignment, Message
+from codedcomp.simulate import make_decode_state
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
@@ -24,6 +29,155 @@ class _NoStraggleRng:
 
     def exponential(self, scale, size=None):
         return np.zeros(size if size is not None else 1)
+
+
+class _TiedModel:
+    """Latency model whose workers all take the same unit time, so arrivals tie."""
+
+    def sample_unit_times(self, rng, n):
+        return MODEL.sample_unit_times(_NoStraggleRng(), n)
+
+
+class _TwoSpeedModel:
+    """Odd workers take twice as long, in a random order of worker ids, so
+    a fast worker's later message ties with a slow worker's earlier one."""
+
+    def sample_unit_times(self, rng, n):
+        return MODEL.alpha * (1.0 + rng.permutation(n) % 2)
+
+
+def _hand_built(n_workers, k_total, support, messages, decode="peel", kbar=None):
+    support = tuple(np.array(ids) for ids in support)
+    return ComputationAssignment(
+        n_workers=n_workers,
+        k_total=k_total,
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
+        messages=messages,
+        decode=decode,
+        kbar=kbar,
+    )
+
+
+def _mds_two_messages():
+    # kbar=3 of 4 workers; a worker counts from its first message
+    return _hand_built(
+        4, 4, ([[0, 1]] * 4, [[2, 3]] * 4), (Message(1, (0,)), Message(3, (1,))), "mds", 3
+    )
+
+
+def _two_orders_one_message():
+    # workers 0 and 1 carry the same block twice in their one message
+    return _hand_built(4, 4, ([[0], [1], [2], [3]], [[0], [1], [3], [2]]), (Message(2, (0, 1)),))
+
+
+def _threshold_below_one():
+    # three orders on two workers: the first arrival alone decodes
+    return _hand_built(
+        2, 3, ([[0], [1]], [[1], [2]], [[2], [0]]), (Message(3, (0, 1, 2)),), "threshold"
+    )
+
+
+def _uncovered_block():
+    # block 3 is in no task: q=0 never finishes, q=0.25 does
+    return _hand_built(
+        3, 4, ([[0], [1], [2]], [[1], [2], [0]]), (Message(1, (0,)), Message(2, (1,)))
+    )
+
+
+ORACLE_CASES = {
+    "mcc-8": (build_mcc(8, 3), (0.0, 0.5, 1.0)),
+    "mcc-40": (build_mcc(40, 14), (0.0, 1.0)),
+    "gc-8": (build_gc(8, 3), (0.0, 0.3, 1.0)),
+    "gc-40": (build_gc(40, 6), (0.0, 1.0)),
+    "uc-mmc-8": (build_uc_mmc(8, 2), (0.0, 0.25, 0.5, 1.0)),
+    "uc-mmc-40": (build_uc_mmc(40, 3), (0.0, 0.15, 0.3, 1.0)),
+    "mds-two-messages": (_mds_two_messages(), (0.0, 1.0)),
+    "two-orders-one-message": (_two_orders_one_message(), (0.0, 0.25, 0.5, 1.0)),
+    "uncovered-block": (_uncovered_block(), (0.0, 0.25, 1.0)),
+    "threshold-below-one": (_threshold_below_one(), (0.0, 1.0)),
+    "hybrid": (hybrid_example(), (0.0, 0.25, 1.0)),
+}
+
+
+def _oracle(assignment, q, unit_times):
+    """Event-loop replay of one trial: every arrival, in time order with ties
+    broken by message then worker, into a fresh decoder until the threshold.
+
+    Returns (completion time, messages, redundant, recovered mask, completed).
+    """
+    threshold = recovery_threshold(assignment.k_total, q)
+    if threshold == 0:
+        return 0.0, 0, 0, np.zeros(assignment.k_total, dtype=bool), True
+    arrivals = message_times(assignment, unit_times)
+    state = make_decode_state(assignment)
+    stop, completed = np.inf, False
+    for flat in np.argsort(arrivals, axis=None, kind="stable"):
+        m, w = divmod(int(flat), assignment.n_workers)
+        state.ingest_message(w, m)
+        if state.recovered_count >= threshold:
+            stop, completed = float(arrivals[m, w]), True
+            break
+    messages = int(np.count_nonzero(arrivals <= stop))
+    return stop, messages, state.redundant, state.mask(), completed
+
+
+def _assert_outcome(out, expected):
+    stop, messages, redundant, mask, completed = expected
+    assert out.completion_time == stop
+    assert type(out.completion_time) is float
+    assert out.messages_received == messages
+    assert out.redundant_messages == redundant
+    assert np.array_equal(out.recovered_mask, mask)
+    assert out.recovered_mask.dtype == bool
+    assert out.recovered_count == np.count_nonzero(mask)
+    assert out.completed is completed
+
+
+class TestClosedFormMatchesOracle:
+    """Count rules and degree-1 codes skip the replay; every trial must
+    still equal the event loop."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize(
+        "model, trials",
+        [(MODEL, 300), (_TiedModel(), 3), (_TwoSpeedModel(), 40)],  # 300: more than one batch
+        ids=["random", "tied", "two-speed"],
+    )
+    def test_monte_carlo_and_iteration(self, name, model, trials):
+        asn, qs = ORACLE_CASES[name]
+        for q in qs:
+            res = monte_carlo(asn, q, model, trials, seed=17)
+            for t in range(trials):
+                unit_times = model.sample_unit_times(trial_rng(17, t), asn.n_workers)
+                expected = _oracle(asn, q, unit_times)
+                stop, messages, redundant, mask, completed = expected
+                assert res.times[t] == stop
+                assert res.messages[t] == messages
+                assert res.redundant[t] == redundant
+                assert res.recovered[t] == np.count_nonzero(mask)
+                assert res.completed[t] == completed
+                _assert_outcome(simulate_iteration(asn, q, model, trial_rng(17, t)), expected)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_no_straggling(self, name):
+        asn, qs = ORACLE_CASES[name]
+        unit_times = MODEL.sample_unit_times(_NoStraggleRng(), asn.n_workers)
+        for q in qs:
+            out = simulate_iteration(asn, q, MODEL, _NoStraggleRng())
+            _assert_outcome(out, _oracle(asn, q, unit_times))
+
+    def test_cases_reach_every_branch(self):
+        # the hand-built cases do what their names say
+        out = simulate_iteration(_uncovered_block(), 0.0, MODEL, np.random.default_rng(0))
+        assert not out.completed and out.recovered_count == 3 and out.redundant_messages == 3
+        out = simulate_iteration(_two_orders_one_message(), 0.0, MODEL, np.random.default_rng(0))
+        assert out.messages_received == 4 and out.redundant_messages == 4
+        out = simulate_iteration(_threshold_below_one(), 0.0, MODEL, np.random.default_rng(0))
+        assert out.messages_received == 1 and out.redundant_messages == 1
+        out = simulate_iteration(_mds_two_messages(), 0.0, MODEL, np.random.default_rng(0))
+        # two workers' second messages beat the third worker's first one
+        assert out.messages_received == 5 and out.recovered_count == 4
 
 
 class TestMessageTimes:
@@ -166,6 +320,17 @@ class TestMonteCarlo:
         assert summary["completion_rate"] == 1.0
         assert summary["p50"] <= summary["p95"]
         assert res.mean_time > MODEL.alpha
+
+    def test_incomplete_summary_is_strict_json(self):
+        res = monte_carlo(_uncovered_block(), 0.0, MODEL, 20, seed=1)
+        summary = res.summary()
+        assert not res.completed.any()
+        assert summary["mean_time"] is None
+        assert summary["p50"] is None
+        assert summary["completion_rate"] == 0.0
+        assert summary["mean_recovered"] == 3.0
+        assert set(summary) == set(monte_carlo(build_uc_mmc(8, 2), 0.25, MODEL, 5, seed=1).summary())
+        json.dumps(summary, allow_nan=False)
 
     def test_trial_rng_deterministic(self):
         a = trial_rng(5, 3).standard_normal(4)
