@@ -320,16 +320,11 @@ class ComputationAssignment:
             raise ValueError("task_cost must be positive")
 
     @cached_property
-    def block_ids(self) -> tuple[list[list[int]], ...]:
-        """block_ids[j][w]: worker w's order-j support as a list of ints."""
-        return tuple(ids.tolist() for ids in self.support)
-
-    @cached_property
     def tasks(self) -> tuple[tuple[CodedTask, ...], ...]:
         """tasks[j][w]: worker w's order-j task as a CodedTask."""
         return tuple(
-            tuple(CodedTask(tuple(s), tuple(c)) for s, c in zip(ids, coefs.tolist()))
-            for ids, coefs in zip(self.block_ids, self.coefficients)
+            tuple(CodedTask(tuple(s), tuple(c)) for s, c in zip(ids.tolist(), coefs.tolist()))
+            for ids, coefs in zip(self.support, self.coefficients)
         )
 
     @property

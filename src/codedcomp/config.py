@@ -35,7 +35,7 @@ from .schemes import (
     load_violations,
     mds_violations,
 )
-from .simulate import make_decode_state
+from .simulate import _release_ranks
 
 DEFAULT_SEED = 1729
 SCHEMES = ("rcs", "rcs-general", "mcc", "uc-mmc", "gc", "hybrid-example")
@@ -363,15 +363,13 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
     blocks than the tolerance needs: every trial would then run to the end
     without a result.  One drawn assignment decides it, since a
     circular-shift code recovers the same whole groups whatever its offsets."""
-    state = make_decode_state(asn)
-    for m in range(len(asn.messages)):
-        for w in range(asn.n_workers):
-            state.ingest_message(w, m)
+    every_message = np.zeros((1, len(asn.messages), asn.n_workers))
+    recovered = int(np.count_nonzero(_release_ranks(asn, asn.support, every_message) < np.inf))
     needed = recovery_threshold(asn.k_total, q)
-    if state.recovered_count >= needed:
+    if recovered >= needed:
         return []
     return [
-        f"q: all messages together recover {state.recovered_count} of "
+        f"q: all messages together recover {recovered} of "
         f"{asn.k_total} blocks, but tolerance {q} needs {needed}"
     ]
 

@@ -4,14 +4,14 @@ The peeling decoder is the workhorse for sparse binary codes: every incoming
 task is immediately reduced by the already-recovered blocks, degree-one
 residuals release new blocks, and releases cascade until no residual has
 degree one.  A residual is two numbers, its count of unknown blocks and the
-sum of their ids, so a count of one names the released block directly; the
-simulator feeds it the assignment's per-order block-id arrays, with no task
-objects.  An exact rational row-reduction oracle (``rref_recoverable``)
-upper-bounds what any linear decoder could recover and is used to sanity-check
-the peeling results.  Dense MDS groups and exact-sum schemes decode at a
-complete-worker count instead (the counting rule in
-``simulate.make_decode_state``); ``mcc_decode_values`` recovers the values of
-an MDS-coded assignment.
+sum of their ids, so a count of one names the released block directly.  It
+decodes payloads and is the reference for the simulator, which decides when
+blocks become recoverable from release ranks without replaying messages.  An
+exact rational row-reduction oracle (``rref_recoverable``) upper-bounds what
+any linear decoder could recover and is used to sanity-check the peeling
+results.  Dense MDS groups and exact-sum schemes decode at a complete-worker
+count instead (the count rules in ``simulate``); ``mcc_decode_values``
+recovers the values of an MDS-coded assignment.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ import numpy as np
 from .blocks import CodedTask, ComputationAssignment
 
 _ROUND_GUARD = 1e-9
+
+# Largest condition number of the Vandermonde system mcc_decode_values
+# trusts; a small solve residual says nothing about the error beyond it.
+_MAX_CONDITION = 1e12
 
 
 def recovery_threshold(k_total: int, q: float) -> int:
@@ -125,10 +129,9 @@ class PeelingDecoder:
         coeffs = dict(zip(task.support, task.coefficients))
         if any(not 0 <= b < self.k_total for b in coeffs):
             raise ValueError(f"task support {task.support} outside [0, {self.k_total})")
-        if payload is None:
-            return self.ingest_ids(list(coeffs))
         self.messages_ingested += 1
-        payload = np.asarray(payload, dtype=float).copy()
+        if payload is not None:
+            payload = np.asarray(payload, dtype=float).copy()
         for b in [b for b in coeffs if b in self._values]:
             known = self._values[b]
             c = coeffs.pop(b)
@@ -140,18 +143,6 @@ class PeelingDecoder:
             rid = self._store(list(coeffs))
             if payload is not None:
                 self._numeric[rid] = _Residual(coeffs, payload)
-        return set()
-
-    def ingest_ids(self, ids: list[int]) -> set[int]:
-        """Feed one task given only by its distinct block ids, all in
-        [0, k_total), without a payload: :meth:`ingest` minus the checks."""
-        self.messages_ingested += 1
-        values = self._values
-        unknown = [b for b in ids if b not in values]
-        if len(unknown) == 1:
-            return self._release(unknown[0], None)
-        if unknown:
-            self._store(unknown)
         return set()
 
     def _store(self, unknown: list[int]) -> int:
@@ -270,7 +261,8 @@ def mcc_decode_values(
         Block id -> value for every one of the k_total blocks.
 
     Raises:
-        ValueError: if fewer than kbar complete workers are available.
+        ValueError: if fewer than kbar complete workers are available, or if
+            their Vandermonde system is too ill-conditioned to trust.
     """
     kbar = assignment.kbar
     if kbar is None or assignment.eval_points is None:
@@ -285,6 +277,12 @@ def mcc_decode_values(
     r = assignment.n_orders
     points = np.array([assignment.eval_points[w] for w in workers])
     vander = np.vander(points, kbar, increasing=True)
+    condition = np.linalg.cond(vander)
+    if not condition <= _MAX_CONDITION:
+        raise ValueError(
+            f"the Vandermonde system of workers {workers} has condition number "
+            f"{condition:.3g}, above {_MAX_CONDITION:g}: its solution cannot be trusted"
+        )
     values: dict[int, np.ndarray] = {}
     for g in range(r):
         rhs = np.stack([np.asarray(payloads[w][g], dtype=float).ravel() for w in workers])

@@ -9,52 +9,41 @@ completion-time CDF.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .blocks import ComputationAssignment, CumulativeType
 from .decoding import recovery_threshold
 from .latency import LatencyModel, type_probability
-from .simulate import make_decode_state
+from .simulate import _release_ranks
 
 
 # Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
 _MAX_SCORE_VECTORS = 10**7
+# Score vectors decided per release-rank call, so memory stays bounded.
+_VECTORS_PER_CALL = 256
 
 
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Yield the distinct permutations of ``items`` in lexicographic order."""
+    """Yield the distinct permutations of ``items`` in lexicographic order
+    (Narayana's next-permutation step, which skips repeats)."""
     pool = sorted(items)
-    n = len(pool)
-    if n == 0:
-        yield ()
-        return
-    counts: dict[int, int] = {}
-    for x in pool:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    current: list[int] = []
-
-    def walk() -> Iterator[tuple[int, ...]]:
-        if len(current) == n:
-            yield tuple(current)
+    while True:
+        yield tuple(pool)
+        i = next((i for i in range(len(pool) - 2, -1, -1) if pool[i] < pool[i + 1]), None)
+        if i is None:
             return
-        for key in keys:
-            if counts[key]:
-                counts[key] -= 1
-                current.append(key)
-                yield from walk()
-                current.pop()
-                counts[key] += 1
-
-    yield from walk()
+        j = max(j for j in range(i + 1, len(pool)) if pool[i] < pool[j])
+        pool[i], pool[j] = pool[j], pool[i]
+        pool[i + 1 :] = reversed(pool[i + 1 :])
 
 
 def score_vectors_of_type(ctype: CumulativeType) -> Iterator[tuple[int, ...]]:
     """All assignments of the type's scores to the individual workers."""
-    scores: list[int] = []
-    for s in range(ctype.max_score + 1):
-        scores.extend([s] * ctype.count_for_score(s))
+    scores = [s for s in range(ctype.max_score + 1) for _ in range(ctype.count_for_score(s))]
     yield from multiset_permutations(scores)
 
 
@@ -81,6 +70,15 @@ def messages_for_score(assignment: ComputationAssignment, score: int) -> list[in
     ]
 
 
+def _successes(assignment: ComputationAssignment, scores, q: float) -> np.ndarray:
+    """Whether the master can stop at each row of a (vectors, n_workers)
+    score array: a sent message has arrival rank 0, an unsent one infinity."""
+    done = np.array([msg.tasks_done for msg in assignment.messages])[None, :, None]
+    ranks = np.where(done <= np.asarray(scores)[:, None, :], 0.0, np.inf)
+    release = _release_ranks(assignment, assignment.support, ranks)
+    return np.count_nonzero(release < np.inf, axis=1) >= recovery_threshold(assignment.k_total, q)
+
+
 def successful_score_vector(
     assignment: ComputationAssignment, scores: Sequence[int], q: float
 ) -> bool:
@@ -89,14 +87,7 @@ def successful_score_vector(
         raise ValueError(
             f"expected {assignment.n_workers} scores, got {len(scores)}"
         )
-    threshold = recovery_threshold(assignment.k_total, q)
-    if threshold == 0:
-        return True
-    state = make_decode_state(assignment)
-    for w, score in enumerate(scores):
-        for m in messages_for_score(assignment, int(score)):
-            state.ingest_message(w, m)
-    return state.recovered_count >= threshold
+    return bool(_successes(assignment, [scores], q)[0])
 
 
 def enumerate_successful(
@@ -108,11 +99,11 @@ def enumerate_successful(
             f"type tabulates scores up to {ctype.max_score} but workers "
             f"complete up to {assignment.max_score} tasks"
         )
-    return sum(
-        1
-        for scores in score_vectors_of_type(ctype)
-        if successful_score_vector(assignment, scores, q)
-    )
+    vectors = score_vectors_of_type(ctype)
+    good = 0
+    while batch := list(itertools.islice(vectors, _VECTORS_PER_CALL)):
+        good += int(np.count_nonzero(_successes(assignment, batch, q)))
+    return good
 
 
 def total_vectors(ctype: CumulativeType) -> int:

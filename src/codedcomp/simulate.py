@@ -2,23 +2,21 @@
 over many iterations.
 
 Each worker draws a single per-unit latency for the iteration; its messages
-arrive at schedule * unit time, in time order with ties broken by message
-then worker index.  The master stops once the tolerance threshold is met,
-which gives the iteration completion time and the number of messages it had
-to receive (ties with the final arrival included).
+arrive at schedule * unit time and are ranked in time order, ties broken by
+message then worker index.  The master stops once the tolerance threshold is
+met, which gives the completion time and the messages received (ties with
+the final arrival included).
 
-Where no peeling cascade can occur the stop has a closed form, computed for
-a batch of trials at once with array operations:
-
-* count rules (``mds``, ``threshold``): everything unlocks at the
-  ``needed``-th earliest worker, an order statistic of the workers' first
-  arrivals;
-* peel codes whose tasks all have degree 1 (uc-mmc): a block is recovered by
-  the first message that carries it, so the stop is the arrival at which the
-  count of distinct blocks reaches the threshold.
-
-Peel codes with coded tasks (rcs, rcs-general, hybrid) replay the arrivals
-into the peeling decoder one message at a time.
+One function decides every decode rule and every source, for a batch of
+trials with array operations: :func:`_release_ranks` gives each block's
+release rank, the arrival rank at which the block becomes recoverable, and
+the stop is the threshold-th smallest.  For a peel code the ranks are the
+fixed point of ``R[b] = min over tasks t holding b of max(rank(t), R of the
+other blocks of t)``, iterated from infinity (peeling is a closure, and a
+stopping set stays infinite).  For a count rule (``mds``, ``threshold``)
+every block is released at the ``needed``-th smallest first-message rank.
+Exact enumeration and the config's finish check use the same ranks, with 0
+for a sent message and infinity for an unsent one.
 """
 
 from __future__ import annotations
@@ -29,15 +27,16 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .blocks import DECODE_MDS, DECODE_PEEL, DECODE_THRESHOLD, ComputationAssignment
-from .decoding import PeelingDecoder, recovery_threshold
+from .blocks import DECODE_PEEL, DECODE_MDS, ComputationAssignment
+from .decoding import recovery_threshold
 from .latency import LatencyModel
 
 AssignmentSource = Union[ComputationAssignment, Callable[[np.random.Generator], ComputationAssignment]]
 
-# Trials per batch of the closed form, so its memory does not grow with the
-# trial count.
-_CHUNK = 256
+# Trials per batch.  Memory grows with the batch, not the trial count; at
+# rcs K=40, batches of 64 trials run as fast as batches of 256 and hold a
+# quarter of the arrays.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -55,38 +54,11 @@ class IterationOutcome:
         return int(np.count_nonzero(self.recovered_mask))
 
 
-class _PeelState:
-    """Peeling decoder adapter used during replay: feeds the assignment's
-    cached block-id lists to the decoder, with no task objects."""
-
-    def __init__(self, assignment: ComputationAssignment):
-        self._ids = assignment.block_ids
-        self._orders = [msg.orders for msg in assignment.messages]
-        self._dec = PeelingDecoder(assignment.k_total)
-
-    def ingest_message(self, worker: int, msg_index: int) -> None:
-        for order in self._orders[msg_index]:
-            self._dec.ingest_ids(self._ids[order][worker])
-
-    @property
-    def recovered_count(self) -> int:
-        return self._dec.recovered_count
-
-    @property
-    def redundant(self) -> int:
-        return self._dec.redundant_messages
-
-    def mask(self) -> np.ndarray:
-        return self._dec.recovered_mask()
-
-
 class _CountState:
     """All-or-nothing decoder: everything unlocks at a worker-count threshold."""
 
     def __init__(self, k_total: int, workers_needed: int):
-        self._k = k_total
-        self._needed = workers_needed
-        self._workers: set[int] = set()
+        self._k, self._needed, self._workers = k_total, workers_needed, set()
 
     def ingest_message(self, worker: int, msg_index: int) -> None:
         self._workers.add(worker)
@@ -110,13 +82,12 @@ def _workers_needed(assignment: ComputationAssignment) -> int:
     return assignment.n_workers - assignment.n_orders + 1
 
 
-def make_decode_state(assignment: ComputationAssignment):
-    """Fresh decoder state implementing the assignment's recovery rule."""
+def make_decode_state(assignment: ComputationAssignment) -> _CountState:
+    """Fresh message-by-message decoder of a count rule (``mds`` or
+    ``threshold``).  A peel code's tasks go to ``PeelingDecoder`` instead."""
     if assignment.decode == DECODE_PEEL:
-        return _PeelState(assignment)
-    if assignment.decode in (DECODE_MDS, DECODE_THRESHOLD):
-        return _CountState(assignment.k_total, _workers_needed(assignment))
-    raise ValueError(f"unknown decode rule {assignment.decode!r}")
+        raise ValueError("a peel code has no count state; feed its tasks to PeelingDecoder")
+    return _CountState(assignment.k_total, _workers_needed(assignment))
 
 
 def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> np.ndarray:
@@ -129,72 +100,111 @@ def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> 
     return np.outer(assignment.schedule(), unit_times)
 
 
-def _closed_form(assignment: ComputationAssignment) -> bool:
-    """Whether no peeling cascade can occur: a count rule, or a peel code
-    whose every task is a single block."""
-    return assignment.decode != DECODE_PEEL or all(ids.shape[1] == 1 for ids in assignment.support)
+def _orders(assignment: ComputationAssignment, supports):
+    """(message index, block ids) of every order, the ids shaped (1 or
+    n_trials, n_workers, d_j) so they broadcast over the trials."""
+    return [
+        (m, supports[j].reshape((-1,) + supports[j].shape[-2:]))
+        for m, msg in enumerate(assignment.messages)
+        for j in msg.orders
+    ]
 
 
-def _closed_form_trials(assignment: ComputationAssignment, threshold: int, unit_times: np.ndarray):
-    """Outcomes of a batch of trials of an assignment with no peeling cascade.
+def _max_of_others(values: np.ndarray) -> np.ndarray:
+    """For every row of a (d, n) array, the elementwise max of the other rows
+    (-inf where there is none): prefix maxima, then suffix maxima folded in."""
+    out = np.empty_like(values)
+    out[0] = -np.inf
+    for i in range(1, len(values)):
+        np.maximum(out[i - 1], values[i - 1], out=out[i])
+    behind = values[-1].copy()
+    for i in range(len(values) - 2, -1, -1):
+        np.maximum(out[i], behind, out=out[i])
+        np.maximum(behind, values[i], out=behind)
+    return out
 
-    unit_times has one row of per-worker unit times per trial.  Returns the
-    per-trial arrays (completion times, messages received, redundant tasks,
-    recovered-block masks of shape (trials, k_total), completed flags), equal
-    to replaying each trial's arrivals into :func:`make_decode_state`.
+
+def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarray) -> np.ndarray:
+    """Release rank of every block in a batch of trials, shape (B, k_total).
+
+    supports holds one block-id array per order: (n_workers, d_j) when all
+    trials share the code, (B, n_workers, d_j) for one drawn code per trial.
+    ranks[b, m, w] is the arrival rank of worker w's message m in trial b
+    (infinity for a message that never arrives).  A block is recoverable
+    from the messages ranked r or earlier exactly when its release rank is at
+    most r; a block that is never recoverable has rank infinity.
     """
-    n_trials, n_workers = unit_times.shape
-    k_total = assignment.k_total
+    n_trials, k = ranks.shape[0], assignment.k_total
+    if assignment.decode != DECODE_PEEL:
+        hit = max(_workers_needed(assignment), 1)
+        first = np.full(n_trials, np.inf)
+        if hit <= assignment.n_workers:
+            first = np.partition(ranks[:, 0], hit - 1, axis=1)[:, hit - 1]
+        return np.repeat(first[:, None], k, axis=1)
+    # Entries are laid out (d_j, trials * workers) with flat index
+    # trial * k + block, so the max over a task's other blocks works on whole
+    # rows.  Each sweep updates the ranks in place, one order at a time.
+    offset = k * np.arange(n_trials)[:, None, None]
+    tasks = []
+    for m, ids in _orders(assignment, supports):
+        flat = (ids + offset).transpose(2, 0, 1).reshape(ids.shape[2], -1)
+        tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
+    release = np.full(n_trials * k, np.inf)
+    while True:
+        before = release.copy()
+        for flat, entries, rank in tasks:
+            offers = _max_of_others(release[flat])
+            np.maximum(rank, offers, out=offers)
+            np.minimum.at(release, entries, offers.ravel())
+        if np.array_equal(release, before):
+            return release.reshape(n_trials, k)
+
+
+def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):
+    """Outcomes of a batch of trials, one row of per-worker unit times each.
+
+    Returns the per-trial arrays (completion times, messages received,
+    redundant tasks, recovered-block masks of shape (trials, k_total),
+    completed flags).  A trial that never reaches the threshold ingests
+    every message and has an infinite completion time.
+    """
+    n_trials = unit_times.shape[0]
     if threshold == 0:
         zeros = np.zeros(n_trials, dtype=int)
-        masks = np.zeros((n_trials, k_total), dtype=bool)
+        masks = np.zeros((n_trials, assignment.k_total), dtype=bool)
         return np.zeros(n_trials), zeros, zeros, masks, np.ones(n_trials, dtype=bool)
     # arrivals[t, m, w] is the same product message_times gives for trial t.
     arrivals = assignment.schedule()[None, :, None] * unit_times[:, None, :]
-    if assignment.decode != DECODE_PEEL:
-        # A worker counts from its first message; the stop is the arrival
-        # that brings the count to `needed` (the first one if needed < 1).
-        needed = _workers_needed(assignment)
-        hit = max(needed, 1)
-        done = hit <= n_workers
-        if done:
-            stop = np.partition(arrivals[:, 0], hit - 1, axis=1)[:, hit - 1]
-        else:
-            stop = np.full(n_trials, np.inf)
-        completed = np.full(n_trials, done)
-        redundant = np.full(n_trials, hit - needed if done else 0)
-        masks = np.full((n_trials, k_total), done)
+    flat = arrivals.reshape(n_trials, -1)
+    order = np.argsort(flat, axis=1, kind="stable")
+    trial = np.arange(n_trials)
+    ranks = np.empty(flat.shape)
+    ranks[trial[:, None], order] = np.arange(flat.shape[1])
+    ranks = ranks.reshape(arrivals.shape)
+    release = _release_ranks(assignment, supports, ranks)
+    stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
+    completed = stop < np.inf
+    stop_rank = np.where(completed, stop, flat.shape[1] - 1).astype(int)
+    masks = release <= stop_rank[:, None]
+    if assignment.decode == DECODE_PEEL:
+        # Ingested tasks are pending (two or more blocks still unknown), the
+        # source of one recovered block each, or redundant.
+        ingested = pending = 0
+        for m, ids in _orders(assignment, supports):
+            arrived = ranks[:, m] <= stop_rank[:, None]
+            ingested = ingested + arrived.sum(axis=1)
+            if ids.shape[2] > 1:
+                unknown = ids.shape[2] - masks[trial[:, None, None], ids].sum(axis=2)
+                pending = pending + (arrived & (unknown >= 2)).sum(axis=1)
+        redundant = ingested - pending - masks.sum(axis=1)
     else:
-        # Each task is one block carried by one message of the flattened
-        # (message, worker) grid.  A block is recovered by the earliest
-        # message, in arrival order, that carries it; the stop is the
-        # threshold-th block to be recovered.
-        flat = arrivals.reshape(n_trials, -1)
-        n_flat = flat.shape[1]
-        tasks = [(m, j) for m, message in enumerate(assignment.messages) for j in message.orders]
-        msg = np.concatenate([m * n_workers + np.arange(n_workers) for m, _ in tasks])
-        block = np.concatenate([assignment.support[j][:, 0] for _, j in tasks])
-        by_block = np.argsort(block, kind="stable")
-        covered, starts = np.unique(block[by_block], return_index=True)
-        order = np.argsort(flat, axis=1, kind="stable")
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(n_flat), axis=1)
-        first = np.minimum.reduceat(rank[:, msg[by_block]], starts, axis=1)
-        completed = np.full(n_trials, threshold <= len(covered))
-        if threshold <= len(covered):
-            stop_rank = np.partition(first, threshold - 1, axis=1)[:, threshold - 1]
-            stop_msg = np.take_along_axis(order, stop_rank[:, None], axis=1)
-            stop = np.take_along_axis(flat, stop_msg, axis=1)[:, 0]
-        else:
-            stop_rank = np.full(n_trials, n_flat - 1)
-            stop = np.full(n_trials, np.inf)
-        masks = np.zeros((n_trials, k_total), dtype=bool)
-        masks[:, covered] = first <= stop_rank[:, None]
-        tasks_of = np.bincount(msg, minlength=n_flat)
-        ingested = np.where(rank <= stop_rank[:, None], tasks_of, 0).sum(axis=1)
-        redundant = ingested - np.count_nonzero(masks, axis=1)
-    messages = np.count_nonzero(arrivals <= stop[:, None, None], axis=(1, 2))
-    return stop, messages, redundant, masks, completed
+        # Everything unlocks at the hit-th worker, so the workers past the
+        # needed count are redundant.
+        needed = _workers_needed(assignment)
+        redundant = np.where(completed, max(needed, 1) - needed, 0)
+    times = np.where(completed, flat[trial, order[trial, stop_rank]], np.inf)
+    messages = (flat <= times[:, None]).sum(axis=1)
+    return times, messages, redundant, masks, completed
 
 
 def simulate_iteration(
@@ -212,51 +222,16 @@ def simulate_iteration(
     all messages cannot meet the threshold the outcome is flagged incomplete
     with an infinite completion time.
 
-    Count rules and peel codes of degree 1 take the closed form of
-    :func:`_closed_form_trials` on a one-trial batch; other peel codes replay
-    the arrivals into the peeling decoder.
+    This is the release-rank decision of :func:`monte_carlo` on a batch of
+    one trial, for every decode rule.
     """
     threshold = recovery_threshold(assignment.k_total, q)
     unit_times = model.sample_unit_times(rng, assignment.n_workers)
-    if _closed_form(assignment):
-        stop, messages, redundant, masks, completed = _closed_form_trials(
-            assignment, threshold, unit_times[None, :]
-        )
-        return IterationOutcome(
-            completion_time=float(stop[0]),
-            messages_received=int(messages[0]),
-            recovered_mask=masks[0],
-            redundant_messages=int(redundant[0]),
-            completed=bool(completed[0]),
-        )
-    if threshold == 0:
-        return IterationOutcome(
-            completion_time=0.0,
-            messages_received=0,
-            recovered_mask=np.zeros(assignment.k_total, dtype=bool),
-            redundant_messages=0,
-            completed=True,
-        )
-    arrivals = message_times(assignment, unit_times)
-    order = np.argsort(arrivals, axis=None, kind="stable")
-    state = _PeelState(assignment)
-    n_workers = assignment.n_workers
-    stop_time = np.inf
-    completed = False
-    for flat in order.tolist():
-        m, w = divmod(flat, n_workers)
-        state.ingest_message(w, m)
-        if state.recovered_count >= threshold:
-            stop_time = float(arrivals[m, w])
-            completed = True
-            break
-    messages = int(np.count_nonzero(arrivals <= stop_time))
+    times, messages, redundant, masks, completed = _trials(
+        assignment, assignment.support, unit_times[None, :], threshold
+    )
     return IterationOutcome(
-        completion_time=stop_time,
-        messages_received=messages,
-        recovered_mask=state.mask(),
-        redundant_messages=state.redundant,
-        completed=completed,
+        float(times[0]), int(messages[0]), masks[0], int(redundant[0]), bool(completed[0])
     )
 
 
@@ -285,7 +260,17 @@ class MonteCarloResult:
         return float(np.mean(self.completed))
 
     def time_percentiles(self, qs=(5, 25, 50, 75, 95)) -> dict[str, float]:
-        return {f"p{p}": float(np.percentile(self.times, p)) for p in qs}
+        """Linearly interpolated completion-time percentiles.  A percentile
+        that falls among incomplete trials (infinite times) is infinite; the
+        others are interpolated with those times capped, so no arithmetic
+        meets an infinity."""
+        capped = np.minimum(self.times, np.finfo(float).max)
+        return {
+            f"p{p}": math.inf
+            if np.isinf(np.percentile(self.times, p, method="higher"))
+            else float(np.percentile(capped, p))
+            for p in qs
+        }
 
     def summary(self) -> dict:
         """Run statistics for JSON output.  A statistic that is not finite
@@ -311,6 +296,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(trial))))
 
 
+def _layout(asn: ComputationAssignment) -> tuple:
+    """What a batch of drawn codes must share to be decided together."""
+    shapes = tuple(ids.shape for ids in asn.support)
+    return asn.n_workers, asn.k_total, asn.messages, asn.decode, asn.kbar, asn.task_cost, shapes
+
+
 def monte_carlo(
     source: AssignmentSource,
     q: float,
@@ -332,48 +323,33 @@ def monte_carlo(
     Returns:
         MonteCarloResult with one entry per trial.
 
-    A fixed assignment with no peeling cascade (a count rule, or a peel code
-    of degree 1) runs its trials through the closed form, in batches of
-    ``_CHUNK`` trials; factories and other peel codes simulate one trial at
-    a time.  Both draw trial t's latencies from ``trial_rng(seed, t)`` and
-    give the same arrays.
+    Raises:
+        ValueError: if a factory's codes differ in workers, blocks,
+            messages, decode rule or degrees within the run.
+
+    Trials run in batches of ``_CHUNK``, each decided by one release-rank
+    computation.  Trial t draws the factory's code, then the latencies, from
+    ``trial_rng(seed, t)``, so it equals :func:`simulate_iteration` there.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    times = np.empty(trials)
-    messages = np.empty(trials, dtype=int)
-    redundant = np.empty(trials, dtype=int)
-    recovered = np.empty(trials, dtype=int)
-    completed = np.empty(trials, dtype=bool)
-    fixed = None if callable(source) else source
-    if fixed is not None and _closed_form(fixed):
-        threshold = recovery_threshold(fixed.k_total, q)
-        for start in range(0, trials, _CHUNK):
-            batch = slice(start, min(start + _CHUNK, trials))
-            unit_times = np.array([
-                model.sample_unit_times(trial_rng(seed, t), fixed.n_workers)
-                for t in range(batch.start, batch.stop)
-            ])
-            times[batch], messages[batch], redundant[batch], masks, completed[batch] = (
-                _closed_form_trials(fixed, threshold, unit_times)
-            )
-            recovered[batch] = np.count_nonzero(masks, axis=1)
-    else:
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            assignment = source(rng) if fixed is None else fixed
-            out = simulate_iteration(assignment, q, model, rng)
-            times[t] = out.completion_time
-            messages[t] = out.messages_received
-            redundant[t] = out.redundant_messages
-            recovered[t] = out.recovered_count
-            completed[t] = out.completed
-    return MonteCarloResult(
-        trials=trials,
-        seed=int(seed),
-        times=times,
-        messages=messages,
-        redundant=redundant,
-        recovered=recovered,
-        completed=completed,
-    )
+    first, parts = None, []
+    for start in range(0, trials, _CHUNK):
+        rngs = [trial_rng(seed, t) for t in range(start, min(start + _CHUNK, trials))]
+        drawn = [source(rng) for rng in rngs] if callable(source) else [source] * len(rngs)
+        unit_times = [model.sample_unit_times(rng, asn.n_workers) for rng, asn in zip(rngs, drawn)]
+        first = drawn[0] if first is None else first
+        supports = first.support
+        if callable(source):
+            if any(_layout(asn) != _layout(first) for asn in drawn):
+                raise ValueError(
+                    "assignment factory changed workers, blocks, messages, "
+                    "decode rule or degrees within one run"
+                )
+            supports = tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
+        threshold = recovery_threshold(first.k_total, q)
+        times, messages, redundant, masks, completed = _trials(
+            first, supports, np.array(unit_times), threshold
+        )
+        parts.append((times, messages, redundant, masks.sum(axis=1), completed))
+    return MonteCarloResult(trials, int(seed), *map(np.concatenate, zip(*parts)))

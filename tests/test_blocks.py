@@ -191,7 +191,7 @@ class TestAssignmentInvariants:
             coefficients=(np.ones((2, 1)), np.array([[1.0, 2.0], [3.0, 4.0]])),
             messages=(Message(1, (0,)), Message(2, (1,))),
         )
-        assert asn.block_ids == ([[0], [1]], [[1, 2], [2, 0]])
+        assert [[t.support for t in row] for row in asn.tasks] == [[(0,), (1,)], [(1, 2), (2, 0)]]
         assert asn.tasks[1][1] == CodedTask((2, 0), (3.0, 4.0))
         assert asn.worker_tasks(0) == [CodedTask((0,), (1.0,)), CodedTask((1, 2), (1.0, 2.0))]
 

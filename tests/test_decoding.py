@@ -12,6 +12,7 @@ from codedcomp import (
     PeelingDecoder,
     build_gc,
     build_mcc,
+    build_uc_mmc,
     mcc_decode_values,
     recovery_threshold,
     rref_recoverable,
@@ -287,6 +288,11 @@ def gc_aggregate(received_workers, k, load):
     return state.recovered_count == k
 
 
+def test_decode_state_is_for_count_rules_only():
+    with pytest.raises(ValueError, match="PeelingDecoder"):
+        make_decode_state(build_uc_mmc(4, 2))
+
+
 class TestGcThreshold:
     def test_four_workers_load_two(self):
         assert not gc_aggregate({0, 1}, 4, 2)
@@ -365,3 +371,37 @@ class TestNumericRecovery:
         asn = build_mcc(4, 2)
         with pytest.raises(ValueError, match="complete workers"):
             mcc_decode_values(asn, {0: [np.zeros(1), np.zeros(1)]})
+
+    def test_mds_ill_conditioned_workers_raise(self):
+        # 14 of 40 workers with the default points 1, 2, 4, ...: the solve
+        # returns blocks off by ~1e127 unless the decoder refuses it
+        rng = np.random.default_rng(37)
+        blocks = [rng.standard_normal(1) for _ in range(40)]
+        asn = build_mcc(40, 14)
+        workers = rng.choice(40, 14, replace=False)
+        with pytest.raises(ValueError, match="condition number"):
+            mcc_decode_values(asn, _mds_payloads(asn, blocks, workers))
+
+    def test_mds_condition_check_not_residual(self):
+        # nearly equal points: the solve leaves a residual of ~1e-15, yet
+        # the blocks are off by ~1e-4, so only the condition number tells
+        points = [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 2.0]
+        asn = build_mcc(4, 3, points)
+        vander = np.vander(np.array(points[:3]), 3, increasing=True)
+        x = np.random.default_rng(3).standard_normal((3, 1))
+        sol = np.linalg.solve(vander, vander @ x)
+        assert np.linalg.norm(vander @ sol - vander @ x) <= 1e-12 * np.linalg.norm(vander @ x)
+        assert np.abs(sol - x).max() > 1e-6
+        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(ValueError, match="condition number"):
+            mcc_decode_values(asn, _mds_payloads(asn, blocks, [0, 1, 2]))
+
+
+def _mds_payloads(asn, blocks, workers):
+    return {
+        int(w): [
+            sum(c * blocks[b] for b, c in zip(t.support, t.coefficients))
+            for t in asn.worker_tasks(int(w))
+        ]
+        for w in workers
+    }

@@ -1,12 +1,16 @@
 """Iteration simulator and Monte Carlo aggregation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcomp import (
     LatencyModel,
+    PeelingDecoder,
     build_gc,
     build_mcc,
     build_rcs,
@@ -16,10 +20,12 @@ from codedcomp import (
     monte_carlo,
     recovery_threshold,
     simulate_iteration,
+    success_table,
     trial_rng,
 )
-from codedcomp.blocks import ComputationAssignment, Message
-from codedcomp.simulate import make_decode_state
+from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
+from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
+from codedcomp.simulate import MonteCarloResult, make_decode_state
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
@@ -100,6 +106,37 @@ ORACLE_CASES = {
 }
 
 
+class _PeelOracle:
+    """Message-by-message peel state: each task of a message goes to
+    ``PeelingDecoder.ingest`` as a CodedTask, independent of the simulator's
+    release ranks."""
+
+    def __init__(self, assignment):
+        self._asn = assignment
+        self._dec = PeelingDecoder(assignment.k_total)
+
+    def ingest_message(self, worker, msg_index):
+        for order in self._asn.messages[msg_index].orders:
+            self._dec.ingest(self._asn.tasks[order][worker])
+
+    @property
+    def recovered_count(self):
+        return self._dec.recovered_count
+
+    @property
+    def redundant(self):
+        return self._dec.redundant_messages
+
+    def mask(self):
+        return self._dec.recovered_mask()
+
+
+def _oracle_state(assignment):
+    if assignment.decode == DECODE_PEEL:
+        return _PeelOracle(assignment)
+    return make_decode_state(assignment)
+
+
 def _oracle(assignment, q, unit_times):
     """Event-loop replay of one trial: every arrival, in time order with ties
     broken by message then worker, into a fresh decoder until the threshold.
@@ -110,7 +147,7 @@ def _oracle(assignment, q, unit_times):
     if threshold == 0:
         return 0.0, 0, 0, np.zeros(assignment.k_total, dtype=bool), True
     arrivals = message_times(assignment, unit_times)
-    state = make_decode_state(assignment)
+    state = _oracle_state(assignment)
     stop, completed = np.inf, False
     for flat in np.argsort(arrivals, axis=None, kind="stable"):
         m, w = divmod(int(flat), assignment.n_workers)
@@ -135,8 +172,7 @@ def _assert_outcome(out, expected):
 
 
 class TestClosedFormMatchesOracle:
-    """Count rules and degree-1 codes skip the replay; every trial must
-    still equal the event loop."""
+    """Every trial's release-rank decision must equal the event loop."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     @pytest.mark.parametrize(
@@ -336,3 +372,104 @@ class TestMonteCarlo:
         a = trial_rng(5, 3).standard_normal(4)
         b = trial_rng(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
+
+    def test_factory_must_keep_its_layout(self):
+        sizes = iter([4] + [5] * 30)
+
+        def factory(rng):
+            return build_uc_mmc(next(sizes), 2)
+
+        with pytest.raises(ValueError, match="factory changed"):
+            monte_carlo(factory, 0.0, MODEL, 20, seed=1)
+
+    def test_percentiles_among_incomplete_trials_are_infinite(self):
+        times = np.array([1.0, 2.0, 3.0, np.inf, np.inf])
+        zeros = np.zeros(5, dtype=int)
+        res = MonteCarloResult(5, 0, times, zeros, zeros, zeros, np.isfinite(times))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            percentiles = res.time_percentiles((5, 40, 50, 60, 75, 100))
+            summary = res.summary()
+        assert percentiles["p5"] == pytest.approx(1.2)
+        assert percentiles["p40"] == pytest.approx(2.6)
+        assert percentiles["p50"] == 3.0
+        assert percentiles["p60"] == percentiles["p75"] == percentiles["p100"] == np.inf
+        assert summary["p50"] == 3.0 and summary["p75"] is None and summary["p95"] is None
+        json.dumps(summary, allow_nan=False)
+
+
+class _DrawnTiesModel:
+    """Unit times of one, two or three alphas drawn from the trial stream, so
+    arrivals of different workers tie often, within a message and across
+    messages."""
+
+    def sample_unit_times(self, rng, n):
+        return MODEL.alpha * (1.0 + rng.integers(0, 3, n))
+
+
+@st.composite
+def _small_peel_codes(draw):
+    """Two peel codes of one layout: K <= 8 blocks, up to 4 workers, 1-4
+    orders of degree <= 3 spread over messages that carry one or several
+    orders.  Random supports leave blocks uncovered and form stopping sets."""
+    k = draw(st.integers(1, 8))
+    workers = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(1, min(3, k)), min_size=1, max_size=4))
+    orders = draw(st.permutations(range(len(degrees))))
+    cuts = draw(st.lists(st.booleans(), min_size=len(degrees) - 1, max_size=len(degrees) - 1))
+    groups = [[orders[0]]]
+    for order, cut in zip(orders[1:], cuts):
+        if cut:
+            groups.append([])
+        groups[-1].append(order)
+    messages = tuple(Message(i + 1, tuple(g)) for i, g in enumerate(groups))
+
+    def code():
+        support = [
+            [draw(st.permutations(range(k)))[:d] for _ in range(workers)] for d in degrees
+        ]
+        return _hand_built(workers, k, support, messages)
+
+    return code(), code()
+
+
+def _oracle_success(asn, scores, q):
+    state = _PeelOracle(asn)
+    for w, score in enumerate(scores):
+        for m in messages_for_score(asn, score):
+            state.ingest_message(w, m)
+    return state.recovered_count >= recovery_threshold(asn.k_total, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=_small_peel_codes(), seed=st.integers(0, 2**16))
+def test_small_peel_codes_match_oracle(codes, seed):
+    """monte_carlo (fixed code and redrawn codes), simulate_iteration and
+    success_table equal the message-by-message PeelingDecoder replay."""
+    model, trials = _DrawnTiesModel(), 8
+
+    def factory(rng):
+        return codes[int(rng.integers(2))]
+
+    for q in (0.0, 0.2, 0.5, 0.75, 1.0):
+        for source in (codes[0], factory):
+            res = monte_carlo(source, q, model, trials, seed)
+            for t in range(trials):
+                rng = trial_rng(seed, t)
+                asn = source(rng) if callable(source) else source
+                expected = _oracle(asn, q, model.sample_unit_times(rng, asn.n_workers))
+                stop, messages, redundant, mask, completed = expected
+                assert res.times[t] == stop
+                assert res.messages[t] == messages
+                assert res.redundant[t] == redundant
+                assert res.recovered[t] == np.count_nonzero(mask)
+                assert res.completed[t] == completed
+                rng = trial_rng(seed, t)
+                asn = source(rng) if callable(source) else source
+                _assert_outcome(simulate_iteration(asn, q, model, rng), expected)
+        for asn in codes:
+            expected = [
+                (ctype, sum(_oracle_success(asn, s, q) for s in score_vectors_of_type(ctype)))
+                for ctype in all_types(asn.n_workers, asn.max_score)
+            ]
+            assert [(ctype, good) for ctype, good, _ in success_table(asn, q)] == expected
