@@ -14,13 +14,23 @@ the stop is the threshold-th smallest.  For a peel code the ranks are the
 fixed point of ``R[b] = min over tasks t holding b of max(rank(t), R of the
 other blocks of t)``, iterated from infinity (peeling is a closure, and a
 stopping set stays infinite).  For a count rule (``mds``, ``threshold``)
-every block is released at the ``needed``-th smallest first-message rank.
-Exact enumeration and the config's finish check use the same ranks, with 0
-for a sent message and infinity for an unsent one.
+every block is released at the ``needed``-th smallest first-message rank,
+so a simulated trial of one needs no ranks: it stops at the ``needed``-th
+smallest first-message arrival time.  Exact enumeration and the config's
+finish check use the same ranks, with 0 for a sent message and infinity for
+an unsent one.
+
+Monte Carlo trial t draws from the stream ``SeedSequence((seed, t))`` of
+:func:`trial_rng`.  :func:`monte_carlo` derives those streams for many
+trials in one array pass (:func:`_stream_states` re-derives NumPy's
+``SeedSequence`` hash, :func:`_trial_states` PCG64's seeding step) and loads
+each one into a single generator, so it draws the same numbers without
+building a generator per trial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -37,6 +47,19 @@ AssignmentSource = Union[ComputationAssignment, Callable[[np.random.Generator], 
 # rcs K=40, batches of 64 trials run as fast as batches of 256 and hold a
 # quarter of the arrays.
 _CHUNK = 64
+# Trials whose streams are hashed together.  The hash is a fixed number of
+# array operations, so its per-trial cost falls with the block (3.4 us at 64
+# trials, 0.2 us at 1,024 on a 2-vCPU x86-64 VM); its output is 32 bytes
+# per trial.
+_SEED_BLOCK = 1024
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (O'Neill, "PCG", 2014).
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -176,17 +199,28 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
     # arrivals[t, m, w] is the same product message_times gives for trial t.
     arrivals = assignment.schedule()[None, :, None] * unit_times[:, None, :]
     flat = arrivals.reshape(n_trials, -1)
-    order = np.argsort(flat, axis=1, kind="stable")
-    trial = np.arange(n_trials)
-    ranks = np.empty(flat.shape)
-    ranks[trial[:, None], order] = np.arange(flat.shape[1])
-    ranks = ranks.reshape(arrivals.shape)
-    release = _release_ranks(assignment, supports, ranks)
-    stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
-    completed = stop < np.inf
-    stop_rank = np.where(completed, stop, flat.shape[1] - 1).astype(int)
-    masks = release <= stop_rank[:, None]
-    if assignment.decode == DECODE_PEEL:
+    if assignment.decode != DECODE_PEEL:
+        # Everything unlocks at the hit-th first-message arrival, which
+        # needs no ranks; the workers past the needed count are redundant.
+        needed = _workers_needed(assignment)
+        hit = max(needed, 1)
+        completed = np.full(n_trials, hit <= assignment.n_workers)
+        times = np.full(n_trials, np.inf)
+        if hit <= assignment.n_workers:
+            times = np.partition(arrivals[:, 0], hit - 1, axis=1)[:, hit - 1]
+        masks = np.repeat(completed[:, None], assignment.k_total, axis=1)
+        redundant = np.where(completed, hit - needed, 0)
+    else:
+        order = np.argsort(flat, axis=1, kind="stable")
+        trial = np.arange(n_trials)
+        ranks = np.empty(flat.shape)
+        ranks[trial[:, None], order] = np.arange(flat.shape[1])
+        ranks = ranks.reshape(arrivals.shape)
+        release = _release_ranks(assignment, supports, ranks)
+        stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
+        completed = stop < np.inf
+        stop_rank = np.where(completed, stop, flat.shape[1] - 1).astype(int)
+        masks = release <= stop_rank[:, None]
         # Ingested tasks are pending (two or more blocks still unknown), the
         # source of one recovered block each, or redundant.
         ingested = pending = 0
@@ -197,12 +231,7 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
                 unknown = ids.shape[2] - masks[trial[:, None, None], ids].sum(axis=2)
                 pending = pending + (arrived & (unknown >= 2)).sum(axis=1)
         redundant = ingested - pending - masks.sum(axis=1)
-    else:
-        # Everything unlocks at the hit-th worker, so the workers past the
-        # needed count are redundant.
-        needed = _workers_needed(assignment)
-        redundant = np.where(completed, max(needed, 1) - needed, 0)
-    times = np.where(completed, flat[trial, order[trial, stop_rank]], np.inf)
+        times = np.where(completed, flat[trial, order[trial, stop_rank]], np.inf)
     messages = (flat <= times[:, None]).sum(axis=1)
     return times, messages, redundant, masks, completed
 
@@ -222,8 +251,8 @@ def simulate_iteration(
     all messages cannot meet the threshold the outcome is flagged incomplete
     with an infinite completion time.
 
-    This is the release-rank decision of :func:`monte_carlo` on a batch of
-    one trial, for every decode rule.
+    This is the decision of :func:`monte_carlo` on a batch of one trial, for
+    every decode rule.
     """
     threshold = recovery_threshold(assignment.k_total, q)
     unit_times = model.sample_unit_times(rng, assignment.n_workers)
@@ -296,6 +325,76 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(trial))))
 
 
+def _stream_states(seed: int, trials) -> np.ndarray:
+    """``SeedSequence((seed, t)).generate_state(4, np.uint64)`` for every
+    trial index t, shape (len(trials), 4).
+
+    The entropy is the seed's little-endian 32-bit words followed by t.  The
+    pool-of-4 hash runs in uint32 array arithmetic, which wraps as NumPy's
+    does; the hash constants advance with the step, not with the data, so
+    they stay Python ints.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    t = np.asarray(trials).ravel()
+    if t.size and (t.min() < 0 or t.max() > _MASK32):
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(t.shape, w, dtype=np.uint32) for w in words] + [t.astype(np.uint32)]
+
+    def hasher(const, mult):
+        def hash_words(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ value >> 16
+
+        return hash_words
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    # A pool word past the entropy hashes zero.
+    pool = [hashmix(word) for word in (entropy + [np.zeros(t.shape, np.uint32)] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    output = hasher(_INIT_B, _MULT_B)
+    out = np.stack([output(pool[i % 4]) for i in range(8)], axis=1)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_states(seed: int, trials):
+    """Yield the PCG64 state of ``trial_rng(seed, t)`` for every trial index t
+    in the sequence trials, hashing ``_SEED_BLOCK`` trials at a time.
+
+    PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0:w1 and
+    initseq = w2:w3: inc = 2 * initseq + 1 and state = (inc + initstate) *
+    MULT + inc, modulo 2**128.
+    """
+    for start in range(0, len(trials), _SEED_BLOCK):
+        for w0, w1, w2, w3 in _stream_states(seed, trials[start : start + _SEED_BLOCK]).tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            yield {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+
 def _layout(asn: ComputationAssignment) -> tuple:
     """What a batch of drawn codes must share to be decided together."""
     shapes = tuple(ids.shape for ids in asn.support)
@@ -324,20 +423,29 @@ def monte_carlo(
         MonteCarloResult with one entry per trial.
 
     Raises:
-        ValueError: if a factory's codes differ in workers, blocks,
-            messages, decode rule or degrees within the run.
+        ValueError: if the seed is negative, or if a factory's codes differ
+            in workers, blocks, messages, decode rule or degrees within the
+            run.
 
-    Trials run in batches of ``_CHUNK``, each decided by one release-rank
-    computation.  Trial t draws the factory's code, then the latencies, from
-    ``trial_rng(seed, t)``, so it equals :func:`simulate_iteration` there.
+    Trials run in batches of ``_CHUNK``, each decided with array operations
+    at once.  Trial t draws the factory's code, then the latencies, from
+    the stream of ``trial_rng(seed, t)``, so it equals
+    :func:`simulate_iteration` there.  The streams are derived for many
+    trials in one pass and loaded in turn into one generator.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    states = _trial_states(seed, range(trials))
     first, parts = None, []
-    for start in range(0, trials, _CHUNK):
-        rngs = [trial_rng(seed, t) for t in range(start, min(start + _CHUNK, trials))]
-        drawn = [source(rng) for rng in rngs] if callable(source) else [source] * len(rngs)
-        unit_times = [model.sample_unit_times(rng, asn.n_workers) for rng, asn in zip(rngs, drawn)]
+    for _ in range(0, trials, _CHUNK):
+        drawn, unit_times = [], []
+        for state in itertools.islice(states, _CHUNK):
+            bit_generator.state = state
+            asn = source(rng) if callable(source) else source
+            drawn.append(asn)
+            unit_times.append(model.sample_unit_times(rng, asn.n_workers))
         first = drawn[0] if first is None else first
         supports = first.support
         if callable(source):

@@ -25,7 +25,14 @@ from codedcomp import (
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
-from codedcomp.simulate import MonteCarloResult, make_decode_state
+from codedcomp.simulate import (
+    _CHUNK,
+    _SEED_BLOCK,
+    MonteCarloResult,
+    _stream_states,
+    _trial_states,
+    make_decode_state,
+)
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
@@ -396,6 +403,52 @@ class TestMonteCarlo:
         assert percentiles["p60"] == percentiles["p75"] == percentiles["p100"] == np.inf
         assert summary["p50"] == 3.0 and summary["p75"] is None and summary["p95"] is None
         json.dumps(summary, allow_nan=False)
+
+
+class TestTrialStreams:
+    """monte_carlo's batched seeding re-derives NumPy's SeedSequence hash and
+    PCG64 seeding, so it is checked against NumPy's own construction."""
+
+    TRIALS = list(range(300)) + [2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+    def test_states_match_seed_sequence(self, seed):
+        words = _stream_states(seed, np.array(self.TRIALS))
+        expected = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64) for t in self.TRIALS]
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.array(expected))
+        rng = np.random.Generator(np.random.PCG64())
+        for t, state in zip(self.TRIALS, _trial_states(seed, self.TRIALS)):
+            rng.bit_generator.state = state
+            reference = trial_rng(seed, t)
+            assert np.array_equal(rng.exponential(0.5, 40), reference.exponential(0.5, 40))
+            assert np.array_equal(rng.permutation(40), reference.permutation(40))
+            assert np.array_equal(rng.standard_normal(3), reference.standard_normal(3))
+
+    def test_negative_seed_or_trial_rejected(self):
+        with pytest.raises(ValueError):
+            _stream_states(-1, [0])
+        with pytest.raises(ValueError):
+            monte_carlo(build_uc_mmc(8, 2), 0.25, MODEL, 5, seed=-1)
+        for t in (-1, 2**32):
+            with pytest.raises(ValueError):
+                _stream_states(0, [t])
+
+    def test_factory_sees_each_trial_stream(self):
+        """Every trial starts from the state trial_rng gives it, across
+        batches and seed blocks, so the draw order per trial is pinned."""
+        seen, asn = [], build_uc_mmc(8, 2)
+
+        def factory(rng):
+            seen.append(rng.bit_generator.state)
+            rng.permutation(8)
+            return asn
+
+        trials = _SEED_BLOCK + 2 * _CHUNK + 3
+        monte_carlo(factory, 0.25, MODEL, trials, seed=1729)
+        assert len(seen) == trials
+        for t, state in enumerate(seen):
+            assert state == trial_rng(1729, t).bit_generator.state
 
 
 class _DrawnTiesModel:
