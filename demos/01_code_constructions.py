@@ -11,11 +11,8 @@ each construction the package offers and prints what every worker computes.
 import numpy as np
 
 from codedcomp import (
-    GroupPlan,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
-    build_rcs_assignment,
     build_uc_mmc,
     hybrid_example,
     partition_matrix,
@@ -36,11 +33,12 @@ print("block shapes:", [b.shape for b in part.blocks])
 # ---------------------------------------------------------------------------
 k = 20
 degrees = [1, 2, 3]
-matrix = build_rcs_assignment(k, degrees, offsets=[1, 4, 11, 15, 6, 18])
-print("\ncirculant shift offsets (1-based):", matrix.offsets)
-print("first worker's stored blocks by row:", [int(r[0]) for r in matrix.grid])
-
 assignment = build_rcs(k, degrees, offsets=[1, 4, 11, 15, 6, 18])
+# Stacking the per-order task arrays row by row gives back the shift grid:
+# row i is blocks 0..k-1 shifted so that worker 0 starts at offset_i - 1.
+grid = np.concatenate([ids.T for ids in assignment.support])
+print("\ncirculant shift offsets (1-based):", tuple(int(b) % k + 1 for b in grid[:, 0]))
+print("first worker's stored blocks by row:", grid[:, 0].tolist())
 print("tasks of worker 0:", [t.support for t in assignment.worker_tasks(0)])
 print("tasks of worker 1:", [t.support for t in assignment.worker_tasks(1)])
 print("message schedule (work units per message):", assignment.schedule())
@@ -78,8 +76,8 @@ for name, asn in [
 # its shifted blocks from that group's range; a task may combine rows with
 # different tags.
 # ---------------------------------------------------------------------------
-plan = GroupPlan(2, (1, 2, 1))  # one tag per row: sum([1, 2]) = 3 rows
-grouped = build_generalized_rcs(8, plan, [1, 2], rng=np.random.default_rng(3))
+# z holds one group tag per row: sum([1, 2]) = 3 rows
+grouped = build_rcs(8, [1, 2], rng=np.random.default_rng(3), groups=2, z=(1, 2, 1))
 print("\ngrouped construction (8 workers, 2 groups, 16 blocks):")
 print("  task cost per unit:", grouped.task_cost)
 for wk in (0, 1):

@@ -14,10 +14,8 @@ suite repeats this at 10x the trials against frozen reference statistics.
 """
 
 from codedcomp import (
-    GroupPlan,
     LatencyModel,
     build_gc,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
     build_uc_mmc,
@@ -60,11 +58,11 @@ for name, source, qs in SOURCES:
 # The grouped variant splits blocks across 2 groups, halving the per-task
 # cost.  Same total work, finer-grained progress:
 # ---------------------------------------------------------------------------
-plan = GroupPlan(2, (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2))
+z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)  # the group of each row
 print()
 for q in (0.0, 0.15, 0.3):
     res = monte_carlo(
-        lambda rng: build_generalized_rcs(K, plan, [1, 1, 4, 8], rng),
+        lambda rng: build_rcs(K, [1, 1, 4, 8], rng, groups=2, z=z),
         q, MODEL, TRIALS, seed=11,
     )
     print(f"{'grouped circ-shift, 2 groups':>32} {q:>5} {res.mean_time:>8.4f} "

@@ -13,11 +13,9 @@ from .blocks import (
     CodedTask,
     ComputationAssignment,
     CumulativeType,
-    DegreeVector,
     Message,
     partition_matrix,
     type_of,
-    validate_degree_vector,
 )
 from .config import (
     DEFAULT_SEED,
@@ -58,17 +56,12 @@ from .regression import (
     train,
 )
 from .schemes import (
-    AssignmentMatrix,
-    GroupPlan,
     build_gc,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
-    build_rcs_assignment,
     build_uc_mmc,
     hybrid_example,
     order_uniform,
-    rcs_encode,
     worker_uniform,
 )
 from .simulate import (
@@ -83,7 +76,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentMatrix",
     "BlockPartition",
     "CodedTask",
     "ComputationAssignment",
@@ -91,9 +83,7 @@ __all__ = [
     "CumulativeType",
     "DEFAULT_SEED",
     "Dataset",
-    "DegreeVector",
     "ExperimentConfig",
-    "GroupPlan",
     "IterationOutcome",
     "LatencyModel",
     "Message",
@@ -104,10 +94,8 @@ __all__ = [
     "assignment_source",
     "build_assignment",
     "build_gc",
-    "build_generalized_rcs",
     "build_mcc",
     "build_rcs",
-    "build_rcs_assignment",
     "build_uc_mmc",
     "centralized_gd",
     "completion_cdf",
@@ -126,7 +114,6 @@ __all__ = [
     "partition_matrix",
     "prob_at_least",
     "prob_exactly",
-    "rcs_encode",
     "recovery_threshold",
     "rref_recoverable",
     "simulate_iteration",
@@ -136,6 +123,5 @@ __all__ = [
     "trial_rng",
     "type_of",
     "type_probability",
-    "validate_degree_vector",
     "worker_uniform",
 ]

@@ -8,12 +8,13 @@ recoverable.
 
 An assignment stores its tasks as arrays, one (workers x degree) array of
 block ids and one of coefficients per order; ``CodedTask`` objects are views
-built on demand.
+built on demand.  The per-order degrees of an assignment are the widths of
+those arrays; the rules a circular-shift code's degrees must follow are
+stated in ``schemes.circular_shift_violations``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -93,68 +94,6 @@ def partition_matrix(matrix, block_count: int, group_count: int = 1) -> BlockPar
 
 
 @dataclass(frozen=True)
-class DegreeVector:
-    """Per-order degrees of the coded tasks handed to every worker.
-
-    degrees[j] is the number of blocks combined in a worker's order-(j+1)
-    task.  Two design rules are enforced: the first task is uncoded
-    (criterion (i): degrees[0] == 1) and degrees never decrease with the
-    order (criterion (ii)), so early messages stay cheap to decode.
-    """
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        errors = degree_vector_violations(self.degrees)
-        if errors:
-            raise ValueError("; ".join(errors))
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def order_count(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        """Total number of assignment rows consumed (sum of degrees)."""
-        return sum(self.degrees)
-
-    def cumulative(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.degrees))
-
-
-def degree_vector_violations(degrees: Sequence[int]) -> list[str]:
-    """Return human-readable violations of the degree-vector design rules."""
-    errors: list[str] = []
-    degrees = tuple(int(d) for d in degrees)
-    if not degrees:
-        return ["degree vector must be non-empty"]
-    if any(d < 1 for d in degrees):
-        errors.append(f"degrees must be positive integers, got {list(degrees)}")
-        return errors
-    if degrees[0] != 1:
-        errors.append(
-            f"criterion (i) violated: first degree must be 1 so the first "
-            f"message is uncoded, got {degrees[0]}"
-        )
-    if any(b < a for a, b in zip(degrees, degrees[1:])):
-        errors.append(
-            f"criterion (ii) violated: degrees must be non-decreasing, "
-            f"got {list(degrees)}"
-        )
-    return errors
-
-
-def validate_degree_vector(degrees: Sequence[int] | DegreeVector) -> DegreeVector:
-    """Coerce ``degrees`` to a DegreeVector, raising on design-rule violations."""
-    if isinstance(degrees, DegreeVector):
-        return degrees
-    return DegreeVector(tuple(int(d) for d in degrees))
-
-
-@dataclass(frozen=True)
 class CumulativeType:
     """Histogram of worker scores: counts[i] workers completed max_score - i tasks.
 
@@ -229,9 +168,6 @@ class CodedTask:
     @property
     def degree(self) -> int:
         return len(self.support)
-
-    def coeff_map(self) -> dict[int, float]:
-        return dict(zip(self.support, self.coefficients))
 
 
 class Message(NamedTuple):

@@ -24,9 +24,7 @@ from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
 from .decoding import recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
-    GroupPlan,
     build_gc,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
     build_uc_mmc,
@@ -149,6 +147,8 @@ def _as_number_list(key, value, violations) -> tuple[float, ...] | None:
     if isinstance(value, str):
         value = [p for p in value.split(",") if p.strip()]
     try:
+        if any(isinstance(v, bool) for v in value):
+            raise TypeError("booleans are not numbers")
         return tuple(float(v) for v in value)
     except OverflowError:
         violations.append(f"{key}: must be finite, got an integer too large for a float")
@@ -350,7 +350,7 @@ def parse_config(
             ])
     try:
         asn = build_assignment(cfg, np.random.default_rng(0))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError([f"scheme: cannot construct assignment: {exc}"]) from exc
     violations = _tolerance_violations(asn, cfg.q)
     if violations:
@@ -400,11 +400,9 @@ def build_assignment(
     cfg: ExperimentConfig, rng: np.random.Generator | None = None
 ) -> ComputationAssignment:
     """Construct the assignment described by the config (one draw)."""
-    if cfg.scheme == "rcs":
-        return build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode)
-    if cfg.scheme == "rcs-general":
-        plan = GroupPlan(cfg.groups, cfg.z)
-        return build_generalized_rcs(cfg.workers, plan, cfg.degrees, rng, cfg.offsets, cfg.mode)
+    if cfg.scheme in ("rcs", "rcs-general"):
+        z = cfg.z if cfg.scheme == "rcs-general" else None
+        return build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, z)
     if cfg.scheme == "mcc":
         return build_mcc(cfg.workers, cfg.kbar, cfg.eval_points)
     if cfg.scheme == "uc-mmc":

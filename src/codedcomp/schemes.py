@@ -2,13 +2,12 @@
 
 Five families are provided:
 
-* circular-shift codes (``build_rcs`` / ``build_rcs_assignment`` + ``rcs_encode``):
-  each assignment row is the block sequence 1..K circularly shifted by a
-  randomly drawn offset, and consecutive rows are summed per worker into
-  tasks of increasing degree;
-* grouped circular-shift codes (``build_generalized_rcs``): blocks are split
-  into equal groups of reduced size and every assignment row draws its shift
-  within one group, trading more messages for smaller unit computations;
+* circular-shift codes (``build_rcs``): each row of the shift grid is the
+  block sequence 1..K circularly shifted by a randomly drawn offset, and
+  consecutive rows are summed per worker into tasks of increasing degree.
+  With ``groups`` > 1 the blocks are split into equal groups of reduced size
+  and row i draws its shift within group ``z[i]``, trading more messages for
+  smaller unit computations;
 * MDS-coded computation (``build_mcc``): interleaved block groups combined
   with Vandermonde coefficients; any ``kbar`` complete workers recover
   everything, nothing is recovered before that;
@@ -25,9 +24,10 @@ at fault: the builders raise them and config validation lists them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -39,48 +39,8 @@ from .blocks import (
     MODE_COMMUNICATION,
     MODE_COMPUTATION,
     ComputationAssignment,
-    DegreeVector,
     Message,
-    degree_vector_violations,
-    validate_degree_vector,
 )
-
-
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """Row-shifted block assignment prior to encoding.
-
-    grid[i, w] is the 0-based block id sitting in row i of worker w's
-    column.  offsets keeps the drawn 1-based shift parameters in row order
-    (offset 1 means no shift).  groups[i] is the 0-based group the row was
-    drawn in; plain constructions use a single group 0.
-    """
-
-    grid: np.ndarray
-    offsets: tuple[int, ...]
-    groups: tuple[int, ...]
-    group_count: int = 1
-
-    @property
-    def n_rows(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def n_workers(self) -> int:
-        return self.grid.shape[1]
-
-
-@dataclass(frozen=True)
-class GroupPlan:
-    """Group layout for the grouped circular-shift construction.
-
-    group_count groups of equal size; row_groups[i] is the 1-based group in
-    which assignment row i draws its shift.  No group may be used more than
-    K times (offsets within a group are drawn without replacement).
-    """
-
-    group_count: int
-    row_groups: tuple[int, ...]
 
 
 def _check(errors: list[str]) -> None:
@@ -90,19 +50,35 @@ def _check(errors: list[str]) -> None:
 
 def circular_shift_violations(
     k: int,
-    degrees: Sequence[int] | DegreeVector,
+    degrees: Sequence[int],
     groups: int,
     z: Sequence[int] | None,
     offsets: Sequence[int] | None,
 ) -> list[str]:
     """Violations of the circular-shift rules, each prefixed with its field.
 
+    degrees[j] is the number of rows summed into a worker's order-(j+1) task.
+    The first task is uncoded (criterion (i): degrees[0] == 1) and degrees
+    never decrease (criterion (ii)), so early messages stay cheap to decode.
     z=None is the one-group code, whose degree sum the k distinct shifts
     bound; otherwise each group of z is bounded.  Offsets are distinct per group.
     """
-    if isinstance(degrees, DegreeVector):
-        degrees = degrees.degrees
-    errors = [f"degrees: {v}" for v in degree_vector_violations(degrees)]
+    errors = []
+    ints = [int(d) for d in degrees]
+    if not ints:
+        errors.append("degrees: degree vector must be non-empty")
+    elif any(d < 1 for d in ints):
+        errors.append(f"degrees: degrees must be positive integers, got {ints}")
+    else:
+        if ints[0] != 1:
+            errors.append(
+                f"degrees: criterion (i) violated: first degree must be 1 so the "
+                f"first message is uncoded, got {ints[0]}"
+            )
+        if any(b < a for a, b in zip(ints, ints[1:])):
+            errors.append(f"degrees: criterion (ii) violated: degrees must be non-decreasing, got {ints}")
+    if groups < 1:
+        errors.append(f"groups: must be >= 1, got {groups}")
     total = sum(degrees)
     if z is None:
         if total > k:
@@ -129,138 +105,71 @@ def circular_shift_violations(
     return errors
 
 
-def _shift_assignment(k, degrees, groups, z, rng, offsets) -> AssignmentMatrix:
+def build_rcs(
+    k: int,
+    degrees: Sequence[int],
+    rng: np.random.Generator | None = None,
+    offsets: Sequence[int] | None = None,
+    mode: str = MODE_COMPUTATION,
+    groups: int = 1,
+    z: Sequence[int] | None = None,
+) -> ComputationAssignment:
+    """Draw a circular-shift code and sum its rows into per-worker tasks.
+
+    The shift grid has L = sum(degrees) rows.  Row i lives in group z[i]
+    (1-based; z=None puts every row in group 1) and is that group's blocks
+    1..k shifted by offsets[i]-1, so worker w holds 0-based block
+    (z[i]-1)*k + (w + offsets[i]-1) mod k.  Shifts are drawn without
+    replacement within each group, so no worker sees a block twice.  Worker
+    w's order-j task sums the next degrees[j] rows of its column with all-one
+    coefficients.  In "computation" mode each coded task is one unit of work
+    and goes out in its own message; in "communication" mode each row is one
+    unit and the order-j message leaves after degrees[0] + ... + degrees[j]
+    units.
+
+    Args:
+        k: number of workers (= blocks per group).
+        degrees: per-order degrees.
+        rng: source of randomness for the offset draw (ignored when offsets
+            are given explicitly).
+        offsets: optional 1-based shift parameters, one per row, distinct
+            within each group.
+        mode: "computation" or "communication".
+        groups: number of block groups; the code addresses k * groups blocks
+            and each task costs 1/groups of a full-size computation.
+        z: optional 1-based group of each row.
+
+    Returns:
+        ComputationAssignment decodable by peeling.
+
+    Raises:
+        ValueError: listing every :func:`circular_shift_violations`.
+    """
     _check(circular_shift_violations(k, degrees, groups, z, offsets))
-    if z is None:
-        z = (1,) * validate_degree_vector(degrees).total
+    degrees = [int(d) for d in degrees]
+    rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
     if offsets is None:
         if rng is None:
             rng = np.random.default_rng()
         # One permutation per group, in group order, then offsets in row
         # order: this draw order fixes every seeded construction stream.
         pools = [iter(rng.permutation(k) + 1) for _ in range(groups)]
-        offsets = [next(pools[g - 1]) for g in z]
-    offsets = tuple(int(o) for o in offsets)
-    row_groups = np.asarray(z) - 1
-    grid = row_groups[:, None] * k + (np.arange(k) + np.asarray(offsets)[:, None] - 1) % k
-    return AssignmentMatrix(
-        grid=grid,
-        offsets=offsets,
-        groups=tuple(g - 1 for g in z),
-        group_count=groups,
-    )
-
-
-def build_rcs_assignment(
-    k: int,
-    degrees: Sequence[int] | DegreeVector,
-    rng: np.random.Generator | None = None,
-    offsets: Sequence[int] | None = None,
-) -> AssignmentMatrix:
-    """Draw the row-shift assignment of a circular-shift code: the one-group
-    case of :func:`build_generalized_assignment`.
-
-    Args:
-        k: number of workers (= blocks).
-        degrees: per-order degrees; their sum L fixes the number of rows.
-        rng: source of randomness for the offset draw (ignored when offsets
-            are given explicitly).
-        offsets: optional 1-based shift parameters, one per row, distinct.
-
-    Returns:
-        AssignmentMatrix with L rows; row i is 1..K shifted by offsets[i]-1.
-
-    Raises:
-        ValueError: listing every :func:`circular_shift_violations`.
-    """
-    return _shift_assignment(k, degrees, 1, None, rng, offsets)
-
-
-def rcs_encode(
-    matrix: AssignmentMatrix,
-    degrees: Sequence[int] | DegreeVector,
-    mode: str = MODE_COMPUTATION,
-) -> ComputationAssignment:
-    """Sum consecutive assignment rows into per-worker coded tasks.
-
-    Worker w's order-j task combines rows cum(j-1)..cum(j)-1 of column w
-    with all-one coefficients.  In "computation" mode the worker computes
-    each coded task as one unit and sends a message per task; in
-    "communication" mode the worker computes every row as one unit and the
-    order-j message leaves after cum(j) units.
-
-    Returns:
-        ComputationAssignment decodable by peeling.
-    """
-    dv = validate_degree_vector(degrees)
-    if dv.total != matrix.n_rows:
-        raise ValueError(
-            f"degree vector sums to {dv.total} but assignment has {matrix.n_rows} rows"
-        )
-    k = matrix.n_workers
-    cums = dv.cumulative()
-    support = tuple(matrix.grid[c - d : c].T for c, d in zip(cums, dv.degrees))
-    if mode == MODE_COMPUTATION:
-        messages = tuple(Message(j + 1, (j,)) for j in range(len(dv)))
-    elif mode == MODE_COMMUNICATION:
-        messages = tuple(Message(cums[j], (j,)) for j in range(len(dv)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        offsets = [next(pools[g]) for g in rows]
+    shifts = np.asarray(offsets, dtype=np.int64)[:, None] - 1
+    grid = rows[:, None] * k + (np.arange(k) + shifts) % k
+    ends = list(itertools.accumulate(degrees))
+    support = tuple(grid[end - d : end].T for end, d in zip(ends, degrees))
+    sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
     return ComputationAssignment(
         n_workers=k,
-        k_total=k * matrix.group_count,
+        k_total=k * groups,
         support=support,
         coefficients=tuple(np.ones(ids.shape) for ids in support),
-        messages=messages,
+        messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
         mode=mode,
-        task_cost=1.0 / matrix.group_count,
+        task_cost=1.0 / groups,
         decode=DECODE_PEEL,
     )
-
-
-def build_rcs(
-    k: int,
-    degrees: Sequence[int] | DegreeVector,
-    rng: np.random.Generator | None = None,
-    offsets: Sequence[int] | None = None,
-    mode: str = MODE_COMPUTATION,
-) -> ComputationAssignment:
-    """Draw and encode a circular-shift code in one call."""
-    return rcs_encode(build_rcs_assignment(k, degrees, rng, offsets), degrees, mode)
-
-
-def build_generalized_assignment(
-    k: int,
-    plan: GroupPlan,
-    degrees: Sequence[int] | DegreeVector,
-    rng: np.random.Generator | None = None,
-    offsets: Sequence[int] | None = None,
-) -> AssignmentMatrix:
-    """Draw a grouped row-shift assignment.
-
-    Row i lives in group plan.row_groups[i]; its shifted sequence addresses
-    that group's K blocks (global ids group*K .. group*K+K-1).  Shifts are
-    drawn without replacement within each group, so no worker ever sees the
-    same block twice.
-    """
-    return _shift_assignment(k, degrees, plan.group_count, plan.row_groups, rng, offsets)
-
-
-def build_generalized_rcs(
-    k: int,
-    plan: GroupPlan,
-    degrees: Sequence[int] | DegreeVector,
-    rng: np.random.Generator | None = None,
-    offsets: Sequence[int] | None = None,
-    mode: str = MODE_COMPUTATION,
-) -> ComputationAssignment:
-    """Draw and encode a grouped circular-shift code in one call.
-
-    The returned assignment addresses k * plan.group_count blocks and each
-    task costs 1/plan.group_count of a full-size computation.
-    """
-    matrix = build_generalized_assignment(k, plan, degrees, rng, offsets)
-    return rcs_encode(matrix, degrees, mode)
 
 
 def default_eval_points(k: int) -> tuple[float, ...]:
@@ -385,32 +294,26 @@ def hybrid_example() -> ComputationAssignment:
     )
 
 
-def order_uniform(matrix: AssignmentMatrix, degrees: Sequence[int] | DegreeVector) -> bool:
-    """Check order-wise balance of an encoded row-shift assignment.
+def order_uniform(assignment: ComputationAssignment) -> bool:
+    """Check order-wise balance of a circular-shift code.
 
     For every order j and block b, b must appear in exactly as many of the
     K order-j tasks as there are order-j rows drawn in b's group (equal to
-    the degree for single-group constructions).
+    the degree for single-group constructions).  A row's group is read from
+    its first entry: block id // K.
     """
-    dv = validate_degree_vector(degrees)
-    k = matrix.n_workers
-    cums = dv.cumulative()
-    for j, d in enumerate(dv.degrees):
-        lo = cums[j] - d
-        chunk = matrix.grid[lo : cums[j]]
-        expected = np.zeros(k * matrix.group_count, dtype=int)
-        for g in matrix.groups[lo : cums[j]]:
+    k = assignment.n_workers
+    for ids in assignment.support:
+        expected = np.zeros(assignment.k_total, dtype=int)
+        for g in ids[0] // k:
             expected[g * k : (g + 1) * k] += 1
-        counts = np.bincount(chunk.ravel(), minlength=k * matrix.group_count)
+        counts = np.bincount(ids.ravel(), minlength=assignment.k_total)
         if not np.array_equal(counts, expected):
             return False
     return True
 
 
-def worker_uniform(matrix: AssignmentMatrix) -> bool:
+def worker_uniform(assignment: ComputationAssignment) -> bool:
     """Check that no worker is ever assigned the same block twice."""
-    for w in range(matrix.n_workers):
-        col = matrix.grid[:, w]
-        if len(set(col.tolist())) != len(col):
-            return False
-    return True
+    held = np.sort(np.concatenate(assignment.support, axis=1), axis=1)
+    return not np.any(held[:, 1:] == held[:, :-1])

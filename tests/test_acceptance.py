@@ -15,14 +15,11 @@ import pytest
 
 from codedcomp import (
     CodedTask,
-    GroupPlan,
     LatencyModel,
     PeelingDecoder,
     build_gc,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
-    build_rcs_assignment,
     build_uc_mmc,
     centralized_gd,
     generate_dataset,
@@ -228,7 +225,7 @@ def test_criterion_04_timing_additive_partials_40_workers():
 
 # ------------------------------------------------------------------ criterion 5
 
-GEN_PLAN = GroupPlan(2, (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2))
+GEN_Z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
 GEN_DEGREES = [1, 1, 4, 8]
 
 
@@ -237,7 +234,7 @@ def test_criterion_05_timing_grouped_construction():
         stats = {}
         for q in (0.0, 0.15, 0.3):
             res = monte_carlo(
-                lambda rng: build_generalized_rcs(40, GEN_PLAN, GEN_DEGREES, rng),
+                lambda rng: build_rcs(40, GEN_DEGREES, rng, groups=2, z=GEN_Z),
                 q, MODEL, TRIALS, seed=303,
             )
             stats[q] = (res.mean_time, res.mean_messages)
@@ -410,6 +407,6 @@ def test_criterion_10_construction_uniformity():
     with criterion(10, "randomized constructions stay balanced"):
         rng = np.random.default_rng(1010)
         for _ in range(100):
-            mat = build_rcs_assignment(40, [1, 2, 3], rng=rng)
-            assert order_uniform(mat, [1, 2, 3])
-            assert worker_uniform(mat)
+            asn = build_rcs(40, [1, 2, 3], rng=rng)
+            assert order_uniform(asn)
+            assert worker_uniform(asn)

@@ -3,7 +3,10 @@
 The digests were recorded before tasks were stored as arrays and peeled with
 unknown-block counts (the mcc and gc digests before their trials were
 computed in closed form); a faster construction, decoder or simulator must
-reproduce every per-trial array, and every success count, bit for bit.
+reproduce every per-trial array, and every success count, bit for bit.  The
+builder digests were recorded before the circular-shift code was built
+straight into its task arrays; they pin each seeded draw and the generator
+state it leaves behind.
 """
 
 import hashlib
@@ -11,7 +14,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from codedcomp import assignment_source, concrete_assignment, monte_carlo, parse_config, success_table
+from codedcomp import (
+    assignment_source,
+    build_rcs,
+    concrete_assignment,
+    monte_carlo,
+    parse_config,
+    success_table,
+)
 
 MONTE_CARLO = {
     "rcs": (
@@ -59,3 +69,47 @@ def test_success_table():
     cfg = parse_config(ENUM_RCS)
     rows = [(c.counts, good, total) for c, good, total in success_table(concrete_assignment(cfg), cfg.q)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ENUM_RCS_DIGEST
+
+
+CRITERION_5_Z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
+
+# name: (build_rcs keywords, draws from one generator, generator seed, digest)
+BUILDER = {
+    "rcs-computation": (
+        {"k": 40, "degrees": [1, 2, 4]}, 300, 41,
+        "45a6687b94b22b852ec649c8b5dcb582d855abb3598efa84b9fc8b91c4c718ea",
+    ),
+    "rcs-communication": (
+        {"k": 40, "degrees": [1, 2, 4], "mode": "communication"}, 300, 42,
+        "993e82ea01d329ace5f470388986b51d0e76f24230691edda70dfacd6190e9e6",
+    ),
+    "grouped-computation": (
+        {"k": 40, "degrees": [1, 1, 4, 8], "groups": 2, "z": CRITERION_5_Z}, 300, 43,
+        "6fded21566373f7326ae67abc44a06376b4ba73329ecc7d0dda8cd9f6957df85",
+    ),
+    "grouped-communication": (
+        {"k": 40, "degrees": [1, 1, 4, 8], "groups": 2, "z": CRITERION_5_Z, "mode": "communication"},
+        300, 44,
+        "1477f14166254bf2aabe8665615e67ff7a3f5cf65ea608e0451e6818f34f9b06",
+    ),
+    "explicit-offsets": (
+        {"k": 20, "degrees": [1, 2, 3], "offsets": [1, 4, 11, 15, 6, 18]}, 3, 45,
+        "dc9d6cc2506fd20efbe2431d2a29e20cf3697aa61781ff0f7867f9cfc637c509",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER))
+def test_build_rcs_draws(name):
+    kwargs, draws, seed, digest = BUILDER[name]
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(draws):
+        asn = build_rcs(rng=rng, **kwargs)
+        for ids in asn.support:
+            h.update(ids.dtype.str.encode())
+            h.update(repr(ids.shape).encode())
+            h.update(np.ascontiguousarray(ids).tobytes())
+        h.update(repr((asn.messages, asn.k_total, asn.task_cost)).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == digest

@@ -1,4 +1,4 @@
-"""Core types: partitions, degree vectors, score types, assignments."""
+"""Core types: partitions, degree-vector rules, score types, assignments."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ from codedcomp import (
     CodedTask,
     ComputationAssignment,
     Message,
+    build_rcs,
     partition_matrix,
     type_of,
-    validate_degree_vector,
 )
-from codedcomp.blocks import degree_vector_violations
+from codedcomp.schemes import circular_shift_violations
 
 
 class TestPartition:
@@ -59,35 +59,37 @@ class TestPartition:
 
 
 class TestDegreeVector:
+    """The degree rules of a circular-shift code, checked through its builder."""
+
     def test_basic(self):
-        dv = validate_degree_vector([1, 2, 3])
-        assert dv.order_count == 3
-        assert dv.total == 6
-        assert dv.cumulative() == (1, 3, 6)
+        asn = build_rcs(6, [1, 2, 3], mode="communication")
+        assert asn.n_orders == 3
+        assert sum(ids.shape[1] for ids in asn.support) == 6
+        assert [m.tasks_done for m in asn.messages] == [1, 3, 6]
 
     def test_single_uncoded(self):
-        dv = validate_degree_vector([1])
-        assert dv.total == 1
+        asn = build_rcs(6, [1])
+        assert [ids.shape[1] for ids in asn.support] == [1]
 
     def test_first_degree_must_be_one(self):
         with pytest.raises(ValueError, match=r"criterion \(i\)"):
-            validate_degree_vector([2, 3])
+            build_rcs(10, [2, 3])
 
     def test_non_decreasing(self):
         with pytest.raises(ValueError, match=r"criterion \(ii\)"):
-            validate_degree_vector([1, 3, 2])
+            build_rcs(10, [1, 3, 2])
 
     def test_violation_listing(self):
-        errors = degree_vector_violations([2, 1])
+        errors = circular_shift_violations(10, [2, 1], 1, None, None)
         assert len(errors) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            validate_degree_vector([])
+            build_rcs(10, [])
 
     def test_positive_only(self):
         with pytest.raises(ValueError, match="positive"):
-            validate_degree_vector([1, 0, 2])
+            build_rcs(10, [1, 0, 2])
 
 
 class TestTypeOf:
@@ -129,10 +131,6 @@ class TestCodedTask:
         assert task.support == (4, 11)
         assert task.coefficients == (1.0, 1.0)
         assert task.degree == 2
-
-    def test_coeff_map(self):
-        task = CodedTask((0, 2), (1.0, 2.0))
-        assert task.coeff_map() == {0: 1.0, 2: 2.0}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

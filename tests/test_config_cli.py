@@ -310,12 +310,20 @@ class TestParseConfig:
             ),
             ({"scheme": "uc-mmc", "workers": 4, "load": 2, "mode": "communication"}, "mode: scheme 'uc-mmc'"),
             ({"scheme": "hybrid-example", "workers": 4, "mode": "communication"}, "mode: scheme 'hybrid-example'"),
+            (
+                {"scheme": "mcc", "workers": 4, "kbar": 2, "eval_points": [True, False, 2, 3]},
+                "eval_points: expected a list of numbers, got [True, False, 2, 3]",
+            ),
+            # NumPy refuses these allocations at once, before touching memory.
+            ({"workers": 10**15, "degrees": [1]}, "scheme: cannot construct assignment: "),
+            ({"scheme": "uc-mmc", "workers": 10**15, "load": 1}, "scheme: cannot construct assignment: "),
         ],
         ids=[
             "negative-seed", "unhashable-mode", "zero-groups", "overflowing-points",
             "nan-mu", "inf-alpha", "inf-eta", "nan-noise-std", "nan-eval-point",
             "duplicate-offsets", "out-of-range-offsets", "duplicate-grouped-offsets",
-            "uc-mmc-communication", "hybrid-communication",
+            "uc-mmc-communication", "hybrid-communication", "boolean-eval-points",
+            "huge-rcs", "huge-uc-mmc",
         ],
     )
     def test_bad_values_are_violations(self, overrides, violation):
@@ -366,6 +374,14 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "criterion (i)" in err
+
+    def test_unallocatable_assignment_exit_code(self, tmp_path, capsys):
+        code = self.run(
+            "simulate", "--scheme", "rcs", "--workers", str(10**15),
+            "--degrees", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "scheme: cannot construct assignment: " in capsys.readouterr().err
 
     def test_encode_pinned_assignment(self, tmp_path, capsys):
         code = self.run(

@@ -9,25 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedcomp import (
+    ComputationAssignment,
     ConfigError,
-    GroupPlan,
     build_gc,
-    build_generalized_rcs,
     build_mcc,
     build_rcs,
-    build_rcs_assignment,
     build_uc_mmc,
     hybrid_example,
     order_uniform,
     parse_config,
-    rcs_encode,
     worker_uniform,
 )
-from codedcomp.schemes import (
-    build_generalized_assignment,
-    circular_shift_violations,
-    mds_violations,
-)
+from codedcomp.schemes import circular_shift_violations, mds_violations
 
 # Pinned 20-worker circular-shift construction: offsets drawn in the order
 # [1, 4, 11, 15, 6, 18] with degrees [1, 2, 3].
@@ -36,40 +29,54 @@ PINNED_OFFSETS = [1, 4, 11, 15, 6, 18]
 PINNED_DEGREES = [1, 2, 3]
 
 
+def shift_grid(asn):
+    """The code's shift grid: grid[i, w] is the block of row i in worker w's column."""
+    return np.concatenate([ids.T for ids in asn.support])
+
+
+def row_offsets(asn):
+    """The 1-based shift of each row, read from worker 0's block."""
+    return tuple(int(b) % asn.n_workers + 1 for b in shift_grid(asn)[:, 0])
+
+
+def row_groups(asn):
+    """The 0-based group of each row, read from worker 0's block."""
+    return tuple(int(b) // asn.n_workers for b in shift_grid(asn)[:, 0])
+
+
 class TestRcsAssignment:
     def test_pinned_rows(self):
-        mat = build_rcs_assignment(PINNED_K, PINNED_DEGREES, offsets=PINNED_OFFSETS)
-        assert mat.n_rows == 6
-        assert np.array_equal(mat.grid[0], np.arange(20))
+        grid = shift_grid(build_rcs(PINNED_K, PINNED_DEGREES, offsets=PINNED_OFFSETS))
+        assert grid.shape[0] == 6
+        assert np.array_equal(grid[0], np.arange(20))
         # offset 4: row starts at block 4 (1-based), i.e. 3 (0-based)
-        assert np.array_equal(mat.grid[1], (np.arange(20) + 3) % 20)
-        assert np.array_equal(mat.grid[2], (np.arange(20) + 10) % 20)
-        assert mat.grid[5, 0] == 17
+        assert np.array_equal(grid[1], (np.arange(20) + 3) % 20)
+        assert np.array_equal(grid[2], (np.arange(20) + 10) % 20)
+        assert grid[5, 0] == 17
 
     def test_rows_are_permutations(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             k = int(rng.integers(4, 30))
-            mat = build_rcs_assignment(k, [1, 1, 2], rng=rng)
-            for row in mat.grid:
+            for row in shift_grid(build_rcs(k, [1, 1, 2], rng=rng)):
                 assert sorted(row.tolist()) == list(range(k))
 
     def test_offsets_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
-            build_rcs_assignment(10, [1, 1], offsets=[3, 3])
+            build_rcs(10, [1, 1], offsets=[3, 3])
 
     def test_offsets_in_range(self):
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
-            build_rcs_assignment(10, [1, 1], offsets=[0, 5])
+            build_rcs(10, [1, 1], offsets=[0, 5])
 
     def test_too_many_rows(self):
         with pytest.raises(ValueError, match="distinct shifts"):
-            build_rcs_assignment(4, [1, 2, 3])
+            build_rcs(4, [1, 2, 3])
 
     def test_draw_is_seeded(self):
-        a = build_rcs_assignment(20, [1, 2, 3], rng=np.random.default_rng(9))
-        b = build_rcs_assignment(20, [1, 2, 3], rng=np.random.default_rng(9))
-        assert a.offsets == b.offsets
+        a = build_rcs(20, [1, 2, 3], rng=np.random.default_rng(9))
+        b = build_rcs(20, [1, 2, 3], rng=np.random.default_rng(9))
+        assert row_offsets(a) == row_offsets(b)
 
 
 class TestRcsEncode:
@@ -100,19 +107,18 @@ class TestRcsEncode:
         assert [t.support for t in asn.worker_tasks(0)] == [(1,)]
 
     def test_degree_sum_mismatch(self):
-        mat = build_rcs_assignment(10, [1, 2], offsets=[1, 2, 3])
-        with pytest.raises(ValueError, match="rows"):
-            rcs_encode(mat, [1, 1])
+        with pytest.raises(ValueError, match=r"offsets: expected 2 entries \(sum of degrees\), got 3"):
+            build_rcs(10, [1, 1], offsets=[1, 2, 3])
 
 
 class TestGeneralizedRcs:
     # Pinned 4-worker, 2-group construction: row groups [2,1,1,2,2] with
     # group-1 offsets {1,3} and group-2 offsets {1,4,3} drawn in that order.
-    PLAN = GroupPlan(2, (2, 1, 1, 2, 2))
+    Z = (2, 1, 1, 2, 2)
     OFFSETS = [1, 1, 3, 4, 3]
 
     def test_pinned_grid(self):
-        mat = build_generalized_assignment(4, self.PLAN, [1, 1, 3], offsets=self.OFFSETS)
+        asn = build_rcs(4, [1, 1, 3], offsets=self.OFFSETS, groups=2, z=self.Z)
         expected = np.array(
             [
                 [4, 5, 6, 7],
@@ -122,10 +128,10 @@ class TestGeneralizedRcs:
                 [6, 7, 4, 5],
             ]
         )
-        assert np.array_equal(mat.grid, expected)
+        assert np.array_equal(shift_grid(asn), expected)
 
     def test_pinned_worker_tasks(self):
-        asn = build_generalized_rcs(4, self.PLAN, [1, 1, 3], offsets=self.OFFSETS)
+        asn = build_rcs(4, [1, 1, 3], offsets=self.OFFSETS, groups=2, z=self.Z)
         # worker 1: block 5 alone, block 1 alone, then 3+8+7 (1-based)
         assert [t.support for t in asn.worker_tasks(0)] == [(4,), (0,), (2, 7, 6)]
         assert asn.k_total == 8
@@ -134,8 +140,7 @@ class TestGeneralizedRcs:
 
     def test_single_group_matches_plain(self):
         degrees = [1, 2, 3]
-        plan = GroupPlan(1, (1,) * 6)
-        a = build_generalized_rcs(12, plan, degrees, rng=np.random.default_rng(7))
+        a = build_rcs(12, degrees, rng=np.random.default_rng(7), groups=1, z=(1,) * 6)
         b = build_rcs(12, degrees, rng=np.random.default_rng(7))
         assert [t.support for t in a.worker_tasks(3)] == [
             t.support for t in b.worker_tasks(3)
@@ -143,17 +148,20 @@ class TestGeneralizedRcs:
         assert a.task_cost == 1.0
 
     def test_group_capacity(self):
-        plan = GroupPlan(2, (1,) * 5 + (2,))
         with pytest.raises(ValueError, match="group 1"):
-            build_generalized_assignment(4, plan, [1, 1, 4], rng=np.random.default_rng(0))
+            build_rcs(4, [1, 1, 4], rng=np.random.default_rng(0), groups=2, z=(1,) * 5 + (2,))
+
+    def test_group_count_positive(self):
+        with pytest.raises(ValueError, match=r"groups: must be >= 1, got 0"):
+            build_rcs(4, [1, 1], rng=np.random.default_rng(0), groups=0)
 
     def test_within_group_offsets_distinct(self):
         rng = np.random.default_rng(31)
-        plan = GroupPlan(2, (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2))
+        z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
         for _ in range(20):
-            mat = build_generalized_assignment(40, plan, [1, 1, 4, 8], rng=rng)
+            asn = build_rcs(40, [1, 1, 4, 8], rng=rng, groups=2, z=z)
             for g in (0, 1):
-                own = [o for o, rg in zip(mat.offsets, mat.groups) if rg == g]
+                own = [o for o, rg in zip(row_offsets(asn), row_groups(asn)) if rg == g]
                 assert len(set(own)) == len(own)
 
 
@@ -273,26 +281,31 @@ class TestUniformity:
             degrees = [1, 1, 2, 3][: int(rng.integers(1, 5))]
             if sum(degrees) > k:
                 continue
-            mat = build_rcs_assignment(k, degrees, rng=rng)
-            assert order_uniform(mat, degrees)
-            assert worker_uniform(mat)
+            asn = build_rcs(k, degrees, rng=rng)
+            assert order_uniform(asn)
+            assert worker_uniform(asn)
 
     def test_random_grouped_draws(self):
         rng = np.random.default_rng(23)
-        plan = GroupPlan(2, (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2))
+        z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
         for _ in range(25):
-            mat = build_generalized_assignment(40, plan, [1, 1, 4, 8], rng=rng)
-            assert order_uniform(mat, [1, 1, 4, 8])
-            assert worker_uniform(mat)
+            asn = build_rcs(40, [1, 1, 4, 8], rng=rng, groups=2, z=z)
+            assert order_uniform(asn)
+            assert worker_uniform(asn)
 
     def test_uniformity_detects_imbalance(self):
-        mat = build_rcs_assignment(10, [1, 2], offsets=[1, 2, 3])
-        bad = mat.grid.copy()
-        bad[1, 0] = bad[1, 1]  # duplicate a block inside one order
-        from codedcomp.schemes import AssignmentMatrix
-
-        broken = AssignmentMatrix(bad, mat.offsets, mat.groups, mat.group_count)
-        assert not order_uniform(broken, [1, 2])
+        asn = build_rcs(10, [1, 2], offsets=[1, 2, 3])
+        bad = asn.support[1].copy()
+        bad[0, 0] = bad[1, 0]  # duplicate a block inside one order
+        broken = ComputationAssignment(
+            n_workers=10,
+            k_total=10,
+            support=(asn.support[0], bad),
+            coefficients=asn.coefficients,
+            messages=asn.messages,
+        )
+        assert not order_uniform(broken)
+        assert not worker_uniform(broken)  # worker 0 now holds block 2 twice
 
 
 @st.composite
@@ -356,8 +369,7 @@ class TestSharedRules:
             build = partial(build_rcs, k, degrees, rng, offsets)
         else:
             config.update(scheme="rcs-general", groups=groups, z=z)
-            plan = GroupPlan(groups, tuple(z))
-            build = partial(build_generalized_rcs, k, plan, degrees, rng, offsets)
+            build = partial(build_rcs, k, degrees, rng, offsets, groups=groups, z=z)
         _same_rules(circular_shift_violations(k, degrees, groups, z, offsets), build, config)
 
     @settings(deadline=None, derandomize=True, max_examples=300)
