@@ -15,7 +15,6 @@ from .blocks import (
     CumulativeType,
     Message,
     partition_matrix,
-    type_of,
 )
 from .config import (
     DEFAULT_SEED,
@@ -23,7 +22,6 @@ from .config import (
     ExperimentConfig,
     TrainSettings,
     assignment_source,
-    build_assignment,
     concrete_assignment,
     parse_config,
 )
@@ -36,16 +34,10 @@ from .decoding import (
 from .enumeration import (
     all_types,
     completion_cdf,
-    enumerate_successful,
     success_table,
     successful_score_vector,
 )
-from .latency import (
-    LatencyModel,
-    prob_at_least,
-    prob_exactly,
-    type_probability,
-)
+from .latency import LatencyModel, type_probability
 from .regression import (
     Dataset,
     centralized_gd,
@@ -64,14 +56,7 @@ from .schemes import (
     order_uniform,
     worker_uniform,
 )
-from .simulate import (
-    IterationOutcome,
-    MonteCarloResult,
-    message_times,
-    monte_carlo,
-    simulate_iteration,
-    trial_rng,
-)
+from .simulate import MonteCarloResult, monte_carlo
 
 __version__ = "0.1.0"
 
@@ -84,7 +69,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Dataset",
     "ExperimentConfig",
-    "IterationOutcome",
     "LatencyModel",
     "Message",
     "MonteCarloResult",
@@ -92,7 +76,6 @@ __all__ = [
     "TrainSettings",
     "all_types",
     "assignment_source",
-    "build_assignment",
     "build_gc",
     "build_mcc",
     "build_rcs",
@@ -100,28 +83,21 @@ __all__ = [
     "centralized_gd",
     "completion_cdf",
     "concrete_assignment",
-    "enumerate_successful",
     "generate_dataset",
     "gram",
     "hybrid_example",
     "loss",
     "mcc_decode_values",
-    "message_times",
     "monte_carlo",
     "order_uniform",
     "parse_config",
     "partial_gd_step",
     "partition_matrix",
-    "prob_at_least",
-    "prob_exactly",
     "recovery_threshold",
     "rref_recoverable",
-    "simulate_iteration",
     "success_table",
     "successful_score_vector",
     "train",
-    "trial_rng",
-    "type_of",
     "type_probability",
     "worker_uniform",
 ]

@@ -144,11 +144,11 @@ def _as_int_list(key, value, violations) -> tuple[int, ...] | None:
 
 def _as_number_list(key, value, violations) -> tuple[float, ...] | None:
     raw = value
-    if isinstance(value, str):
-        value = [p for p in value.split(",") if p.strip()]
     try:
-        if any(isinstance(v, bool) for v in value):
-            raise TypeError("booleans are not numbers")
+        if isinstance(value, str):
+            value = [float(p) for p in value.split(",") if p.strip()]
+        elif any(isinstance(v, (bool, str)) for v in value):
+            raise TypeError("booleans and strings are not numbers")
         return tuple(float(v) for v in value)
     except OverflowError:
         violations.append(f"{key}: must be finite, got an integer too large for a float")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import DECODE_THRESHOLD, MODE_COMPUTATION, ComputationAssignment
 from .latency import LatencyModel
-from .simulate import simulate_iteration, trial_rng
+from .simulate import _batches
 
 
 @dataclass(frozen=True)
@@ -149,28 +149,30 @@ def train(
     """Run gradient descent where each step waits only for a tolerated
     fraction of the gradient blocks.
 
-    Every iteration redraws the assignment (when ``source`` is a factory),
-    simulates the straggler race, and updates exactly the recovered blocks
-    of theta using the true (W theta) values; unrecovered coordinates carry
-    over unchanged.  theta starts at zero.
+    Iteration t is trial t of :func:`~codedcomp.simulate.monte_carlo` with
+    the same seed: it redraws the assignment (when ``source`` is a factory)
+    and simulates the straggler race, and the step updates exactly the
+    recovered blocks of theta using the true (W theta) values; unrecovered
+    coordinates carry over unchanged.  theta starts at zero.
 
     Raises:
         ValueError: if the assignment is not a matrix-vector scheme (exact-
-            sum coding recovers only the aggregated gradient, not blocks) or
-            the dimension does not split evenly over the blocks.
+            sum coding recovers only the aggregated gradient, not blocks),
+            the dimension does not split evenly over the blocks, or a
+            factory's codes change layout within the run.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    fixed = None if callable(source) else source
-    probe = source(trial_rng(seed, 0)) if fixed is None else fixed
-    if probe.decode == DECODE_THRESHOLD or probe.mode != MODE_COMPUTATION:
+    batches = list(_batches(source, q, model, iterations, seed))
+    first = batches[0][0]
+    if first.decode == DECODE_THRESHOLD or first.mode != MODE_COMPUTATION:
         raise ValueError(
             "training needs a matrix-vector scheme whose recovered blocks map "
             "to coordinate ranges; exact-sum/communication schemes do not"
         )
-    k_total = probe.k_total
+    k_total = first.k_total
     if dataset.dim % k_total:
         raise ValueError(
             f"dimension {dataset.dim} not divisible into {k_total} blocks"
@@ -179,29 +181,21 @@ def train(
     w_full, c = gram(dataset)
     n = dataset.n_samples
     theta = np.zeros(dataset.dim)
+    times, messages, masks = (np.concatenate([batch[i] for batch in batches]) for i in (1, 2, 4))
     losses = np.empty(iterations)
-    times = np.empty(iterations)
-    messages = np.empty(iterations, dtype=int)
-    fraction = np.empty(iterations)
-    for it in range(iterations):
-        rng = trial_rng(seed, it)
-        assignment = source(rng) if fixed is None else fixed
-        outcome = simulate_iteration(assignment, q, model, rng)
+    for it, mask in enumerate(masks):
         w_theta = w_full @ theta
         blocks = {
             int(b): w_theta[int(b) * rows : (int(b) + 1) * rows]
-            for b in np.nonzero(outcome.recovered_mask)[0]
+            for b in np.nonzero(mask)[0]
         }
-        theta = partial_gd_step(theta, outcome.recovered_mask, blocks, c, eta / n)
+        theta = partial_gd_step(theta, mask, blocks, c, eta / n)
         losses[it] = loss(dataset, theta)
-        times[it] = outcome.completion_time
-        messages[it] = outcome.messages_received
-        fraction[it] = outcome.recovered_count / k_total
     return TrainResult(
         losses=losses,
         times=times,
         messages=messages,
-        recovered_fraction=fraction,
+        recovered_fraction=masks.sum(axis=1) / k_total,
         theta=theta,
     )
 

@@ -1,5 +1,5 @@
-"""Simulation of one coded-computation iteration and Monte Carlo aggregation
-over many iterations.
+"""Simulation of coded-computation iterations, decided in batches of trials,
+and Monte Carlo aggregation over them.
 
 Each worker draws a single per-unit latency for the iteration; its messages
 arrive at schedule * unit time and are ranked in time order, ties broken by
@@ -20,9 +20,10 @@ smallest first-message arrival time.  Exact enumeration and the config's
 finish check use the same ranks, with 0 for a sent message and infinity for
 an unsent one.
 
-Monte Carlo trial t draws from the stream ``SeedSequence((seed, t))`` of
-:func:`trial_rng`.  :func:`monte_carlo` derives those streams for many
-trials in one array pass (:func:`_stream_states` re-derives NumPy's
+Trial t draws from the stream ``SeedSequence((seed, t))`` of
+:func:`trial_rng`.  :func:`_batches`, the one trial loop behind
+:func:`monte_carlo` and ``regression.train``, derives those streams for
+many trials in one array pass (:func:`_stream_states` re-derives NumPy's
 ``SeedSequence`` hash, :func:`_trial_states` PCG64's seeding step) and loads
 each one into a single generator, so it draws the same numbers without
 building a generator per trial.
@@ -60,21 +61,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@dataclass(frozen=True)
-class IterationOutcome:
-    """Result of one simulated iteration."""
-
-    completion_time: float
-    messages_received: int
-    recovered_mask: np.ndarray
-    redundant_messages: int
-    completed: bool
-
-    @property
-    def recovered_count(self) -> int:
-        return int(np.count_nonzero(self.recovered_mask))
 
 
 class _CountState:
@@ -236,34 +222,6 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
     return times, messages, redundant, masks, completed
 
 
-def simulate_iteration(
-    assignment: ComputationAssignment,
-    q: float,
-    model: LatencyModel,
-    rng: np.random.Generator,
-) -> IterationOutcome:
-    """Simulate one iteration and stop at the tolerance threshold.
-
-    The master stops once ceil((1-q) * k_total) blocks are recoverable from
-    the messages received in arrival order (ties broken by message then
-    worker index).  The outcome reports the stop time, how many messages had
-    arrived by then (ties included), and the recovered-block mask.  If even
-    all messages cannot meet the threshold the outcome is flagged incomplete
-    with an infinite completion time.
-
-    This is the decision of :func:`monte_carlo` on a batch of one trial, for
-    every decode rule.
-    """
-    threshold = recovery_threshold(assignment.k_total, q)
-    unit_times = model.sample_unit_times(rng, assignment.n_workers)
-    times, messages, redundant, masks, completed = _trials(
-        assignment, assignment.support, unit_times[None, :], threshold
-    )
-    return IterationOutcome(
-        float(times[0]), int(messages[0]), masks[0], int(redundant[0]), bool(completed[0])
-    )
-
-
 @dataclass
 class MonteCarloResult:
     """Per-trial arrays plus summary statistics of repeated iterations."""
@@ -401,6 +359,42 @@ def _layout(asn: ComputationAssignment) -> tuple:
     return asn.n_workers, asn.k_total, asn.messages, asn.decode, asn.kbar, asn.task_cost, shapes
 
 
+def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: int, seed: int):
+    """Decide trials 0 .. trials - 1 in batches of ``_CHUNK``.
+
+    Yields, per batch, the run's first assignment and the per-trial arrays
+    of :func:`_trials`: (completion times, messages received, redundant
+    tasks, recovered-block masks, completed flags).  Trial t draws the
+    factory's code, then the latencies, from the stream of
+    ``trial_rng(seed, t)``; the streams are derived for many trials in one
+    pass and loaded in turn into one generator.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    states = _trial_states(seed, range(trials))
+    first = None
+    for _ in range(0, trials, _CHUNK):
+        drawn, unit_times = [], []
+        for state in itertools.islice(states, _CHUNK):
+            bit_generator.state = state
+            asn = source(rng) if callable(source) else source
+            drawn.append(asn)
+            unit_times.append(model.sample_unit_times(rng, asn.n_workers))
+        first = drawn[0] if first is None else first
+        supports = first.support
+        if callable(source):
+            if any(_layout(asn) != _layout(first) for asn in drawn):
+                raise ValueError(
+                    "assignment factory changed workers, blocks, messages, "
+                    "decode rule or degrees within one run"
+                )
+            supports = tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
+        threshold = recovery_threshold(first.k_total, q)
+        yield (first, *_trials(first, supports, np.array(unit_times), threshold))
+
+
 def monte_carlo(
     source: AssignmentSource,
     q: float,
@@ -427,37 +421,11 @@ def monte_carlo(
             in workers, blocks, messages, decode rule or degrees within the
             run.
 
-    Trials run in batches of ``_CHUNK``, each decided with array operations
-    at once.  Trial t draws the factory's code, then the latencies, from
-    the stream of ``trial_rng(seed, t)``, so it equals
-    :func:`simulate_iteration` there.  The streams are derived for many
-    trials in one pass and loaded in turn into one generator.
+    Trials run in batches of ``_CHUNK`` (:func:`_batches`), each decided
+    with array operations at once; ``train`` consumes the same batches.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    states = _trial_states(seed, range(trials))
-    first, parts = None, []
-    for _ in range(0, trials, _CHUNK):
-        drawn, unit_times = [], []
-        for state in itertools.islice(states, _CHUNK):
-            bit_generator.state = state
-            asn = source(rng) if callable(source) else source
-            drawn.append(asn)
-            unit_times.append(model.sample_unit_times(rng, asn.n_workers))
-        first = drawn[0] if first is None else first
-        supports = first.support
-        if callable(source):
-            if any(_layout(asn) != _layout(first) for asn in drawn):
-                raise ValueError(
-                    "assignment factory changed workers, blocks, messages, "
-                    "decode rule or degrees within one run"
-                )
-            supports = tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
-        threshold = recovery_threshold(first.k_total, q)
-        times, messages, redundant, masks, completed = _trials(
-            first, supports, np.array(unit_times), threshold
-        )
-        parts.append((times, messages, redundant, masks.sum(axis=1), completed))
+    parts = [
+        (times, messages, redundant, masks.sum(axis=1), completed)
+        for _, times, messages, redundant, masks, completed in _batches(source, q, model, trials, seed)
+    ]
     return MonteCarloResult(trials, int(seed), *map(np.concatenate, zip(*parts)))

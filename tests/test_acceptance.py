@@ -28,12 +28,12 @@ from codedcomp import (
     monte_carlo,
     order_uniform,
     partition_matrix,
-    prob_exactly,
     rref_recoverable,
     success_table,
     train,
     worker_uniform,
 )
+from codedcomp.latency import prob_exactly
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 TRIALS = 10_000

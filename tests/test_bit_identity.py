@@ -6,7 +6,9 @@ computed in closed form); a faster construction, decoder or simulator must
 reproduce every per-trial array, and every success count, bit for bit.  The
 builder digests were recorded before the circular-shift code was built
 straight into its task arrays; they pin each seeded draw and the generator
-state it leaves behind.
+state it leaves behind.  The training digests were recorded while ``train``
+still simulated its iterations one at a time; they pin each iteration's
+race and the parameters it leaves.
 """
 
 import hashlib
@@ -18,9 +20,11 @@ from codedcomp import (
     assignment_source,
     build_rcs,
     concrete_assignment,
+    generate_dataset,
     monte_carlo,
     parse_config,
     success_table,
+    train,
 )
 
 MONTE_CARLO = {
@@ -112,4 +116,40 @@ def test_build_rcs_draws(name):
             h.update(np.ascontiguousarray(ids).tobytes())
         h.update(repr((asn.messages, asn.k_total, asn.task_cost)).encode())
     h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == digest
+
+
+# name: (config, dataset seed, samples, dim, iterations, digest)
+TRAIN = {
+    "rcs": (
+        {"scheme": "rcs", "workers": 40, "degrees": [1, 2, 3], "q": 0.3, "seed": 1729},
+        11, 160, 80, 130,
+        "07803a3e02b1aabf87f3d90bc2cf47bf3131fb81156593795b8d7c4644514a8e",
+    ),
+    "uc-mmc": (
+        {"scheme": "uc-mmc", "workers": 8, "load": 3, "q": 0.25, "seed": 3},
+        12, 120, 40, 40,
+        "32bed9bf99a6c95f8878b72cf49273b727968ddafd921f8869036dd6dac2e955",
+    ),
+    "rcs-general": (
+        {
+            "scheme": "rcs-general", "workers": 10, "degrees": [1, 2, 3], "groups": 2,
+            "z": [1, 1, 2, 1, 2, 2], "q": 0.2, "seed": 7,
+        },
+        13, 120, 40, 40,
+        "df8c0622247da39bf83df4c212479b80d7cd3426171988c7efd2446c2db4af04",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN))
+def test_train_trajectory(name):
+    data, data_seed, samples, dim, iterations, digest = TRAIN[name]
+    cfg = parse_config(data)
+    ds = generate_dataset(samples, dim, np.random.default_rng(data_seed))
+    result = train(ds, assignment_source(cfg), cfg.q, cfg.model(), 0.1, iterations, cfg.seed)
+    h = hashlib.sha256()
+    for values in (result.times, result.messages, result.recovered_fraction, result.losses, result.theta):
+        h.update(values.dtype.str.encode())
+        h.update(np.ascontiguousarray(values).tobytes())
     assert h.hexdigest() == digest

@@ -9,8 +9,8 @@ from codedcomp import (
     Message,
     build_rcs,
     partition_matrix,
-    type_of,
 )
+from codedcomp.blocks import type_of
 from codedcomp.schemes import circular_shift_violations
 
 

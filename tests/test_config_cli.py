@@ -314,6 +314,10 @@ class TestParseConfig:
                 {"scheme": "mcc", "workers": 4, "kbar": 2, "eval_points": [True, False, 2, 3]},
                 "eval_points: expected a list of numbers, got [True, False, 2, 3]",
             ),
+            (
+                {"scheme": "mcc", "workers": 8, "kbar": 3, "eval_points": [str(x) for x in range(1, 9)]},
+                "eval_points: expected a list of numbers, got ['1', '2', '3', '4', '5', '6', '7', '8']",
+            ),
             # NumPy refuses these allocations at once, before touching memory.
             ({"workers": 10**15, "degrees": [1]}, "scheme: cannot construct assignment: "),
             ({"scheme": "uc-mmc", "workers": 10**15, "load": 1}, "scheme: cannot construct assignment: "),
@@ -323,7 +327,7 @@ class TestParseConfig:
             "nan-mu", "inf-alpha", "inf-eta", "nan-noise-std", "nan-eval-point",
             "duplicate-offsets", "out-of-range-offsets", "duplicate-grouped-offsets",
             "uc-mmc-communication", "hybrid-communication", "boolean-eval-points",
-            "huge-rcs", "huge-uc-mmc",
+            "string-eval-points", "huge-rcs", "huge-uc-mmc",
         ],
     )
     def test_bad_values_are_violations(self, overrides, violation):

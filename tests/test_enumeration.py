@@ -14,13 +14,13 @@ from codedcomp import (
     build_mcc,
     build_uc_mmc,
     completion_cdf,
-    enumerate_successful,
     hybrid_example,
     success_table,
     successful_score_vector,
-    type_of,
 )
+from codedcomp.blocks import type_of
 from codedcomp.enumeration import (
+    enumerate_successful,
     messages_for_score,
     multiset_permutations,
     score_vectors_of_type,

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from codedcomp import (
-    LatencyModel,
-    prob_at_least,
-    prob_exactly,
-    type_of,
-    type_probability,
-)
+from codedcomp import LatencyModel, type_probability
+from codedcomp.blocks import type_of
+from codedcomp.latency import prob_at_least, prob_exactly
 
 
 def empirical_scores(model, t, n, seed, task_cost=1.0, max_tasks=None):

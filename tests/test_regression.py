@@ -12,6 +12,7 @@ from codedcomp import (
     generate_dataset,
     gram,
     loss,
+    monte_carlo,
     partial_gd_step,
     train,
 )
@@ -187,3 +188,27 @@ class TestTrain:
         )
         assert np.all(result.times >= MODEL.alpha)
         assert result.total_time == pytest.approx(float(np.sum(result.times)))
+
+    @pytest.mark.parametrize(
+        "source",
+        [lambda rng: build_rcs(8, [1, 2, 3], rng), build_uc_mmc(8, 3)],
+        ids=["factory", "fixed"],
+    )
+    def test_iterations_are_monte_carlo_trials(self, source):
+        # 150 iterations span three batches of trials
+        ds = generate_dataset(100, 16, np.random.default_rng(45))
+        result = train(ds, source, q=0.25, model=MODEL, eta=0.1, iterations=150, seed=6)
+        reference = monte_carlo(source, 0.25, MODEL, 150, seed=6)
+        assert np.array_equal(result.times, reference.times)
+        assert np.array_equal(result.messages, reference.messages)
+        assert np.array_equal(result.recovered_fraction * 8, reference.recovered)
+
+    def test_factory_must_keep_its_layout(self):
+        ds = generate_dataset(100, 16, np.random.default_rng(47))
+        sizes = iter([4] + [8] * 30)
+
+        def factory(rng):
+            return build_uc_mmc(next(sizes), 2)
+
+        with pytest.raises(ValueError, match="factory changed"):
+            train(ds, factory, q=0.0, model=MODEL, eta=0.1, iterations=20, seed=1)

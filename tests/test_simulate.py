@@ -16,12 +16,9 @@ from codedcomp import (
     build_rcs,
     build_uc_mmc,
     hybrid_example,
-    message_times,
     monte_carlo,
     recovery_threshold,
-    simulate_iteration,
     success_table,
-    trial_rng,
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
@@ -29,9 +26,13 @@ from codedcomp.simulate import (
     _CHUNK,
     _SEED_BLOCK,
     MonteCarloResult,
+    _batches,
     _stream_states,
     _trial_states,
+    _trials,
     make_decode_state,
+    message_times,
+    trial_rng,
 )
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
@@ -166,16 +167,32 @@ def _oracle(assignment, q, unit_times):
     return stop, messages, state.redundant, state.mask(), completed
 
 
+def _decide(assignment, q, rng):
+    """One trial as ``_trials`` decides it, on latencies drawn from rng.
+
+    Returns (completion time, messages, redundant, recovered mask, completed).
+    """
+    unit_times = MODEL.sample_unit_times(rng, assignment.n_workers)
+    threshold = recovery_threshold(assignment.k_total, q)
+    return [arr[0] for arr in _trials(assignment, assignment.support, unit_times[None], threshold)]
+
+
+def _run(source, q, model, trials, seed):
+    """The per-trial arrays of every batch ``_batches`` yields, joined."""
+    return [np.concatenate(arrs) for arrs in list(zip(*_batches(source, q, model, trials, seed)))[1:]]
+
+
 def _assert_outcome(out, expected):
-    stop, messages, redundant, mask, completed = expected
-    assert out.completion_time == stop
-    assert type(out.completion_time) is float
-    assert out.messages_received == messages
-    assert out.redundant_messages == redundant
-    assert np.array_equal(out.recovered_mask, mask)
-    assert out.recovered_mask.dtype == bool
-    assert out.recovered_count == np.count_nonzero(mask)
-    assert out.completed is completed
+    time, messages, redundant, mask, completed = out
+    stop, n_messages, n_redundant, n_mask, n_completed = expected
+    assert time == stop
+    assert isinstance(time, float)
+    assert messages == n_messages
+    assert redundant == n_redundant
+    assert np.array_equal(mask, n_mask)
+    assert mask.dtype == bool
+    assert np.count_nonzero(mask) == np.count_nonzero(n_mask)
+    assert completed == n_completed
 
 
 class TestClosedFormMatchesOracle:
@@ -191,6 +208,7 @@ class TestClosedFormMatchesOracle:
         asn, qs = ORACLE_CASES[name]
         for q in qs:
             res = monte_carlo(asn, q, model, trials, seed=17)
+            batches = _run(asn, q, model, trials, 17)
             for t in range(trials):
                 unit_times = model.sample_unit_times(trial_rng(17, t), asn.n_workers)
                 expected = _oracle(asn, q, unit_times)
@@ -200,27 +218,26 @@ class TestClosedFormMatchesOracle:
                 assert res.redundant[t] == redundant
                 assert res.recovered[t] == np.count_nonzero(mask)
                 assert res.completed[t] == completed
-                _assert_outcome(simulate_iteration(asn, q, model, trial_rng(17, t)), expected)
+                _assert_outcome([arr[t] for arr in batches], expected)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_no_straggling(self, name):
         asn, qs = ORACLE_CASES[name]
         unit_times = MODEL.sample_unit_times(_NoStraggleRng(), asn.n_workers)
         for q in qs:
-            out = simulate_iteration(asn, q, MODEL, _NoStraggleRng())
-            _assert_outcome(out, _oracle(asn, q, unit_times))
+            _assert_outcome(_decide(asn, q, _NoStraggleRng()), _oracle(asn, q, unit_times))
 
     def test_cases_reach_every_branch(self):
         # the hand-built cases do what their names say
-        out = simulate_iteration(_uncovered_block(), 0.0, MODEL, np.random.default_rng(0))
-        assert not out.completed and out.recovered_count == 3 and out.redundant_messages == 3
-        out = simulate_iteration(_two_orders_one_message(), 0.0, MODEL, np.random.default_rng(0))
-        assert out.messages_received == 4 and out.redundant_messages == 4
-        out = simulate_iteration(_threshold_below_one(), 0.0, MODEL, np.random.default_rng(0))
-        assert out.messages_received == 1 and out.redundant_messages == 1
-        out = simulate_iteration(_mds_two_messages(), 0.0, MODEL, np.random.default_rng(0))
+        _, _, redundant, mask, completed = _decide(_uncovered_block(), 0.0, np.random.default_rng(0))
+        assert not completed and mask.sum() == 3 and redundant == 3
+        _, messages, redundant, _, _ = _decide(_two_orders_one_message(), 0.0, np.random.default_rng(0))
+        assert messages == 4 and redundant == 4
+        _, messages, redundant, _, _ = _decide(_threshold_below_one(), 0.0, np.random.default_rng(0))
+        assert messages == 1 and redundant == 1
+        _, messages, _, mask, _ = _decide(_mds_two_messages(), 0.0, np.random.default_rng(0))
         # two workers' second messages beat the third worker's first one
-        assert out.messages_received == 5 and out.recovered_count == 4
+        assert messages == 5 and mask.sum() == 4
 
 
 class TestMessageTimes:
@@ -248,66 +265,56 @@ class TestMessageTimes:
 
 
 class TestSimulateIteration:
+    """One simulated iteration: a trial of monte_carlo, or one row of _trials."""
+
     def test_no_straggling_four_workers(self):
-        out = simulate_iteration(hybrid_example(), 0.0, MODEL, _NoStraggleRng())
-        assert out.completed
-        assert out.completion_time == pytest.approx(MODEL.alpha)
-        assert out.messages_received == 4
-        assert out.recovered_count == 4
+        time, messages, _, mask, completed = _decide(hybrid_example(), 0.0, _NoStraggleRng())
+        assert completed
+        assert time == pytest.approx(MODEL.alpha)
+        assert messages == 4
+        assert mask.sum() == 4
 
     def test_full_tolerance_instant(self):
-        out = simulate_iteration(hybrid_example(), 1.0, MODEL, np.random.default_rng(0))
-        assert out.completion_time == 0.0
-        assert out.messages_received == 0
-        assert out.recovered_count == 0
-        assert out.completed
+        time, messages, _, mask, completed = _decide(hybrid_example(), 1.0, np.random.default_rng(0))
+        assert time == 0.0
+        assert messages == 0
+        assert mask.sum() == 0
+        assert completed
 
     def test_single_message_counts_exactly_threshold(self):
-        for _ in range(20):
-            out = simulate_iteration(build_mcc(40, 14), 0.0, MODEL, np.random.default_rng(_))
-            assert out.messages_received == 14
-            assert out.recovered_count == 40
+        res = monte_carlo(build_mcc(40, 14), 0.0, MODEL, 20, seed=0)
+        assert np.all(res.messages == 14)
+        assert np.all(res.recovered == 40)
 
     def test_gc_threshold_behaviour(self):
-        for seed in range(10):
-            out = simulate_iteration(build_gc(40, 6), 0.0, MODEL, np.random.default_rng(seed))
-            assert out.messages_received == 35  # 40 - 6 + 1
+        res = monte_carlo(build_gc(40, 6), 0.0, MODEL, 10, seed=0)
+        assert np.all(res.messages == 35)  # 40 - 6 + 1
 
     def test_gc_ignores_tolerance(self):
-        for seed in range(10):
-            a = simulate_iteration(build_gc(40, 6), 0.0, MODEL, np.random.default_rng(seed))
-            b = simulate_iteration(build_gc(40, 6), 0.3, MODEL, np.random.default_rng(seed))
-            assert a.completion_time == b.completion_time
-            assert a.messages_received == b.messages_received
+        a = monte_carlo(build_gc(40, 6), 0.0, MODEL, 10, seed=0)
+        b = monte_carlo(build_gc(40, 6), 0.3, MODEL, 10, seed=0)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.messages, b.messages)
 
     def test_tolerance_waives_stragglers(self):
         # same latency draws: relaxing q can only speed things up
         asn = build_uc_mmc(40, 3)
-        for seed in range(15):
-            outs = [
-                simulate_iteration(asn, q, MODEL, np.random.default_rng(seed))
-                for q in (0.0, 0.15, 0.3)
-            ]
-            times = [o.completion_time for o in outs]
-            msgs = [o.messages_received for o in outs]
+        runs = [monte_carlo(asn, q, MODEL, 15, seed=0) for q in (0.0, 0.15, 0.3)]
+        for t in range(15):
+            times = [res.times[t] for res in runs]
+            msgs = [res.messages[t] for res in runs]
             assert times == sorted(times, reverse=True)
             assert msgs == sorted(msgs, reverse=True)
 
     def test_recovered_mask_consistent(self):
         for seed in range(10):
-            out = simulate_iteration(
-                build_rcs(20, [1, 2, 3], np.random.default_rng(seed)),
-                0.25,
-                MODEL,
-                np.random.default_rng(seed + 100),
-            )
-            assert out.recovered_count >= 15  # ceil(0.75 * 20)
-            assert out.recovered_mask.shape == (20,)
+            asn = build_rcs(20, [1, 2, 3], np.random.default_rng(seed))
+            mask = _decide(asn, 0.25, np.random.default_rng(seed + 100))[3]
+            assert mask.sum() >= 15  # ceil(0.75 * 20)
+            assert mask.shape == (20,)
 
     def test_threshold_unreachable_reported(self):
         # single worker computing only 1 of 2 blocks can never satisfy q=0
-        from codedcomp.blocks import ComputationAssignment, Message
-
         asn = ComputationAssignment(
             n_workers=1,
             k_total=2,
@@ -315,16 +322,16 @@ class TestSimulateIteration:
             coefficients=(np.array([[1.0]]),),
             messages=(Message(1, (0,)),),
         )
-        out = simulate_iteration(asn, 0.0, MODEL, np.random.default_rng(0))
-        assert not out.completed
-        assert out.completion_time == np.inf
-        assert out.messages_received == 1
+        time, messages, _, _, completed = _decide(asn, 0.0, np.random.default_rng(0))
+        assert not completed
+        assert time == np.inf
+        assert messages == 1
 
     def test_ties_included_in_message_count(self):
         # without straggling all first-round messages arrive together
-        out = simulate_iteration(build_uc_mmc(4, 2), 0.0, MODEL, _NoStraggleRng())
-        assert out.completion_time == pytest.approx(MODEL.alpha)
-        assert out.messages_received == 4
+        time, messages, _, _, _ = _decide(build_uc_mmc(4, 2), 0.0, _NoStraggleRng())
+        assert time == pytest.approx(MODEL.alpha)
+        assert messages == 4
 
 
 class TestMonteCarlo:
@@ -497,8 +504,8 @@ def _oracle_success(asn, scores, q):
 @settings(max_examples=60, deadline=None)
 @given(codes=_small_peel_codes(), seed=st.integers(0, 2**16))
 def test_small_peel_codes_match_oracle(codes, seed):
-    """monte_carlo (fixed code and redrawn codes), simulate_iteration and
-    success_table equal the message-by-message PeelingDecoder replay."""
+    """monte_carlo and the batches it joins (fixed code and redrawn codes)
+    and success_table equal the message-by-message PeelingDecoder replay."""
     model, trials = _DrawnTiesModel(), 8
 
     def factory(rng):
@@ -507,6 +514,7 @@ def test_small_peel_codes_match_oracle(codes, seed):
     for q in (0.0, 0.2, 0.5, 0.75, 1.0):
         for source in (codes[0], factory):
             res = monte_carlo(source, q, model, trials, seed)
+            batches = _run(source, q, model, trials, seed)
             for t in range(trials):
                 rng = trial_rng(seed, t)
                 asn = source(rng) if callable(source) else source
@@ -517,9 +525,7 @@ def test_small_peel_codes_match_oracle(codes, seed):
                 assert res.redundant[t] == redundant
                 assert res.recovered[t] == np.count_nonzero(mask)
                 assert res.completed[t] == completed
-                rng = trial_rng(seed, t)
-                asn = source(rng) if callable(source) else source
-                _assert_outcome(simulate_iteration(asn, q, model, rng), expected)
+                _assert_outcome([arr[t] for arr in batches], expected)
         for asn in codes:
             expected = [
                 (ctype, sum(_oracle_success(asn, s, q) for s in score_vectors_of_type(ctype)))
