@@ -17,25 +17,26 @@ from codedcomp import (
     LatencyModel,
     build_gc,
     build_mcc,
-    build_rcs,
     build_uc_mmc,
     monte_carlo,
 )
+from codedcomp.schemes import CircularShiftSource
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 TRIALS = 2000
 K = 40
 
-# sources: fixed assignments simulate as-is; callables are redrawn per trial,
-# which is the honest way to average over a randomized construction
+# sources: fixed assignments simulate as-is; a CircularShiftSource is redrawn
+# per trial, which is the honest way to average over a randomized
+# construction (it draws only the shifts, and equals build_rcs on each draw)
 SOURCES = [
     ("mds-style kbar=14", build_mcc(K, 14), (0.0,)),
     ("gradient-coding r=6", build_gc(K, 6), (0.0,)),
     ("uncoded mm r=3", build_uc_mmc(K, 3), (0.0, 0.15, 0.3)),
-    ("circ-shift m=[1,2,4]", lambda rng: build_rcs(K, [1, 2, 4], rng), (0.0, 0.15, 0.3)),
+    ("circ-shift m=[1,2,4]", CircularShiftSource.of(K, [1, 2, 4]), (0.0, 0.15, 0.3)),
     (
         "circ-shift d=[1,2,3], coded late",
-        lambda rng: build_rcs(K, [1, 2, 3], rng, mode="communication"),
+        CircularShiftSource.of(K, [1, 2, 3], mode="communication"),
         (0.0, 0.15, 0.3),
     ),
 ]
@@ -62,7 +63,7 @@ z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)  # the group of each row
 print()
 for q in (0.0, 0.15, 0.3):
     res = monte_carlo(
-        lambda rng: build_rcs(K, [1, 1, 4, 8], rng, groups=2, z=z),
+        CircularShiftSource.of(K, [1, 1, 4, 8], groups=2, z=z),
         q, MODEL, TRIALS, seed=11,
     )
     print(f"{'grouped circ-shift, 2 groups':>32} {q:>5} {res.mean_time:>8.4f} "

@@ -14,18 +14,19 @@ import numpy as np
 
 from codedcomp import (
     LatencyModel,
-    build_rcs,
     centralized_gd,
     generate_dataset,
     train,
 )
+from codedcomp.schemes import CircularShiftSource
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 rng = np.random.default_rng(42)
 ds = generate_dataset(n_samples=1000, dim=80, rng=rng)
 
-# 8 workers, parameter vector cut into 8 blocks of 10 coordinates
-source = lambda rng: build_rcs(8, [1, 2, 3], rng)
+# 8 workers, parameter vector cut into 8 blocks of 10 coordinates; the
+# circular-shift code is redrawn every iteration
+source = CircularShiftSource.of(8, [1, 2, 3])
 
 results = {
     q: train(ds, source, q=q, model=MODEL, eta=0.1, iterations=60, seed=9)

@@ -24,6 +24,7 @@ from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
 from .decoding import recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
+    CircularShiftSource,
     build_gc,
     build_mcc,
     build_rcs,
@@ -60,6 +61,17 @@ _REQUIRED = {
     "mcc": ("kbar",),
     "uc-mmc": ("load",),
     "gc": ("load",),
+}
+# The construction fields each scheme's builder reads; any other one is a
+# violation rather than a value silently echoed into every artifact.
+_CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load")
+_USED = {
+    "rcs": ("degrees", "offsets"),
+    "rcs-general": ("degrees", "offsets", "groups", "z"),
+    "mcc": ("kbar", "eval_points"),
+    "uc-mmc": ("load",),
+    "gc": ("load",),
+    "hybrid-example": (),
 }
 # Schemes whose builder fixes the mode: (the mode, why).
 _FIXED_MODES = {
@@ -236,7 +248,7 @@ class ExperimentConfig:
 
     @property
     def k_total(self) -> int:
-        return self.workers * (self.groups if self.scheme == "rcs-general" else 1)
+        return self.workers * self.groups
 
     def model(self) -> LatencyModel:
         return LatencyModel(mu=self.mu, alpha=self.alpha)
@@ -330,12 +342,16 @@ def parse_config(
     scheme = values["scheme"]
     if scheme in _FIXED_MODES and "mode" not in merged:
         values["mode"] = _FIXED_MODES[scheme][0]
+    if scheme is not None:
+        violations.extend(
+            f"{name}: not used by scheme {scheme!r}"
+            for name in _CONSTRUCTION_FIELDS
+            if name in merged and name not in _USED[scheme]
+        )
     if scheme is not None and values["workers"] is not None:
         _validate_scheme(violations, values)
     if violations:
         raise ConfigError(violations)
-    if scheme != "rcs-general":
-        values["groups"] = 1
     cfg = ExperimentConfig(**values)
 
     if cfg.train is not None:
@@ -401,8 +417,7 @@ def build_assignment(
 ) -> ComputationAssignment:
     """Construct the assignment described by the config (one draw)."""
     if cfg.scheme in ("rcs", "rcs-general"):
-        z = cfg.z if cfg.scheme == "rcs-general" else None
-        return build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, z)
+        return build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, cfg.z)
     if cfg.scheme == "mcc":
         return build_mcc(cfg.workers, cfg.kbar, cfg.eval_points)
     if cfg.scheme == "uc-mmc":
@@ -417,13 +432,15 @@ def build_assignment(
 def assignment_source(cfg: ExperimentConfig):
     """Assignment source for the simulator.
 
-    Randomized constructions with redraw enabled return a factory (fresh
-    draw per trial); everything else returns one fixed assignment built from
-    a dedicated construction stream.
+    A circular-shift code with drawn offsets and redraw enabled returns a
+    :class:`~codedcomp.schemes.CircularShiftSource`: its rules and layout
+    are fixed once, each trial draws only its shifts, and called with a
+    generator it returns the same code as :func:`build_assignment`.
+    Everything else returns one fixed assignment built from a dedicated
+    construction stream.
     """
-    randomized = cfg.scheme in ("rcs", "rcs-general") and cfg.offsets is None
-    if randomized and cfg.redraw:
-        return lambda rng: build_assignment(cfg, rng)
+    if cfg.scheme in ("rcs", "rcs-general") and cfg.offsets is None and cfg.redraw:
+        return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
     return concrete_assignment(cfg)
 
 

@@ -7,7 +7,9 @@ Five families are provided:
   consecutive rows are summed per worker into tasks of increasing degree.
   With ``groups`` > 1 the blocks are split into equal groups of reduced size
   and row i draws its shift within group ``z[i]``, trading more messages for
-  smaller unit computations;
+  smaller unit computations.  ``CircularShiftSource`` redraws one such code
+  per Monte Carlo trial: its rules and layout are fixed once, and a trial
+  draws only its shifts;
 * MDS-coded computation (``build_mcc``): interleaved block groups combined
   with Vandermonde coefficients; any ``kbar`` complete workers recover
   everything, nothing is recovered before that;
@@ -28,7 +30,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +107,56 @@ def circular_shift_violations(
     return errors
 
 
+def _shift_rows(z: Sequence[int] | None, total: int):
+    """0-based group of every grid row, and each row's place in its group's
+    pool of shifts (the number of earlier rows in the same group)."""
+    rows = np.zeros(total, dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
+    return rows, np.tril(rows[:, None] == rows, -1).sum(axis=1)
+
+
+def _draw_pools(rng: np.random.Generator, k: int, groups: int) -> list[np.ndarray]:
+    """One permutation of 0..k-1 per group, in group order; row i takes the
+    shift at its place in the pool of its group.  This draw order fixes every
+    seeded construction stream."""
+    return [rng.permutation(k) for _ in range(groups)]
+
+
+def _pool_offsets(pools, rows: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """1-based offset of every row from drawn pools of shape (..., groups, k)."""
+    return np.array(pools)[..., rows, place] + 1
+
+
+def _shift_grid(k: int, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Block id of every shift-grid entry: [..., i, w] is rows[i] * k +
+    (w + offsets[..., i] - 1) mod k.  offsets may carry leading trial axes."""
+    return rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
+
+
+def _order_supports(grid: np.ndarray, degrees: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Per-order block ids (..., k, d_j): order j takes the next degrees[j]
+    rows of the grid, read down each worker's column."""
+    ends = itertools.accumulate(degrees)
+    return tuple(grid[..., end - d : end, :].swapaxes(-1, -2) for end, d in zip(ends, degrees))
+
+
+def _shift_assignment(
+    k: int, degrees: Sequence[int], grid: np.ndarray, mode: str, groups: int
+) -> ComputationAssignment:
+    support = _order_supports(grid, degrees)
+    ends = list(itertools.accumulate(degrees))
+    sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
+    return ComputationAssignment(
+        n_workers=k,
+        k_total=k * groups,
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
+        messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
+        mode=mode,
+        task_cost=1.0 / groups,
+        decode=DECODE_PEEL,
+    )
+
+
 def build_rcs(
     k: int,
     degrees: Sequence[int],
@@ -147,29 +199,76 @@ def build_rcs(
     """
     _check(circular_shift_violations(k, degrees, groups, z, offsets))
     degrees = [int(d) for d in degrees]
-    rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
+    rows, place = _shift_rows(z, sum(degrees))
     if offsets is None:
         if rng is None:
             rng = np.random.default_rng()
-        # One permutation per group, in group order, then offsets in row
-        # order: this draw order fixes every seeded construction stream.
-        pools = [iter(rng.permutation(k) + 1) for _ in range(groups)]
-        offsets = [next(pools[g]) for g in rows]
-    shifts = np.asarray(offsets, dtype=np.int64)[:, None] - 1
-    grid = rows[:, None] * k + (np.arange(k) + shifts) % k
-    ends = list(itertools.accumulate(degrees))
-    support = tuple(grid[end - d : end].T for end, d in zip(ends, degrees))
-    sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
-    return ComputationAssignment(
-        n_workers=k,
-        k_total=k * groups,
-        support=support,
-        coefficients=tuple(np.ones(ids.shape) for ids in support),
-        messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
-        mode=mode,
-        task_cost=1.0 / groups,
-        decode=DECODE_PEEL,
-    )
+        offsets = _pool_offsets(_draw_pools(rng, k, groups), rows, place)
+    grid = _shift_grid(k, rows, np.asarray(offsets, dtype=np.int64))
+    return _shift_assignment(k, degrees, grid, mode, groups)
+
+
+class CircularShiftSource(NamedTuple):
+    """A circular-shift code redrawn every trial, with its layout fixed once.
+
+    Built by :meth:`of`, which checks the rules and fixes everything a draw
+    does not change: each row's group and place in its group's pool, the
+    degrees, and ``layout``, one valid draw that carries the messages, mode
+    and task cost.  A trial draws only its shift pools (:meth:`draw`, the
+    same ``groups`` permutations :func:`build_rcs` draws), and :meth:`stack`
+    turns a batch of draws into per-order supports in one array pass.
+    Called with a generator it returns the same assignment as
+    ``build_rcs(..., rng)``.
+    """
+
+    degrees: tuple[int, ...]
+    groups: int
+    rows: np.ndarray
+    place: np.ndarray
+    layout: ComputationAssignment
+
+    @classmethod
+    def of(
+        cls,
+        k: int,
+        degrees: Sequence[int],
+        mode: str = MODE_COMPUTATION,
+        groups: int = 1,
+        z: Sequence[int] | None = None,
+    ) -> "CircularShiftSource":
+        """Check the rules of ``build_rcs(k, degrees, mode=mode, groups=groups,
+        z=z)`` with drawn offsets, and fix the layout of its draws.
+
+        Raises:
+            ValueError: listing every :func:`circular_shift_violations`.
+        """
+        _check(circular_shift_violations(k, degrees, groups, z, None))
+        degrees = tuple(int(d) for d in degrees)
+        rows, place = _shift_rows(z, sum(degrees))
+        layout = _shift_assignment(k, degrees, _shift_grid(k, rows, place + 1), mode, groups)
+        return cls(degrees, groups, rows, place, layout)
+
+    @property
+    def n_workers(self) -> int:
+        return self.layout.n_workers
+
+    def draw(self, rng: np.random.Generator) -> list[np.ndarray]:
+        """One trial's shift pools: one permutation per group."""
+        return _draw_pools(rng, self.n_workers, self.groups)
+
+    def stack(self, drawn) -> tuple[ComputationAssignment, tuple[np.ndarray, ...]]:
+        """The layout and the per-order supports, shape (B, k, d_j), of B
+        trials' draws."""
+        return self.layout, _order_supports(self._grid(drawn), self.degrees)
+
+    def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
+        """One drawn code, equal to ``build_rcs(..., rng)``."""
+        grid = self._grid(self.draw(rng))
+        return _shift_assignment(self.n_workers, self.degrees, grid, self.layout.mode, self.groups)
+
+    def _grid(self, drawn) -> np.ndarray:
+        offsets = _pool_offsets(drawn, self.rows, self.place)
+        return _shift_grid(self.n_workers, self.rows, offsets)
 
 
 def default_eval_points(k: int) -> tuple[float, ...]:

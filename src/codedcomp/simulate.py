@@ -26,7 +26,11 @@ Trial t draws from the stream ``SeedSequence((seed, t))`` of
 many trials in one array pass (:func:`_stream_states` re-derives NumPy's
 ``SeedSequence`` hash, :func:`_trial_states` PCG64's seeding step) and loads
 each one into a single generator, so it draws the same numbers without
-building a generator per trial.
+building a generator per trial.  A redrawn circular-shift code
+(``schemes.CircularShiftSource``) has its rules and layout fixed once: a
+trial draws only its shift permutations, and a batch's supports come from
+one shift-grid expression over the (trials, rows) offsets.  Any other
+factory builds a whole assignment per trial, and a batch stacks them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 from .blocks import DECODE_PEEL, DECODE_MDS, ComputationAssignment
 from .decoding import recovery_threshold
 from .latency import LatencyModel
+from .schemes import CircularShiftSource
 
 AssignmentSource = Union[ComputationAssignment, Callable[[np.random.Generator], ComputationAssignment]]
 
@@ -359,40 +364,79 @@ def _layout(asn: ComputationAssignment) -> tuple:
     return asn.n_workers, asn.k_total, asn.messages, asn.decode, asn.kbar, asn.task_cost, shapes
 
 
+class _Fixed:
+    """A source that draws nothing: every trial runs the one assignment."""
+
+    def __init__(self, assignment: ComputationAssignment):
+        self.layout, self.n_workers = assignment, assignment.n_workers
+
+    def draw(self, rng: np.random.Generator) -> None:
+        return None
+
+    def stack(self, drawn):
+        return self.layout, self.layout.support
+
+
+class _Factory:
+    """A source that builds a whole assignment per trial; a batch checks the
+    layout against the run's first draw and stacks the supports."""
+
+    def __init__(self, build: Callable[[np.random.Generator], ComputationAssignment]):
+        self._build, self._first = build, None
+
+    def draw(self, rng: np.random.Generator) -> ComputationAssignment:
+        asn = self._build(rng)
+        self.n_workers = asn.n_workers
+        return asn
+
+    def stack(self, drawn):
+        if self._first is None:
+            self._first = drawn[0]
+        if any(_layout(asn) != _layout(self._first) for asn in drawn):
+            raise ValueError(
+                "assignment factory changed workers, blocks, messages, "
+                "decode rule or degrees within one run"
+            )
+        return self._first, tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
+
+
+def _trial_source(source: AssignmentSource):
+    """The source as one object that draws a trial (``draw(rng)``, then
+    ``n_workers`` latencies) and stacks a batch of draws (``stack``, giving
+    the layout assignment and the supports :func:`_trials` reads)."""
+    if isinstance(source, CircularShiftSource):
+        return source
+    return _Factory(source) if callable(source) else _Fixed(source)
+
+
 def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: int, seed: int):
     """Decide trials 0 .. trials - 1 in batches of ``_CHUNK``.
 
-    Yields, per batch, the run's first assignment and the per-trial arrays
-    of :func:`_trials`: (completion times, messages received, redundant
-    tasks, recovered-block masks, completed flags).  Trial t draws the
-    factory's code, then the latencies, from the stream of
-    ``trial_rng(seed, t)``; the streams are derived for many trials in one
-    pass and loaded in turn into one generator.
+    Yields, per batch, the layout assignment and the per-trial arrays of
+    :func:`_trials`: (completion times, messages received, redundant tasks,
+    recovered-block masks, completed flags).  Trial t draws the source's
+    code, then the latencies, from the stream of ``trial_rng(seed, t)``; the
+    streams are derived for many trials in one pass and loaded in turn into
+    one generator.  A :class:`~codedcomp.schemes.CircularShiftSource` draws
+    only each trial's shifts and builds the batch's supports in one array
+    pass; any other factory builds every trial's assignment, and the batch
+    stacks their supports.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    source = _trial_source(source)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     states = _trial_states(seed, range(trials))
-    first = None
     for _ in range(0, trials, _CHUNK):
         drawn, unit_times = [], []
         for state in itertools.islice(states, _CHUNK):
             bit_generator.state = state
-            asn = source(rng) if callable(source) else source
-            drawn.append(asn)
-            unit_times.append(model.sample_unit_times(rng, asn.n_workers))
-        first = drawn[0] if first is None else first
-        supports = first.support
-        if callable(source):
-            if any(_layout(asn) != _layout(first) for asn in drawn):
-                raise ValueError(
-                    "assignment factory changed workers, blocks, messages, "
-                    "decode rule or degrees within one run"
-                )
-            supports = tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
-        threshold = recovery_threshold(first.k_total, q)
-        yield (first, *_trials(first, supports, np.array(unit_times), threshold))
+            drawn.append(source.draw(rng))
+            unit_times.append(model.sample_unit_times(rng, source.n_workers))
+        layout, supports = source.stack(drawn)
+        threshold = recovery_threshold(layout.k_total, q)
+        yield (layout, *_trials(layout, supports, np.array(unit_times), threshold))
 
 
 def monte_carlo(
@@ -407,7 +451,8 @@ def monte_carlo(
     Args:
         source: either a fixed assignment or a factory called with the
             per-trial generator, so randomized constructions are redrawn
-            every trial.
+            every trial.  A ``schemes.CircularShiftSource`` is such a
+            factory that draws only the shifts.
         q: tolerance (fraction of blocks allowed to be missing).
         model: straggler latency model.
         trials: number of iterations.

@@ -34,6 +34,7 @@ from codedcomp import (
     worker_uniform,
 )
 from codedcomp.latency import prob_exactly
+from codedcomp.schemes import CircularShiftSource
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 TRIALS = 10_000
@@ -136,7 +137,7 @@ def _rcs_deviations(degrees, targets, mode="computation"):
     stats = {}
     for q, (t_ref, m_ref) in targets.items():
         res = monte_carlo(
-            lambda rng: build_rcs(40, degrees, rng, mode=mode),
+            CircularShiftSource.of(40, degrees, mode=mode),
             q, MODEL, TRIALS, seed=101,
         )
         stats[q] = (res.mean_time, res.mean_messages)
@@ -234,7 +235,7 @@ def test_criterion_05_timing_grouped_construction():
         stats = {}
         for q in (0.0, 0.15, 0.3):
             res = monte_carlo(
-                lambda rng: build_rcs(40, GEN_DEGREES, rng, groups=2, z=GEN_Z),
+                CircularShiftSource.of(40, GEN_DEGREES, groups=2, z=GEN_Z),
                 q, MODEL, TRIALS, seed=303,
             )
             stats[q] = (res.mean_time, res.mean_messages)

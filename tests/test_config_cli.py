@@ -45,7 +45,9 @@ def _recoverable_groups(degrees, z):
 
 @st.composite
 def valid_configs(draw):
-    """Valid config mappings for every scheme, optional fields present or not."""
+    """Valid config mappings for every scheme, optional fields present or
+    not.  Each scheme gets only the construction fields it reads; any other
+    one is a violation."""
     scheme = draw(st.sampled_from(SCHEMES))
     workers = 4 if scheme == "hybrid-example" else draw(st.integers(1, 12))
     data = {"scheme": scheme, draw(st.sampled_from(["workers", "k", "K"])): workers}
@@ -331,9 +333,49 @@ class TestParseConfig:
         ],
     )
     def test_bad_values_are_violations(self, overrides, violation):
+        # A case that switches scheme starts without the rcs degrees, which
+        # that scheme would reject as unused.
+        base = TABLE_CONFIG
+        if not overrides.get("scheme", "rcs").startswith("rcs"):
+            base = {k: v for k, v in TABLE_CONFIG.items() if k != "degrees"}
         with pytest.raises(ConfigError) as err:
-            parse_config(TABLE_CONFIG, overrides)
+            parse_config(base, overrides)
         assert any(v.startswith(violation) for v in err.value.violations)
+
+    @pytest.mark.parametrize(
+        "data, unused",
+        [
+            (
+                {"scheme": "rcs", "workers": 10, "degrees": [1, 2], "z": [5, 5, 5], "kbar": 99, "load": 3},
+                ["z", "kbar", "load"],
+            ),
+            ({"scheme": "rcs", "workers": 10, "degrees": [1, 2], "groups": 1}, ["groups"]),
+            ({"scheme": "rcs", "workers": 10, "degrees": [1, 2], "eval_points": [1, 2]}, ["eval_points"]),
+            (
+                {"scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2, "z": [1, 2], "load": 2},
+                ["load"],
+            ),
+            ({"scheme": "mcc", "workers": 4, "kbar": 2, "degrees": [1, 2], "offsets": [1, 2, 3]}, ["degrees", "offsets"]),
+            ({"scheme": "uc-mmc", "workers": 4, "load": 2, "kbar": 2}, ["kbar"]),
+            ({"scheme": "gc", "workers": 4, "load": 2, "N": 2, "z": [1]}, ["groups", "z"]),
+            ({"scheme": "hybrid-example", "workers": 4, "degrees": [1, 2], "load": 2}, ["degrees", "load"]),
+        ],
+        ids=["rcs", "rcs-groups", "rcs-eval-points", "rcs-general", "mcc", "uc-mmc", "gc-alias", "hybrid"],
+    )
+    def test_unused_construction_fields_are_violations(self, data, unused):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        scheme = data["scheme"]
+        assert err.value.violations == [f"{name}: not used by scheme {scheme!r}" for name in unused]
+
+    def test_unused_field_exit_code(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--scheme", "mcc", "--workers", "8", "--kbar", "4",
+            "--degrees", "1,2", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "  - degrees: not used by scheme 'mcc'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("q, finishes", [(0.0, False), (0.5, True)])
     def test_unfinishable_config_rejected(self, q, finishes):

@@ -21,7 +21,10 @@ from codedcomp import (
     success_table,
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
+from codedcomp import generate_dataset, train
+from codedcomp import simulate
 from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
+from codedcomp.schemes import CircularShiftSource
 from codedcomp.simulate import (
     _CHUNK,
     _SEED_BLOCK,
@@ -456,6 +459,81 @@ class TestTrialStreams:
         assert len(seen) == trials
         for t, state in enumerate(seen):
             assert state == trial_rng(1729, t).bit_generator.state
+
+
+GROUPED_Z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
+# name: (k, degrees, build_rcs keywords); the last is the criterion-5 code
+SHIFT_CODES = {
+    "rcs-124": (40, [1, 2, 4], {}),
+    "rcs-124-communication": (40, [1, 2, 4], {"mode": "communication"}),
+    "grouped": (40, [1, 1, 4, 8], {"groups": 2, "z": GROUPED_Z}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_CODES))
+class TestCircularShiftSource:
+    """The draw object draws only the shifts and builds each batch's supports
+    in one array pass; every draw must equal ``build_rcs`` on the same stream."""
+
+    TRIALS = 150  # three batches, the last one partial
+
+    def build(self, name, rng):
+        k, degrees, kwargs = SHIFT_CODES[name]
+        return build_rcs(k, degrees, rng, **kwargs)
+
+    def source(self, name):
+        k, degrees, kwargs = SHIFT_CODES[name]
+        return CircularShiftSource.of(k, degrees, **kwargs)
+
+    def test_batched_supports_are_build_rcs_draws(self, name, monkeypatch):
+        seen = []
+
+        def recording(assignment, supports, unit_times, threshold):
+            seen.append(supports)
+            return _trials(assignment, supports, unit_times, threshold)
+
+        monkeypatch.setattr(simulate, "_trials", recording)
+        monte_carlo(self.source(name), 0.15, MODEL, self.TRIALS, seed=1729)
+        assert [len(supports[0]) for supports in seen] == [_CHUNK, _CHUNK, self.TRIALS - 2 * _CHUNK]
+        batched = [np.concatenate(ids) for ids in zip(*seen)]
+        for t in range(self.TRIALS):
+            expected = self.build(name, trial_rng(1729, t)).support
+            assert all(np.array_equal(ids[t], want) for ids, want in zip(batched, expected))
+
+    def test_callable_form_is_build_rcs(self, name):
+        source = self.source(name)
+        for t in (0, 1, 99):
+            got, want = source(trial_rng(5, t)), self.build(name, trial_rng(5, t))
+            for ids, want_ids in zip(got.support + got.coefficients, want.support + want.coefficients):
+                assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+            assert got.n_orders == want.n_orders
+            assert (got.n_workers, got.k_total, got.messages) == (want.n_workers, want.k_total, want.messages)
+            assert (got.mode, got.task_cost, got.decode) == (want.mode, want.task_cost, want.decode)
+
+    def test_monte_carlo_equals_factory(self, name):
+        for q in (0.0, 0.3):
+            got = monte_carlo(self.source(name), q, MODEL, self.TRIALS, seed=1729)
+            want = monte_carlo(lambda rng: self.build(name, rng), q, MODEL, self.TRIALS, seed=1729)
+            for field in ("times", "messages", "redundant", "recovered", "completed"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("name", ["rcs-124", "grouped"])
+def test_train_on_circular_shift_source_equals_factory(name):
+    k, degrees, kwargs = SHIFT_CODES[name]
+    ds = generate_dataset(100, 80, np.random.default_rng(47))
+    options = dict(q=0.15, model=MODEL, eta=0.1, iterations=TestCircularShiftSource.TRIALS, seed=6)
+    got = train(ds, CircularShiftSource.of(k, degrees, **kwargs), **options)
+    want = train(ds, lambda rng: build_rcs(k, degrees, rng, **kwargs), **options)
+    for field in ("losses", "times", "messages", "recovered_fraction", "theta"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_circular_shift_source_checks_the_rules():
+    with pytest.raises(ValueError, match="criterion \\(i\\)"):
+        CircularShiftSource.of(10, [2, 3])
+    with pytest.raises(ValueError, match="z: group 1 used 5 times"):
+        CircularShiftSource.of(4, [1, 1, 3], groups=2, z=(1, 1, 1, 1, 1))
 
 
 class _DrawnTiesModel:
