@@ -260,23 +260,29 @@ def _overrides_from(args: argparse.Namespace) -> dict:
     return values
 
 
+def _report(violations) -> int:
+    """List violations on stderr; the exit status of bad input."""
+    for violation in violations:
+        print(f"  - {violation}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config or {}, _overrides_from(args))
     except ConfigError as exc:
         print("invalid configuration:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 2
+        return _report(exc.violations)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _report([f"out: cannot create directory {args.out!r}: {exc.strerror}"])
     try:
         paths = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 2
+        return _report(exc.violations)
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing, full validation, assignment factories.
+"""Experiment configuration: parsing, full validation, assignment sources.
 
 Configs are plain JSON objects.  Each field is declared once, on
 ExperimentConfig or TrainSettings, together with its parser and default, and
@@ -6,7 +6,7 @@ parse_config is the one place that reads a config file and merges it with
 overrides.  Parsing never stops at the first problem: every violation is
 collected (with its field name) and reported at once via ConfigError.  A
 parsed config resolves all defaults, serializes back to an equal dict, and
-can build the assignment factory used by the simulator.
+can build the assignment source used by the simulator.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _as_int(key, value, violations, minimum=None) -> int | None:
 
 
 def _as_number(key, value, violations, positive=False) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         violations.append(f"{key}: expected a number, got {value!r}")
         return None
     try:

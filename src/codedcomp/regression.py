@@ -10,13 +10,13 @@ the master recovered before stopping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .blocks import DECODE_THRESHOLD, MODE_COMPUTATION, ComputationAssignment
+from .blocks import DECODE_THRESHOLD, MODE_COMPUTATION
 from .latency import LatencyModel
-from .simulate import _batches
+from .simulate import AssignmentSource, _batches, _source_layout
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class TrainResult:
 
 def train(
     dataset: Dataset,
-    source: ComputationAssignment | Callable[[np.random.Generator], ComputationAssignment],
+    source: AssignmentSource,
     q: float,
     model: LatencyModel,
     eta: float,
@@ -150,38 +150,40 @@ def train(
     fraction of the gradient blocks.
 
     Iteration t is trial t of :func:`~codedcomp.simulate.monte_carlo` with
-    the same seed: it redraws the assignment (when ``source`` is a factory)
-    and simulates the straggler race, and the step updates exactly the
+    the same seed and source, a fixed ``ComputationAssignment`` or a
+    ``schemes.CircularShiftSource`` that redraws its shifts every iteration.
+    It simulates the straggler race, and the step updates exactly the
     recovered blocks of theta using the true (W theta) values; unrecovered
     coordinates carry over unchanged.  theta starts at zero.
 
     Raises:
-        ValueError: if the assignment is not a matrix-vector scheme (exact-
-            sum coding recovers only the aggregated gradient, not blocks),
-            the dimension does not split evenly over the blocks, or a
-            factory's codes change layout within the run.
+        TypeError: if source is of neither accepted type.
+        ValueError: before any iteration is simulated, if the assignment is
+            not a matrix-vector scheme (exact-sum coding recovers only the
+            aggregated gradient, not blocks) or the dimension does not split
+            evenly over the blocks.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    batches = list(_batches(source, q, model, iterations, seed))
-    first = batches[0][0]
-    if first.decode == DECODE_THRESHOLD or first.mode != MODE_COMPUTATION:
+    layout = _source_layout(source)
+    if layout.decode == DECODE_THRESHOLD or layout.mode != MODE_COMPUTATION:
         raise ValueError(
             "training needs a matrix-vector scheme whose recovered blocks map "
             "to coordinate ranges; exact-sum/communication schemes do not"
         )
-    k_total = first.k_total
+    k_total = layout.k_total
     if dataset.dim % k_total:
         raise ValueError(
             f"dimension {dataset.dim} not divisible into {k_total} blocks"
         )
     rows = dataset.dim // k_total
+    batches = list(_batches(source, q, model, iterations, seed))
     w_full, c = gram(dataset)
     n = dataset.n_samples
     theta = np.zeros(dataset.dim)
-    times, messages, masks = (np.concatenate([batch[i] for batch in batches]) for i in (1, 2, 4))
+    times, messages, masks = (np.concatenate([batch[i] for batch in batches]) for i in (0, 1, 3))
     losses = np.empty(iterations)
     for it, mask in enumerate(masks):
         w_theta = w_full @ theta

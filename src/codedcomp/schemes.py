@@ -248,27 +248,22 @@ class CircularShiftSource(NamedTuple):
         layout = _shift_assignment(k, degrees, _shift_grid(k, rows, place + 1), mode, groups)
         return cls(degrees, groups, rows, place, layout)
 
-    @property
-    def n_workers(self) -> int:
-        return self.layout.n_workers
-
     def draw(self, rng: np.random.Generator) -> list[np.ndarray]:
         """One trial's shift pools: one permutation per group."""
-        return _draw_pools(rng, self.n_workers, self.groups)
+        return _draw_pools(rng, self.layout.n_workers, self.groups)
 
-    def stack(self, drawn) -> tuple[ComputationAssignment, tuple[np.ndarray, ...]]:
-        """The layout and the per-order supports, shape (B, k, d_j), of B
-        trials' draws."""
-        return self.layout, _order_supports(self._grid(drawn), self.degrees)
+    def stack(self, drawn) -> tuple[np.ndarray, ...]:
+        """The per-order supports, shape (B, k, d_j), of B trials' draws."""
+        return _order_supports(self._grid(drawn), self.degrees)
 
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""
         grid = self._grid(self.draw(rng))
-        return _shift_assignment(self.n_workers, self.degrees, grid, self.layout.mode, self.groups)
+        return _shift_assignment(self.layout.n_workers, self.degrees, grid, self.layout.mode, self.groups)
 
     def _grid(self, drawn) -> np.ndarray:
         offsets = _pool_offsets(drawn, self.rows, self.place)
-        return _shift_grid(self.n_workers, self.rows, offsets)
+        return _shift_grid(self.layout.n_workers, self.rows, offsets)
 
 
 def default_eval_points(k: int) -> tuple[float, ...]:

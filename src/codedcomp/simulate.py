@@ -26,11 +26,11 @@ Trial t draws from the stream ``SeedSequence((seed, t))`` of
 many trials in one array pass (:func:`_stream_states` re-derives NumPy's
 ``SeedSequence`` hash, :func:`_trial_states` PCG64's seeding step) and loads
 each one into a single generator, so it draws the same numbers without
-building a generator per trial.  A redrawn circular-shift code
-(``schemes.CircularShiftSource``) has its rules and layout fixed once: a
-trial draws only its shift permutations, and a batch's supports come from
-one shift-grid expression over the (trials, rows) offsets.  Any other
-factory builds a whole assignment per trial, and a batch stacks them.
+building a generator per trial.  A source is a fixed
+``ComputationAssignment``, which every trial runs, or a redrawn
+circular-shift code (``schemes.CircularShiftSource``) whose rules and layout
+are fixed once: a trial draws only its shift permutations, and a batch's
+supports come from one shift-grid expression over the (trials, rows) offsets.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .decoding import recovery_threshold
 from .latency import LatencyModel
 from .schemes import CircularShiftSource
 
-AssignmentSource = Union[ComputationAssignment, Callable[[np.random.Generator], ComputationAssignment]]
+AssignmentSource = Union[ComputationAssignment, CircularShiftSource]
 
 # Trials per batch.  Memory grows with the batch, not the trial count; at
 # rcs K=40, batches of 64 trials run as fast as batches of 256 and hold a
@@ -94,6 +94,16 @@ def _workers_needed(assignment: ComputationAssignment) -> int:
     if assignment.decode == DECODE_MDS:
         return assignment.kbar
     return assignment.n_workers - assignment.n_orders + 1
+
+
+def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndarray:
+    """Where a count rule stops, per trial: the hit-th smallest of each row
+    of first, the (trials, n_workers) first-message times or ranks, with
+    hit = max(needed workers, 1); infinity when hit exceeds the workers."""
+    hit = max(_workers_needed(assignment), 1)
+    if hit > assignment.n_workers:
+        return np.full(len(first), np.inf)
+    return np.partition(first, hit - 1, axis=1)[:, hit - 1]
 
 
 def make_decode_state(assignment: ComputationAssignment) -> _CountState:
@@ -150,11 +160,7 @@ def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarra
     """
     n_trials, k = ranks.shape[0], assignment.k_total
     if assignment.decode != DECODE_PEEL:
-        hit = max(_workers_needed(assignment), 1)
-        first = np.full(n_trials, np.inf)
-        if hit <= assignment.n_workers:
-            first = np.partition(ranks[:, 0], hit - 1, axis=1)[:, hit - 1]
-        return np.repeat(first[:, None], k, axis=1)
+        return np.repeat(_count_stop(assignment, ranks[:, 0])[:, None], k, axis=1)
     # Entries are laid out (d_j, trials * workers) with flat index
     # trial * k + block, so the max over a task's other blocks works on whole
     # rows.  Each sweep updates the ranks in place, one order at a time.
@@ -194,13 +200,10 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         # Everything unlocks at the hit-th first-message arrival, which
         # needs no ranks; the workers past the needed count are redundant.
         needed = _workers_needed(assignment)
-        hit = max(needed, 1)
-        completed = np.full(n_trials, hit <= assignment.n_workers)
-        times = np.full(n_trials, np.inf)
-        if hit <= assignment.n_workers:
-            times = np.partition(arrivals[:, 0], hit - 1, axis=1)[:, hit - 1]
+        times = _count_stop(assignment, arrivals[:, 0])
+        completed = times < np.inf
         masks = np.repeat(completed[:, None], assignment.k_total, axis=1)
-        redundant = np.where(completed, hit - needed, 0)
+        redundant = np.where(completed, max(needed, 1) - needed, 0)
     else:
         order = np.argsort(flat, axis=1, kind="stable")
         trial = np.arange(n_trials)
@@ -358,73 +361,38 @@ def _trial_states(seed: int, trials):
             }
 
 
-def _layout(asn: ComputationAssignment) -> tuple:
-    """What a batch of drawn codes must share to be decided together."""
-    shapes = tuple(ids.shape for ids in asn.support)
-    return asn.n_workers, asn.k_total, asn.messages, asn.decode, asn.kbar, asn.task_cost, shapes
-
-
-class _Fixed:
-    """A source that draws nothing: every trial runs the one assignment."""
-
-    def __init__(self, assignment: ComputationAssignment):
-        self.layout, self.n_workers = assignment, assignment.n_workers
-
-    def draw(self, rng: np.random.Generator) -> None:
-        return None
-
-    def stack(self, drawn):
-        return self.layout, self.layout.support
-
-
-class _Factory:
-    """A source that builds a whole assignment per trial; a batch checks the
-    layout against the run's first draw and stacks the supports."""
-
-    def __init__(self, build: Callable[[np.random.Generator], ComputationAssignment]):
-        self._build, self._first = build, None
-
-    def draw(self, rng: np.random.Generator) -> ComputationAssignment:
-        asn = self._build(rng)
-        self.n_workers = asn.n_workers
-        return asn
-
-    def stack(self, drawn):
-        if self._first is None:
-            self._first = drawn[0]
-        if any(_layout(asn) != _layout(self._first) for asn in drawn):
-            raise ValueError(
-                "assignment factory changed workers, blocks, messages, "
-                "decode rule or degrees within one run"
-            )
-        return self._first, tuple(np.stack(ids) for ids in zip(*(asn.support for asn in drawn)))
-
-
-def _trial_source(source: AssignmentSource):
-    """The source as one object that draws a trial (``draw(rng)``, then
-    ``n_workers`` latencies) and stacks a batch of draws (``stack``, giving
-    the layout assignment and the supports :func:`_trials` reads)."""
+def _source_layout(source: AssignmentSource) -> ComputationAssignment:
+    """The assignment every trial of source matches in all but its supports."""
     if isinstance(source, CircularShiftSource):
+        return source.layout
+    if isinstance(source, ComputationAssignment):
         return source
-    return _Factory(source) if callable(source) else _Fixed(source)
+    raise TypeError(
+        "source must be a ComputationAssignment or a CircularShiftSource, "
+        f"got {type(source).__name__}"
+    )
 
 
 def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: int, seed: int):
     """Decide trials 0 .. trials - 1 in batches of ``_CHUNK``.
 
-    Yields, per batch, the layout assignment and the per-trial arrays of
-    :func:`_trials`: (completion times, messages received, redundant tasks,
-    recovered-block masks, completed flags).  Trial t draws the source's
-    code, then the latencies, from the stream of ``trial_rng(seed, t)``; the
-    streams are derived for many trials in one pass and loaded in turn into
-    one generator.  A :class:`~codedcomp.schemes.CircularShiftSource` draws
-    only each trial's shifts and builds the batch's supports in one array
-    pass; any other factory builds every trial's assignment, and the batch
-    stacks their supports.
+    Yields, per batch, the per-trial arrays of :func:`_trials`: (completion
+    times, messages received, redundant tasks, recovered-block masks,
+    completed flags).  Trial t draws the shifts of a
+    :class:`~codedcomp.schemes.CircularShiftSource` (a fixed
+    ``ComputationAssignment`` draws nothing), then the latencies, from the
+    stream of ``trial_rng(seed, t)``; the streams are derived for many
+    trials in one pass and loaded in turn into one generator.
+
+    Raises:
+        TypeError: if source is of neither accepted type.
+        ValueError: if trials is not positive or the seed is negative.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    source = _trial_source(source)
+    layout = _source_layout(source)
+    redrawn = isinstance(source, CircularShiftSource)
+    threshold = recovery_threshold(layout.k_total, q)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     states = _trial_states(seed, range(trials))
@@ -432,11 +400,11 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
         drawn, unit_times = [], []
         for state in itertools.islice(states, _CHUNK):
             bit_generator.state = state
-            drawn.append(source.draw(rng))
-            unit_times.append(model.sample_unit_times(rng, source.n_workers))
-        layout, supports = source.stack(drawn)
-        threshold = recovery_threshold(layout.k_total, q)
-        yield (layout, *_trials(layout, supports, np.array(unit_times), threshold))
+            if redrawn:
+                drawn.append(source.draw(rng))
+            unit_times.append(model.sample_unit_times(rng, layout.n_workers))
+        supports = source.stack(drawn) if redrawn else layout.support
+        yield _trials(layout, supports, np.array(unit_times), threshold)
 
 
 def monte_carlo(
@@ -449,10 +417,9 @@ def monte_carlo(
     """Run many independent iterations and collect their outcomes.
 
     Args:
-        source: either a fixed assignment or a factory called with the
-            per-trial generator, so randomized constructions are redrawn
-            every trial.  A ``schemes.CircularShiftSource`` is such a
-            factory that draws only the shifts.
+        source: a fixed ``ComputationAssignment``, which every trial runs,
+            or a ``schemes.CircularShiftSource``, from which every trial
+            draws its shifts.
         q: tolerance (fraction of blocks allowed to be missing).
         model: straggler latency model.
         trials: number of iterations.
@@ -462,15 +429,14 @@ def monte_carlo(
         MonteCarloResult with one entry per trial.
 
     Raises:
-        ValueError: if the seed is negative, or if a factory's codes differ
-            in workers, blocks, messages, decode rule or degrees within the
-            run.
+        TypeError: if source is of neither accepted type.
+        ValueError: if trials is not positive or the seed is negative.
 
     Trials run in batches of ``_CHUNK`` (:func:`_batches`), each decided
     with array operations at once; ``train`` consumes the same batches.
     """
     parts = [
         (times, messages, redundant, masks.sum(axis=1), completed)
-        for _, times, messages, redundant, masks, completed in _batches(source, q, model, trials, seed)
+        for times, messages, redundant, masks, completed in _batches(source, q, model, trials, seed)
     ]
     return MonteCarloResult(trials, int(seed), *map(np.concatenate, zip(*parts)))

@@ -374,7 +374,7 @@ def test_criterion_09_training_convergence():
             for r in range(runs):
                 result = train(
                     ds,
-                    lambda rng: build_rcs(40, [1, 2, 3], rng),
+                    CircularShiftSource.of(40, [1, 2, 3]),
                     q=q,
                     model=MODEL,
                     eta=0.1,
@@ -386,7 +386,7 @@ def test_criterion_09_training_convergence():
         reference = centralized_gd(ds, eta=0.1, iterations=iterations)
         # zero tolerance must reproduce full-gradient descent exactly
         probe = train(
-            ds, lambda rng: build_rcs(40, [1, 2, 3], rng),
+            ds, CircularShiftSource.of(40, [1, 2, 3]),
             q=0.0, model=MODEL, eta=0.1, iterations=iterations, seed=1000,
         )
         assert np.allclose(probe.losses, reference.losses, atol=1e-9, rtol=0)

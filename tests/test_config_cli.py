@@ -118,6 +118,17 @@ class TestParseConfig:
         assert cfg.k_total == 40
         assert cfg.mode == "computation"
 
+    def test_numpy_scalars_are_numbers(self):
+        cfg = parse_config({
+            **TABLE_CONFIG, "workers": np.int64(40), "degrees": [np.int64(1), 2, 3],
+            "q": np.int64(0), "mu": np.int64(10), "alpha": np.float32(0.5),
+        })
+        assert (cfg.workers, cfg.degrees, cfg.q, cfg.mu, cfg.alpha) == (40, (1, 2, 3), 0.0, 10.0, 0.5)
+        for flag in (True, np.True_):
+            with pytest.raises(ConfigError) as err:
+                parse_config({**TABLE_CONFIG, "mu": flag})
+            assert err.value.violations == [f"mu: expected a number, got {flag!r}"]
+
     def test_degree_criterion_named(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"scheme": "rcs", "workers": 10, "d": [2, 3]})
@@ -428,6 +439,19 @@ class TestCli:
         )
         assert code == 2
         assert "scheme: cannot construct assignment: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "under-a-file"])
+    def test_out_must_be_a_directory(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if below else taken
+        code = self.run(
+            "simulate", "--scheme", "uc-mmc", "--workers", "4", "--load", "2",
+            "--trials", "5", "--out", str(out),
+        )
+        assert code == 2
+        assert f"  - out: cannot create directory {str(out)!r}: " in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_encode_pinned_assignment(self, tmp_path, capsys):
         code = self.run(

@@ -6,7 +6,6 @@ import pytest
 from codedcomp import (
     LatencyModel,
     build_gc,
-    build_rcs,
     build_uc_mmc,
     centralized_gd,
     generate_dataset,
@@ -16,6 +15,8 @@ from codedcomp import (
     partial_gd_step,
     train,
 )
+from codedcomp import simulate
+from codedcomp.schemes import CircularShiftSource
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
@@ -127,7 +128,7 @@ class TestTrain:
         ds = generate_dataset(200, 40, np.random.default_rng(31))
         result = train(
             ds,
-            lambda rng: build_rcs(8, [1, 2], rng),
+            CircularShiftSource.of(8, [1, 2]),
             q=0.0,
             model=MODEL,
             eta=0.1,
@@ -142,7 +143,7 @@ class TestTrain:
         ds = generate_dataset(300, 40, np.random.default_rng(33))
         result = train(
             ds,
-            lambda rng: build_rcs(8, [1, 2, 3], rng),
+            CircularShiftSource.of(8, [1, 2, 3]),
             q=0.25,
             model=MODEL,
             eta=0.1,
@@ -164,8 +165,8 @@ class TestTrain:
     def test_reproducible(self):
         ds = generate_dataset(100, 16, np.random.default_rng(37))
         kwargs = dict(q=0.25, model=MODEL, eta=0.1, iterations=10, seed=4)
-        a = train(ds, lambda rng: build_rcs(4, [1, 2], rng), **kwargs)
-        b = train(ds, lambda rng: build_rcs(4, [1, 2], rng), **kwargs)
+        a = train(ds, CircularShiftSource.of(4, [1, 2]), **kwargs)
+        b = train(ds, CircularShiftSource.of(4, [1, 2]), **kwargs)
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.times, b.times)
 
@@ -173,6 +174,20 @@ class TestTrain:
         ds = generate_dataset(50, 16, np.random.default_rng(39))
         with pytest.raises(ValueError, match="matrix-vector"):
             train(ds, build_gc(4, 2), q=0.0, model=MODEL, eta=0.1, iterations=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "source, dim, message",
+        [(build_gc(4, 2), 16, "matrix-vector"), (build_uc_mmc(4, 2), 10, "divisible")],
+        ids=["exact-sum", "indivisible"],
+    )
+    def test_rejected_before_simulating(self, monkeypatch, source, dim, message):
+        def unreachable(*args):
+            raise AssertionError("an iteration was simulated before the checks")
+
+        monkeypatch.setattr(simulate, "_trials", unreachable)
+        ds = generate_dataset(50, dim, np.random.default_rng(39))
+        with pytest.raises(ValueError, match=message):
+            train(ds, source, q=0.0, model=MODEL, eta=0.1, iterations=3, seed=0)
 
     def test_dimension_must_split(self):
         ds = generate_dataset(50, 10, np.random.default_rng(41))
@@ -191,7 +206,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "source",
-        [lambda rng: build_rcs(8, [1, 2, 3], rng), build_uc_mmc(8, 3)],
+        [CircularShiftSource.of(8, [1, 2, 3]), build_uc_mmc(8, 3)],
         ids=["factory", "fixed"],
     )
     def test_iterations_are_monte_carlo_trials(self, source):
@@ -202,13 +217,3 @@ class TestTrain:
         assert np.array_equal(result.times, reference.times)
         assert np.array_equal(result.messages, reference.messages)
         assert np.array_equal(result.recovered_fraction * 8, reference.recovered)
-
-    def test_factory_must_keep_its_layout(self):
-        ds = generate_dataset(100, 16, np.random.default_rng(47))
-        sizes = iter([4] + [8] * 30)
-
-        def factory(rng):
-            return build_uc_mmc(next(sizes), 2)
-
-        with pytest.raises(ValueError, match="factory changed"):
-            train(ds, factory, q=0.0, model=MODEL, eta=0.1, iterations=20, seed=1)

@@ -21,7 +21,7 @@ from codedcomp import (
     success_table,
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
-from codedcomp import generate_dataset, train
+from codedcomp import generate_dataset, gram, loss, partial_gd_step, train
 from codedcomp import simulate
 from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
 from codedcomp.schemes import CircularShiftSource
@@ -182,7 +182,20 @@ def _decide(assignment, q, rng):
 
 def _run(source, q, model, trials, seed):
     """The per-trial arrays of every batch ``_batches`` yields, joined."""
-    return [np.concatenate(arrs) for arrs in list(zip(*_batches(source, q, model, trials, seed)))[1:]]
+    return [np.concatenate(arrs) for arrs in zip(*_batches(source, q, model, trials, seed))]
+
+
+def _rebuilt_per_trial(build, q, model, trials, seed):
+    """The per-trial arrays of a code built whole every trial, the reference
+    for a redrawn source: trial t builds on ``trial_rng(seed, t)``, draws
+    its latencies from the same stream, and ``_trials`` decides it alone."""
+    rows = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        asn = build(rng)
+        unit_times = model.sample_unit_times(rng, asn.n_workers)
+        rows.append(_trials(asn, asn.support, unit_times[None], recovery_threshold(asn.k_total, q)))
+    return [np.concatenate(arrs) for arrs in zip(*rows)]
 
 
 def _assert_outcome(out, expected):
@@ -349,17 +362,6 @@ class TestMonteCarlo:
         b = monte_carlo(build_uc_mmc(10, 2), 0.2, MODEL, 50, seed=8)
         assert not np.array_equal(a.times, b.times)
 
-    def test_factory_redrawn_per_trial(self):
-        drawn = []
-
-        def factory(rng):
-            asn = build_rcs(12, [1, 2], rng)
-            drawn.append(asn.worker_tasks(0)[1].support)
-            return asn
-
-        monte_carlo(factory, 0.0, MODEL, 30, seed=3)
-        assert len(set(drawn)) > 1
-
     def test_trial_streams_independent_of_count(self):
         # first 20 trials of a 50-trial run equal a 20-trial run
         a = monte_carlo(build_uc_mmc(10, 2), 0.2, MODEL, 50, seed=11)
@@ -390,14 +392,16 @@ class TestMonteCarlo:
         b = trial_rng(5, 3).standard_normal(4)
         assert np.array_equal(a, b)
 
-    def test_factory_must_keep_its_layout(self):
-        sizes = iter([4] + [5] * 30)
-
-        def factory(rng):
-            return build_uc_mmc(next(sizes), 2)
-
-        with pytest.raises(ValueError, match="factory changed"):
-            monte_carlo(factory, 0.0, MODEL, 20, seed=1)
+    @pytest.mark.parametrize(
+        "source", [None, lambda rng: build_uc_mmc(8, 2)], ids=["none", "function"]
+    )
+    def test_other_sources_rejected(self, source):
+        accepted = "ComputationAssignment or a CircularShiftSource"
+        with pytest.raises(TypeError, match=accepted):
+            monte_carlo(source, 0.25, MODEL, 5, seed=1)
+        ds = generate_dataset(50, 16, np.random.default_rng(0))
+        with pytest.raises(TypeError, match=accepted):
+            train(ds, source, q=0.25, model=MODEL, eta=0.1, iterations=5, seed=1)
 
     def test_percentiles_among_incomplete_trials_are_infinite(self):
         times = np.array([1.0, 2.0, 3.0, np.inf, np.inf])
@@ -444,18 +448,18 @@ class TestTrialStreams:
             with pytest.raises(ValueError):
                 _stream_states(0, [t])
 
-    def test_factory_sees_each_trial_stream(self):
+    def test_factory_sees_each_trial_stream(self, monkeypatch):
         """Every trial starts from the state trial_rng gives it, across
         batches and seed blocks, so the draw order per trial is pinned."""
-        seen, asn = [], build_uc_mmc(8, 2)
+        seen, draw = [], CircularShiftSource.draw
 
-        def factory(rng):
+        def recording(source, rng):
             seen.append(rng.bit_generator.state)
-            rng.permutation(8)
-            return asn
+            return draw(source, rng)
 
+        monkeypatch.setattr(CircularShiftSource, "draw", recording)
         trials = _SEED_BLOCK + 2 * _CHUNK + 3
-        monte_carlo(factory, 0.25, MODEL, trials, seed=1729)
+        monte_carlo(CircularShiftSource.of(8, [1, 2]), 0.25, MODEL, trials, seed=1729)
         assert len(seen) == trials
         for t, state in enumerate(seen):
             assert state == trial_rng(1729, t).bit_generator.state
@@ -513,20 +517,39 @@ class TestCircularShiftSource:
     def test_monte_carlo_equals_factory(self, name):
         for q in (0.0, 0.3):
             got = monte_carlo(self.source(name), q, MODEL, self.TRIALS, seed=1729)
-            want = monte_carlo(lambda rng: self.build(name, rng), q, MODEL, self.TRIALS, seed=1729)
-            for field in ("times", "messages", "redundant", "recovered", "completed"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            times, messages, redundant, masks, completed = _rebuilt_per_trial(
+                lambda rng: self.build(name, rng), q, MODEL, self.TRIALS, seed=1729
+            )
+            want = dict(
+                times=times, messages=messages, redundant=redundant,
+                recovered=masks.sum(axis=1), completed=completed,
+            )
+            for field, value in want.items():
+                assert np.array_equal(getattr(got, field), value), field
 
 
 @pytest.mark.parametrize("name", ["rcs-124", "grouped"])
 def test_train_on_circular_shift_source_equals_factory(name):
     k, degrees, kwargs = SHIFT_CODES[name]
     ds = generate_dataset(100, 80, np.random.default_rng(47))
-    options = dict(q=0.15, model=MODEL, eta=0.1, iterations=TestCircularShiftSource.TRIALS, seed=6)
-    got = train(ds, CircularShiftSource.of(k, degrees, **kwargs), **options)
-    want = train(ds, lambda rng: build_rcs(k, degrees, rng, **kwargs), **options)
-    for field in ("losses", "times", "messages", "recovered_fraction", "theta"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    trials, eta = TestCircularShiftSource.TRIALS, 0.1
+    got = train(ds, CircularShiftSource.of(k, degrees, **kwargs), 0.15, MODEL, eta, trials, seed=6)
+    times, messages, _, masks, _ = _rebuilt_per_trial(
+        lambda rng: build_rcs(k, degrees, rng, **kwargs), 0.15, MODEL, trials, seed=6
+    )
+    # The reference steps: each iteration updates exactly its recovered blocks.
+    w_full, c = gram(ds)
+    rows, theta, losses = ds.dim // masks.shape[1], np.zeros(ds.dim), []
+    for mask in masks:
+        w_theta = w_full @ theta
+        blocks = {b: w_theta[b * rows : (b + 1) * rows] for b in np.flatnonzero(mask).tolist()}
+        theta = partial_gd_step(theta, mask, blocks, c, eta / ds.n_samples)
+        losses.append(loss(ds, theta))
+    assert np.array_equal(got.times, times)
+    assert np.array_equal(got.messages, messages)
+    assert np.array_equal(got.recovered_fraction, masks.sum(axis=1) / masks.shape[1])
+    assert np.array_equal(got.losses, losses)
+    assert np.array_equal(got.theta, theta)
 
 
 def test_circular_shift_source_checks_the_rules():
@@ -582,28 +605,32 @@ def _oracle_success(asn, scores, q):
 @settings(max_examples=60, deadline=None)
 @given(codes=_small_peel_codes(), seed=st.integers(0, 2**16))
 def test_small_peel_codes_match_oracle(codes, seed):
-    """monte_carlo and the batches it joins (fixed code and redrawn codes)
-    and success_table equal the message-by-message PeelingDecoder replay."""
-    model, trials = _DrawnTiesModel(), 8
-
-    def factory(rng):
-        return codes[int(rng.integers(2))]
+    """monte_carlo and the batches it joins (one fixed code), _trials on
+    per-trial supports (each trial draws one of the two codes), and
+    success_table equal the message-by-message PeelingDecoder replay."""
+    model, trials, layout = _DrawnTiesModel(), 8, codes[0]
 
     for q in (0.0, 0.2, 0.5, 0.75, 1.0):
-        for source in (codes[0], factory):
-            res = monte_carlo(source, q, model, trials, seed)
-            batches = _run(source, q, model, trials, seed)
-            for t in range(trials):
-                rng = trial_rng(seed, t)
-                asn = source(rng) if callable(source) else source
-                expected = _oracle(asn, q, model.sample_unit_times(rng, asn.n_workers))
-                stop, messages, redundant, mask, completed = expected
-                assert res.times[t] == stop
-                assert res.messages[t] == messages
-                assert res.redundant[t] == redundant
-                assert res.recovered[t] == np.count_nonzero(mask)
-                assert res.completed[t] == completed
-                _assert_outcome([arr[t] for arr in batches], expected)
+        res = monte_carlo(layout, q, model, trials, seed)
+        batches = _run(layout, q, model, trials, seed)
+        drawn, unit_times = [], []
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            drawn.append(codes[int(rng.integers(2))])
+            unit_times.append(model.sample_unit_times(rng, layout.n_workers))
+        supports = tuple(map(np.stack, zip(*(asn.support for asn in drawn))))
+        stacked = _trials(layout, supports, np.array(unit_times), recovery_threshold(layout.k_total, q))
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            expected = _oracle(layout, q, model.sample_unit_times(rng, layout.n_workers))
+            stop, messages, redundant, mask, completed = expected
+            assert res.times[t] == stop
+            assert res.messages[t] == messages
+            assert res.redundant[t] == redundant
+            assert res.recovered[t] == np.count_nonzero(mask)
+            assert res.completed[t] == completed
+            _assert_outcome([arr[t] for arr in batches], expected)
+            _assert_outcome([arr[t] for arr in stacked], _oracle(drawn[t], q, unit_times[t]))
         for asn in codes:
             expected = [
                 (ctype, sum(_oracle_success(asn, s, q) for s in score_vectors_of_type(ctype)))
