@@ -275,6 +275,9 @@ def main(argv=None) -> int:
         print("invalid configuration:", file=sys.stderr)
         return _report(exc.violations)
     out_dir = Path(args.out)
+    # Made before the run, so an unusable path fails fast; a command that
+    # then rejects its input writes nothing and leaves no directory behind.
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -282,6 +285,8 @@ def main(argv=None) -> int:
     try:
         paths = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
+        for path in made:
+            path.rmdir()
         return _report(exc.violations)
     for path in paths:
         print(f"wrote {path}")

@@ -3,10 +3,15 @@
 Configs are plain JSON objects.  Each field is declared once, on
 ExperimentConfig or TrainSettings, together with its parser and default, and
 parse_config is the one place that reads a config file and merges it with
-overrides.  Parsing never stops at the first problem: every violation is
-collected (with its field name) and reported at once via ConfigError.  A
-parsed config resolves all defaults, serializes back to an equal dict, and
-can build the assignment source used by the simulator.
+overrides.  Each scheme is stated once, in the table ``_SCHEMES``: the
+construction fields it reads, how many of them it requires, the mode its
+builder fixes, and its builder.  The table decides which fields a config may
+set and echo, and a config is validated by the one build parse_config makes
+from it: the builder raises its construction rules.  Parsing never stops at
+the first problem: every violation is collected (with its field name) and
+reported at once via ConfigError.  A parsed config resolves all defaults,
+serializes back to an equal dict, and can build the assignment source used
+by the simulator.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,19 +30,16 @@ from .decoding import recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
     CircularShiftSource,
+    ConfigError,
     build_gc,
     build_mcc,
     build_rcs,
     build_uc_mmc,
-    circular_shift_violations,
     hybrid_example,
-    load_violations,
-    mds_violations,
 )
 from .simulate import _release_ranks
 
 DEFAULT_SEED = 1729
-SCHEMES = ("rcs", "rcs-general", "mcc", "uc-mmc", "gc", "hybrid-example")
 
 _ALIASES = {
     "d": "degrees",
@@ -55,41 +57,6 @@ _MODE_ALIASES = {
     "coded-communication": MODE_COMMUNICATION,
 }
 _CONSTRUCTION_TAG = 4294967295
-_REQUIRED = {
-    "rcs": ("degrees",),
-    "rcs-general": ("degrees", "z"),
-    "mcc": ("kbar",),
-    "uc-mmc": ("load",),
-    "gc": ("load",),
-}
-# The construction fields each scheme's builder reads; any other one is a
-# violation rather than a value silently echoed into every artifact.
-_CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load")
-_USED = {
-    "rcs": ("degrees", "offsets"),
-    "rcs-general": ("degrees", "offsets", "groups", "z"),
-    "mcc": ("kbar", "eval_points"),
-    "uc-mmc": ("load",),
-    "gc": ("load",),
-    "hybrid-example": (),
-}
-# Schemes whose builder fixes the mode: (the mode, why).
-_FIXED_MODES = {
-    "mcc": (MODE_COMPUTATION, "codes before computation"),
-    "uc-mmc": (MODE_COMPUTATION, "sends its blocks uncoded"),
-    "hybrid-example": (MODE_COMPUTATION, "has a fixed computation schedule"),
-    "gc": (MODE_COMMUNICATION, "codes after computation"),
-}
-
-
-class ConfigError(ValueError):
-    """Carries every validation violation found in a config."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
 # Field parsers: each takes (key, value, violations), returns the parsed
 # value, or records a violation and returns None.
 
@@ -182,6 +149,49 @@ def _as_bool(key, value, violations) -> bool | None:
     return value
 
 
+class _Scheme(NamedTuple):
+    """What a config of one scheme may set, and how it is built."""
+
+    fields: tuple[str, ...]  # the construction fields its builder reads
+    required: int  # how many of fields, from the first, must be set
+    fixed_mode: tuple[str, str] | None  # (the mode its builder fixes, why)
+    build: Callable[["ExperimentConfig", np.random.Generator], ComputationAssignment]
+
+
+# In the order the ``scheme:`` violation lists them.
+_SCHEMES = {
+    "rcs": _Scheme(
+        ("degrees", "offsets"), 1, None,
+        lambda cfg, rng: build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode),
+    ),
+    "rcs-general": _Scheme(
+        ("degrees", "z", "groups", "offsets"), 2, None,
+        lambda cfg, rng: build_rcs(
+            cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, cfg.z
+        ),
+    ),
+    "mcc": _Scheme(
+        ("kbar", "eval_points"), 1, (MODE_COMPUTATION, "codes before computation"),
+        lambda cfg, rng: build_mcc(cfg.workers, cfg.kbar, cfg.eval_points),
+    ),
+    "uc-mmc": _Scheme(
+        ("load",), 1, (MODE_COMPUTATION, "sends its blocks uncoded"),
+        lambda cfg, rng: build_uc_mmc(cfg.workers, cfg.load),
+    ),
+    "gc": _Scheme(
+        ("load",), 1, (MODE_COMMUNICATION, "codes after computation"),
+        lambda cfg, rng: build_gc(cfg.workers, cfg.load),
+    ),
+    "hybrid-example": _Scheme(
+        (), 0, (MODE_COMPUTATION, "has a fixed computation schedule"),
+        lambda cfg, rng: hybrid_example(cfg.workers),
+    ),
+}
+SCHEMES = tuple(_SCHEMES)
+# Every scheme's construction fields, in the order unused ones are listed.
+_CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load")
+
+
 def _as_scheme(key, value, violations) -> str | None:
     if value not in SCHEMES:
         violations.append(
@@ -254,10 +264,12 @@ class ExperimentConfig:
         return LatencyModel(mu=self.mu, alpha=self.alpha)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready fields; unset optional fields and unused groups are left out."""
+        """JSON-ready fields; unset optional fields and the construction
+        fields of other schemes are left out."""
+        used = _SCHEMES[self.scheme].fields
         data: dict[str, Any] = {}
         for key, value in asdict(self).items():
-            if value is None or (key == "groups" and self.scheme != "rcs-general"):
+            if value is None or (key in _CONSTRUCTION_FIELDS and key not in used):
                 continue
             data[key] = list(value) if isinstance(value, tuple) else value
         return data
@@ -339,36 +351,46 @@ def parse_config(
 
     violations: list[str] = []
     values = _parse_fields(ExperimentConfig, merged, "", violations)
-    scheme = values["scheme"]
-    if scheme in _FIXED_MODES and "mode" not in merged:
-        values["mode"] = _FIXED_MODES[scheme][0]
+    name = values["scheme"]
+    scheme = _SCHEMES.get(name)
+    missing = []
     if scheme is not None:
         violations.extend(
-            f"{name}: not used by scheme {scheme!r}"
-            for name in _CONSTRUCTION_FIELDS
-            if name in merged and name not in _USED[scheme]
+            f"{key}: not used by scheme {name!r}"
+            for key in _CONSTRUCTION_FIELDS
+            if key in merged and key not in scheme.fields
         )
-    if scheme is not None and values["workers"] is not None:
-        _validate_scheme(violations, values)
-    if violations:
-        raise ConfigError(violations)
+        missing = [key for key in scheme.fields[: scheme.required] if values[key] is None]
+        violations.extend(f"{key}: required for scheme {name!r}" for key in missing)
+        if scheme.fixed_mode is not None:
+            mode, why = scheme.fixed_mode
+            if "mode" not in merged:
+                values["mode"] = mode
+            elif values["mode"] != mode:
+                violations.append(f"mode: scheme {name!r} {why}; use {mode!r}")
     cfg = ExperimentConfig(**values)
 
+    asn = None
+    if scheme is not None and not missing and cfg.workers is not None:
+        try:
+            asn = scheme.build(cfg, np.random.default_rng(0))
+        except ConfigError as exc:
+            violations.extend(exc.violations)
+        except (ValueError, OverflowError, MemoryError) as exc:
+            violations.append(f"scheme: cannot construct assignment: {exc}")
     if cfg.train is not None:
         if cfg.mode == MODE_COMMUNICATION:
-            raise ConfigError([
+            violations.append(
                 "train: requires a matrix-vector scheme in computation mode "
                 "(exact-sum coding recovers no coordinate blocks)"
-            ])
-        if cfg.train.dim % cfg.k_total:
-            raise ConfigError([
+            )
+        if cfg.workers is not None and cfg.train.dim % cfg.k_total:
+            violations.append(
                 f"train.dim: {cfg.train.dim} is not divisible into {cfg.k_total} blocks"
-            ])
-    try:
-        asn = build_assignment(cfg, np.random.default_rng(0))
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError([f"scheme: cannot construct assignment: {exc}"]) from exc
-    violations = _tolerance_violations(asn, cfg.q)
+            )
+    # An invalid q is already a violation; its default says nothing.
+    if asn is not None and not any(v.startswith("q:") for v in violations):
+        violations.extend(_tolerance_violations(asn, cfg.q))
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -390,52 +412,13 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
     ]
 
 
-def _validate_scheme(violations, values) -> None:
-    """Required fields, allowed modes and fixed sizes; the construction rules
-    themselves come from the schemes module."""
-    scheme, workers = values["scheme"], values["workers"]
-    missing = [name for name in _REQUIRED.get(scheme, ()) if values[name] is None]
-    violations.extend(f"{name}: required for scheme {scheme!r}" for name in missing)
-    if not missing and scheme in ("rcs", "rcs-general"):
-        z = values["z"] if scheme == "rcs-general" else None
-        violations.extend(circular_shift_violations(
-            workers, values["degrees"], values["groups"], z, values["offsets"]
-        ))
-    elif not missing and scheme == "mcc":
-        violations.extend(mds_violations(workers, values["kbar"], values["eval_points"]))
-    elif not missing and scheme in ("uc-mmc", "gc"):
-        violations.extend(load_violations(workers, values["load"]))
-    fixed, reason = _FIXED_MODES.get(scheme, (values["mode"], ""))
-    if values["mode"] != fixed:
-        violations.append(f"mode: scheme {scheme!r} {reason}; use {fixed!r}")
-    if scheme == "hybrid-example" and workers != 4:
-        violations.append(f"workers: scheme 'hybrid-example' is fixed at 4 workers, got {workers}")
-
-
-def build_assignment(
-    cfg: ExperimentConfig, rng: np.random.Generator | None = None
-) -> ComputationAssignment:
-    """Construct the assignment described by the config (one draw)."""
-    if cfg.scheme in ("rcs", "rcs-general"):
-        return build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, cfg.z)
-    if cfg.scheme == "mcc":
-        return build_mcc(cfg.workers, cfg.kbar, cfg.eval_points)
-    if cfg.scheme == "uc-mmc":
-        return build_uc_mmc(cfg.workers, cfg.load)
-    if cfg.scheme == "gc":
-        return build_gc(cfg.workers, cfg.load)
-    if cfg.scheme == "hybrid-example":
-        return hybrid_example()
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")
-
-
 def assignment_source(cfg: ExperimentConfig):
     """Assignment source for the simulator.
 
     A circular-shift code with drawn offsets and redraw enabled returns a
     :class:`~codedcomp.schemes.CircularShiftSource`: its rules and layout
     are fixed once, each trial draws only its shifts, and called with a
-    generator it returns the same code as :func:`build_assignment`.
+    generator it returns the same code as the scheme's builder.
     Everything else returns one fixed assignment built from a dedicated
     construction stream.
     """
@@ -447,4 +430,4 @@ def assignment_source(cfg: ExperimentConfig):
 def concrete_assignment(cfg: ExperimentConfig) -> ComputationAssignment:
     """One reproducible assignment drawn from the config's construction stream."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CONSTRUCTION_TAG)))
-    return build_assignment(cfg, rng)
+    return _SCHEMES[cfg.scheme].build(cfg, rng)

@@ -7,9 +7,10 @@ Five families are provided:
   consecutive rows are summed per worker into tasks of increasing degree.
   With ``groups`` > 1 the blocks are split into equal groups of reduced size
   and row i draws its shift within group ``z[i]``, trading more messages for
-  smaller unit computations.  ``CircularShiftSource`` redraws one such code
-  per Monte Carlo trial: its rules and layout are fixed once, and a trial
-  draws only its shifts;
+  smaller unit computations.  ``CircularShiftSource`` is the one builder of
+  these codes: its rules and layout are fixed once, a trial draws only its
+  shifts, and ``build_rcs`` checks the rules, then returns one draw of the
+  source or the source at the given offsets;
 * MDS-coded computation (``build_mcc``): interleaved block groups combined
   with Vandermonde coefficients; any ``kbar`` complete workers recover
   everything, nothing is recovered before that;
@@ -20,8 +21,10 @@ Five families are provided:
   fixed complete-worker threshold.
 
 Each construction rule is stated once, in ``circular_shift_violations``,
-``mds_violations`` or ``load_violations``, as messages prefixed with the field
-at fault: the builders raise them and config validation lists them.
+``mds_violations``, ``load_violations`` or ``hybrid_example``, as messages
+prefixed with the config field at fault.  The builders raise them together
+as one :class:`ConfigError`, and config validation lists them from the one
+build it makes.
 """
 
 from __future__ import annotations
@@ -45,9 +48,18 @@ from .blocks import (
 )
 
 
+class ConfigError(ValueError):
+    """Carries every violation found in a config or in a builder's
+    arguments, each prefixed with the config field at fault."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
+
+
 def _check(errors: list[str]) -> None:
     if errors:
-        raise ValueError("; ".join(errors))
+        raise ConfigError(errors)
 
 
 def circular_shift_violations(
@@ -107,54 +119,19 @@ def circular_shift_violations(
     return errors
 
 
-def _shift_rows(z: Sequence[int] | None, total: int):
-    """0-based group of every grid row, and each row's place in its group's
-    pool of shifts (the number of earlier rows in the same group)."""
-    rows = np.zeros(total, dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
-    return rows, np.tril(rows[:, None] == rows, -1).sum(axis=1)
+def _shift_supports(
+    k: int, degrees: Sequence[int], rows: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per-order block ids (..., k, d_j) of a shift grid.
 
-
-def _draw_pools(rng: np.random.Generator, k: int, groups: int) -> list[np.ndarray]:
-    """One permutation of 0..k-1 per group, in group order; row i takes the
-    shift at its place in the pool of its group.  This draw order fixes every
-    seeded construction stream."""
-    return [rng.permutation(k) for _ in range(groups)]
-
-
-def _pool_offsets(pools, rows: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """1-based offset of every row from drawn pools of shape (..., groups, k)."""
-    return np.array(pools)[..., rows, place] + 1
-
-
-def _shift_grid(k: int, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Block id of every shift-grid entry: [..., i, w] is rows[i] * k +
-    (w + offsets[..., i] - 1) mod k.  offsets may carry leading trial axes."""
-    return rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
-
-
-def _order_supports(grid: np.ndarray, degrees: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Per-order block ids (..., k, d_j): order j takes the next degrees[j]
-    rows of the grid, read down each worker's column."""
+    Grid row i is group rows[i] (0-based) shifted by offsets[..., i] - 1, so
+    worker w holds block rows[i] * k + (w + offsets[..., i] - 1) mod k, and
+    order j takes the next degrees[j] rows down each worker's column.
+    offsets may carry leading trial axes.
+    """
+    grid = rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
     ends = itertools.accumulate(degrees)
     return tuple(grid[..., end - d : end, :].swapaxes(-1, -2) for end, d in zip(ends, degrees))
-
-
-def _shift_assignment(
-    k: int, degrees: Sequence[int], grid: np.ndarray, mode: str, groups: int
-) -> ComputationAssignment:
-    support = _order_supports(grid, degrees)
-    ends = list(itertools.accumulate(degrees))
-    sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
-    return ComputationAssignment(
-        n_workers=k,
-        k_total=k * groups,
-        support=support,
-        coefficients=tuple(np.ones(ids.shape) for ids in support),
-        messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
-        mode=mode,
-        task_cost=1.0 / groups,
-        decode=DECODE_PEEL,
-    )
 
 
 def build_rcs(
@@ -177,7 +154,8 @@ def build_rcs(
     coefficients.  In "computation" mode each coded task is one unit of work
     and goes out in its own message; in "communication" mode each row is one
     unit and the order-j message leaves after degrees[0] + ... + degrees[j]
-    units.
+    units.  The code is a draw of :class:`CircularShiftSource` (``source(rng)``),
+    or the source at the given offsets.
 
     Args:
         k: number of workers (= blocks per group).
@@ -195,30 +173,26 @@ def build_rcs(
         ComputationAssignment decodable by peeling.
 
     Raises:
-        ValueError: listing every :func:`circular_shift_violations`.
+        ConfigError: listing every :func:`circular_shift_violations`.
     """
     _check(circular_shift_violations(k, degrees, groups, z, offsets))
-    degrees = [int(d) for d in degrees]
-    rows, place = _shift_rows(z, sum(degrees))
+    source = CircularShiftSource._unchecked(k, degrees, mode, groups, z)
     if offsets is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        offsets = _pool_offsets(_draw_pools(rng, k, groups), rows, place)
-    grid = _shift_grid(k, rows, np.asarray(offsets, dtype=np.int64))
-    return _shift_assignment(k, degrees, grid, mode, groups)
+        return source(rng if rng is not None else np.random.default_rng())
+    return source.at(offsets)
 
 
 class CircularShiftSource(NamedTuple):
     """A circular-shift code redrawn every trial, with its layout fixed once.
 
     Built by :meth:`of`, which checks the rules and fixes everything a draw
-    does not change: each row's group and place in its group's pool, the
-    degrees, and ``layout``, one valid draw that carries the messages, mode
-    and task cost.  A trial draws only its shift pools (:meth:`draw`, the
-    same ``groups`` permutations :func:`build_rcs` draws), and :meth:`stack`
-    turns a batch of draws into per-order supports in one array pass.
-    Called with a generator it returns the same assignment as
-    ``build_rcs(..., rng)``.
+    does not change: each row's 0-based group (``rows``) and place in its
+    group's pool of shifts (``place``, the number of earlier rows in the same
+    group), the degrees, and ``layout``, one valid draw that carries the
+    messages, mode and task cost.  A trial draws only its shift pools
+    (:meth:`draw`), and :meth:`stack` turns a batch of draws into per-order
+    supports in one array pass.  Called with a generator it returns the same
+    assignment as ``build_rcs(..., rng)``.
     """
 
     degrees: tuple[int, ...]
@@ -240,30 +214,53 @@ class CircularShiftSource(NamedTuple):
         z=z)`` with drawn offsets, and fix the layout of its draws.
 
         Raises:
-            ValueError: listing every :func:`circular_shift_violations`.
+            ConfigError: listing every :func:`circular_shift_violations`.
         """
         _check(circular_shift_violations(k, degrees, groups, z, None))
+        return cls._unchecked(k, degrees, mode, groups, z)
+
+    @classmethod
+    def _unchecked(cls, k, degrees, mode, groups, z) -> "CircularShiftSource":
+        """:meth:`of` for a caller that has already checked the rules."""
         degrees = tuple(int(d) for d in degrees)
-        rows, place = _shift_rows(z, sum(degrees))
-        layout = _shift_assignment(k, degrees, _shift_grid(k, rows, place + 1), mode, groups)
+        rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
+        place = np.tril(rows[:, None] == rows, -1).sum(axis=1)
+        support = _shift_supports(k, degrees, rows, place + 1)
+        ends = list(itertools.accumulate(degrees))
+        sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
+        layout = ComputationAssignment(
+            n_workers=k,
+            k_total=k * groups,
+            support=support,
+            coefficients=tuple(np.ones(ids.shape) for ids in support),
+            messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
+            mode=mode,
+            task_cost=1.0 / groups,
+            decode=DECODE_PEEL,
+        )
         return cls(degrees, groups, rows, place, layout)
 
     def draw(self, rng: np.random.Generator) -> list[np.ndarray]:
-        """One trial's shift pools: one permutation per group."""
-        return _draw_pools(rng, self.layout.n_workers, self.groups)
+        """One trial's shift pools: one permutation of the k shifts per
+        group, in group order; row i takes the shift at its place in its
+        group's pool.  This draw order fixes every seeded construction stream."""
+        return [rng.permutation(self.layout.n_workers) for _ in range(self.groups)]
 
     def stack(self, drawn) -> tuple[np.ndarray, ...]:
         """The per-order supports, shape (B, k, d_j), of B trials' draws."""
-        return _order_supports(self._grid(drawn), self.degrees)
+        offsets = np.array(drawn)[..., self.rows, self.place] + 1
+        return _shift_supports(self.layout.n_workers, self.degrees, self.rows, offsets)
+
+    def at(self, offsets: Sequence[int]) -> ComputationAssignment:
+        """The code with the given 1-based shift of each row; its offsets
+        are not checked against the rules."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        support = _shift_supports(self.layout.n_workers, self.degrees, self.rows, offsets)
+        return replace(self.layout, support=support)
 
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""
-        grid = self._grid(self.draw(rng))
-        return _shift_assignment(self.layout.n_workers, self.degrees, grid, self.layout.mode, self.groups)
-
-    def _grid(self, drawn) -> np.ndarray:
-        offsets = _pool_offsets(drawn, self.rows, self.place)
-        return _shift_grid(self.layout.n_workers, self.rows, offsets)
+        return self.at(np.array(self.draw(rng))[self.rows, self.place] + 1)
 
 
 def default_eval_points(k: int) -> tuple[float, ...]:
@@ -303,7 +300,7 @@ def build_mcc(
     degenerates to the uncoded one-block-per-worker assignment.
 
     Raises:
-        ValueError: listing every :func:`mds_violations`.
+        ConfigError: listing every :func:`mds_violations`.
     """
     _check(mds_violations(k, kbar, eval_points))
     if eval_points is None:
@@ -368,14 +365,18 @@ def build_gc(k: int, load: int) -> ComputationAssignment:
     )
 
 
-def hybrid_example() -> ComputationAssignment:
+def hybrid_example(k: int = 4) -> ComputationAssignment:
     """Hand-crafted four-worker benchmark assignment with partial recovery.
 
     Round one is uncoded (worker w computes block w); round two gives each
     worker a degree-2 combination avoiding its own block: {3,4}, {1,3},
     {2,4}, {1,2} (1-based).  Every block appears once per round across the
     workers, which makes small success counts easy to tabulate by hand.
+
+    Raises:
+        ConfigError: if k, the number of workers, is not 4.
     """
+    _check([] if k == 4 else [f"workers: scheme 'hybrid-example' is fixed at 4 workers, got {k}"])
     support = (np.arange(4)[:, None], np.array([[2, 3], [0, 2], [1, 3], [0, 1]]))
     return ComputationAssignment(
         n_workers=4,

@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line front end."""
 
+import hashlib
 import itertools
 import json
 
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codedcomp
 from codedcomp import ConfigError, parse_config
 from codedcomp.cli import _write_json, main, read_embedded_config
 from codedcomp.config import SCHEMES
+
+# Group 2 only occurs in the degree-2 order, so no message ever releases one
+# of its blocks: half of the 12 blocks stay unknown.
+UNFINISHABLE = {"scheme": "rcs-general", "workers": 6, "degrees": [1, 1, 2], "groups": 2, "z": [1, 1, 2, 2]}
 
 TABLE_CONFIG = {
     "scheme": "rcs",
@@ -403,6 +409,49 @@ class TestParseConfig:
                 "q: all messages together recover 6 of 12 blocks, but tolerance 0.0 needs 12"
             ]
 
+    @pytest.mark.parametrize(
+        "data, violations",
+        [
+            (
+                {"scheme": "rcs", "workers": 8, "degrees": [1, 2], "mode": "communication",
+                 "train": {"dim": 81, "samples": 10}},
+                [
+                    "train: requires a matrix-vector scheme in computation mode "
+                    "(exact-sum coding recovers no coordinate blocks)",
+                    "train.dim: 81 is not divisible into 8 blocks",
+                ],
+            ),
+            (
+                {**UNFINISHABLE, "mu": -2},
+                [
+                    "mu: must be positive, got -2.0",
+                    "q: all messages together recover 6 of 12 blocks, but tolerance 0.0 needs 12",
+                ],
+            ),
+            # An invalid tolerance is reported as such, not checked as its default.
+            ({**UNFINISHABLE, "q": 1.5}, ["q: tolerance must lie in [0, 1], got 1.5"]),
+        ],
+        ids=["train", "tolerance", "invalid-tolerance"],
+    )
+    def test_late_checks_listed_with_the_others(self, data, violations):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.violations == violations
+
+    def test_circular_shift_rules_checked_once(self, monkeypatch):
+        calls = []
+        rules = codedcomp.schemes.circular_shift_violations
+
+        def counting(*args):
+            calls.append(args)
+            return rules(*args)
+
+        # Patched wherever parsing could look the rules up.
+        for module in (codedcomp.schemes, codedcomp.config):
+            monkeypatch.setattr(module, "circular_shift_violations", counting, raising=False)
+        parse_config(TABLE_CONFIG)
+        assert len(calls) == 1
+
     def test_train_dimension_checked(self):
         with pytest.raises(ConfigError, match="train.dim"):
             parse_config(
@@ -535,6 +584,19 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2"],
+            ["enumerate", "--scheme", "rcs", "--workers", "15", "--degrees", "1,2"],
+        ],
+        ids=["train-without-section", "enumerate-too-large"],
+    )
+    def test_failed_command_leaves_no_directory(self, tmp_path, argv):
+        out = tmp_path / "fresh" / "out"
+        assert self.run(*argv, "--out", str(out)) == 2
+        assert not (tmp_path / "fresh").exists()
+
     def test_enumerate_too_large_is_violation(self, tmp_path, capsys):
         code = self.run(
             "enumerate", "--scheme", "uc-mmc", "--workers", "40", "--load", "3",
@@ -544,6 +606,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert "  - workers: enumeration needs 1208925819614629174706176 score vectors" in err
         assert not (tmp_path / "success_counts.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ("rcs --workers 20 --degrees 1,2,3", "c6765cff47c582063258a6fd095ace513f56023f7300de9bdbda06e029feebf8"),
+            (
+                "rcs --workers 20 --degrees 1,2,3 --offsets 1,4,11,15,6,18",
+                "8483fa1779215cb83f9b4cac3dcf7bdad181d0852dadd52fea23ff53cf841ba1",
+            ),
+            (
+                "rcs-general --workers 40 --degrees 1,1,4,8 --groups 2 --z 1,2,1,1,2,2,1,1,1,1,2,2,2,2",
+                "4863768b61326e775fe121e30ae8fb64b5bb05c6fd32985c833dfb11377940e6",
+            ),
+            ("mcc --workers 8 --kbar 4", "3d6740f2f7aa33fbaeeb4a74b8c3ed0ea983b33308728840b27d2e16c0b178a4"),
+            ("uc-mmc --workers 8 --load 3", "1bd9811c32041d505aed4b55edecd5fe50c9334197ad61e8d6aa5007fdeb3f00"),
+            ("gc --workers 8 --load 3", "8ee4b33184f8bbaeca38f6f9c1f6b96f7dfcdde892d53796361de80589fbcf18"),
+            ("hybrid-example --workers 4", "9322227749d710ef34a9f6868804fa8ca164f92653aeed5d4dd9d4c002e063b6"),
+        ],
+        ids=["rcs-drawn", "rcs-offsets", "rcs-general", "mcc", "uc-mmc", "gc", "hybrid-example"],
+    )
+    def test_encode_bytes_pinned(self, tmp_path, flags, digest):
+        """The sha256 of every scheme's assignment.json, recorded before the
+        scheme table replaced the per-scheme validation and build code; the
+        same config and seed must keep giving the same bytes."""
+        assert self.run("encode", "--scheme", *flags.split(), "--out", str(tmp_path)) == 0
+        assert hashlib.sha256((tmp_path / "assignment.json").read_bytes()).hexdigest() == digest
+
+    def test_simulate_config_line_pinned(self, tmp_path):
+        """The resolved config an mcc simulate embeds, recorded before the
+        scheme table replaced the per-scheme echo rules."""
+        self.run(
+            "simulate", "--scheme", "mcc", "--workers", "8", "--kbar", "4",
+            "--trials", "50", "--out", str(tmp_path),
+        )
+        assert (tmp_path / "trials.csv").read_text().splitlines()[0] == (
+            '# config: {"alpha": 0.01, "kbar": 4, "mode": "computation", "mu": 10.0, '
+            '"q": 0.0, "redraw": true, "scheme": "mcc", "seed": 1729, "trials": 50, "workers": 8}'
+        )
 
     def test_json_output_is_strict(self, tmp_path):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codedcomp
 from codedcomp import (
     ComputationAssignment,
     ConfigError,
@@ -380,3 +381,14 @@ class TestSharedRules:
         if points is not None:
             config["eval_points"] = points
         _same_rules(mds_violations(k, kbar, points), partial(build_mcc, k, kbar, points), config)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_hybrid_rules(self, k):
+        errors = [] if k == 4 else [f"workers: scheme 'hybrid-example' is fixed at 4 workers, got {k}"]
+        _same_rules(errors, partial(hybrid_example, k), {"scheme": "hybrid-example", "workers": k})
+
+    def test_builders_raise_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            build_rcs(10, [2, 3])
+        assert err.value.violations == circular_shift_violations(10, [2, 3], 1, None, None)
+        assert ConfigError is codedcomp.config.ConfigError is codedcomp.schemes.ConfigError
