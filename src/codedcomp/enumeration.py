@@ -4,12 +4,13 @@ A score vector records how many tasks each worker has finished at some
 instant.  For every cumulative type (histogram of scores) these routines
 count how many of its score vectors let the master stop under a given
 tolerance, and combine the counts with the latency law into the exact
-completion-time CDF.
+completion-time CDF.  The counting walks every score vector by its flat
+index, in chunks: each chunk is decided by one release-rank call and its
+successes are binned by type.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -23,8 +24,9 @@ from .simulate import _release_ranks
 
 # Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
 _MAX_SCORE_VECTORS = 10**7
-# Score vectors decided per release-rank call, so memory stays bounded.
-_VECTORS_PER_CALL = 256
+# Score vectors decided per release-rank call, so memory stays bounded.  At
+# 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a fifth.
+_VECTORS_PER_CALL = 512
 
 
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -90,22 +92,6 @@ def successful_score_vector(
     return bool(_successes(assignment, [scores], q)[0])
 
 
-def enumerate_successful(
-    assignment: ComputationAssignment, q: float, ctype: CumulativeType
-) -> int:
-    """Count the type's score vectors that allow the master to stop."""
-    if ctype.max_score != assignment.max_score:
-        raise ValueError(
-            f"type tabulates scores up to {ctype.max_score} but workers "
-            f"complete up to {assignment.max_score} tasks"
-        )
-    vectors = score_vectors_of_type(ctype)
-    good = 0
-    while batch := list(itertools.islice(vectors, _VECTORS_PER_CALL)):
-        good += int(np.count_nonzero(_successes(assignment, batch, q)))
-    return good
-
-
 def total_vectors(ctype: CumulativeType) -> int:
     """Number of distinct score vectors of the type (multinomial count)."""
     count = math.factorial(ctype.worker_count)
@@ -119,22 +105,39 @@ def success_table(
 ) -> list[tuple[CumulativeType, int, int]]:
     """(type, successful vectors, total vectors) for every cumulative type.
 
+    Walks the flat index of all (max_score + 1) ** n_workers score vectors
+    in chunks of ``_VECTORS_PER_CALL``: a chunk's digits are its score
+    array, one release-rank call decides it, and its successes are binned by
+    type.  A vector's type key is its scores sorted in descending order and
+    read as base-(max_score + 1) digits; ``all_types`` lists the types in
+    strictly decreasing key order.
+
     Raises:
         ValueError: if the (max_score + 1) ** n_workers score vectors are
             more than the enumeration limit of 10**7.
     """
-    count = (assignment.max_score + 1) ** assignment.n_workers
+    base, n = assignment.max_score + 1, assignment.n_workers
+    count = base**n
     if count > _MAX_SCORE_VECTORS:
         raise ValueError(
             f"enumeration needs {count} score vectors "
-            f"({assignment.max_score + 1}^{assignment.n_workers}), "
-            f"above the limit of {_MAX_SCORE_VECTORS}"
+            f"({base}^{n}), above the limit of {_MAX_SCORE_VECTORS}"
         )
-    rows = []
-    for ctype in all_types(assignment.n_workers, assignment.max_score):
-        good = enumerate_successful(assignment, q, ctype)
-        rows.append((ctype, good, total_vectors(ctype)))
-    return rows
+    types = all_types(n, assignment.max_score)
+    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = np.array([np.repeat(np.arange(base - 1, -1, -1), t.counts) @ weights for t in types])
+    # The sorted scores' key without a sort: every level l >= 1 adds the
+    # first C[l] weights, C[l] being the workers at score >= l.
+    leading = np.concatenate(([0], np.cumsum(weights)))
+    levels = np.arange(1, base)
+    good = np.zeros(len(types), dtype=np.int64)
+    for start in range(0, count, _VECTORS_PER_CALL):
+        index = np.arange(start, min(start + _VECTORS_PER_CALL, count), dtype=np.int64)
+        scores = index[:, None] // weights % base
+        at_least = np.count_nonzero(scores[:, :, None] >= levels, axis=1)
+        rows = np.searchsorted(-keys, -leading[at_least].sum(axis=1))
+        good += np.bincount(rows[_successes(assignment, scores, q)], minlength=len(types))
+    return [(ctype, int(g), total_vectors(ctype)) for ctype, g in zip(types, good)]
 
 
 def completion_cdf(

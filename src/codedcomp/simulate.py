@@ -156,28 +156,36 @@ def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarra
     ranks[b, m, w] is the arrival rank of worker w's message m in trial b
     (infinity for a message that never arrives).  A block is recoverable
     from the messages ranked r or earlier exactly when its release rank is at
-    most r; a block that is never recoverable has rank infinity.
+    most r; a block that is never recoverable has rank infinity.  Degree-1
+    orders settle before the sweeps, and a code without coded orders
+    (uc-mmc) runs no sweep.
     """
     n_trials, k = ranks.shape[0], assignment.k_total
     if assignment.decode != DECODE_PEEL:
         return np.repeat(_count_stop(assignment, ranks[:, 0])[:, None], k, axis=1)
     # Entries are laid out (d_j, trials * workers) with flat index
     # trial * k + block, so the max over a task's other blocks works on whole
-    # rows.  Each sweep updates the ranks in place, one order at a time.
+    # rows.  A degree-1 task always offers its own rank, so those orders
+    # settle once, before the sweeps; each sweep updates the ranks in place,
+    # one coded order at a time.
     offset = k * np.arange(n_trials)[:, None, None]
+    release = np.full(n_trials * k, np.inf)
     tasks = []
     for m, ids in _orders(assignment, supports):
         flat = (ids + offset).transpose(2, 0, 1).reshape(ids.shape[2], -1)
-        tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
-    release = np.full(n_trials * k, np.inf)
-    while True:
+        if len(flat) == 1:
+            np.minimum.at(release, flat[0], ranks[:, m].ravel())
+        else:
+            tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
+    while tasks:
         before = release.copy()
         for flat, entries, rank in tasks:
             offers = _max_of_others(release[flat])
             np.maximum(rank, offers, out=offers)
             np.minimum.at(release, entries, offers.ravel())
         if np.array_equal(release, before):
-            return release.reshape(n_trials, k)
+            break
+    return release.reshape(n_trials, k)
 
 
 def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):

@@ -11,16 +11,18 @@ import pytest
 from codedcomp import (
     LatencyModel,
     all_types,
+    build_gc,
     build_mcc,
+    build_rcs,
     build_uc_mmc,
     completion_cdf,
     hybrid_example,
     success_table,
     successful_score_vector,
 )
+from codedcomp import enumeration
 from codedcomp.blocks import type_of
 from codedcomp.enumeration import (
-    enumerate_successful,
     messages_for_score,
     multiset_permutations,
     score_vectors_of_type,
@@ -69,6 +71,39 @@ def builders():
         "uc-mmc": build_uc_mmc(4, 2),
         "hybrid": hybrid_example(),
     }
+
+
+def small_codes():
+    """One small code of every builder, each with at most 2,601 score vectors."""
+    rng = np.random.default_rng(11)
+    return {
+        "rcs": build_rcs(6, [1, 2], offsets=[1, 3, 5]),
+        "rcs-communication": build_rcs(4, [1, 1, 2], rng, mode="communication"),
+        "rcs-general": build_rcs(4, [1, 2, 3], rng, groups=2, z=[1, 1, 2, 1, 2, 2]),
+        # 51 scores per worker: the (workers + 1) ** (max_score + 1)
+        # histogram radix would overflow int64
+        "rcs-general-50": build_rcs(
+            2, [1] * 50, rng, groups=25, z=[g for g in range(1, 26) for _ in range(2)]
+        ),
+        "mcc": build_mcc(5, 3),
+        "uc-mmc": build_uc_mmc(5, 2),
+        "gc": build_gc(5, 2),
+        "hybrid": hybrid_example(),
+    }
+
+
+def enumerate_successful(asn, q, ctype):
+    """Per-type oracle: the type's score vectors decided one at a time."""
+    return sum(successful_score_vector(asn, v, q) for v in score_vectors_of_type(ctype))
+
+
+def type_key(ctype):
+    """The type's scores in descending order, read as base-(max_score + 1) digits."""
+    key = 0
+    for score in range(ctype.max_score, -1, -1):
+        for _ in range(ctype.count_for_score(score)):
+            key = key * (ctype.max_score + 1) + score
+    return key
 
 
 class TestHelpers:
@@ -159,15 +194,32 @@ class TestTables:
 
     def test_success_monotone_in_q(self):
         for asn in builders().values():
-            for ctype in all_types(4, 2):
-                a = enumerate_successful(asn, 0.0, ctype)
-                b = enumerate_successful(asn, 0.25, ctype)
-                c = enumerate_successful(asn, 0.5, ctype)
-                assert a <= b <= c
+            a, b, c = ([good for _, good, _ in success_table(asn, q)] for q in (0.0, 0.25, 0.5))
+            assert all(x <= y <= z for x, y, z in zip(a, b, c))
 
-    def test_type_shape_checked(self):
-        with pytest.raises(ValueError, match="scores up to"):
-            enumerate_successful(builders()["mcc"], 0.0, type_of([1, 0, 1, 1], 1))
+    @pytest.mark.parametrize("name", sorted(small_codes()))
+    def test_matches_per_type_oracle(self, name):
+        asn = small_codes()[name]
+        for q in (0.0, 0.25, 0.5):
+            expected = [
+                (ctype, enumerate_successful(asn, q, ctype), total_vectors(ctype))
+                for ctype in all_types(asn.n_workers, asn.max_score)
+            ]
+            assert success_table(asn, q) == expected
+
+    @pytest.mark.parametrize("name", ["rcs", "rcs-general", "uc-mmc", "hybrid"])
+    def test_chunk_size_changes_nothing(self, name, monkeypatch):
+        asn = small_codes()[name]
+        expected = success_table(asn, 0.25)
+        for size in (1, 7, (asn.max_score + 1) ** asn.n_workers + 1):
+            monkeypatch.setattr(enumeration, "_VECTORS_PER_CALL", size)
+            assert success_table(asn, 0.25) == expected
+
+    @pytest.mark.parametrize("workers, max_score", [(1, 3), (4, 2), (9, 2), (5, 4), (2, 50)])
+    def test_type_keys_strictly_decrease(self, workers, max_score):
+        keys = [type_key(ctype) for ctype in all_types(workers, max_score)]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert keys[0] == (max_score + 1) ** workers - 1 and keys[-1] == 0
 
 
 class TestCompletionCdf:

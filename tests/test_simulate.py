@@ -243,6 +243,25 @@ class TestClosedFormMatchesOracle:
         for q in qs:
             _assert_outcome(_decide(asn, q, _NoStraggleRng()), _oracle(asn, q, unit_times))
 
+    def test_degree_one_code_runs_no_sweep(self, monkeypatch):
+        # every uc-mmc task has degree 1, so each block's release rank is the
+        # smallest rank of the tasks holding it, settled before any sweep
+        asn, calls = build_uc_mmc(8, 2), []
+        max_of_others = simulate._max_of_others
+        monkeypatch.setattr(
+            simulate, "_max_of_others", lambda values: calls.append(1) or max_of_others(values)
+        )
+        rng = np.random.default_rng(5)
+        ranks = rng.random((6, len(asn.messages), asn.n_workers))
+        ranks[rng.random(ranks.shape) < 0.3] = np.inf
+        expected = np.full((6, asn.k_total), np.inf)
+        for m, msg in enumerate(asn.messages):
+            for j in msg.orders:
+                for w, (block,) in enumerate(asn.support[j]):
+                    expected[:, block] = np.minimum(expected[:, block], ranks[:, m, w])
+        assert np.array_equal(simulate._release_ranks(asn, asn.support, ranks), expected)
+        assert calls == []
+
     def test_cases_reach_every_branch(self):
         # the hand-built cases do what their names say
         _, _, redundant, mask, completed = _decide(_uncovered_block(), 0.0, np.random.default_rng(0))
