@@ -161,11 +161,11 @@ class _Scheme(NamedTuple):
 # In the order the ``scheme:`` violation lists them.
 _SCHEMES = {
     "rcs": _Scheme(
-        ("degrees", "offsets"), 1, None,
+        ("degrees", "offsets", "redraw"), 1, None,
         lambda cfg, rng: build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode),
     ),
     "rcs-general": _Scheme(
-        ("degrees", "z", "groups", "offsets"), 2, None,
+        ("degrees", "z", "groups", "offsets", "redraw"), 2, None,
         lambda cfg, rng: build_rcs(
             cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, cfg.z
         ),
@@ -189,7 +189,7 @@ _SCHEMES = {
 }
 SCHEMES = tuple(_SCHEMES)
 # Every scheme's construction fields, in the order unused ones are listed.
-_CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load")
+_CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load", "redraw")
 
 
 def _as_scheme(key, value, violations) -> str | None:

@@ -143,18 +143,23 @@ def success_table(
 def completion_cdf(
     assignment: ComputationAssignment,
     q: float,
-    t: float,
+    t: float | np.ndarray,
     model: LatencyModel,
-) -> float:
+) -> float | np.ndarray:
     """Exact P(iteration finishes by time t).
 
     Sums, over all cumulative types, the number of successful score vectors
-    times the probability of one specific vector of that type.
+    times the probability of one specific vector of that type.  For an array
+    of times the table is counted once, and each entry of the returned array
+    equals the call at that one time.
     """
-    total = 0.0
-    for ctype, good, _ in success_table(assignment, q):
-        if good:
-            p = type_probability(ctype, t, model, assignment.task_cost)
-            if p:
-                total += good * p
-    return total
+    table = [(ctype, good) for ctype, good, _ in success_table(assignment, q) if good]
+    cost = assignment.task_cost
+
+    def at(time):
+        return sum((good * type_probability(c, time, model, cost) for c, good in table), 0.0)
+
+    if np.ndim(t) == 0:
+        return at(t)
+    times = np.asarray(t, dtype=float)
+    return np.reshape([at(time) for time in times.ravel().tolist()], times.shape)

@@ -22,11 +22,11 @@ an unsent one.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
-:func:`monte_carlo` and ``regression.train``, derives those streams for
-many trials in one array pass (:func:`_stream_states` re-derives NumPy's
-``SeedSequence`` hash, :func:`_trial_states` PCG64's seeding step) and loads
-each one into a single generator, so it draws the same numbers without
-building a generator per trial.  A source is a fixed
+:func:`monte_carlo` and ``regression.train``, hashes the seed words of many
+trials in one array pass (:func:`_stream_states` re-derives NumPy's
+``SeedSequence`` hash) and hands each trial's words to NumPy, which seeds
+the trial's generator from them (:class:`_StreamWords`), so it draws the
+same numbers without running NumPy's hash per trial.  A source is a fixed
 ``ComputationAssignment``, which every trial runs, or a redrawn
 circular-shift code (``schemes.CircularShiftSource``) whose rules and layout
 are fixed once: a trial draws only its shift permutations, and a batch's
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import DECODE_PEEL, DECODE_MDS, ComputationAssignment
 from .decoding import recovery_threshold
@@ -59,13 +60,11 @@ _CHUNK = 64
 # per trial.
 _SEED_BLOCK = 1024
 
-# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# PCG64 multiplier (O'Neill, "PCG", 2014).
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 2**32 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class _CountState:
@@ -349,24 +348,19 @@ def _stream_states(seed: int, trials) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _trial_states(seed: int, trials):
-    """Yield the PCG64 state of ``trial_rng(seed, t)`` for every trial index t
-    in the sequence trials, hashing ``_SEED_BLOCK`` trials at a time.
+class _StreamWords(ISeedSequence):
+    """One row of :func:`_stream_states`: the four words PCG64 asks
+    ``SeedSequence((seed, t))`` for.  Any other request raises, so a NumPy
+    that seeds PCG64 differently fails instead of drawing other streams."""
 
-    PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0:w1 and
-    initseq = w2:w3: inc = 2 * initseq + 1 and state = (inc + initstate) *
-    MULT + inc, modulo 2**128.
-    """
-    for start in range(0, len(trials), _SEED_BLOCK):
-        for w0, w1, w2, w3 in _stream_states(seed, trials[start : start + _SEED_BLOCK]).tolist():
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            yield {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+    def __init__(self, words: np.ndarray):
+        # PCG64 reads the words' memory directly, so they must be contiguous.
+        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self._words
 
 
 def _source_layout(source: AssignmentSource) -> ComputationAssignment:
@@ -389,8 +383,8 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     completed flags).  Trial t draws the shifts of a
     :class:`~codedcomp.schemes.CircularShiftSource` (a fixed
     ``ComputationAssignment`` draws nothing), then the latencies, from the
-    stream of ``trial_rng(seed, t)``; the streams are derived for many
-    trials in one pass and loaded in turn into one generator.
+    stream of ``trial_rng(seed, t)``, which NumPy seeds from the words
+    hashed for ``_SEED_BLOCK`` trials at a time.
 
     Raises:
         TypeError: if source is of neither accepted type.
@@ -401,13 +395,14 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     layout = _source_layout(source)
     redrawn = isinstance(source, CircularShiftSource)
     threshold = recovery_threshold(layout.k_total, q)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    states = _trial_states(seed, range(trials))
+    rngs = (
+        np.random.default_rng(_StreamWords(words))
+        for start in range(0, trials, _SEED_BLOCK)
+        for words in _stream_states(seed, range(start, min(start + _SEED_BLOCK, trials)))
+    )
     for _ in range(0, trials, _CHUNK):
         drawn, unit_times = [], []
-        for state in itertools.islice(states, _CHUNK):
-            bit_generator.state = state
+        for rng in itertools.islice(rngs, _CHUNK):
             if redrawn:
                 drawn.append(source.draw(rng))
             unit_times.append(model.sample_unit_times(rng, layout.n_workers))

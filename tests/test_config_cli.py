@@ -101,7 +101,8 @@ def valid_configs(draw):
     _optional(draw, data, "alpha", st.floats(1e-3, 1e3))
     _optional(draw, data, "trials", st.integers(1, 10**6))
     _optional(draw, data, "seed", st.integers(0, 2**64))
-    _optional(draw, data, "redraw", st.booleans())
+    if scheme in ("rcs", "rcs-general"):
+        _optional(draw, data, "redraw", st.booleans())
     if computation and draw(st.booleans()):
         train = {
             "dim": workers * groups * draw(st.integers(1, 5)),
@@ -376,8 +377,13 @@ class TestParseConfig:
             ({"scheme": "uc-mmc", "workers": 4, "load": 2, "kbar": 2}, ["kbar"]),
             ({"scheme": "gc", "workers": 4, "load": 2, "N": 2, "z": [1]}, ["groups", "z"]),
             ({"scheme": "hybrid-example", "workers": 4, "degrees": [1, 2], "load": 2}, ["degrees", "load"]),
+            ({"scheme": "mcc", "workers": 4, "kbar": 2, "redraw": False, "degrees": [1, 2]}, ["degrees", "redraw"]),
+            ({"scheme": "gc", "workers": 4, "load": 2, "redraw": True}, ["redraw"]),
         ],
-        ids=["rcs", "rcs-groups", "rcs-eval-points", "rcs-general", "mcc", "uc-mmc", "gc-alias", "hybrid"],
+        ids=[
+            "rcs", "rcs-groups", "rcs-eval-points", "rcs-general", "mcc", "uc-mmc", "gc-alias", "hybrid",
+            "mcc-redraw", "gc-redraw",
+        ],
     )
     def test_unused_construction_fields_are_violations(self, data, unused):
         with pytest.raises(ConfigError) as err:
@@ -393,6 +399,18 @@ class TestParseConfig:
         assert code == 2
         assert "  - degrees: not used by scheme 'mcc'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scheme": "rcs", "workers": 4, "degrees": [1, 2]},
+            {"scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2, "z": [1, 2]},
+        ],
+        ids=["rcs", "rcs-general"],
+    )
+    def test_redraw_echoed_only_by_circular_shift_codes(self, data):
+        assert parse_config({**data, "redraw": False}).to_dict()["redraw"] is False
+        assert "redraw" not in parse_config({"scheme": "uc-mmc", "workers": 4, "load": 2}).to_dict()
 
     @pytest.mark.parametrize("q, finishes", [(0.0, False), (0.5, True)])
     def test_unfinishable_config_rejected(self, q, finishes):
@@ -619,30 +637,33 @@ class TestCli:
                 "rcs-general --workers 40 --degrees 1,1,4,8 --groups 2 --z 1,2,1,1,2,2,1,1,1,1,2,2,2,2",
                 "4863768b61326e775fe121e30ae8fb64b5bb05c6fd32985c833dfb11377940e6",
             ),
-            ("mcc --workers 8 --kbar 4", "3d6740f2f7aa33fbaeeb4a74b8c3ed0ea983b33308728840b27d2e16c0b178a4"),
-            ("uc-mmc --workers 8 --load 3", "1bd9811c32041d505aed4b55edecd5fe50c9334197ad61e8d6aa5007fdeb3f00"),
-            ("gc --workers 8 --load 3", "8ee4b33184f8bbaeca38f6f9c1f6b96f7dfcdde892d53796361de80589fbcf18"),
-            ("hybrid-example --workers 4", "9322227749d710ef34a9f6868804fa8ca164f92653aeed5d4dd9d4c002e063b6"),
+            ("mcc --workers 8 --kbar 4", "880377d814905c86d0fdda94491b4725d73b9d0f285551c46daec2855d0e3beb"),
+            ("uc-mmc --workers 8 --load 3", "925de0100f1efc184dba9b9df0ca30f36f772a130f94eec600957455672e30e2"),
+            ("gc --workers 8 --load 3", "a83b834d1c6064f1948979c75b2c7c031c9dee76064747a67ccba492a1c05235"),
+            ("hybrid-example --workers 4", "4b91853bec5aaf0af06bd002fc6033154af2eb104a9bd7aa4bb2dddd2baf54d2"),
         ],
         ids=["rcs-drawn", "rcs-offsets", "rcs-general", "mcc", "uc-mmc", "gc", "hybrid-example"],
     )
     def test_encode_bytes_pinned(self, tmp_path, flags, digest):
         """The sha256 of every scheme's assignment.json, recorded before the
         scheme table replaced the per-scheme validation and build code; the
-        same config and seed must keep giving the same bytes."""
+        same config and seed must keep giving the same bytes.  The mcc,
+        uc-mmc, gc and hybrid-example digests were re-recorded when those
+        schemes stopped echoing ``redraw``, which they never read."""
         assert self.run("encode", "--scheme", *flags.split(), "--out", str(tmp_path)) == 0
         assert hashlib.sha256((tmp_path / "assignment.json").read_bytes()).hexdigest() == digest
 
     def test_simulate_config_line_pinned(self, tmp_path):
         """The resolved config an mcc simulate embeds, recorded before the
-        scheme table replaced the per-scheme echo rules."""
+        scheme table replaced the per-scheme echo rules, less the ``redraw``
+        key that mcc never reads."""
         self.run(
             "simulate", "--scheme", "mcc", "--workers", "8", "--kbar", "4",
             "--trials", "50", "--out", str(tmp_path),
         )
         assert (tmp_path / "trials.csv").read_text().splitlines()[0] == (
             '# config: {"alpha": 0.01, "kbar": 4, "mode": "computation", "mu": 10.0, '
-            '"q": 0.0, "redraw": true, "scheme": "mcc", "seed": 1729, "trials": 50, "workers": 8}'
+            '"q": 0.0, "scheme": "mcc", "seed": 1729, "trials": 50, "workers": 8}'
         )
 
     def test_json_output_is_strict(self, tmp_path):

@@ -231,27 +231,41 @@ class TestCompletionCdf:
             assert completion_cdf(asn, 0.0, 50.0, self.MODEL) == pytest.approx(1.0)
 
     def test_monotone_in_t(self):
-        asn = hybrid_example()
-        grid = np.linspace(0.0, 0.6, 60)
-        values = [completion_cdf(asn, 0.0, float(t), self.MODEL) for t in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        values = completion_cdf(hybrid_example(), 0.0, np.linspace(0.0, 0.6, 60), self.MODEL)
+        assert np.all(np.diff(values) >= -1e-12)
 
     def test_hybrid_dominates_q0(self):
         schemes = builders()
         grid = np.linspace(0.015, 0.8, 100)
-        for t in grid:
-            t = float(t)
-            best = completion_cdf(schemes["hybrid"], 0.0, t, self.MODEL)
-            for other in ("mcc", "uc-mmc"):
-                assert best >= completion_cdf(schemes[other], 0.0, t, self.MODEL) - 1e-12
+        best = completion_cdf(schemes["hybrid"], 0.0, grid, self.MODEL)
+        for other in ("mcc", "uc-mmc"):
+            assert np.all(best >= completion_cdf(schemes[other], 0.0, grid, self.MODEL) - 1e-12)
 
     def test_uc_mmc_matches_hybrid_under_tolerance(self):
         # at q=0.25 the counts coincide, so the CDFs must too
         schemes = builders()
-        for t in np.linspace(0.015, 0.8, 100):
-            a = completion_cdf(schemes["uc-mmc"], 0.25, float(t), self.MODEL)
-            b = completion_cdf(schemes["hybrid"], 0.25, float(t), self.MODEL)
-            assert a == pytest.approx(b, abs=1e-12)
+        grid = np.linspace(0.015, 0.8, 100)
+        a = completion_cdf(schemes["uc-mmc"], 0.25, grid, self.MODEL)
+        b = completion_cdf(schemes["hybrid"], 0.25, grid, self.MODEL)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["mcc", "uc-mmc", "hybrid"])
+    def test_time_grid_counts_once(self, name, monkeypatch):
+        asn, grid = builders()[name], np.linspace(0.0, 0.8, 41)
+        scalars = [completion_cdf(asn, 0.25, t, self.MODEL) for t in grid.tolist()]
+        assert all(type(value) is float for value in scalars)
+        calls, original = [], enumeration.success_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(enumeration, "success_table", counting)
+        values = completion_cdf(asn, 0.25, grid, self.MODEL)
+        assert len(calls) == 1
+        assert values.shape == grid.shape
+        assert values.tolist() == scalars
+        assert completion_cdf(asn, 0.25, grid.reshape(41, 1), self.MODEL).shape == (41, 1)
 
     def test_matches_monte_carlo(self):
         from codedcomp import monte_carlo

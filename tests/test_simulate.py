@@ -29,9 +29,9 @@ from codedcomp.simulate import (
     _CHUNK,
     _SEED_BLOCK,
     MonteCarloResult,
+    _StreamWords,
     _batches,
     _stream_states,
-    _trial_states,
     _trials,
     make_decode_state,
     message_times,
@@ -440,7 +440,8 @@ class TestMonteCarlo:
 
 class TestTrialStreams:
     """monte_carlo's batched seeding re-derives NumPy's SeedSequence hash and
-    PCG64 seeding, so it is checked against NumPy's own construction."""
+    lets NumPy seed PCG64 from the hashed words, so both are checked against
+    NumPy's own construction."""
 
     TRIALS = list(range(300)) + [2**31, 2**32 - 1]
 
@@ -450,13 +451,24 @@ class TestTrialStreams:
         expected = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64) for t in self.TRIALS]
         assert words.dtype == np.uint64
         assert np.array_equal(words, np.array(expected))
-        rng = np.random.Generator(np.random.PCG64())
-        for t, state in zip(self.TRIALS, _trial_states(seed, self.TRIALS)):
-            rng.bit_generator.state = state
-            reference = trial_rng(seed, t)
+        for t, w in zip(self.TRIALS, words):
+            rng, reference = np.random.default_rng(_StreamWords(w)), trial_rng(seed, t)
+            assert rng.bit_generator.state == reference.bit_generator.state
             assert np.array_equal(rng.exponential(0.5, 40), reference.exponential(0.5, 40))
             assert np.array_equal(rng.permutation(40), reference.permutation(40))
             assert np.array_equal(rng.standard_normal(3), reference.standard_normal(3))
+
+    def test_stream_words_serve_only_pcg64_seeding(self):
+        words = _StreamWords(_stream_states(1729, [0])[0])
+        expected = np.random.SeedSequence((1729, 0)).generate_state(4, np.uint64)
+        assert np.array_equal(words.generate_state(4, np.uint64), expected)
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64), (8, "u4"), (4, float)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                words.generate_state(n_words, dtype)
+        # PCG64 reads the words' memory, so a strided view must be copied.
+        strided = np.repeat(expected, 2)[::2]
+        rng = np.random.default_rng(_StreamWords(strided))
+        assert rng.bit_generator.state == trial_rng(1729, 0).bit_generator.state
 
     def test_negative_seed_or_trial_rejected(self):
         with pytest.raises(ValueError):
