@@ -192,6 +192,16 @@ SCHEMES = tuple(_SCHEMES)
 _CONSTRUCTION_FIELDS = ("degrees", "offsets", "groups", "z", "kbar", "eval_points", "load", "redraw")
 
 
+def _unused_fields(name: str, offsets) -> dict[str, str]:
+    """Construction fields a config of scheme name does not read, each with
+    why; explicit offsets fix the code, so ``redraw`` goes unread next to them."""
+    used = _SCHEMES[name].fields
+    unused = {k: f"not used by scheme {name!r}" for k in _CONSTRUCTION_FIELDS if k not in used}
+    if offsets is not None and "redraw" in used:
+        unused["redraw"] = "not used with explicit offsets"
+    return unused
+
+
 def _as_scheme(key, value, violations) -> str | None:
     if value not in SCHEMES:
         violations.append(
@@ -265,11 +275,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready fields; unset optional fields and the construction
-        fields of other schemes are left out."""
-        used = _SCHEMES[self.scheme].fields
+        fields the config does not read are left out."""
+        unused = _unused_fields(self.scheme, self.offsets)
         data: dict[str, Any] = {}
         for key, value in asdict(self).items():
-            if value is None or (key in _CONSTRUCTION_FIELDS and key not in used):
+            if value is None or key in unused:
                 continue
             data[key] = list(value) if isinstance(value, tuple) else value
         return data
@@ -355,11 +365,8 @@ def parse_config(
     scheme = _SCHEMES.get(name)
     missing = []
     if scheme is not None:
-        violations.extend(
-            f"{key}: not used by scheme {name!r}"
-            for key in _CONSTRUCTION_FIELDS
-            if key in merged and key not in scheme.fields
-        )
+        unused = _unused_fields(name, values["offsets"])
+        violations.extend(f"{key}: {why}" for key, why in unused.items() if key in merged)
         missing = [key for key in scheme.fields[: scheme.required] if values[key] is None]
         violations.extend(f"{key}: required for scheme {name!r}" for key in missing)
         if scheme.fixed_mode is not None:

@@ -3,10 +3,10 @@
 The peeling decoder is the workhorse for sparse binary codes: every incoming
 task is immediately reduced by the already-recovered blocks, degree-one
 residuals release new blocks, and releases cascade until no residual has
-degree one.  A residual is two numbers, its count of unknown blocks and the
-sum of their ids, so a count of one names the released block directly.  It
-decodes payloads and is the reference for the simulator, which decides when
-blocks become recoverable from release ranks without replaying messages.  An
+degree one.  A residual is the coefficient map of its unknown blocks and its
+reduced payload, so one left with one block names and values it.  It decodes
+payloads and is the reference for the simulator, which decides when blocks
+become recoverable from release ranks without replaying messages.  An
 exact rational row-reduction oracle (``rref_recoverable``) upper-bounds what
 any linear decoder could recover and is used to sanity-check the peeling
 results.  Dense MDS groups and exact-sum schemes decode at a complete-worker
@@ -50,9 +50,11 @@ def recovery_threshold(k_total: int, q: float) -> int:
 
 
 class _Residual:
+    """Coefficients of a stored task's unknown blocks, and its reduced payload or None."""
+
     __slots__ = ("coeffs", "payload")
 
-    def __init__(self, coeffs: dict[int, float], payload: np.ndarray):
+    def __init__(self, coeffs: dict[int, float], payload: np.ndarray | None):
         self.coeffs = coeffs
         self.payload = payload
 
@@ -60,14 +62,12 @@ class _Residual:
 class PeelingDecoder:
     """Incremental peeling decoder over coded tasks.
 
-    Every stored residual keeps two numbers: how many of its blocks are still
-    unknown, and the sum of their ids; every block lists the residuals it
-    occurs in.  Recovering a block lowers the count and the id sum of each of
-    its residuals, and a residual whose count reaches one releases the block
-    whose id its sum now is (the LT-code peeling rule), so releases cascade
-    without any per-residual block sets.  A residual fed with a payload also
-    keeps its coefficient map and its reduced payload, so recovered block
-    values can be read back with :meth:`decode_values`.
+    Every stored residual keeps the coefficients of its still unknown blocks
+    and its reduced payload; every block lists the residuals it occurs in.
+    Recovering a block removes it from each of its residuals and reduces
+    their payloads by its value, and a residual left with one block releases
+    that block, valued when its payload is known, so releases cascade.
+    Recovered block values can be read back with :meth:`decode_values`.
 
     Attributes:
         k_total: number of distinct blocks in play.
@@ -79,9 +79,7 @@ class PeelingDecoder:
             raise ValueError("k_total must be positive")
         self.k_total = k_total
         self._values: dict[int, np.ndarray | None] = {}
-        self._unknown: list[int] = []
-        self._id_sum: list[int] = []
-        self._numeric: dict[int, _Residual] = {}
+        self._residuals: list[_Residual] = []
         self._by_block: list[list[int]] = [[] for _ in range(k_total)]
         self._pending = 0
         self.messages_ingested = 0
@@ -140,25 +138,16 @@ class PeelingDecoder:
             ((block, coef),) = coeffs.items()
             return self._release(block, None if payload is None else payload / coef)
         if coeffs:
-            rid = self._store(list(coeffs))
-            if payload is not None:
-                self._numeric[rid] = _Residual(coeffs, payload)
+            for b in coeffs:
+                self._by_block[b].append(len(self._residuals))
+            self._residuals.append(_Residual(coeffs, payload))
+            self._pending += 1
         return set()
-
-    def _store(self, unknown: list[int]) -> int:
-        """Keep a residual over two or more unknown blocks; return its id."""
-        rid = len(self._unknown)
-        self._unknown.append(len(unknown))
-        self._id_sum.append(sum(unknown))
-        for b in unknown:
-            self._by_block[b].append(rid)
-        self._pending += 1
-        return rid
 
     def _release(self, block: int, value) -> set[int]:
         """Recover block (with value, or None) and cascade: every residual
-        left with one unknown block releases the block its id sum names."""
-        values, unknown, id_sum, numeric = self._values, self._unknown, self._id_sum, self._numeric
+        left with one unknown block releases it."""
+        values, residuals = self._values, self._residuals
         stack = [(block, value)]
         newly: set[int] = set()
         while stack:
@@ -168,24 +157,14 @@ class PeelingDecoder:
             values[block] = value
             newly.add(block)
             for rid in self._by_block[block]:
-                left = unknown[rid] - 1
-                unknown[rid] = left
-                id_sum[rid] -= block
-                res = numeric.get(rid)
-                if res is not None:
-                    if value is None:
-                        del numeric[rid]
-                        res = None
-                    else:
-                        res.payload = res.payload - res.coeffs.pop(block) * value
-                if left == 1:
+                res = residuals[rid]
+                c = res.coeffs.pop(block)
+                if res.payload is not None:
+                    res.payload = None if value is None else res.payload - c * value
+                if len(res.coeffs) == 1:
                     self._pending -= 1
-                    last = id_sum[rid]
-                    if res is None:
-                        stack.append((last, None))
-                    else:
-                        del numeric[rid]
-                        stack.append((last, res.payload / res.coeffs[last]))
+                    ((last, coef),) = res.coeffs.items()
+                    stack.append((last, None if res.payload is None else res.payload / coef))
         return newly
 
     def decode_values(self) -> dict[int, np.ndarray]:
@@ -261,12 +240,23 @@ def mcc_decode_values(
         Block id -> value for every one of the k_total blocks.
 
     Raises:
-        ValueError: if fewer than kbar complete workers are available, or if
-            their Vandermonde system is too ill-conditioned to trust.
+        ValueError: if a worker id lies outside [0, n_workers) or a worker's
+            payload list does not hold one result per order, if fewer than
+            kbar complete workers are available, or if their Vandermonde
+            system is too ill-conditioned to trust.
     """
     kbar = assignment.kbar
     if kbar is None or assignment.eval_points is None:
         raise ValueError("assignment does not carry MDS decoding metadata")
+    n, r = assignment.n_workers, assignment.n_orders
+    bad = [f"worker id {w!r} outside [0, {n})" for w in payloads if not 0 <= w < n]
+    bad += [
+        f"worker {w!r} has {len(p)} payloads, expected {r}"
+        for w, p in payloads.items()
+        if len(p) != r
+    ]
+    if bad:
+        raise ValueError("; ".join(bad))
     workers = sorted(payloads)
     if len(workers) < kbar:
         raise ValueError(f"need {kbar} complete workers, got {len(workers)}")
@@ -274,7 +264,6 @@ def mcc_decode_values(
     k = assignment.k_total
     if kbar == k:
         return {w: np.asarray(payloads[w][0], dtype=float) for w in workers}
-    r = assignment.n_orders
     points = np.array([assignment.eval_points[w] for w in workers])
     vander = np.vander(points, kbar, increasing=True)
     condition = np.linalg.cond(vander)

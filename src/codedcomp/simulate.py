@@ -116,11 +116,12 @@ def make_decode_state(assignment: ComputationAssignment) -> _CountState:
 def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> np.ndarray:
     """Arrival time of every message given per-worker unit times.
 
-    Returns an (n_messages, n_workers) array: entry [m, w] is when worker w's
-    m-th message reaches the master.
+    unit_times has shape (..., n_workers), any leading axes being trials.
+    Returns an (..., n_messages, n_workers) array: entry [..., m, w] is when
+    worker w's m-th message reaches the master.
     """
     unit_times = np.asarray(unit_times, dtype=float)
-    return np.outer(assignment.schedule(), unit_times)
+    return unit_times[..., None, :] * assignment.schedule()[:, None]
 
 
 def _orders(assignment: ComputationAssignment, supports):
@@ -200,8 +201,7 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         zeros = np.zeros(n_trials, dtype=int)
         masks = np.zeros((n_trials, assignment.k_total), dtype=bool)
         return np.zeros(n_trials), zeros, zeros, masks, np.ones(n_trials, dtype=bool)
-    # arrivals[t, m, w] is the same product message_times gives for trial t.
-    arrivals = assignment.schedule()[None, :, None] * unit_times[:, None, :]
+    arrivals = message_times(assignment, unit_times)
     flat = arrivals.reshape(n_trials, -1)
     if assignment.decode != DECODE_PEEL:
         # Everything unlocks at the hit-th first-message arrival, which

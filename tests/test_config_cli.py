@@ -101,7 +101,7 @@ def valid_configs(draw):
     _optional(draw, data, "alpha", st.floats(1e-3, 1e3))
     _optional(draw, data, "trials", st.integers(1, 10**6))
     _optional(draw, data, "seed", st.integers(0, 2**64))
-    if scheme in ("rcs", "rcs-general"):
+    if scheme in ("rcs", "rcs-general") and "offsets" not in data:
         _optional(draw, data, "redraw", st.booleans())
     if computation and draw(st.booleans()):
         train = {
@@ -412,6 +412,24 @@ class TestParseConfig:
         assert parse_config({**data, "redraw": False}).to_dict()["redraw"] is False
         assert "redraw" not in parse_config({"scheme": "uc-mmc", "workers": 4, "load": 2}).to_dict()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scheme": "rcs", "workers": 4, "degrees": [1, 2], "offsets": [1, 2, 3]},
+            {
+                "scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2,
+                "z": [1, 2], "offsets": [3, 1],
+            },
+        ],
+        ids=["rcs", "rcs-general"],
+    )
+    def test_redraw_with_offsets_is_violation(self, data):
+        assert "redraw" not in parse_config(data).to_dict()
+        for redraw in (True, False):
+            with pytest.raises(ConfigError) as err:
+                parse_config({**data, "redraw": redraw})
+            assert err.value.violations == ["redraw: not used with explicit offsets"]
+
     @pytest.mark.parametrize("q, finishes", [(0.0, False), (0.5, True)])
     def test_unfinishable_config_rejected(self, q, finishes):
         # Group 2 only occurs in the degree-2 order, so no message ever
@@ -607,8 +625,12 @@ class TestCli:
         [
             ["train", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2"],
             ["enumerate", "--scheme", "rcs", "--workers", "15", "--degrees", "1,2"],
+            [
+                "encode", "--scheme", "rcs", "--workers", "20", "--degrees", "1,2,3",
+                "--offsets", "1,4,11,15,6,18", "--redraw", "false",
+            ],
         ],
-        ids=["train-without-section", "enumerate-too-large"],
+        ids=["train-without-section", "enumerate-too-large", "redraw-with-offsets"],
     )
     def test_failed_command_leaves_no_directory(self, tmp_path, argv):
         out = tmp_path / "fresh" / "out"
@@ -631,7 +653,7 @@ class TestCli:
             ("rcs --workers 20 --degrees 1,2,3", "c6765cff47c582063258a6fd095ace513f56023f7300de9bdbda06e029feebf8"),
             (
                 "rcs --workers 20 --degrees 1,2,3 --offsets 1,4,11,15,6,18",
-                "8483fa1779215cb83f9b4cac3dcf7bdad181d0852dadd52fea23ff53cf841ba1",
+                "44f31ad13ebdd6ee4020dbc30506110f857a72e76398dce1d84b66e2894bfbaf",
             ),
             (
                 "rcs-general --workers 40 --degrees 1,1,4,8 --groups 2 --z 1,2,1,1,2,2,1,1,1,1,2,2,2,2",
@@ -649,7 +671,8 @@ class TestCli:
         scheme table replaced the per-scheme validation and build code; the
         same config and seed must keep giving the same bytes.  The mcc,
         uc-mmc, gc and hybrid-example digests were re-recorded when those
-        schemes stopped echoing ``redraw``, which they never read."""
+        schemes stopped echoing ``redraw``, which they never read, and the
+        rcs-offsets digest when explicit offsets stopped echoing it."""
         assert self.run("encode", "--scheme", *flags.split(), "--out", str(tmp_path)) == 0
         assert hashlib.sha256((tmp_path / "assignment.json").read_bytes()).hexdigest() == digest
 

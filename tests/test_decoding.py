@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from codedcomp import (
     CodedTask,
+    LatencyModel,
     PeelingDecoder,
     build_gc,
     build_mcc,
+    build_rcs,
     build_uc_mmc,
     mcc_decode_values,
     recovery_threshold,
     rref_recoverable,
 )
-from codedcomp.simulate import make_decode_state
+from codedcomp.simulate import _release_ranks, make_decode_state, message_times
 
 
 def random_instance(rng, max_blocks=8, max_tasks=12):
@@ -128,15 +130,15 @@ class TestPeeling:
         for _ in range(50):
             k, tasks = random_instance(rng)
             dec = PeelingDecoder(k)
+            stored = []  # the task behind each residual
             for t in tasks:
                 dec.ingest(t)
-                pending = [rid for rid, left in enumerate(dec._unknown) if left >= 2]
-                assert dec.pending_count == len(pending)
-                for rid in pending:
-                    blocks = {b for b in range(k) if rid in dec._by_block[b]}
-                    unknown = blocks - dec.recovered
-                    assert len(unknown) == dec._unknown[rid]
-                    assert sum(unknown) == dec._id_sum[rid]
+                stored += [t] * (len(dec._residuals) - len(stored))
+                sizes = [len(res.coeffs) for res in dec._residuals]
+                assert 1 not in sizes
+                assert dec.pending_count == sum(size >= 2 for size in sizes)
+                for task, res in zip(stored, dec._residuals):
+                    assert set(res.coeffs) == set(task.support) - dec.recovered
 
     def test_support_range_checked(self):
         dec = PeelingDecoder(3)
@@ -330,6 +332,33 @@ class TestNumericRecovery:
         for b, v in values.items():
             assert np.allclose(v, blocks[b], atol=1e-12)
 
+    def test_payload_peeling_at_forty_workers(self):
+        """Every message of an rcs [1, 2, 4] code at K=40, with payloads, in
+        arrival order (ties by message, then worker): after each arrival the
+        decoder holds the blocks the release ranks name, and at the end it
+        holds every block's value."""
+        rng = np.random.default_rng(40)
+        asn = build_rcs(40, [1, 2, 4], rng)
+        blocks = rng.standard_normal((asn.k_total, 3))
+        for seed in range(5):
+            unit_times = LatencyModel().sample_unit_times(np.random.default_rng(seed), 40)
+            arrivals = message_times(asn, unit_times)
+            order = np.argsort(arrivals, axis=None, kind="stable")
+            ranks = np.empty(order.size)
+            ranks[order] = np.arange(order.size)
+            release = _release_ranks(asn, asn.support, ranks.reshape(1, *arrivals.shape))[0]
+            dec = PeelingDecoder(asn.k_total)
+            for r, flat in enumerate(order):
+                m, w = divmod(int(flat), asn.n_workers)
+                for j in asn.messages[m].orders:
+                    t = asn.tasks[j][w]
+                    dec.ingest(t, sum(c * blocks[b] for b, c in zip(t.support, t.coefficients)))
+                assert np.array_equal(dec.recovered_mask(), release <= r)
+            values = dec.decode_values()
+            assert set(values) == set(range(asn.k_total))
+            for b, v in values.items():
+                assert np.linalg.norm(v - blocks[b]) <= 1e-9 * np.linalg.norm(blocks[b])
+
     def test_missing_payload_reported(self):
         dec = PeelingDecoder(2)
         dec.ingest(CodedTask.of_blocks([0]))
@@ -371,6 +400,37 @@ class TestNumericRecovery:
         asn = build_mcc(4, 2)
         with pytest.raises(ValueError, match="complete workers"):
             mcc_decode_values(asn, {0: [np.zeros(1), np.zeros(1)]})
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [
+            ({1: -1}, "worker id -1 outside [0, 4)"),
+            ({1: 4}, "worker id 4 outside [0, 4)"),
+            ({0: -1, 1: 7}, "worker id -1 outside [0, 4); worker id 7 outside [0, 4)"),
+        ],
+        ids=["negative", "too-large", "both"],
+    )
+    def test_mds_worker_ids_checked(self, relabel, message):
+        # unchecked, worker id -1 indexes eval_points from the end and
+        # decodes [3.57, 5.43, 0.43, 0.57] instead of [1, 2, 3, 4]
+        asn = build_mcc(4, 2)
+        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        payloads = _mds_payloads(asn, blocks, [0, 1])
+        with pytest.raises(ValueError) as err:
+            mcc_decode_values(asn, {relabel.get(w, w): p for w, p in payloads.items()})
+        assert str(err.value) == message
+
+    def test_mds_payload_counts_checked(self):
+        asn = build_mcc(4, 2)
+        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        payloads = _mds_payloads(asn, blocks, [0, 1, 2])
+        payloads[0] = payloads[0][:1]
+        payloads[2] = payloads[2] * 2
+        with pytest.raises(ValueError) as err:
+            mcc_decode_values(asn, payloads)
+        assert str(err.value) == (
+            "worker 0 has 1 payloads, expected 2; worker 2 has 4 payloads, expected 2"
+        )
 
     def test_mds_ill_conditioned_workers_raise(self):
         # 14 of 40 workers with the default points 1, 2, 4, ...: the solve

@@ -298,6 +298,14 @@ class TestMessageTimes:
         times = message_times(asn, np.array([0.1, 0.2, 0.4]))
         assert np.allclose(times[1], [0.2, 0.4, 0.8])
 
+    def test_leading_trial_axes(self):
+        asn = build_rcs(20, [1, 2, 3], offsets=[1, 4, 11, 15, 6, 18], mode="communication")
+        unit_times = np.random.default_rng(5).exponential(size=(3, 2, 20))
+        times = message_times(asn, unit_times)
+        assert times.shape == (3, 2, 3, 20)
+        for t in np.ndindex(3, 2):
+            assert np.array_equal(times[t], message_times(asn, unit_times[t]))
+
 
 class TestSimulateIteration:
     """One simulated iteration: a trial of monte_carlo, or one row of _trials."""
