@@ -4,9 +4,13 @@ A score vector records how many tasks each worker has finished at some
 instant.  For every cumulative type (histogram of scores) these routines
 count how many of its score vectors let the master stop under a given
 tolerance, and combine the counts with the latency law into the exact
-completion-time CDF.  The counting walks every score vector by its flat
-index, in chunks: each chunk is decided by one release-rank call and its
-successes are binned by type.
+completion-time CDF.  The counting decides one score vector per class
+the code cannot tell apart and weights it by the class size: one sorted
+vector per type for a count rule, one per rotation orbit for a code that
+turning the workers only relabels (the circular-shift codes), and every
+vector otherwise.  The vectors are walked by their flat index, in chunks
+decided by one release-rank call each, and their successes are binned by
+type.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import ComputationAssignment, CumulativeType
+from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
 from .decoding import recovery_threshold
 from .latency import LatencyModel, type_probability
 from .simulate import _release_ranks
@@ -26,6 +30,10 @@ from .simulate import _release_ranks
 _MAX_SCORE_VECTORS = 10**7
 # Score vectors decided per release-rank call, so memory stays bounded.  At
 # 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a fifth.
+# A turn-invariant code walks n_workers times as many flat indices per
+# window, but still decides its orbit representatives, which cluster at
+# small indices, at most this many per call: deciding a whole 4,608-index
+# window at once raised the enum-rcs CLI's peak RSS by 1.7 MB.
 _VECTORS_PER_CALL = 512
 
 
@@ -100,17 +108,69 @@ def total_vectors(ctype: CumulativeType) -> int:
     return count
 
 
+def _turns_relabel_blocks(assignment: ComputationAssignment) -> bool:
+    """Whether turning the workers by one only relabels the blocks: worker
+    (w + 1) % n's task of every order holds the blocks of worker w's, each
+    block b turned to (b // n) * n + (b % n + 1) % n within its group of n."""
+    n = assignment.n_workers
+    if assignment.k_total % n:
+        return False
+    return all(
+        np.array_equal(
+            np.sort(ids // n * n + (ids % n + 1) % n, axis=1),
+            np.sort(np.roll(ids, -1, axis=0), axis=1),
+        )
+        for ids in assignment.support
+    )
+
+
+def _symmetry(assignment: ComputationAssignment) -> str:
+    """Which score vectors ``success_table`` decides once for a whole class.
+
+    "types" for a count rule, which sees only how many workers sent each
+    message: one sorted vector decides its type.  "turns" for a peel code
+    that turning the workers only relabels: one vector decides its rotation
+    orbit.  "none" otherwise: every vector is decided.
+    """
+    if assignment.decode != DECODE_PEEL:
+        return "types"
+    return "turns" if _turns_relabel_blocks(assignment) else "none"
+
+
+def _orbit_representatives(start: int, stop: int, base: int, n: int, turns: int):
+    """The flat indices in [start, stop) that are the smallest of their orbit
+    under ``turns`` turns, and each one's orbit size.
+
+    A turn moves the leading base-``base`` digit of an n-digit index to the
+    end.  An index drops out at the first turn that makes it smaller, and a
+    kept one's orbit size is ``turns`` over the number of turns that fix it.
+    """
+    index = np.arange(start, stop, dtype=np.int64)
+    turned, fixed, top = index, np.ones_like(index), base ** (n - 1)
+    for _ in range(turns - 1):
+        turned = turned % top * base + turned // top
+        kept = turned >= index
+        index, turned, fixed = index[kept], turned[kept], fixed[kept]
+        fixed += turned == index
+    return index, turns // fixed
+
+
 def success_table(
     assignment: ComputationAssignment, q: float
 ) -> list[tuple[CumulativeType, int, int]]:
     """(type, successful vectors, total vectors) for every cumulative type.
 
-    Walks the flat index of all (max_score + 1) ** n_workers score vectors
-    in chunks of ``_VECTORS_PER_CALL``: a chunk's digits are its score
-    array, one release-rank call decides it, and its successes are binned by
-    type.  A vector's type key is its scores sorted in descending order and
-    read as base-(max_score + 1) digits; ``all_types`` lists the types in
-    strictly decreasing key order.
+    A count rule decides one sorted vector per type and records all of the
+    type's vectors or none.  Any other code walks the flat index of all
+    (max_score + 1) ** n_workers score vectors, worker 0 the leading
+    base-(max_score + 1) digit, in windows of n_turns * ``_VECTORS_PER_CALL``
+    indices, n_turns being n_workers for a code that turning the workers
+    only relabels (``_symmetry``) and 1 otherwise.  Each window's orbit
+    representatives (``_orbit_representatives``) are decided at most
+    ``_VECTORS_PER_CALL`` per release-rank call, and their orbit sizes are
+    binned by type in exact integers.  A vector's type key is its scores
+    sorted in descending order and read as digits; ``all_types`` lists the
+    types in strictly decreasing key order.
 
     Raises:
         ValueError: if the (max_score + 1) ** n_workers score vectors are
@@ -124,20 +184,35 @@ def success_table(
             f"({base}^{n}), above the limit of {_MAX_SCORE_VECTORS}"
         )
     types = all_types(n, assignment.max_score)
+    totals = [total_vectors(ctype) for ctype in types]
+    # Each type's scores in descending order: the one vector a count rule
+    # decides, and the digits of the type's key.
+    sorted_scores = np.array([np.repeat(np.arange(base - 1, -1, -1), t.counts) for t in types])
+    symmetry = _symmetry(assignment)
+    if symmetry == "types":
+        ok = np.concatenate([
+            _successes(assignment, sorted_scores[at : at + _VECTORS_PER_CALL], q)
+            for at in range(0, len(types), _VECTORS_PER_CALL)
+        ])
+        return [(ctype, total if good else 0, total) for ctype, good, total in zip(types, ok, totals)]
     weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = np.array([np.repeat(np.arange(base - 1, -1, -1), t.counts) @ weights for t in types])
+    keys = sorted_scores @ weights
     # The sorted scores' key without a sort: every level l >= 1 adds the
     # first C[l] weights, C[l] being the workers at score >= l.
     leading = np.concatenate(([0], np.cumsum(weights)))
     levels = np.arange(1, base)
+    turns = n if symmetry == "turns" else 1
+    window = turns * _VECTORS_PER_CALL
     good = np.zeros(len(types), dtype=np.int64)
-    for start in range(0, count, _VECTORS_PER_CALL):
-        index = np.arange(start, min(start + _VECTORS_PER_CALL, count), dtype=np.int64)
-        scores = index[:, None] // weights % base
-        at_least = np.count_nonzero(scores[:, :, None] >= levels, axis=1)
-        rows = np.searchsorted(-keys, -leading[at_least].sum(axis=1))
-        good += np.bincount(rows[_successes(assignment, scores, q)], minlength=len(types))
-    return [(ctype, int(g), total_vectors(ctype)) for ctype, g in zip(types, good)]
+    for start in range(0, count, window):
+        reps, orbit = _orbit_representatives(start, min(start + window, count), base, n, turns)
+        for at in range(0, len(reps), _VECTORS_PER_CALL):
+            scores = reps[at : at + _VECTORS_PER_CALL, None] // weights % base
+            at_least = np.count_nonzero(scores[:, :, None] >= levels, axis=1)
+            rows = np.searchsorted(-keys, -leading[at_least].sum(axis=1))
+            ok = _successes(assignment, scores, q)
+            np.add.at(good, rows[ok], orbit[at : at + _VECTORS_PER_CALL][ok])
+    return [(ctype, int(g), total) for ctype, g, total in zip(types, good, totals)]
 
 
 def completion_cdf(

@@ -5,8 +5,12 @@ assignment styles at tolerance 0 and 0.25.  Keys are cumulative types
 (workers at score 2, 1, 0); values are successful score-vector counts.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from codedcomp import (
     LatencyModel,
@@ -28,6 +32,7 @@ from codedcomp.enumeration import (
     score_vectors_of_type,
     total_vectors,
 )
+from codedcomp.schemes import circular_shift_violations
 
 # q = 0: full recovery required
 TABLE_Q0 = {
@@ -95,6 +100,46 @@ def small_codes():
 def enumerate_successful(asn, q, ctype):
     """Per-type oracle: the type's score vectors decided one at a time."""
     return sum(successful_score_vector(asn, v, q) for v in score_vectors_of_type(ctype))
+
+
+def oracle_table(asn, q):
+    """success_table's rows, each type counted by ``enumerate_successful``."""
+    return [
+        (ctype, enumerate_successful(asn, q, ctype), total_vectors(ctype))
+        for ctype in all_types(asn.n_workers, asn.max_score)
+    ]
+
+
+def every_code():
+    """(source, name) of every code in ``small_codes`` and ``builders``."""
+    return [("small", name) for name in sorted(small_codes())] + [
+        ("builders", name) for name in sorted(builders())
+    ]
+
+
+def code(source, name):
+    return (small_codes if source == "small" else builders)()[name]
+
+
+@st.composite
+def shift_codes(draw):
+    """Small valid rcs and rcs-general codes: K of 3-7 workers, one to three
+    orders (two at most past five workers, so the oracle stays quick), one
+    or two groups, and explicit or drawn offsets."""
+    k = draw(st.integers(3, 7))
+    orders = draw(st.integers(1, 3 if k <= 5 else 2))
+    degrees = [1] + sorted(draw(st.lists(st.integers(1, 3), min_size=orders - 1, max_size=orders - 1)))
+    groups = draw(st.integers(1, 2))
+    rows = sum(degrees)
+    z = None if groups == 1 else draw(st.lists(st.integers(1, 2), min_size=rows, max_size=rows))
+    assume(not circular_shift_violations(k, degrees, groups, z, None))
+    row_groups = z or [1] * rows
+    offsets = None
+    if draw(st.booleans()):
+        pools = {g: draw(st.permutations(range(1, k + 1))) for g in sorted(set(row_groups))}
+        offsets = [pools[g][row_groups[:i].count(g)] for i, g in enumerate(row_groups)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return build_rcs(k, degrees, rng, offsets=offsets, groups=groups, z=z)
 
 
 def type_key(ctype):
@@ -201,13 +246,41 @@ class TestTables:
     def test_matches_per_type_oracle(self, name):
         asn = small_codes()[name]
         for q in (0.0, 0.25, 0.5):
-            expected = [
-                (ctype, enumerate_successful(asn, q, ctype), total_vectors(ctype))
-                for ctype in all_types(asn.n_workers, asn.max_score)
-            ]
-            assert success_table(asn, q) == expected
+            assert success_table(asn, q) == oracle_table(asn, q)
 
-    @pytest.mark.parametrize("name", ["rcs", "rcs-general", "uc-mmc", "hybrid"])
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(shift_codes(), st.floats(0.0, 1.0))
+    def test_shift_codes_match_per_type_oracle(self, asn, q):
+        assert enumeration._symmetry(asn) == "turns"
+        assert success_table(asn, q) == oracle_table(asn, q)
+
+    @pytest.mark.parametrize("source, name", every_code())
+    def test_reduction_matches_full_walk(self, source, name, monkeypatch):
+        asn = code(source, name)
+        reduced = [success_table(asn, q) for q in (0.0, 0.25, 0.5, 1.0)]
+        # q = 1 needs no block, so every vector succeeds: each type's count
+        # is its total only if the orbit weights add up.
+        assert all(good == total for _, good, total in reduced[-1])
+        monkeypatch.setattr(enumeration, "_symmetry", lambda assignment: "none")
+        assert [success_table(asn, q) for q in (0.0, 0.25, 0.5, 1.0)] == reduced
+
+    @pytest.mark.parametrize("source, name", every_code() + [("enum-rcs", None)])
+    def test_calls_stay_within_one_chunk(self, source, name, monkeypatch):
+        # Orbit representatives cluster at small indices, so a window of
+        # n_workers chunks can hold far more than one chunk's worth of them.
+        asn = build_rcs(9, [1, 2], offsets=[1, 3, 5]) if source == "enum-rcs" else code(source, name)
+        rows, original = [], enumeration._successes
+
+        def recording(assignment, scores, q):
+            rows.append(len(scores))
+            return original(assignment, scores, q)
+
+        monkeypatch.setattr(enumeration, "_successes", recording)
+        success_table(asn, 0.25)
+        assert rows and min(rows) > 0
+        assert max(rows) <= enumeration._VECTORS_PER_CALL
+
+    @pytest.mark.parametrize("name", ["rcs", "rcs-general", "uc-mmc", "hybrid", "mcc", "gc"])
     def test_chunk_size_changes_nothing(self, name, monkeypatch):
         asn = small_codes()[name]
         expected = success_table(asn, 0.25)
@@ -220,6 +293,44 @@ class TestTables:
         keys = [type_key(ctype) for ctype in all_types(workers, max_score)]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         assert keys[0] == (max_score + 1) ** workers - 1 and keys[-1] == 0
+
+
+class TestSymmetry:
+    def test_circular_shift_builds_turn(self):
+        rng = np.random.default_rng(5)
+        codes = [
+            *(small_codes()[name] for name in ("rcs", "rcs-communication", "rcs-general", "rcs-general-50", "uc-mmc")),
+            build_rcs(40, [1, 2, 4], rng),
+            build_rcs(40, [1, 1, 4, 8], rng, groups=2, z=[1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2]),
+            build_uc_mmc(4, 2),
+            build_uc_mmc(40, 3),
+        ]
+        for asn in codes:
+            assert enumeration._turns_relabel_blocks(asn)
+            assert enumeration._symmetry(asn) == "turns"
+
+    def test_count_rules_decide_types(self):
+        for asn in (build_mcc(5, 3), build_mcc(4, 2, [1, 2, 4, 8]), build_gc(5, 2)):
+            assert enumeration._symmetry(asn) == "types"
+
+    def test_hybrid_does_not_turn(self):
+        assert not enumeration._turns_relabel_blocks(hybrid_example())
+        assert enumeration._symmetry(hybrid_example()) == "none"
+
+    def test_swapped_supports_do_not_turn(self):
+        asn = build_rcs(6, [1, 2], offsets=[1, 3, 5])
+        coded = asn.support[1].copy()
+        coded[[0, 1]] = coded[[1, 0]]
+        swapped = replace(asn, support=(asn.support[0], coded))
+        assert not enumeration._turns_relabel_blocks(swapped)
+        assert success_table(swapped, 0.25) == oracle_table(swapped, 0.25)
+
+    def test_blocks_must_fill_whole_turns(self):
+        # One block more than the workers: the support still turns, but
+        # block 4 has no place in a group of four.
+        asn = build_rcs(4, [1, 2], offsets=[1, 2, 4])
+        assert enumeration._turns_relabel_blocks(asn)
+        assert not enumeration._turns_relabel_blocks(replace(asn, k_total=5))
 
 
 class TestCompletionCdf:
