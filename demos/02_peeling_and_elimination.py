@@ -12,7 +12,14 @@ serves as the exact reference.
 
 import numpy as np
 
-from codedcomp import CodedTask, PeelingDecoder, recovery_threshold, rref_recoverable
+from codedcomp import (
+    CodedTask,
+    PeelingDecoder,
+    decode_blocks,
+    hybrid_example,
+    recovery_threshold,
+    rref_recoverable,
+)
 
 # ---------------------------------------------------------------------------
 # A cascade, step by step.  Six blocks; the first sum is a singleton and each
@@ -60,13 +67,17 @@ print("exact elimination recovers:", sorted(rref_recoverable(stuck, 3)))
 # simulator performs is guaranteed to be a subset of the elimination answer.
 
 # ---------------------------------------------------------------------------
-# Numeric payloads ride along with the symbolic bookkeeping: pass the actual
-# computed sum and decode_values() returns the block products.
+# Values come from one solve.  On the hand-built four-worker assignment,
+# worker 0 sends both of its messages (block 0, then the sum of blocks 2 and
+# 3), worker 3 only its first (block 3), and workers 1 and 2 nothing.  The
+# release ranks name the recovered blocks, and one least-squares solve over
+# the arrived tasks that hold only those blocks gives their values.
 # ---------------------------------------------------------------------------
-blocks = [np.full(2, fill) for fill in (1.0, 10.0, 100.0)]
-carrier = PeelingDecoder(3)
-carrier.ingest(CodedTask.of_blocks([0]), blocks[0].copy())
-carrier.ingest(CodedTask.of_blocks([0, 2]), blocks[0] + blocks[2])
-carrier.ingest(CodedTask.of_blocks([1, 2]), blocks[1] + blocks[2])
-values = carrier.decode_values()
-print("\ndecoded payloads:", {b: v.tolist() for b, v in sorted(values.items())})
+blocks = np.array([np.full(2, fill) for fill in (1.0, 10.0, 100.0, 1000.0)])
+code = hybrid_example()
+task_results = [np.einsum("wd,wdp->wp", coefs, blocks[ids])
+                for ids, coefs in zip(code.support, code.coefficients)]
+arrived = np.array([[True, False, False, True],    # message 1 of each worker
+                    [True, False, False, False]])  # message 2 of each worker
+values = decode_blocks(code, arrived, task_results)
+print("\ndecoded payloads:", {b: v.round(9).tolist() for b, v in sorted(values.items())})

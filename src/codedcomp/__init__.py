@@ -27,7 +27,7 @@ from .config import (
 )
 from .decoding import (
     PeelingDecoder,
-    mcc_decode_values,
+    decode_blocks,
     recovery_threshold,
     rref_recoverable,
 )
@@ -83,11 +83,11 @@ __all__ = [
     "centralized_gd",
     "completion_cdf",
     "concrete_assignment",
+    "decode_blocks",
     "generate_dataset",
     "gram",
     "hybrid_example",
     "loss",
-    "mcc_decode_values",
     "monte_carlo",
     "order_uniform",
     "parse_config",

@@ -216,7 +216,6 @@ class ComputationAssignment:
     task_cost: float = 1.0
     decode: str = DECODE_PEEL
     kbar: int | None = None
-    eval_points: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1 or self.k_total < 1:

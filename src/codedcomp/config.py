@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import numpy as np
 
 from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
-from .decoding import recovery_threshold
+from .decoding import _release_ranks, recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
     CircularShiftSource,
@@ -37,7 +37,6 @@ from .schemes import (
     build_uc_mmc,
     hybrid_example,
 )
-from .simulate import _release_ranks
 
 DEFAULT_SEED = 1729
 

@@ -1,33 +1,38 @@
-"""Recovery rules: tolerance threshold, peeling decoder, exact-elimination oracle.
+"""Which blocks a master recovers, and their values.
 
-The peeling decoder is the workhorse for sparse binary codes: every incoming
-task is immediately reduced by the already-recovered blocks, degree-one
-residuals release new blocks, and releases cascade until no residual has
-degree one.  A residual is the coefficient map of its unknown blocks and its
-reduced payload, so one left with one block names and values it.  It decodes
-payloads and is the reference for the simulator, which decides when blocks
-become recoverable from release ranks without replaying messages.  An
-exact rational row-reduction oracle (``rref_recoverable``) upper-bounds what
-any linear decoder could recover and is used to sanity-check the peeling
-results.  Dense MDS groups and exact-sum schemes decode at a complete-worker
-count instead (the count rules in ``simulate``); ``mcc_decode_values``
-recovers the values of an MDS-coded assignment.
+:func:`_release_ranks` decides which blocks are recoverable, for every
+decode rule and for a whole batch of trials at once: each block's release
+rank is the arrival rank at which it becomes recoverable.  For a peel code
+the ranks are the fixed point of ``R[b] = min over tasks t holding b of
+max(rank(t), R of the other blocks of t)``, iterated from infinity (peeling
+is a closure, and a stopping set stays infinite).  For a count rule
+(``mds``, ``threshold``) every block is released at the ``needed``-th
+smallest first-message rank.  The simulator, exact enumeration and the
+config's finish check all read these ranks.
+
+:func:`decode_blocks` is the one value path, for peel and MDS codes alike:
+the same ranks, 0 for an arrived message and infinity for any other, name
+the recovered blocks, and one least-squares solve gives their values.
+
+``PeelingDecoder`` (symbolic, one task at a time) and the exact rational
+oracle ``rref_recoverable``, which upper-bounds what any linear decoder
+could recover, are the references the release ranks are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .blocks import CodedTask, ComputationAssignment
+from .blocks import DECODE_MDS, DECODE_PEEL, DECODE_THRESHOLD, CodedTask, ComputationAssignment
 
 _ROUND_GUARD = 1e-9
 
-# Largest condition number of the Vandermonde system mcc_decode_values
-# trusts; a small solve residual says nothing about the error beyond it.
+# Largest condition number of a value solve decode_blocks trusts; a small
+# solve residual says nothing about the error beyond it.
 _MAX_CONDITION = 1e12
 
 
@@ -49,25 +54,165 @@ def recovery_threshold(k_total: int, q: float) -> int:
     return int(math.ceil(value))
 
 
-class _Residual:
-    """Coefficients of a stored task's unknown blocks, and its reduced payload or None."""
+def _workers_needed(assignment: ComputationAssignment) -> int:
+    """Complete workers a count rule waits for."""
+    if assignment.decode == DECODE_MDS:
+        return assignment.kbar
+    return assignment.n_workers - assignment.n_orders + 1
 
-    __slots__ = ("coeffs", "payload")
 
-    def __init__(self, coeffs: dict[int, float], payload: np.ndarray | None):
-        self.coeffs = coeffs
-        self.payload = payload
+def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndarray:
+    """Where a count rule stops, per trial: the hit-th smallest of each row
+    of first, the (trials, n_workers) first-message times or ranks, with
+    hit = max(needed workers, 1); infinity when hit exceeds the workers."""
+    hit = max(_workers_needed(assignment), 1)
+    if hit > assignment.n_workers:
+        return np.full(len(first), np.inf)
+    return np.partition(first, hit - 1, axis=1)[:, hit - 1]
+
+
+def _orders(assignment: ComputationAssignment, supports):
+    """(message index, block ids) of every order, the ids shaped (1 or
+    n_trials, n_workers, d_j) so they broadcast over the trials."""
+    return [
+        (m, supports[j].reshape((-1,) + supports[j].shape[-2:]))
+        for m, msg in enumerate(assignment.messages)
+        for j in msg.orders
+    ]
+
+
+def _max_of_others(values: np.ndarray) -> np.ndarray:
+    """For every row of a (d, n) array, the elementwise max of the other rows
+    (-inf where there is none): prefix maxima, then suffix maxima folded in."""
+    out = np.empty_like(values)
+    out[0] = -np.inf
+    for i in range(1, len(values)):
+        np.maximum(out[i - 1], values[i - 1], out=out[i])
+    behind = values[-1].copy()
+    for i in range(len(values) - 2, -1, -1):
+        np.maximum(out[i], behind, out=out[i])
+        np.maximum(behind, values[i], out=behind)
+    return out
+
+
+def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarray) -> np.ndarray:
+    """Release rank of every block in a batch of trials, shape (B, k_total).
+
+    supports holds one block-id array per order: (n_workers, d_j) when all
+    trials share the code, (B, n_workers, d_j) for one drawn code per trial.
+    ranks[b, m, w] is the arrival rank of worker w's message m in trial b
+    (infinity for a message that never arrives).  A block is recoverable
+    from the messages ranked r or earlier exactly when its release rank is at
+    most r; a block that is never recoverable has rank infinity.  Degree-1
+    orders settle before the sweeps, and a code without coded orders
+    (uc-mmc) runs no sweep.
+    """
+    n_trials, k = ranks.shape[0], assignment.k_total
+    if assignment.decode != DECODE_PEEL:
+        return np.repeat(_count_stop(assignment, ranks[:, 0])[:, None], k, axis=1)
+    # Entries are laid out (d_j, trials * workers) with flat index
+    # trial * k + block, so the max over a task's other blocks works on whole
+    # rows.  A degree-1 task always offers its own rank, so those orders
+    # settle once, before the sweeps; each sweep updates the ranks in place,
+    # one coded order at a time.
+    offset = k * np.arange(n_trials)[:, None, None]
+    release = np.full(n_trials * k, np.inf)
+    tasks = []
+    for m, ids in _orders(assignment, supports):
+        flat = (ids + offset).transpose(2, 0, 1).reshape(ids.shape[2], -1)
+        if len(flat) == 1:
+            np.minimum.at(release, flat[0], ranks[:, m].ravel())
+        else:
+            tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
+    while tasks:
+        before = release.copy()
+        for flat, entries, rank in tasks:
+            offers = _max_of_others(release[flat])
+            np.maximum(rank, offers, out=offers)
+            np.minimum.at(release, entries, offers.ravel())
+        if np.array_equal(release, before):
+            break
+    return release.reshape(n_trials, k)
+
+
+def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:
+    """Values of every block the arrived messages recover.
+
+    The recovered blocks are those whose release rank is finite when every
+    arrived message has rank 0 and every other one infinity.  One
+    least-squares solve gives their values: its rows are the arrived tasks
+    whose blocks are all recovered, restricted to the recovered columns.
+
+    Args:
+        assignment: a peel or MDS code.
+        arrived: bool array of shape (n_messages, n_workers); entry [m, w]
+            says whether worker w's message m reached the master.
+        payloads: one array of shape (n_workers, ...) per order, the task
+            results, with one trailing (block) shape for every order.  Rows
+            of tasks that did not arrive are never read.
+
+    Raises:
+        ValueError: for a ``threshold`` code, whose messages carry exact sums
+            rather than blocks; for arrays of the wrong shape; or when the
+            system's rank is below the recovered count or its condition
+            number is above 1e12, so its solution cannot be trusted.
+    """
+    if assignment.decode == DECODE_THRESHOLD:
+        raise ValueError("a threshold code sends exact sums, not blocks: no block has a value")
+    n, shape = assignment.n_workers, (len(assignment.messages), assignment.n_workers)
+    arrived = np.asarray(arrived)
+    payloads = [np.asarray(p, dtype=float) for p in payloads]
+    errors = []
+    if arrived.dtype != bool or arrived.shape != shape:
+        errors.append(
+            f"arrived: expected a bool array of shape {shape}, got {arrived.dtype} {arrived.shape}"
+        )
+    if len(payloads) != assignment.n_orders:
+        errors.append(
+            f"payloads: expected {assignment.n_orders} arrays, one per order, got {len(payloads)}"
+        )
+    if any(p.shape[:1] != (n,) for p in payloads) or len({p.shape[1:] for p in payloads}) > 1:
+        shown = ", ".join(str(p.shape) for p in payloads)
+        errors.append(f"payloads: expected shapes ({n}, ...) with one trailing shape, got {shown}")
+    if errors:
+        raise ValueError("; ".join(errors))
+    ranks = np.where(arrived, 0.0, np.inf)[None]
+    mask = _release_ranks(assignment, assignment.support, ranks)[0] < np.inf
+    recovered = np.flatnonzero(mask)
+    if not recovered.size:
+        return {}
+    column, block_shape = np.cumsum(mask) - 1, payloads[0].shape[1:]
+    rows, rhs = [], []
+    for m, msg in enumerate(assignment.messages):
+        for j in msg.orders:
+            ids = assignment.support[j]
+            used = arrived[m] & mask[ids].all(axis=1)
+            row = np.zeros((np.count_nonzero(used), recovered.size))
+            where = (np.arange(len(row))[:, None], column[ids[used]])
+            np.add.at(row, where, assignment.coefficients[j][used])
+            rows.append(row)
+            rhs.append(payloads[j][used].reshape(len(row), math.prod(block_shape)))
+    values, _, rank, singular = np.linalg.lstsq(
+        np.concatenate(rows), np.concatenate(rhs), rcond=None
+    )
+    condition = singular[0] / singular[-1] if singular[-1] else math.inf
+    if rank < recovered.size or not condition <= _MAX_CONDITION:
+        raise ValueError(
+            f"the system of the {recovered.size} recovered blocks has rank {rank} and "
+            f"condition number {condition:.3g}; below full rank or above {_MAX_CONDITION:g}, "
+            "its solution cannot be trusted"
+        )
+    return {int(b): value.reshape(block_shape) for b, value in zip(recovered, values)}
 
 
 class PeelingDecoder:
     """Incremental peeling decoder over coded tasks.
 
-    Every stored residual keeps the coefficients of its still unknown blocks
-    and its reduced payload; every block lists the residuals it occurs in.
-    Recovering a block removes it from each of its residuals and reduces
-    their payloads by its value, and a residual left with one block releases
-    that block, valued when its payload is known, so releases cascade.
-    Recovered block values can be read back with :meth:`decode_values`.
+    Every stored residual is the set of its task's still unknown blocks, and
+    every block lists the residuals it occurs in.  Recovering a block removes
+    it from each of its residuals, and a residual left with one block
+    releases that block, so releases cascade.  The decoder names blocks
+    only; :func:`decode_blocks` gives their values.
 
     Attributes:
         k_total: number of distinct blocks in play.
@@ -78,19 +223,19 @@ class PeelingDecoder:
         if k_total < 1:
             raise ValueError("k_total must be positive")
         self.k_total = k_total
-        self._values: dict[int, np.ndarray | None] = {}
-        self._residuals: list[_Residual] = []
+        self._recovered: set[int] = set()
+        self._residuals: list[set[int]] = []
         self._by_block: list[list[int]] = [[] for _ in range(k_total)]
         self._pending = 0
         self.messages_ingested = 0
 
     @property
     def recovered(self) -> set[int]:
-        return set(self._values)
+        return set(self._recovered)
 
     @property
     def recovered_count(self) -> int:
-        return len(self._values)
+        return len(self._recovered)
 
     @property
     def pending_count(self) -> int:
@@ -103,83 +248,54 @@ class PeelingDecoder:
         Every ingested task ends up pending, as the source of exactly one
         recovered block, or redundant, so the count follows from the others.
         """
-        return self.messages_ingested - self._pending - len(self._values)
+        return self.messages_ingested - self._pending - len(self._recovered)
 
     def recovered_mask(self) -> np.ndarray:
         mask = np.zeros(self.k_total, dtype=bool)
-        if self._values:
-            mask[list(self._values)] = True
+        mask[list(self._recovered)] = True
         return mask
 
     def meets_tolerance(self, q: float) -> bool:
         return self.recovered_count >= recovery_threshold(self.k_total, q)
 
-    def ingest(self, task: CodedTask, payload=None) -> set[int]:
-        """Feed one task (optionally with its computed value) into the decoder.
-
-        Args:
-            task: sparse combination of blocks.
-            payload: optional numeric result of the task.
+    def ingest(self, task: CodedTask) -> set[int]:
+        """Feed one task into the decoder.
 
         Returns:
             The set of newly recovered block ids (possibly empty).
         """
-        coeffs = dict(zip(task.support, task.coefficients))
-        if any(not 0 <= b < self.k_total for b in coeffs):
+        unknown = set(task.support)
+        if any(not 0 <= b < self.k_total for b in unknown):
             raise ValueError(f"task support {task.support} outside [0, {self.k_total})")
         self.messages_ingested += 1
-        if payload is not None:
-            payload = np.asarray(payload, dtype=float).copy()
-        for b in [b for b in coeffs if b in self._values]:
-            known = self._values[b]
-            c = coeffs.pop(b)
-            payload = None if payload is None or known is None else payload - c * known
-        if len(coeffs) == 1:
-            ((block, coef),) = coeffs.items()
-            return self._release(block, None if payload is None else payload / coef)
-        if coeffs:
-            for b in coeffs:
+        unknown -= self._recovered
+        if len(unknown) == 1:
+            return self._release(unknown.pop())
+        if unknown:
+            for b in unknown:
                 self._by_block[b].append(len(self._residuals))
-            self._residuals.append(_Residual(coeffs, payload))
+            self._residuals.append(unknown)
             self._pending += 1
         return set()
 
-    def _release(self, block: int, value) -> set[int]:
-        """Recover block (with value, or None) and cascade: every residual
-        left with one unknown block releases it."""
-        values, residuals = self._values, self._residuals
-        stack = [(block, value)]
+    def _release(self, block: int) -> set[int]:
+        """Recover block and cascade: every residual left with one unknown
+        block releases it."""
+        stack = [block]
         newly: set[int] = set()
         while stack:
-            block, value = stack.pop()
-            if block in values:
+            block = stack.pop()
+            if block in self._recovered:
                 continue
-            values[block] = value
+            self._recovered.add(block)
             newly.add(block)
             for rid in self._by_block[block]:
-                res = residuals[rid]
-                c = res.coeffs.pop(block)
-                if res.payload is not None:
-                    res.payload = None if value is None else res.payload - c * value
-                if len(res.coeffs) == 1:
+                residual = self._residuals[rid]
+                residual.remove(block)
+                if len(residual) == 1:
                     self._pending -= 1
-                    ((last, coef),) = res.coeffs.items()
-                    stack.append((last, None if res.payload is None else res.payload / coef))
+                    stack.extend(residual)
         return newly
-
-    def decode_values(self) -> dict[int, np.ndarray]:
-        """Numeric values of every recovered block.
-
-        Raises:
-            ValueError: if any recovered block lacks a payload because some
-                contributing task was ingested without one.
-        """
-        missing = [b for b, v in self._values.items() if v is None]
-        if missing:
-            raise ValueError(
-                f"no payloads available for recovered blocks {sorted(missing)}"
-            )
-        return {b: v for b, v in self._values.items()}
 
 
 def rref_recoverable(tasks: Iterable[CodedTask], k_total: int) -> set[int]:
@@ -224,61 +340,3 @@ def rref_recoverable(tasks: Iterable[CodedTask], k_total: int) -> set[int]:
         if sum(1 for x in rows[r] if x != 0) == 1:
             recoverable.add(col)
     return recoverable
-
-
-def mcc_decode_values(
-    assignment: ComputationAssignment,
-    payloads: Mapping[int, Sequence[np.ndarray]],
-) -> dict[int, np.ndarray]:
-    """Recover all blocks of an MDS-coded assignment from complete workers.
-
-    Args:
-        assignment: assignment built by :func:`codedcomp.schemes.build_mcc`.
-        payloads: worker id -> list of its task results, one per order.
-
-    Returns:
-        Block id -> value for every one of the k_total blocks.
-
-    Raises:
-        ValueError: if a worker id lies outside [0, n_workers) or a worker's
-            payload list does not hold one result per order, if fewer than
-            kbar complete workers are available, or if their Vandermonde
-            system is too ill-conditioned to trust.
-    """
-    kbar = assignment.kbar
-    if kbar is None or assignment.eval_points is None:
-        raise ValueError("assignment does not carry MDS decoding metadata")
-    n, r = assignment.n_workers, assignment.n_orders
-    bad = [f"worker id {w!r} outside [0, {n})" for w in payloads if not 0 <= w < n]
-    bad += [
-        f"worker {w!r} has {len(p)} payloads, expected {r}"
-        for w, p in payloads.items()
-        if len(p) != r
-    ]
-    if bad:
-        raise ValueError("; ".join(bad))
-    workers = sorted(payloads)
-    if len(workers) < kbar:
-        raise ValueError(f"need {kbar} complete workers, got {len(workers)}")
-    workers = workers[:kbar]
-    k = assignment.k_total
-    if kbar == k:
-        return {w: np.asarray(payloads[w][0], dtype=float) for w in workers}
-    points = np.array([assignment.eval_points[w] for w in workers])
-    vander = np.vander(points, kbar, increasing=True)
-    condition = np.linalg.cond(vander)
-    if not condition <= _MAX_CONDITION:
-        raise ValueError(
-            f"the Vandermonde system of workers {workers} has condition number "
-            f"{condition:.3g}, above {_MAX_CONDITION:g}: its solution cannot be trusted"
-        )
-    values: dict[int, np.ndarray] = {}
-    for g in range(r):
-        rhs = np.stack([np.asarray(payloads[w][g], dtype=float).ravel() for w in workers])
-        sol = np.linalg.solve(vander, rhs)
-        shape = np.asarray(payloads[workers[0]][g]).shape
-        for p in range(kbar):
-            block = g + p * r
-            if block < k:
-                values[block] = sol[p].reshape(shape)
-    return values

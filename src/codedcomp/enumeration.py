@@ -21,9 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
-from .decoding import recovery_threshold
+from .decoding import _release_ranks, recovery_threshold
 from .latency import LatencyModel, type_probability
-from .simulate import _release_ranks
 
 
 # Most score vectors success_table enumerates: (max_score + 1) ** n_workers.

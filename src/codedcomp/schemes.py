@@ -263,21 +263,16 @@ class CircularShiftSource(NamedTuple):
         return self.at(np.array(self.draw(rng))[self.rows, self.place] + 1)
 
 
-def default_eval_points(k: int) -> tuple[float, ...]:
-    """Distinct evaluation points for the MDS construction: 1, 2, 4, ..."""
-    return tuple(float(2**i) for i in range(k))
-
-
 def mds_violations(k: int, kbar: int, eval_points: Sequence[float] | None) -> list[str]:
     """Violations of the MDS construction rules, each prefixed with its
-    config field: kbar in [1, k], and at least k finite, distinct points."""
+    config field: kbar in [1, k], and exactly k finite, distinct points."""
     errors = []
     if not 1 <= kbar <= k:
         errors.append(f"kbar: must lie in [1, {k}], got {kbar}")
     if eval_points is not None:
         points = [float(x) for x in eval_points]
-        if len(points) < k:
-            errors.append(f"eval_points: need {k} points, got {len(points)}")
+        if len(points) != k:
+            errors.append(f"eval_points: need {k} points, one per worker, got {len(points)}")
         if not all(math.isfinite(x) for x in points):
             errors.append(f"eval_points: must be finite, got {points}")
         elif len(set(points)) != len(points):
@@ -292,20 +287,21 @@ def build_mcc(
 ) -> ComputationAssignment:
     """MDS-coded computation: interleaved groups, Vandermonde coefficients.
 
-    Blocks are padded to r*kbar with zero blocks (r = ceil(k/kbar)) and
-    interleaved into r groups {g, g+r, g+2r, ...}.  Worker i's order-g task
-    combines group g with coefficients x_i^0 .. x_i^(kbar-1); all r tasks
-    travel in a single message once the worker finishes.  Any kbar complete
-    workers recover every block; fewer recover nothing.  kbar == k
-    degenerates to the uncoded one-block-per-worker assignment.
+    Blocks are interleaved into r = ceil(k/kbar) groups {g, g+r, g+2r, ...}
+    of at most kbar blocks.  Worker i's order-g task combines group g's
+    blocks with coefficients x_i^0, x_i^1, ..., where the points x_i default
+    to 1, 2, 4, ...; all r tasks travel in a single message once the worker
+    finishes.  Any kbar complete workers recover every block; fewer recover
+    nothing.  kbar == k degenerates to the uncoded one-block-per-worker
+    assignment.
 
     Raises:
         ConfigError: listing every :func:`mds_violations`.
     """
     _check(mds_violations(k, kbar, eval_points))
     if eval_points is None:
-        eval_points = default_eval_points(k)
-    eval_points = tuple(float(x) for x in eval_points)
+        eval_points = [2**i for i in range(k)]
+    eval_points = [float(x) for x in eval_points]
     r = math.ceil(k / kbar)
     if kbar == k:
         support = (np.arange(k)[:, None],)
@@ -316,7 +312,7 @@ def build_mcc(
         groups = [np.arange(g, k, r) for g in range(r)]
         support = tuple(np.tile(ids, (k, 1)) for ids in groups)
         coefficients = tuple(
-            np.array([[x**p for p in range(len(ids))] for x in eval_points[:k]])
+            np.array([[x**p for p in range(len(ids))] for x in eval_points])
             for ids in groups
         )
     return ComputationAssignment(
@@ -328,7 +324,6 @@ def build_mcc(
         mode=MODE_COMPUTATION,
         decode=DECODE_MDS,
         kbar=kbar,
-        eval_points=eval_points,
     )
 
 

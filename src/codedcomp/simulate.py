@@ -7,18 +7,12 @@ message then worker index.  The master stops once the tolerance threshold is
 met, which gives the completion time and the messages received (ties with
 the final arrival included).
 
-One function decides every decode rule and every source, for a batch of
-trials with array operations: :func:`_release_ranks` gives each block's
-release rank, the arrival rank at which the block becomes recoverable, and
-the stop is the threshold-th smallest.  For a peel code the ranks are the
-fixed point of ``R[b] = min over tasks t holding b of max(rank(t), R of the
-other blocks of t)``, iterated from infinity (peeling is a closure, and a
-stopping set stays infinite).  For a count rule (``mds``, ``threshold``)
-every block is released at the ``needed``-th smallest first-message rank,
-so a simulated trial of one needs no ranks: it stops at the ``needed``-th
-smallest first-message arrival time.  Exact enumeration and the config's
-finish check use the same ranks, with 0 for a sent message and infinity for
-an unsent one.
+Every decode rule and every source is decided for a batch of trials with
+array operations: ``decoding._release_ranks`` gives each block's release
+rank, the arrival rank at which the block becomes recoverable, and the stop
+is the threshold-th smallest.  A count rule (``mds``, ``threshold``)
+releases every block at once, so a simulated trial of one needs no ranks:
+it stops at the ``needed``-th smallest first-message arrival time.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
@@ -43,8 +37,8 @@ from typing import Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .blocks import DECODE_PEEL, DECODE_MDS, ComputationAssignment
-from .decoding import recovery_threshold
+from .blocks import DECODE_PEEL, ComputationAssignment
+from .decoding import _count_stop, _orders, _release_ranks, _workers_needed, recovery_threshold
 from .latency import LatencyModel
 from .schemes import CircularShiftSource
 
@@ -88,23 +82,6 @@ class _CountState:
         return np.full(self._k, self.recovered_count > 0)
 
 
-def _workers_needed(assignment: ComputationAssignment) -> int:
-    """Complete workers a count rule waits for."""
-    if assignment.decode == DECODE_MDS:
-        return assignment.kbar
-    return assignment.n_workers - assignment.n_orders + 1
-
-
-def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndarray:
-    """Where a count rule stops, per trial: the hit-th smallest of each row
-    of first, the (trials, n_workers) first-message times or ranks, with
-    hit = max(needed workers, 1); infinity when hit exceeds the workers."""
-    hit = max(_workers_needed(assignment), 1)
-    if hit > assignment.n_workers:
-        return np.full(len(first), np.inf)
-    return np.partition(first, hit - 1, axis=1)[:, hit - 1]
-
-
 def make_decode_state(assignment: ComputationAssignment) -> _CountState:
     """Fresh message-by-message decoder of a count rule (``mds`` or
     ``threshold``).  A peel code's tasks go to ``PeelingDecoder`` instead."""
@@ -122,70 +99,6 @@ def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> 
     """
     unit_times = np.asarray(unit_times, dtype=float)
     return unit_times[..., None, :] * assignment.schedule()[:, None]
-
-
-def _orders(assignment: ComputationAssignment, supports):
-    """(message index, block ids) of every order, the ids shaped (1 or
-    n_trials, n_workers, d_j) so they broadcast over the trials."""
-    return [
-        (m, supports[j].reshape((-1,) + supports[j].shape[-2:]))
-        for m, msg in enumerate(assignment.messages)
-        for j in msg.orders
-    ]
-
-
-def _max_of_others(values: np.ndarray) -> np.ndarray:
-    """For every row of a (d, n) array, the elementwise max of the other rows
-    (-inf where there is none): prefix maxima, then suffix maxima folded in."""
-    out = np.empty_like(values)
-    out[0] = -np.inf
-    for i in range(1, len(values)):
-        np.maximum(out[i - 1], values[i - 1], out=out[i])
-    behind = values[-1].copy()
-    for i in range(len(values) - 2, -1, -1):
-        np.maximum(out[i], behind, out=out[i])
-        np.maximum(behind, values[i], out=behind)
-    return out
-
-
-def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarray) -> np.ndarray:
-    """Release rank of every block in a batch of trials, shape (B, k_total).
-
-    supports holds one block-id array per order: (n_workers, d_j) when all
-    trials share the code, (B, n_workers, d_j) for one drawn code per trial.
-    ranks[b, m, w] is the arrival rank of worker w's message m in trial b
-    (infinity for a message that never arrives).  A block is recoverable
-    from the messages ranked r or earlier exactly when its release rank is at
-    most r; a block that is never recoverable has rank infinity.  Degree-1
-    orders settle before the sweeps, and a code without coded orders
-    (uc-mmc) runs no sweep.
-    """
-    n_trials, k = ranks.shape[0], assignment.k_total
-    if assignment.decode != DECODE_PEEL:
-        return np.repeat(_count_stop(assignment, ranks[:, 0])[:, None], k, axis=1)
-    # Entries are laid out (d_j, trials * workers) with flat index
-    # trial * k + block, so the max over a task's other blocks works on whole
-    # rows.  A degree-1 task always offers its own rank, so those orders
-    # settle once, before the sweeps; each sweep updates the ranks in place,
-    # one coded order at a time.
-    offset = k * np.arange(n_trials)[:, None, None]
-    release = np.full(n_trials * k, np.inf)
-    tasks = []
-    for m, ids in _orders(assignment, supports):
-        flat = (ids + offset).transpose(2, 0, 1).reshape(ids.shape[2], -1)
-        if len(flat) == 1:
-            np.minimum.at(release, flat[0], ranks[:, m].ravel())
-        else:
-            tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
-    while tasks:
-        before = release.copy()
-        for flat, entries, rank in tasks:
-            offers = _max_of_others(release[flat])
-            np.maximum(rank, offers, out=offers)
-            np.minimum.at(release, entries, offers.ravel())
-        if np.array_equal(release, before):
-            break
-    return release.reshape(n_trials, k)
 
 
 def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):

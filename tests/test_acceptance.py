@@ -22,9 +22,9 @@ from codedcomp import (
     build_rcs,
     build_uc_mmc,
     centralized_gd,
+    decode_blocks,
     generate_dataset,
     hybrid_example,
-    mcc_decode_values,
     monte_carlo,
     order_uniform,
     partition_matrix,
@@ -291,15 +291,6 @@ def test_criterion_06_peeling_vs_elimination_oracle():
 # ------------------------------------------------------------------ criterion 7
 
 
-def _ingest_all_with_payloads(assignment, blocks):
-    dec = PeelingDecoder(assignment.k_total)
-    for row in assignment.tasks:
-        for task in row:
-            payload = sum(c * blocks[b] for b, c in zip(task.support, task.coefficients))
-            dec.ingest(task, payload)
-    return dec
-
-
 def test_criterion_07_numeric_full_recovery():
     with criterion(7, "zero-tolerance numeric recovery of the full product"):
         rng = np.random.default_rng(707)
@@ -314,24 +305,14 @@ def test_criterion_07_numeric_full_recovery():
         for _ in range(100):
             theta = rng.standard_normal(80)
             expected = w @ theta
-            products = [b @ theta for b in blocks]
+            products = np.array([b @ theta for b in blocks])
             for name, asn in schemes.items():
-                if name == "mcc":
-                    payloads = {
-                        wk: [
-                            sum(
-                                c * products[b]
-                                for b, c in zip(t.support, t.coefficients)
-                            )
-                            for t in asn.worker_tasks(wk)
-                        ]
-                        for wk in range(asn.n_workers)
-                    }
-                    values = mcc_decode_values(asn, payloads)
-                else:
-                    dec = _ingest_all_with_payloads(asn, products)
-                    assert dec.recovered_count == 8, name
-                    values = dec.decode_values()
+                payloads = [
+                    np.einsum("wd,wdp->wp", coefs, products[ids])
+                    for ids, coefs in zip(asn.support, asn.coefficients)
+                ]
+                arrived = np.ones((len(asn.messages), asn.n_workers), dtype=bool)
+                values = decode_blocks(asn, arrived, payloads)
                 assert set(values) == set(range(8)), name
                 got = np.concatenate([values[b] for b in range(8)])
                 rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)

@@ -89,7 +89,7 @@ def valid_configs(draw):
     elif scheme == "mcc":
         data["kbar"] = draw(st.integers(1, workers))
         _optional(draw, data, "eval_points", st.lists(
-            st.floats(-1e3, 1e3), min_size=workers, max_size=workers + 2, unique=True
+            st.floats(-1e3, 1e3), min_size=workers, max_size=workers, unique=True
         ))
     elif scheme in ("uc-mmc", "gc"):
         data["load"] = draw(st.integers(1, workers))
@@ -720,6 +720,19 @@ class TestCli:
         code = self.run("simulate", "--config", str(path), "--out", str(tmp_path))
         assert code == 2
         assert f"  - {key}: must be finite" in capsys.readouterr().err
+
+    def test_surplus_eval_points_exit_code(self, tmp_path, capsys):
+        # a point past the workers' count was once echoed and never used
+        out = tmp_path / "encode"
+        code = self.run(
+            "encode", "--scheme", "mcc", "--workers", "3", "--kbar", "2",
+            "--eval-points", "1,2,3,99", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "  - eval_points: need 3 points, one per worker, got 4"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "contents", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-an-object"]

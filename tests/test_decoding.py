@@ -1,4 +1,4 @@
-"""Peeling decoder, tolerance rule, exact-elimination oracle, numeric recovery."""
+"""Peeling decoder, tolerance rule, exact-elimination oracle, block values."""
 
 import itertools
 
@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from codedcomp import (
     CodedTask,
+    ComputationAssignment,
     LatencyModel,
+    Message,
     PeelingDecoder,
     build_gc,
     build_mcc,
     build_rcs,
     build_uc_mmc,
-    mcc_decode_values,
+    decode_blocks,
     recovery_threshold,
     rref_recoverable,
 )
-from codedcomp.simulate import _release_ranks, make_decode_state, message_times
+from codedcomp import decoding
+from codedcomp.decoding import _release_ranks
+from codedcomp.simulate import make_decode_state, message_times
 
 
 def random_instance(rng, max_blocks=8, max_tasks=12):
@@ -39,6 +43,34 @@ def peel_all(tasks, k):
     for t in tasks:
         dec.ingest(t)
     return dec.recovered
+
+
+def one_worker_code(k, tasks):
+    """The tasks as a one-worker assignment, each its own order and message."""
+    return ComputationAssignment(
+        n_workers=1,
+        k_total=k,
+        support=tuple(np.array([t.support]) for t in tasks),
+        coefficients=tuple(np.array([t.coefficients]) for t in tasks),
+        messages=tuple(Message(i + 1, (i,)) for i in range(len(tasks))),
+    )
+
+
+def task_payloads(asn, blocks):
+    """Every task's result, one (n_workers, ...) array per order."""
+    blocks = np.asarray(blocks, dtype=float)
+    return [
+        np.einsum("wd,wd...->w...", c, blocks[ids]) for ids, c in zip(asn.support, asn.coefficients)
+    ]
+
+
+def all_arrived(asn):
+    return np.ones((len(asn.messages), asn.n_workers), dtype=bool)
+
+
+def assert_blocks(values, blocks, rel=1e-9):
+    for b, v in values.items():
+        assert np.linalg.norm(v - blocks[b]) <= rel * np.linalg.norm(blocks[b]), b
 
 
 class TestThreshold:
@@ -134,11 +166,11 @@ class TestPeeling:
             for t in tasks:
                 dec.ingest(t)
                 stored += [t] * (len(dec._residuals) - len(stored))
-                sizes = [len(res.coeffs) for res in dec._residuals]
+                sizes = [len(res) for res in dec._residuals]
                 assert 1 not in sizes
                 assert dec.pending_count == sum(size >= 2 for size in sizes)
                 for task, res in zip(stored, dec._residuals):
-                    assert set(res.coeffs) == set(task.support) - dec.recovered
+                    assert res == set(task.support) - dec.recovered
 
     def test_support_range_checked(self):
         dec = PeelingDecoder(3)
@@ -170,12 +202,11 @@ class TestPeeling:
                 assert peel_all([tasks[i] for i in perm], k) == base
 
     def test_real_coefficients(self):
-        dec = PeelingDecoder(3)
-        dec.ingest(CodedTask((0, 1), (1.0, 2.0)), payload=np.array([5.0]))
-        dec.ingest(CodedTask((1,), (4.0,)), payload=np.array([8.0]))
-        values = dec.decode_values()
-        assert values[1] == pytest.approx(2.0)
-        assert values[0] == pytest.approx(1.0)  # 5 - 2*2
+        asn = one_worker_code(3, [CodedTask((0, 1), (1.0, 2.0)), CodedTask((1,), (4.0,))])
+        values = decode_blocks(asn, all_arrived(asn), [np.array([[5.0]]), np.array([[8.0]])])
+        assert set(values) == {0, 1}
+        assert values[1] == pytest.approx([2.0])
+        assert values[0] == pytest.approx([1.0])  # 5 - 2*2
 
 
 @st.composite
@@ -187,10 +218,10 @@ def binary_instances(draw):
     return k, [CodedTask.of_blocks(t) for t in tasks]
 
 
-def _peel(tasks, k, payloads=None):
+def _peel(tasks, k):
     dec = PeelingDecoder(k)
-    for i, t in enumerate(tasks):
-        dec.ingest(t, None if payloads is None else payloads[i])
+    for t in tasks:
+        dec.ingest(t)
     return dec
 
 
@@ -234,10 +265,9 @@ class TestPeelingProperties:
     def test_payload_values(self, case, seed):
         k, tasks = case
         blocks = np.random.default_rng(seed).standard_normal((k, 3))
-        payloads = [blocks[list(t.support)].sum(axis=0) for t in tasks]
-        dec = _peel(tasks, k, payloads)
-        values = dec.decode_values()
-        assert set(values) == dec.recovered
+        asn = one_worker_code(k, tasks)
+        values = decode_blocks(asn, all_arrived(asn), task_payloads(asn, blocks))
+        assert set(values) == peel_all(tasks, k)
         for b, v in values.items():
             assert np.allclose(v, blocks[b], rtol=0, atol=1e-9)
 
@@ -311,10 +341,44 @@ class TestGcThreshold:
         assert not gc_aggregate(set(range(34)), 40, 6)
 
 
+def check_arrival_prefixes(asn, blocks, seed, every=1):
+    """Feed asn's messages in arrival order (ties by message, then worker).
+
+    After each arrival the peeling decoder must hold the blocks the release
+    ranks name; after every ``every``-th arrival and the last one,
+    ``decode_blocks`` must return exactly those blocks, each within a
+    relative error of 1e-9.  Returns the decoder."""
+    unit_times = LatencyModel().sample_unit_times(np.random.default_rng(seed), asn.n_workers)
+    arrivals = message_times(asn, unit_times)
+    order = np.argsort(arrivals, axis=None, kind="stable")
+    ranks = np.empty(order.size)
+    ranks[order] = np.arange(order.size)
+    ranks = ranks.reshape(arrivals.shape)
+    release = _release_ranks(asn, asn.support, ranks[None])[0]
+    payloads = task_payloads(asn, blocks)
+    dec = PeelingDecoder(asn.k_total)
+    for r, flat in enumerate(order):
+        m, w = divmod(int(flat), asn.n_workers)
+        for j in asn.messages[m].orders:
+            dec.ingest(asn.tasks[j][w])
+        assert np.array_equal(dec.recovered_mask(), release <= r)
+        if r % every == 0 or r == order.size - 1:
+            values = decode_blocks(asn, ranks <= r, payloads)
+            assert set(values) == dec.recovered
+            assert_blocks(values, blocks)
+    return dec
+
+
+def mcc_arrived(asn, workers):
+    arrived = np.zeros((1, asn.n_workers), dtype=bool)
+    arrived[0, list(workers)] = True
+    return arrived
+
+
 class TestNumericRecovery:
     def test_peeling_values_exact(self):
         rng = np.random.default_rng(19)
-        blocks = [rng.standard_normal(3) for _ in range(6)]
+        blocks = rng.standard_normal((6, 3))
         tasks = [
             CodedTask.of_blocks([0]),
             CodedTask.of_blocks([0, 3]),
@@ -323,145 +387,144 @@ class TestNumericRecovery:
             CodedTask.of_blocks([1, 2]),
             CodedTask.of_blocks([2]),
         ]
-        dec = PeelingDecoder(6)
-        for t in tasks:
-            payload = sum(blocks[b] for b in t.support)
-            dec.ingest(t, payload)
-        values = dec.decode_values()
+        asn = one_worker_code(6, tasks)
+        values = decode_blocks(asn, all_arrived(asn), task_payloads(asn, blocks))
         assert set(values) == set(range(6))
         for b, v in values.items():
             assert np.allclose(v, blocks[b], atol=1e-12)
 
     def test_payload_peeling_at_forty_workers(self):
-        """Every message of an rcs [1, 2, 4] code at K=40, with payloads, in
-        arrival order (ties by message, then worker): after each arrival the
-        decoder holds the blocks the release ranks name, and at the end it
-        holds every block's value."""
+        """Every message of an rcs [1, 2, 4] code at K=40, checked after
+        each arrival; at the end every block has its value."""
         rng = np.random.default_rng(40)
         asn = build_rcs(40, [1, 2, 4], rng)
         blocks = rng.standard_normal((asn.k_total, 3))
         for seed in range(5):
-            unit_times = LatencyModel().sample_unit_times(np.random.default_rng(seed), 40)
-            arrivals = message_times(asn, unit_times)
-            order = np.argsort(arrivals, axis=None, kind="stable")
-            ranks = np.empty(order.size)
-            ranks[order] = np.arange(order.size)
-            release = _release_ranks(asn, asn.support, ranks.reshape(1, *arrivals.shape))[0]
-            dec = PeelingDecoder(asn.k_total)
-            for r, flat in enumerate(order):
-                m, w = divmod(int(flat), asn.n_workers)
-                for j in asn.messages[m].orders:
-                    t = asn.tasks[j][w]
-                    dec.ingest(t, sum(c * blocks[b] for b, c in zip(t.support, t.coefficients)))
-                assert np.array_equal(dec.recovered_mask(), release <= r)
-            values = dec.decode_values()
-            assert set(values) == set(range(asn.k_total))
-            for b, v in values.items():
-                assert np.linalg.norm(v - blocks[b]) <= 1e-9 * np.linalg.norm(blocks[b])
+            dec = check_arrival_prefixes(asn, blocks, seed)
+            assert dec.recovered == set(range(asn.k_total))
+
+    @pytest.mark.parametrize("name", ["rcs-general", "uc-mmc"])
+    def test_partial_arrivals_at_forty_workers(self, name):
+        # the criterion-5 grouped plan (80 blocks) and a degree-1 code
+        rng = np.random.default_rng(41)
+        if name == "rcs-general":
+            z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
+            asn = build_rcs(40, [1, 1, 4, 8], rng, groups=2, z=z)
+        else:
+            asn = build_uc_mmc(40, 3)
+        blocks = rng.standard_normal((asn.k_total, 2))
+        for seed in range(3):
+            check_arrival_prefixes(asn, blocks, seed, every=7)
 
     def test_missing_payload_reported(self):
-        dec = PeelingDecoder(2)
-        dec.ingest(CodedTask.of_blocks([0]))
-        with pytest.raises(ValueError, match="payload"):
-            dec.decode_values()
+        asn = one_worker_code(2, [CodedTask.of_blocks([0]), CodedTask.of_blocks([0, 1])])
+        with pytest.raises(ValueError, match="payloads: expected 2 arrays, one per order, got 1"):
+            decode_blocks(asn, all_arrived(asn), [np.zeros((1, 3))])
+
+    def test_threshold_code_rejected(self):
+        asn = build_gc(4, 2)
+        with pytest.raises(ValueError, match="threshold"):
+            decode_blocks(asn, all_arrived(asn), task_payloads(asn, np.ones(4)))
+
+    def test_rank_below_recovered_count_raises(self, monkeypatch):
+        # a mask that claims more blocks than the arrived tasks determine:
+        # one pair sum for two blocks is well conditioned but has rank 1
+        asn = one_worker_code(2, [CodedTask.of_blocks([0, 1])])
+        monkeypatch.setattr(decoding, "_release_ranks", lambda a, s, ranks: np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="rank 1"):
+            decode_blocks(asn, all_arrived(asn), task_payloads(asn, np.ones(2)))
 
     def test_mds_group_solve(self):
         rng = np.random.default_rng(29)
-        blocks = [rng.standard_normal(2) for _ in range(4)]
+        blocks = rng.standard_normal((4, 2))
         asn = build_mcc(4, 2, [1, 2, 4, 8])
-        payloads = {}
-        for w in (0, 1):
-            payloads[w] = [
-                sum(c * blocks[b] for b, c in zip(t.support, t.coefficients))
-                for t in asn.worker_tasks(w)
-            ]
-        values = mcc_decode_values(asn, payloads)
+        values = decode_blocks(asn, mcc_arrived(asn, [0, 1]), task_payloads(asn, blocks))
         assert set(values) == {0, 1, 2, 3}
         for b, v in values.items():
             assert np.allclose(v, blocks[b], atol=1e-9)
 
     def test_mds_any_worker_subset(self):
         rng = np.random.default_rng(31)
-        blocks = [rng.standard_normal(1) for _ in range(6)]
-        asn = build_mcc(6, 3)
-        for subset in itertools.combinations(range(6), 3):
-            payloads = {
-                w: [
-                    sum(c * blocks[b] for b, c in zip(t.support, t.coefficients))
-                    for t in asn.worker_tasks(w)
-                ]
-                for w in subset
-            }
-            values = mcc_decode_values(asn, payloads)
-            for b, v in values.items():
-                assert np.allclose(v, blocks[b], atol=1e-6)
+        for k, kbar in ((8, 2), (6, 3), (4, 2)):
+            blocks = rng.standard_normal((k, 2))
+            asn = build_mcc(k, kbar)
+            payloads = task_payloads(asn, blocks)
+            for subset in itertools.combinations(range(k), kbar):
+                values = decode_blocks(asn, mcc_arrived(asn, subset), payloads)
+                assert set(values) == set(range(k))
+                assert_blocks(values, blocks)
 
     def test_mds_not_enough_workers(self):
         asn = build_mcc(4, 2)
-        with pytest.raises(ValueError, match="complete workers"):
-            mcc_decode_values(asn, {0: [np.zeros(1), np.zeros(1)]})
+        assert decode_blocks(asn, mcc_arrived(asn, [3]), task_payloads(asn, np.ones(4))) == {}
 
     @pytest.mark.parametrize(
-        "relabel, message",
+        "arrived, shapes, message",
         [
-            ({1: -1}, "worker id -1 outside [0, 4)"),
-            ({1: 4}, "worker id 4 outside [0, 4)"),
-            ({0: -1, 1: 7}, "worker id -1 outside [0, 4); worker id 7 outside [0, 4)"),
+            (
+                np.ones((1, 4)),
+                ((4, 2), (4, 2)),
+                "arrived: expected a bool array of shape (1, 4), got float64 (1, 4)",
+            ),
+            (
+                np.ones((1, 5), dtype=bool),
+                ((4, 2), (4, 2)),
+                "arrived: expected a bool array of shape (1, 4), got bool (1, 5)",
+            ),
+            (
+                np.ones((1, 4), dtype=bool),
+                ((4, 2), (3, 2)),
+                "payloads: expected shapes (4, ...) with one trailing shape, got (4, 2), (3, 2)",
+            ),
+            (
+                np.ones((1, 4), dtype=bool),
+                ((4, 2), (4, 3)),
+                "payloads: expected shapes (4, ...) with one trailing shape, got (4, 2), (4, 3)",
+            ),
+            (
+                np.ones((2, 4), dtype=bool),
+                ((5, 2), (4, 2)),
+                "arrived: expected a bool array of shape (1, 4), got bool (2, 4); "
+                "payloads: expected shapes (4, ...) with one trailing shape, got (5, 2), (4, 2)",
+            ),
         ],
-        ids=["negative", "too-large", "both"],
+        ids=["arrived-dtype", "arrived-workers", "payload-workers", "payload-trailing", "both"],
     )
-    def test_mds_worker_ids_checked(self, relabel, message):
-        # unchecked, worker id -1 indexes eval_points from the end and
-        # decodes [3.57, 5.43, 0.43, 0.57] instead of [1, 2, 3, 4]
+    def test_shapes_checked(self, arrived, shapes, message):
         asn = build_mcc(4, 2)
-        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
-        payloads = _mds_payloads(asn, blocks, [0, 1])
         with pytest.raises(ValueError) as err:
-            mcc_decode_values(asn, {relabel.get(w, w): p for w, p in payloads.items()})
+            decode_blocks(asn, arrived, [np.zeros(shape) for shape in shapes])
         assert str(err.value) == message
 
     def test_mds_payload_counts_checked(self):
         asn = build_mcc(4, 2)
-        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
-        payloads = _mds_payloads(asn, blocks, [0, 1, 2])
-        payloads[0] = payloads[0][:1]
-        payloads[2] = payloads[2] * 2
-        with pytest.raises(ValueError) as err:
-            mcc_decode_values(asn, payloads)
-        assert str(err.value) == (
-            "worker 0 has 1 payloads, expected 2; worker 2 has 4 payloads, expected 2"
-        )
+        payloads = task_payloads(asn, np.arange(1.0, 5.0))
+        for count in (1, 3):
+            with pytest.raises(ValueError) as err:
+                decode_blocks(asn, mcc_arrived(asn, [0, 1]), (payloads * 2)[:count])
+            assert str(err.value) == f"payloads: expected 2 arrays, one per order, got {count}"
 
     def test_mds_ill_conditioned_workers_raise(self):
         # 14 of 40 workers with the default points 1, 2, 4, ...: the solve
-        # returns blocks off by ~1e127 unless the decoder refuses it
+        # returns blocks off by orders of magnitude unless the decoder
+        # refuses it
         rng = np.random.default_rng(37)
-        blocks = [rng.standard_normal(1) for _ in range(40)]
+        blocks = rng.standard_normal(40)
         asn = build_mcc(40, 14)
         workers = rng.choice(40, 14, replace=False)
         with pytest.raises(ValueError, match="condition number"):
-            mcc_decode_values(asn, _mds_payloads(asn, blocks, workers))
+            decode_blocks(asn, mcc_arrived(asn, workers), task_payloads(asn, blocks))
 
     def test_mds_condition_check_not_residual(self):
-        # nearly equal points: the solve leaves a residual of ~1e-15, yet
-        # the blocks are off by ~1e-4, so only the condition number tells
-        points = [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 2.0]
-        asn = build_mcc(4, 3, points)
+        # nearly equal points: the solve leaves a tiny residual, yet the
+        # blocks are off by far more, so only the condition number tells
+        points = [1.0, 1.0 + 1e-6, 1.0 + 2e-6, 4.0, 5.0, 6.0]
+        asn = build_mcc(6, 3, points)
         vander = np.vander(np.array(points[:3]), 3, increasing=True)
         x = np.random.default_rng(3).standard_normal((3, 1))
         sol = np.linalg.solve(vander, vander @ x)
         assert np.linalg.norm(vander @ sol - vander @ x) <= 1e-12 * np.linalg.norm(vander @ x)
         assert np.abs(sol - x).max() > 1e-6
-        blocks = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        blocks = np.arange(1.0, 7.0)
         with pytest.raises(ValueError, match="condition number"):
-            mcc_decode_values(asn, _mds_payloads(asn, blocks, [0, 1, 2]))
-
-
-def _mds_payloads(asn, blocks, workers):
-    return {
-        int(w): [
-            sum(c * blocks[b] for b, c in zip(t.support, t.coefficients))
-            for t in asn.worker_tasks(int(w))
-        ]
-        for w in workers
-    }
+            decode_blocks(asn, mcc_arrived(asn, [0, 1, 2]), task_payloads(asn, blocks))

@@ -206,7 +206,7 @@ class TestMcc:
 
     def test_default_points_distinct(self):
         asn = build_mcc(12, 4)
-        assert len(set(asn.eval_points)) == 12
+        assert len({tuple(row) for row in asn.coefficients[0]}) == 12
 
     def test_kbar_bounds(self):
         with pytest.raises(ValueError, match="kbar"):

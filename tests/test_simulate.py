@@ -22,7 +22,7 @@ from codedcomp import (
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp import generate_dataset, gram, loss, partial_gd_step, train
-from codedcomp import simulate
+from codedcomp import decoding, simulate
 from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
 from codedcomp.schemes import CircularShiftSource
 from codedcomp.simulate import (
@@ -247,9 +247,9 @@ class TestClosedFormMatchesOracle:
         # every uc-mmc task has degree 1, so each block's release rank is the
         # smallest rank of the tasks holding it, settled before any sweep
         asn, calls = build_uc_mmc(8, 2), []
-        max_of_others = simulate._max_of_others
+        max_of_others = decoding._max_of_others
         monkeypatch.setattr(
-            simulate, "_max_of_others", lambda values: calls.append(1) or max_of_others(values)
+            decoding, "_max_of_others", lambda values: calls.append(1) or max_of_others(values)
         )
         rng = np.random.default_rng(5)
         ranks = rng.random((6, len(asn.messages), asn.n_workers))
@@ -259,7 +259,7 @@ class TestClosedFormMatchesOracle:
             for j in msg.orders:
                 for w, (block,) in enumerate(asn.support[j]):
                     expected[:, block] = np.minimum(expected[:, block], ranks[:, m, w])
-        assert np.array_equal(simulate._release_ranks(asn, asn.support, ranks), expected)
+        assert np.array_equal(decoding._release_ranks(asn, asn.support, ranks), expected)
         assert calls == []
 
     def test_cases_reach_every_branch(self):
