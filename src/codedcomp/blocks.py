@@ -203,8 +203,10 @@ class ComputationAssignment:
     (e.g. 1/group_count when blocks are split into smaller groups).
     decode names the recovery rule: "peel" for sparse peeling, "mds" for
     any-kbar-workers group decoding, "threshold" for exact-sum schemes that
-    need a fixed number of complete workers.  Assignments hold arrays, so
-    they compare by identity.
+    need a fixed number of complete workers.  A peel code's coefficients
+    must be nonzero, since peeling reads a task's support as the blocks it
+    holds; MDS codes keep their zeros (an evaluation point 0 gives some).
+    Assignments hold arrays, so they compare by identity.
     """
 
     n_workers: int
@@ -235,6 +237,11 @@ class ComputationAssignment:
                 raise ValueError("coded task must combine at least one block")
             if coefs.shape != ids.shape:
                 raise ValueError("support and coefficients must have equal length")
+            if self.decode == DECODE_PEEL and not np.all(coefs):
+                raise ValueError(
+                    "a peeling code needs nonzero coefficients: a zero-weight "
+                    "block is in a task's support but not in its value"
+                )
         if self.support:
             ids = np.concatenate([ids.ravel() for ids in self.support])
             if ids.min() < 0 or ids.max() >= self.k_total:

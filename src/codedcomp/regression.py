@@ -5,11 +5,15 @@ theta)^2 factors through the Gram matrix: grad = (X'X theta - X'y) / n.
 Splitting X'X row-wise into blocks turns each gradient block into one coded
 computation, so an iteration can update exactly the coordinates whose blocks
 the master recovered before stopping.
+
+A Dataset's arrays are read-only, so its Gram pieces are computed once, on
+the first :func:`gram` call, and every training run on it reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -21,11 +25,30 @@ from .simulate import AssignmentSource, _batches, _source_layout
 
 @dataclass(frozen=True)
 class Dataset:
-    """Synthetic regression data drawn from a two-component Gaussian mixture."""
+    """Synthetic regression data drawn from a two-component Gaussian mixture.
+
+    x, y and theta_star are stored as read-only views of the given arrays
+    (no copy), so a write through the dataset raises ValueError.  The
+    caller's own arrays stay writeable and must not be modified afterwards:
+    the Gram pieces cached by :func:`gram` would no longer match them.
+    """
 
     x: np.ndarray
     y: np.ndarray
     theta_star: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "theta_star"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        w, c = self.x.T @ self.x, self.x.T @ self.y
+        w.flags.writeable = False
+        c.flags.writeable = False
+        return w, c
 
     @property
     def n_samples(self) -> int:
@@ -65,8 +88,12 @@ def generate_dataset(
 
 
 def gram(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputable pieces of the gradient: W = X'X and c = X'y."""
-    return dataset.x.T @ dataset.x, dataset.x.T @ dataset.y
+    """Precomputable pieces of the gradient: W = X'X and c = X'y.
+
+    Computed on the first call for a dataset and cached on it; every later
+    call returns the same two read-only arrays.
+    """
+    return dataset._gram
 
 
 def loss(dataset: Dataset, theta: np.ndarray) -> float:
@@ -154,7 +181,8 @@ def train(
     ``schemes.CircularShiftSource`` that redraws its shifts every iteration.
     It simulates the straggler race, and the step updates exactly the
     recovered blocks of theta using the true (W theta) values; unrecovered
-    coordinates carry over unchanged.  theta starts at zero.
+    coordinates carry over unchanged.  theta starts at zero.  W and c come
+    from :func:`gram`, so only the first run on a dataset computes them.
 
     Raises:
         TypeError: if source is of neither accepted type.
@@ -203,7 +231,10 @@ def train(
 
 
 def centralized_gd(dataset: Dataset, eta: float, iterations: int) -> TrainResult:
-    """Reference full-gradient descent on the same objective."""
+    """Reference full-gradient descent on the same objective.
+
+    Shares the dataset's cached :func:`gram` pieces with :func:`train`.
+    """
     w_full, c = gram(dataset)
     n = dataset.n_samples
     theta = np.zeros(dataset.dim)

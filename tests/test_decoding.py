@@ -17,7 +17,9 @@ from codedcomp import (
     build_mcc,
     build_rcs,
     build_uc_mmc,
+    concrete_assignment,
     decode_blocks,
+    parse_config,
     recovery_threshold,
     rref_recoverable,
 )
@@ -453,6 +455,25 @@ class TestNumericRecovery:
                 values = decode_blocks(asn, mcc_arrived(asn, subset), payloads)
                 assert set(values) == set(range(k))
                 assert_blocks(values, blocks)
+
+    def test_zero_coefficient_rejected_for_peeling(self):
+        # Block 1 sits in the second task's support with weight 0: peeling
+        # would count it as held (release ranks [0, 0]) while its value stays
+        # undetermined, so the code is refused when it is built.
+        tasks = [CodedTask((0,), (1.0,)), CodedTask((0, 1), (1.0, 0.0))]
+        with pytest.raises(ValueError, match="^a peeling code needs nonzero coefficients"):
+            one_worker_code(2, tasks)
+
+    def test_mds_point_zero_keeps_its_zeros(self):
+        cfg = parse_config({"scheme": "mcc", "workers": 4, "kbar": 2, "eval_points": [0, 1, 2, 3]})
+        asn = concrete_assignment(cfg)
+        assert all(c[0].tolist() == [1.0, 0.0] for c in asn.coefficients)
+        blocks = np.random.default_rng(37).standard_normal((4, 2))
+        payloads = task_payloads(asn, blocks)
+        for subset in itertools.combinations(range(4), 2):
+            values = decode_blocks(asn, mcc_arrived(asn, subset), payloads)
+            assert set(values) == set(range(4))
+            assert_blocks(values, blocks)
 
     def test_mds_not_enough_workers(self):
         asn = build_mcc(4, 2)

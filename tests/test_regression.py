@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codedcomp import (
+    Dataset,
     LatencyModel,
     build_gc,
     build_uc_mmc,
@@ -81,6 +82,57 @@ class TestGramAndLoss:
         theta = np.random.default_rng(10).standard_normal(4)
         direct = 0.5 * np.mean((ds.y - ds.x @ theta) ** 2)
         assert loss(ds, theta) == pytest.approx(direct)
+
+
+class TestGramCache:
+    def test_second_call_returns_same_arrays(self):
+        ds = generate_dataset(40, 8, np.random.default_rng(12))
+        w, c = gram(ds)
+        again = gram(ds)
+        assert again[0] is w and again[1] is c
+        assert np.array_equal(w, ds.x.T @ ds.x)
+        assert np.array_equal(c, ds.x.T @ ds.y)
+
+    @pytest.mark.parametrize(
+        "target",
+        [lambda ds: ds.x, lambda ds: ds.y, lambda ds: ds.theta_star,
+         lambda ds: gram(ds)[0], lambda ds: gram(ds)[1]],
+        ids=["x", "y", "theta_star", "W", "c"],
+    )
+    def test_arrays_read_only(self, target):
+        ds = generate_dataset(20, 4, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="read-only"):
+            target(ds)[0] = 1.0
+
+    def test_caller_arrays_viewed_not_copied(self):
+        rng = np.random.default_rng(14)
+        x, y, theta = rng.standard_normal((10, 3)), rng.standard_normal(10), np.ones(3)
+        ds = Dataset(x=x, y=y, theta_star=theta)
+        for given, stored in ((x, ds.x), (y, ds.y), (theta, ds.theta_star)):
+            assert np.shares_memory(stored, given)
+            assert given.flags.writeable
+        x[0, 0] = 2.0  # the caller's own array is not frozen
+        assert ds.x[0, 0] == 2.0
+
+    def test_repeated_training_bit_identical(self):
+        make = lambda: generate_dataset(120, 24, np.random.default_rng(15))  # noqa: E731
+        kwargs = dict(q=0.25, model=MODEL, eta=0.1, iterations=20, seed=3)
+        ds = make()
+        runs = [train(ds, CircularShiftSource.of(6, [1, 2]), **kwargs) for _ in range(2)]
+        runs.append(train(make(), CircularShiftSource.of(6, [1, 2]), **kwargs))
+        for other in runs[1:]:
+            assert np.array_equal(other.losses, runs[0].losses)
+            assert np.array_equal(other.theta, runs[0].theta)
+
+    def test_centralized_after_train_matches_zero_tolerance(self):
+        ds = generate_dataset(120, 24, np.random.default_rng(16))
+        result = train(
+            ds, CircularShiftSource.of(6, [1, 2]), q=0.0, model=MODEL, eta=0.1,
+            iterations=15, seed=8,
+        )
+        reference = centralized_gd(ds, eta=0.1, iterations=15)
+        assert np.array_equal(result.losses, reference.losses)
+        assert np.array_equal(result.theta, reference.theta)
 
 
 class TestPartialStep:
