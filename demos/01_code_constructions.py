@@ -10,20 +10,14 @@ each construction the package offers and prints what every worker computes.
 
 import numpy as np
 
-from codedcomp import (
-    build_mcc,
-    build_rcs,
-    build_uc_mmc,
-    hybrid_example,
-    partition_matrix,
-)
+from codedcomp import build_mcc, build_rcs, build_uc_mmc, hybrid_example
 
 # ---------------------------------------------------------------------------
-# Partitioning: an 8x8 matrix into 4 row blocks of 2 rows each.
+# Partitioning: an 8x8 matrix into 4 row blocks of 2 rows each.  A code only
+# names blocks by id (0 at the top), so a plain row split is all it takes.
 # ---------------------------------------------------------------------------
 w = np.arange(64, dtype=float).reshape(8, 8)
-part = partition_matrix(w, 4)
-print("block shapes:", [b.shape for b in part.blocks])
+print("block shapes:", [b.shape for b in np.split(w, 4)])
 
 # ---------------------------------------------------------------------------
 # The randomized circular-shift construction.  Each worker stores one block

@@ -8,14 +8,7 @@ simulator with exact small-system enumeration, and a linear-regression
 training harness driven by the simulated iterations.
 """
 
-from .blocks import (
-    BlockPartition,
-    CodedTask,
-    ComputationAssignment,
-    CumulativeType,
-    Message,
-    partition_matrix,
-)
+from .blocks import CodedTask, ComputationAssignment, CumulativeType, Message
 from .config import (
     DEFAULT_SEED,
     ConfigError,
@@ -53,15 +46,12 @@ from .schemes import (
     build_rcs,
     build_uc_mmc,
     hybrid_example,
-    order_uniform,
-    worker_uniform,
 )
 from .simulate import MonteCarloResult, monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition",
     "CodedTask",
     "ComputationAssignment",
     "ConfigError",
@@ -89,15 +79,12 @@ __all__ = [
     "hybrid_example",
     "loss",
     "monte_carlo",
-    "order_uniform",
     "parse_config",
     "partial_gd_step",
-    "partition_matrix",
     "recovery_threshold",
     "rref_recoverable",
     "success_table",
     "successful_score_vector",
     "train",
     "type_probability",
-    "worker_uniform",
 ]

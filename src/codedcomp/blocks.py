@@ -1,23 +1,24 @@
 """Core domain types for coded distributed matrix-vector multiplication.
 
-A data matrix is split row-wise into equal blocks.  Workers receive coded
-tasks (sparse linear combinations of blocks), compute them against the
-current parameter vector, and stream back one message per completed task
-group.  The master stops as soon as a tolerated fraction of the blocks is
-recoverable.
+A data matrix is split row-wise into equal blocks, which codes name by id.
+Workers receive coded tasks (sparse linear combinations of blocks), compute
+them against the current parameter vector, and stream back one message per
+completed task group.  The master stops as soon as a tolerated fraction of
+the blocks is recoverable.
 
 An assignment stores its tasks as arrays, one (workers x degree) array of
-block ids and one of coefficients per order; ``CodedTask`` objects are views
-built on demand.  The per-order degrees of an assignment are the widths of
-those arrays; the rules a circular-shift code's degrees must follow are
-stated in ``schemes.circular_shift_violations``.
+block ids and one of coefficients per order, which every command reads;
+``CodedTask`` objects are views built on demand for tests and the replay.
+The per-order degrees are the widths of those arrays; the rules a
+circular-shift code's degrees must follow are stated in
+``schemes.circular_shift_violations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,70 +28,6 @@ MODE_COMMUNICATION = "communication"
 DECODE_PEEL = "peel"
 DECODE_MDS = "mds"
 DECODE_THRESHOLD = "threshold"
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Row-wise split of a matrix into equally sized contiguous blocks.
-
-    Blocks are numbered 0..total_blocks-1 from top to bottom.  With
-    group_count > 1 the blocks are additionally organized into consecutive
-    groups of equal size; block b belongs to group b // group_size.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    rows_per_block: int
-    group_count: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.blocks) % self.group_count:
-            raise ValueError(
-                f"{len(self.blocks)} blocks cannot form {self.group_count} equal groups"
-            )
-
-    @property
-    def total_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def group_size(self) -> int:
-        return len(self.blocks) // self.group_count
-
-    def group_of(self, block: int) -> int:
-        return block // self.group_size
-
-    def concatenated(self) -> np.ndarray:
-        """Stack the blocks back into the original matrix."""
-        return np.concatenate(self.blocks, axis=0)
-
-
-def partition_matrix(matrix, block_count: int, group_count: int = 1) -> BlockPartition:
-    """Split ``matrix`` into ``block_count * group_count`` equal row blocks.
-
-    Args:
-        matrix: 1-D or 2-D array; rows are distributed over the blocks.
-        block_count: number of blocks per group.
-        group_count: number of groups (1 for the ungrouped schemes).
-
-    Returns:
-        BlockPartition with the blocks in top-to-bottom order.
-
-    Raises:
-        ValueError: if the row count is not divisible by the total block count.
-    """
-    matrix = np.asarray(matrix)
-    if block_count < 1 or group_count < 1:
-        raise ValueError("block_count and group_count must be positive")
-    rows = matrix.shape[0]
-    total = block_count * group_count
-    if rows % total:
-        raise ValueError(
-            f"matrix with {rows} rows cannot be split into {total} equal blocks "
-            f"({block_count} per group x {group_count} groups)"
-        )
-    per = rows // total
-    blocks = tuple(matrix[i * per : (i + 1) * per] for i in range(total))
-    return BlockPartition(blocks=blocks, rows_per_block=per, group_count=group_count)
 
 
 @dataclass(frozen=True)
@@ -120,25 +57,6 @@ class CumulativeType:
 
     def label(self) -> str:
         return "(" + ",".join(str(c) for c in self.counts) + ")"
-
-
-def type_of(scores: Sequence[int], max_score: int) -> CumulativeType:
-    """Histogram a score vector into its cumulative type.
-
-    Args:
-        scores: per-worker number of completed tasks.
-        max_score: largest score a worker can reach.
-
-    Returns:
-        CumulativeType with counts ordered (N_max, ..., N_0).
-    """
-    counts = [0] * (max_score + 1)
-    for s in scores:
-        s = int(s)
-        if not 0 <= s <= max_score:
-            raise ValueError(f"score {s} outside [0, {max_score}]")
-        counts[max_score - s] += 1
-    return CumulativeType(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -203,7 +121,9 @@ class ComputationAssignment:
     (e.g. 1/group_count when blocks are split into smaller groups).
     decode names the recovery rule: "peel" for sparse peeling, "mds" for
     any-kbar-workers group decoding, "threshold" for exact-sum schemes that
-    need a fixed number of complete workers.  A peel code's coefficients
+    need a fixed number of complete workers.  kbar, the complete workers an
+    MDS code waits for, lies in [1, n_workers] and is None for any other
+    rule.  A peel code's coefficients
     must be nonzero, since peeling reads a task's support as the blocks it
     holds; MDS codes keep their zeros (an evaluation point 0 gives some).
     Assignments hold arrays, so they compare by identity.
@@ -226,6 +146,10 @@ class ComputationAssignment:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.decode not in (DECODE_PEEL, DECODE_MDS, DECODE_THRESHOLD):
             raise ValueError(f"unknown decode rule {self.decode!r}")
+        if self.decode == DECODE_MDS and not 1 <= (self.kbar or 0) <= self.n_workers:
+            raise ValueError(f"an MDS code needs kbar in [1, {self.n_workers}], got {self.kbar}")
+        if self.decode != DECODE_MDS and self.kbar is not None:
+            raise ValueError(f"kbar applies to MDS codes only, not to a {self.decode} code")
         if len(self.coefficients) != len(self.support):
             raise ValueError("support and coefficients must have one array per order")
         for ids, coefs in zip(self.support, self.coefficients):

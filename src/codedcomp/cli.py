@@ -2,7 +2,7 @@
 
 Four subcommands cover the library's capabilities:
 
-* ``encode``     dump a concrete assignment (who computes what) as JSON;
+* ``encode``     dump a concrete assignment's task arrays (who computes what) as JSON;
 * ``enumerate``  tabulate successful score vectors per straggler type (CSV);
 * ``simulate``   Monte Carlo completion time / message statistics (CSV + JSON);
 * ``train``      linear-regression training under partial recovery (CSV).
@@ -73,18 +73,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _cmd_encode(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     asn = concrete_assignment(cfg)
-    workers = []
-    for w in range(asn.n_workers):
-        tasks = []
-        for j, task in enumerate(asn.worker_tasks(w)):
-            tasks.append(
-                {
-                    "order": j + 1,
-                    "blocks": [b + 1 for b in task.support],
-                    "coefficients": list(task.coefficients),
-                }
-            )
-        workers.append({"worker": w + 1, "tasks": tasks})
+    support = [ids.tolist() for ids in asn.support]
+    coefficients = [coefs.tolist() for coefs in asn.coefficients]
+    workers = [
+        {
+            "worker": w + 1,
+            "tasks": [
+                {"order": j + 1, "blocks": [b + 1 for b in ids[w]], "coefficients": coefs[w]}
+                for j, (ids, coefs) in enumerate(zip(support, coefficients))
+            ],
+        }
+        for w in range(asn.n_workers)
+    ]
     payload = {
         "config": cfg.to_dict(),
         "assignment": {

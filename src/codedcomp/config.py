@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 import numpy as np
 
 from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
-from .decoding import _release_ranks, recovery_threshold
+from .decoding import _recovered, recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
     CircularShiftSource,
@@ -407,8 +407,8 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
     blocks than the tolerance needs: every trial would then run to the end
     without a result.  One drawn assignment decides it, since a
     circular-shift code recovers the same whole groups whatever its offsets."""
-    every_message = np.zeros((1, len(asn.messages), asn.n_workers))
-    recovered = int(np.count_nonzero(_release_ranks(asn, asn.support, every_message) < np.inf))
+    every_message = np.ones((1, len(asn.messages), asn.n_workers), dtype=bool)
+    recovered = int(np.count_nonzero(_recovered(asn, every_message)))
     needed = recovery_threshold(asn.k_total, q)
     if recovered >= needed:
         return []

@@ -11,8 +11,9 @@ smallest first-message rank.  The simulator, exact enumeration and the
 config's finish check all read these ranks.
 
 :func:`decode_blocks` is the one value path, for peel and MDS codes alike:
-the same ranks, 0 for an arrived message and infinity for any other, name
-the recovered blocks, and one least-squares solve gives their values.
+``_recovered`` reads the same ranks, 0 for a sent message and infinity for
+any other, to name the recovered blocks, and one least-squares solve gives
+their values.
 
 ``PeelingDecoder`` (symbolic, one task at a time) and the exact rational
 oracle ``rref_recoverable``, which upper-bounds what any linear decoder
@@ -64,10 +65,8 @@ def _workers_needed(assignment: ComputationAssignment) -> int:
 def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndarray:
     """Where a count rule stops, per trial: the hit-th smallest of each row
     of first, the (trials, n_workers) first-message times or ranks, with
-    hit = max(needed workers, 1); infinity when hit exceeds the workers."""
+    hit = max(needed workers, 1), never more than the workers."""
     hit = max(_workers_needed(assignment), 1)
-    if hit > assignment.n_workers:
-        return np.full(len(first), np.inf)
     return np.partition(first, hit - 1, axis=1)[:, hit - 1]
 
 
@@ -135,11 +134,19 @@ def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarra
     return release.reshape(n_trials, k)
 
 
+def _recovered(assignment: ComputationAssignment, sent) -> np.ndarray:
+    """Which blocks each of B sets of sent messages recovers, shape (B, k_total):
+    sent[b, m, w] says whether worker w's message m is in set b, and a block
+    is recovered when its release rank is finite, a sent message having rank
+    0 and any other infinity."""
+    ranks = np.where(sent, 0.0, np.inf)
+    return _release_ranks(assignment, assignment.support, ranks) < np.inf
+
+
 def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:
     """Values of every block the arrived messages recover.
 
-    The recovered blocks are those whose release rank is finite when every
-    arrived message has rank 0 and every other one infinity.  One
+    ``_recovered`` names the blocks the arrived messages recover.  One
     least-squares solve gives their values: its rows are the arrived tasks
     whose blocks are all recovered, restricted to the recovered columns.
 
@@ -176,8 +183,7 @@ def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[
         errors.append(f"payloads: expected shapes ({n}, ...) with one trailing shape, got {shown}")
     if errors:
         raise ValueError("; ".join(errors))
-    ranks = np.where(arrived, 0.0, np.inf)[None]
-    mask = _release_ranks(assignment, assignment.support, ranks)[0] < np.inf
+    mask = _recovered(assignment, arrived[None])[0]
     recovered = np.flatnonzero(mask)
     if not recovered.size:
         return {}

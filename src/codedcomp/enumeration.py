@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
-from .decoding import _release_ranks, recovery_threshold
+from .decoding import _recovered, recovery_threshold
 from .latency import LatencyModel, type_probability
 
 
@@ -72,20 +72,12 @@ def all_types(n_workers: int, max_score: int) -> list[CumulativeType]:
     return results
 
 
-def messages_for_score(assignment: ComputationAssignment, score: int) -> list[int]:
-    """Indices of the messages a worker with the given score has sent."""
-    return [
-        m for m, msg in enumerate(assignment.messages) if msg.tasks_done <= score
-    ]
-
-
 def _successes(assignment: ComputationAssignment, scores, q: float) -> np.ndarray:
     """Whether the master can stop at each row of a (vectors, n_workers)
-    score array: a sent message has arrival rank 0, an unsent one infinity."""
+    score array, once every worker has sent the messages its score reaches."""
     done = np.array([msg.tasks_done for msg in assignment.messages])[None, :, None]
-    ranks = np.where(done <= np.asarray(scores)[:, None, :], 0.0, np.inf)
-    release = _release_ranks(assignment, assignment.support, ranks)
-    return np.count_nonzero(release < np.inf, axis=1) >= recovery_threshold(assignment.k_total, q)
+    recovered = _recovered(assignment, done <= np.asarray(scores)[:, None, :])
+    return np.count_nonzero(recovered, axis=1) >= recovery_threshold(assignment.k_total, q)
 
 
 def successful_score_vector(

@@ -24,7 +24,8 @@ Each construction rule is stated once, in ``circular_shift_violations``,
 ``mds_violations``, ``load_violations`` or ``hybrid_example``, as messages
 prefixed with the config field at fault.  The builders raise them together
 as one :class:`ConfigError`, and config validation lists them from the one
-build it makes.
+build it makes.  The balance a drawn code keeps is a property the tests
+check, not a rule.
 """
 
 from __future__ import annotations
@@ -382,28 +383,3 @@ def hybrid_example(k: int = 4) -> ComputationAssignment:
         mode=MODE_COMPUTATION,
         decode=DECODE_PEEL,
     )
-
-
-def order_uniform(assignment: ComputationAssignment) -> bool:
-    """Check order-wise balance of a circular-shift code.
-
-    For every order j and block b, b must appear in exactly as many of the
-    K order-j tasks as there are order-j rows drawn in b's group (equal to
-    the degree for single-group constructions).  A row's group is read from
-    its first entry: block id // K.
-    """
-    k = assignment.n_workers
-    for ids in assignment.support:
-        expected = np.zeros(assignment.k_total, dtype=int)
-        for g in ids[0] // k:
-            expected[g * k : (g + 1) * k] += 1
-        counts = np.bincount(ids.ravel(), minlength=assignment.k_total)
-        if not np.array_equal(counts, expected):
-            return False
-    return True
-
-
-def worker_uniform(assignment: ComputationAssignment) -> bool:
-    """Check that no worker is ever assigned the same block twice."""
-    held = np.sort(np.concatenate(assignment.support, axis=1), axis=1)
-    return not np.any(held[:, 1:] == held[:, :-1])

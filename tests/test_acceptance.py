@@ -26,15 +26,13 @@ from codedcomp import (
     generate_dataset,
     hybrid_example,
     monte_carlo,
-    order_uniform,
-    partition_matrix,
     rref_recoverable,
     success_table,
     train,
-    worker_uniform,
 )
 from codedcomp.latency import prob_exactly
 from codedcomp.schemes import CircularShiftSource
+from oracles import order_uniform, worker_uniform
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 TRIALS = 10_000
@@ -295,8 +293,7 @@ def test_criterion_07_numeric_full_recovery():
     with criterion(7, "zero-tolerance numeric recovery of the full product"):
         rng = np.random.default_rng(707)
         w = rng.standard_normal((80, 80))
-        part = partition_matrix(w, 8)
-        blocks = list(part.blocks)
+        blocks = np.split(w, 8)
         schemes = {
             "rcs": build_rcs(8, [1, 2, 3], rng=np.random.default_rng(1)),
             "uc-mmc": build_uc_mmc(8, 2),

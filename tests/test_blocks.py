@@ -1,61 +1,10 @@
-"""Core types: partitions, degree-vector rules, score types, assignments."""
+"""Core types: degree-vector rules, score types, assignments."""
 
 import numpy as np
 import pytest
 
-from codedcomp import (
-    CodedTask,
-    ComputationAssignment,
-    Message,
-    build_rcs,
-    partition_matrix,
-)
-from codedcomp.blocks import type_of
+from codedcomp import CodedTask, ComputationAssignment, CumulativeType, Message, build_rcs
 from codedcomp.schemes import circular_shift_violations
-
-
-class TestPartition:
-    def test_identity_four_blocks(self):
-        part = partition_matrix(np.eye(4), 4)
-        assert part.total_blocks == 4
-        assert part.rows_per_block == 1
-        for i, block in enumerate(part.blocks):
-            assert np.array_equal(block, np.eye(4)[i : i + 1])
-
-    def test_large_square_forty_blocks(self):
-        part = partition_matrix(np.ones((800, 800)), 40)
-        assert part.total_blocks == 40
-        assert part.rows_per_block == 20
-        assert all(b.shape == (20, 800) for b in part.blocks)
-
-    def test_two_groups(self):
-        part = partition_matrix(np.arange(64).reshape(8, 8), 4, group_count=2)
-        assert part.total_blocks == 8
-        assert part.rows_per_block == 1
-        assert part.group_size == 4
-        assert part.group_of(0) == 0
-        assert part.group_of(3) == 0
-        assert part.group_of(4) == 1
-        assert part.group_of(7) == 1
-
-    def test_indivisible_rows_named_in_error(self):
-        with pytest.raises(ValueError, match="7 rows"):
-            partition_matrix(np.ones((7, 3)), 2)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            k = int(rng.integers(1, 12))
-            per = int(rng.integers(1, 5))
-            cols = int(rng.integers(1, 6))
-            m = rng.standard_normal((k * per, cols))
-            part = partition_matrix(m, k)
-            assert np.array_equal(part.concatenated(), m)
-
-    def test_vector_partition(self):
-        part = partition_matrix(np.arange(12.0), 4)
-        assert part.rows_per_block == 3
-        assert np.array_equal(part.blocks[1], np.array([3.0, 4.0, 5.0]))
 
 
 class TestDegreeVector:
@@ -93,36 +42,23 @@ class TestDegreeVector:
 
 
 class TestTypeOf:
+    """The cumulative type of a score vector, built from its counts."""
+
     def test_mixed_scores(self):
         # S = [2, 0, 1, 1] with two possible tasks per worker
-        ctype = type_of([2, 0, 1, 1], 2)
-        assert ctype.counts == (1, 2, 1)
+        ctype = CumulativeType((1, 2, 1))
         assert ctype.max_score == 2
         assert ctype.worker_count == 4
-
-    def test_all_idle(self):
-        assert type_of([0, 0, 0, 0], 2).counts == (0, 0, 4)
-
-    def test_all_done(self):
-        assert type_of([2, 2, 2, 2], 2).counts == (4, 0, 0)
+        assert [ctype.count_for_score(s) for s in range(3)] == [1, 2, 1]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            type_of([3, 0], 2)
-
-    def test_counts_sum_to_worker_count(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            k = int(rng.integers(1, 15))
-            r = int(rng.integers(1, 7))
-            scores = rng.integers(0, r + 1, k)
-            ctype = type_of(scores, r)
-            assert sum(ctype.counts) == k
-            for s in range(r + 1):
-                assert ctype.count_for_score(s) == int(np.sum(scores == s))
+        with pytest.raises(ValueError, match="invalid type counts"):
+            CumulativeType((1, -1))
+        with pytest.raises(ValueError, match="invalid type counts"):
+            CumulativeType(())
 
     def test_label(self):
-        assert type_of([1, 1, 0], 2).label() == "(0,2,1)"
+        assert CumulativeType((0, 2, 1)).label() == "(0,2,1)"
 
 
 class TestCodedTask:
@@ -192,6 +128,26 @@ class TestAssignmentInvariants:
         assert [[t.support for t in row] for row in asn.tasks] == [[(0,), (1,)], [(1, 2), (2, 0)]]
         assert asn.tasks[1][1] == CodedTask((2, 0), (3.0, 4.0))
         assert asn.worker_tasks(0) == [CodedTask((0,), (1.0,)), CodedTask((1, 2), (1.0, 2.0))]
+
+    @pytest.mark.parametrize(
+        "decode, kbar",
+        [("mds", None), ("mds", 0), ("mds", 4), ("peel", 2)],
+        ids=["mds-none", "mds-zero", "mds-above-workers", "peel-with-kbar"],
+    )
+    def test_kbar_checked(self, decode, kbar):
+        with pytest.raises(ValueError, match="kbar"):
+            ComputationAssignment(
+                n_workers=3, k_total=3, **self._rows(3, 1),
+                messages=(Message(1, (0,)),), decode=decode, kbar=kbar,
+            )
+
+    @pytest.mark.parametrize("kbar", [1, 3])
+    def test_kbar_bounds_accepted(self, kbar):
+        asn = ComputationAssignment(
+            n_workers=3, k_total=3, **self._rows(3, 1),
+            messages=(Message(1, (0,)),), decode="mds", kbar=kbar,
+        )
+        assert asn.kbar == kbar
 
     def test_schedule_scaled_by_cost(self):
         rows = self._rows(2, 2)

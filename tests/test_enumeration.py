@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codedcomp import (
+    CumulativeType,
     LatencyModel,
     all_types,
     build_gc,
@@ -25,9 +26,7 @@ from codedcomp import (
     successful_score_vector,
 )
 from codedcomp import enumeration
-from codedcomp.blocks import type_of
 from codedcomp.enumeration import (
-    messages_for_score,
     multiset_permutations,
     score_vectors_of_type,
     total_vectors,
@@ -157,13 +156,13 @@ class TestHelpers:
         assert perms == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
 
     def test_score_vectors_of_type(self):
-        vectors = list(score_vectors_of_type(type_of([2, 1, 1, 0], 2)))
+        vectors = list(score_vectors_of_type(CumulativeType((1, 2, 1))))
         assert len(vectors) == 12
         assert all(sorted(v) == [0, 1, 1, 2] for v in vectors)
 
     def test_total_vectors_multinomial(self):
-        assert total_vectors(type_of([2, 1, 1, 0], 2)) == 12
-        assert total_vectors(type_of([2, 2, 2, 2], 2)) == 1
+        assert total_vectors(CumulativeType((1, 2, 1))) == 12
+        assert total_vectors(CumulativeType((4, 0, 0))) == 1
 
     def test_total_vectors_matches_enumeration(self):
         for ctype in all_types(5, 2):
@@ -176,14 +175,6 @@ class TestHelpers:
         assert labels[0] == (4, 0, 0)
         assert labels[-1] == (0, 0, 4)
         assert len(set(labels)) == 15
-
-    def test_messages_for_score(self):
-        asn = build_mcc(4, 2)
-        assert messages_for_score(asn, 1) == []
-        assert messages_for_score(asn, 2) == [0]
-        asn = build_uc_mmc(4, 2)
-        assert messages_for_score(asn, 1) == [0]
-        assert messages_for_score(asn, 2) == [0, 1]
 
 
 class TestKnownVectors:
@@ -204,7 +195,7 @@ class TestKnownVectors:
         for scores in good:
             assert successful_score_vector(asn, scores, 0.0)
         others = [
-            v for v in score_vectors_of_type(type_of([2, 1, 1, 0], 2))
+            v for v in score_vectors_of_type(CumulativeType((1, 2, 1)))
             if list(v) not in good
         ]
         assert len(others) == 4

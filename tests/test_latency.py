@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from codedcomp import LatencyModel, type_probability
-from codedcomp.blocks import type_of
+from codedcomp import CumulativeType, LatencyModel, type_probability
 from codedcomp.latency import prob_at_least, prob_exactly
 
 
@@ -126,14 +125,14 @@ class TestTypeProbability:
 
     def test_before_setup_only_all_idle(self):
         t = 0.5 * self.MODEL.alpha
-        idle = type_of([0, 0, 0, 0], 2)
-        busy = type_of([1, 0, 0, 0], 2)
+        idle = CumulativeType((0, 0, 4))
+        busy = CumulativeType((0, 1, 3))
         assert type_probability(idle, t, self.MODEL) == 1.0
         assert type_probability(busy, t, self.MODEL) == 0.0
 
     def test_product_structure(self):
         t = 0.2
-        ctype = type_of([2, 1, 1, 0], 2)
+        ctype = CumulativeType((1, 2, 1))
         expected = (
             prob_exactly(2, t, self.MODEL, max_tasks=2)
             * prob_exactly(1, t, self.MODEL, max_tasks=2) ** 2
@@ -145,13 +144,15 @@ class TestTypeProbability:
         t = 0.2
         n = 100_000
         scores = empirical_scores(self.MODEL, t, n, seed=9, max_tasks=2)
-        for ctype_scores in ([2, 2, 2, 2], [2, 1, 0, 1], [0, 0, 0, 0]):
-            p_single = type_probability(type_of(ctype_scores, 2), t, self.MODEL)
+        # the types of [2, 2, 2, 2], [2, 1, 0, 1] and [0, 0, 0, 0]
+        for type_counts in ((4, 0, 0), (1, 2, 1), (0, 0, 4)):
+            ctype = CumulativeType(type_counts)
+            p_single = type_probability(ctype, t, self.MODEL)
             # empirical probability that one worker hits each score, multiplied
             counts = {s: float(np.mean(scores == s)) for s in range(3)}
             p_emp = 1.0
-            for s in ctype_scores:
-                p_emp *= counts[s]
+            for s in range(3):
+                p_emp *= counts[s] ** ctype.count_for_score(s)
             assert p_single == pytest.approx(p_emp, rel=0.08)
 
     def test_types_with_vector_counts_sum_to_one(self):

@@ -17,11 +17,10 @@ from codedcomp import (
     build_rcs,
     build_uc_mmc,
     hybrid_example,
-    order_uniform,
     parse_config,
-    worker_uniform,
 )
 from codedcomp.schemes import circular_shift_violations, mds_violations
+from oracles import order_uniform, worker_uniform
 
 # Pinned 20-worker circular-shift construction: offsets drawn in the order
 # [1, 4, 11, 15, 6, 18] with degrees [1, 2, 3].

@@ -23,7 +23,7 @@ from codedcomp import (
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp import generate_dataset, gram, loss, partial_gd_step, train
 from codedcomp import decoding, simulate
-from codedcomp.enumeration import all_types, messages_for_score, score_vectors_of_type
+from codedcomp.enumeration import all_types, score_vectors_of_type
 from codedcomp.schemes import CircularShiftSource
 from codedcomp.simulate import (
     _CHUNK,
@@ -636,7 +636,7 @@ def _small_peel_codes(draw):
 def _oracle_success(asn, scores, q):
     state = _PeelOracle(asn)
     for w, score in enumerate(scores):
-        for m in messages_for_score(asn, score):
+        for m in [m for m, msg in enumerate(asn.messages) if msg.tasks_done <= score]:
             state.ingest_message(w, m)
     return state.recovered_count >= recovery_threshold(asn.k_total, q)
 
