@@ -37,6 +37,7 @@ from .schemes import (
     build_uc_mmc,
     hybrid_example,
 )
+from .simulate import _MAX_TRIALS
 
 DEFAULT_SEED = 1729
 
@@ -60,7 +61,7 @@ _CONSTRUCTION_TAG = 4294967295
 # value, or records a violation and returns None.
 
 
-def _as_int(key, value, violations, minimum=None) -> int | None:
+def _as_int(key, value, violations, minimum=None, maximum=None) -> int | None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         if isinstance(value, float) and float(value).is_integer():
             value = int(value)
@@ -70,6 +71,9 @@ def _as_int(key, value, violations, minimum=None) -> int | None:
     value = int(value)
     if minimum is not None and value < minimum:
         violations.append(f"{key}: must be >= {minimum}, got {value}")
+        return None
+    if maximum is not None and value > maximum:
+        violations.append(f"{key}: must be <= {maximum}, got {value}")
         return None
     return value
 
@@ -93,6 +97,7 @@ def _as_number(key, value, violations, positive=False) -> float | None:
 
 
 _as_count = partial(_as_int, minimum=1)
+_as_trials = partial(_as_int, minimum=1, maximum=_MAX_TRIALS)
 _as_positive = partial(_as_number, positive=True)
 
 
@@ -241,7 +246,7 @@ class TrainSettings:
     dim: int = _field(_as_count)
     samples: int = _field(_as_count)
     eta: float = _field(_as_positive, 0.1)
-    iterations: int = _field(_as_count, 50)
+    iterations: int = _field(_as_trials, 50)
     noise_std: float = _field(_as_number, 0.01)
 
 
@@ -260,7 +265,7 @@ class ExperimentConfig:
     q: float = _field(_as_tolerance, 0.0)
     mu: float = _field(_as_positive, 10.0)
     alpha: float = _field(_as_positive, 0.01)
-    trials: int = _field(_as_count, 10000)
+    trials: int = _field(_as_trials, 10000)
     seed: int = _field(partial(_as_int, minimum=0), DEFAULT_SEED)
     redraw: bool = _field(_as_bool, True)
     train: TrainSettings | None = _field(_as_train, None)

@@ -5,6 +5,12 @@ exponential with rate mu and drawn once per worker per iteration (a slow
 worker is slow for the whole iteration).  Finishing s computations therefore
 takes s * (alpha + E), which yields a closed-form law for the number of
 computations finished by any deadline.
+
+A trial draws one standard exponential per worker from its stream; the
+model maps them to unit times (:meth:`LatencyModel.unit_times`), for one
+trial or for a whole batch of trials at once.  ``alpha + (1 / mu) * E`` is
+the value NumPy's ``exponential(1 / mu)`` gives for the same draw, so both
+ways of sampling give the same bits.
 """
 
 from __future__ import annotations
@@ -28,9 +34,14 @@ class LatencyModel:
         if not (0 < self.mu < math.inf and 0 < self.alpha < math.inf):
             raise ValueError(f"mu and alpha must be positive and finite, got {self.mu}, {self.alpha}")
 
+    def unit_times(self, exponentials: np.ndarray) -> np.ndarray:
+        """Per-unit computation times from standard exponential draws, one
+        per worker, of any shape."""
+        return self.alpha + (1.0 / self.mu) * exponentials
+
     def sample_unit_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw per-unit computation times for n workers."""
-        return self.alpha + rng.exponential(1.0 / self.mu, n)
+        return self.unit_times(rng.standard_exponential(n))
 
 
 def prob_at_least(s: int, t: float, model: LatencyModel, task_cost: float = 1.0) -> float:

@@ -189,7 +189,8 @@ def train(
         ValueError: before any iteration is simulated, if the assignment is
             not a matrix-vector scheme (exact-sum coding recovers only the
             aggregated gradient, not blocks) or the dimension does not split
-            evenly over the blocks.
+            evenly over the blocks; also if iterations is not in [1, 2**32],
+            one trial stream per iteration.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")

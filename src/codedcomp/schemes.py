@@ -190,8 +190,9 @@ class CircularShiftSource(NamedTuple):
     does not change: each row's 0-based group (``rows``) and place in its
     group's pool of shifts (``place``, the number of earlier rows in the same
     group), the degrees, and ``layout``, one valid draw that carries the
-    messages, mode and task cost.  A trial draws only its shift pools
-    (:meth:`draw`), and :meth:`stack` turns a batch of draws into per-order
+    messages, mode and task cost.  A batch holds its trials' shift pools in
+    one int array (:meth:`pools`), a trial shuffles only its own row of it
+    (:meth:`draw`), and :meth:`stack` turns the batch into per-order
     supports in one array pass.  Called with a generator it returns the same
     assignment as ``build_rcs(..., rng)``.
     """
@@ -241,15 +242,25 @@ class CircularShiftSource(NamedTuple):
         )
         return cls(degrees, groups, rows, place, layout)
 
-    def draw(self, rng: np.random.Generator) -> list[np.ndarray]:
-        """One trial's shift pools: one permutation of the k shifts per
-        group, in group order; row i takes the shift at its place in its
-        group's pool.  This draw order fixes every seeded construction stream."""
-        return [rng.permutation(self.layout.n_workers) for _ in range(self.groups)]
+    def pools(self, trials: int) -> np.ndarray:
+        """Unshuffled shift pools of a batch, shape (trials, groups, k):
+        every row holds 0 .. k - 1, ready for :meth:`draw`."""
+        return np.tile(np.arange(self.layout.n_workers), (trials, self.groups, 1))
 
-    def stack(self, drawn) -> tuple[np.ndarray, ...]:
-        """The per-order supports, shape (B, k, d_j), of B trials' draws."""
-        offsets = np.array(drawn)[..., self.rows, self.place] + 1
+    def draw(self, rng: np.random.Generator, pools: np.ndarray) -> np.ndarray:
+        """Shuffle one trial's unshuffled pools, shape (groups, k), in place
+        and return them: one permutation of the k shifts per group, in group
+        order, as ``rng.permutation(k)`` draws it; row i takes the shift at
+        its place in its group's pool.  This draw order fixes every seeded
+        construction stream."""
+        for pool in pools:
+            rng.shuffle(pool)
+        return pools
+
+    def stack(self, drawn: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-order supports, shape (B, k, d_j), of B trials' drawn
+        pools, shape (B, groups, k)."""
+        offsets = drawn[..., self.rows, self.place] + 1
         return _shift_supports(self.layout.n_workers, self.degrees, self.rows, offsets)
 
     def at(self, offsets: Sequence[int]) -> ComputationAssignment:
@@ -261,7 +272,7 @@ class CircularShiftSource(NamedTuple):
 
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""
-        return self.at(np.array(self.draw(rng))[self.rows, self.place] + 1)
+        return self.at(self.draw(rng, self.pools(1)[0])[self.rows, self.place] + 1)
 
 
 def mds_violations(k: int, kbar: int, eval_points: Sequence[float] | None) -> list[str]:

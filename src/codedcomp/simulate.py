@@ -10,9 +10,12 @@ the final arrival included).
 Every decode rule and every source is decided for a batch of trials with
 array operations: ``decoding._release_ranks`` gives each block's release
 rank, the arrival rank at which the block becomes recoverable, and the stop
-is the threshold-th smallest.  A count rule (``mds``, ``threshold``)
-releases every block at once, so a simulated trial of one needs no ranks:
-it stops at the ``needed``-th smallest first-message arrival time.
+is the threshold-th smallest.  Arrival ranks come from NumPy's default sort;
+a trial whose arrival times tie is sorted again with the stable sort, so
+ties still break by message then worker.  A count rule (``mds``,
+``threshold``) releases every block at once, so a simulated trial of one
+needs no ranks: it stops at the ``needed``-th smallest first-message
+arrival time.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
@@ -23,13 +26,16 @@ the trial's generator from them (:class:`_StreamWords`), so it draws the
 same numbers without running NumPy's hash per trial.  A source is a fixed
 ``ComputationAssignment``, which every trial runs, or a redrawn
 circular-shift code (``schemes.CircularShiftSource``) whose rules and layout
-are fixed once: a trial draws only its shift permutations, and a batch's
-supports come from one shift-grid expression over the (trials, rows) offsets.
+are fixed once.  Per trial, the stream gives the shift permutations first
+(a redrawn code only), shuffled in place in the batch's pool array, then one
+standard exponential per worker, written into the batch's array; one
+``LatencyModel.unit_times`` call turns a batch's exponentials into unit
+times, and its supports come from one shift-grid expression over the
+(trials, rows) offsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -53,6 +59,9 @@ _CHUNK = 64
 # trials, 0.2 us at 1,024 on a 2-vCPU x86-64 VM); its output is 32 bytes
 # per trial.
 _SEED_BLOCK = 1024
+# Trial t's stream hashes t as one 32-bit word, so a run has at most 2**32
+# trials.
+_MAX_TRIALS = 2**32
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 2**32 - 1
@@ -101,6 +110,25 @@ def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> 
     return unit_times[..., None, :] * assignment.schedule()[:, None]
 
 
+def _arrival_ranks(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of every arrival in its row of flat (trials, arrivals), ties
+    broken by column, and each row's arrival times in rank order.
+
+    Distinct keys have one sorted order, so NumPy's default (unstable, fast)
+    sort ranks a row without ties exactly as the stable sort does; only the
+    rows whose sorted times hold an equal adjacent pair are sorted again,
+    stably.  Ranks are floats, ready to meet infinity in the release ranks.
+    """
+    order = np.argsort(flat, axis=1)
+    ordered = np.take_along_axis(flat, order, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(flat[tied], axis=1, kind="stable")
+    ranks = np.empty(flat.shape)
+    ranks[np.arange(flat.shape[0])[:, None], order] = np.arange(flat.shape[1])
+    return ranks, ordered
+
+
 def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):
     """Outcomes of a batch of trials, one row of per-worker unit times each.
 
@@ -125,10 +153,8 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         masks = np.repeat(completed[:, None], assignment.k_total, axis=1)
         redundant = np.where(completed, max(needed, 1) - needed, 0)
     else:
-        order = np.argsort(flat, axis=1, kind="stable")
         trial = np.arange(n_trials)
-        ranks = np.empty(flat.shape)
-        ranks[trial[:, None], order] = np.arange(flat.shape[1])
+        ranks, ordered = _arrival_ranks(flat)
         ranks = ranks.reshape(arrivals.shape)
         release = _release_ranks(assignment, supports, ranks)
         stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
@@ -145,7 +171,7 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
                 unknown = ids.shape[2] - masks[trial[:, None, None], ids].sum(axis=2)
                 pending = pending + (arrived & (unknown >= 2)).sum(axis=1)
         redundant = ingested - pending - masks.sum(axis=1)
-        times = np.where(completed, flat[trial, order[trial, stop_rank]], np.inf)
+        times = np.where(completed, ordered[trial, stop_rank], np.inf)
     messages = (flat <= times[:, None]).sum(axis=1)
     return times, messages, redundant, masks, completed
 
@@ -293,18 +319,23 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
 
     Yields, per batch, the per-trial arrays of :func:`_trials`: (completion
     times, messages received, redundant tasks, recovered-block masks,
-    completed flags).  Trial t draws the shifts of a
-    :class:`~codedcomp.schemes.CircularShiftSource` (a fixed
-    ``ComputationAssignment`` draws nothing), then the latencies, from the
-    stream of ``trial_rng(seed, t)``, which NumPy seeds from the words
-    hashed for ``_SEED_BLOCK`` trials at a time.
+    completed flags).  Trial t draws from the stream of
+    ``trial_rng(seed, t)``, which NumPy seeds from the words hashed for
+    ``_SEED_BLOCK`` trials at a time: first the shift pools of a
+    :class:`~codedcomp.schemes.CircularShiftSource`, shuffled in place in
+    the batch's pool array (a fixed ``ComputationAssignment`` draws
+    nothing), then one standard exponential per worker, written into the
+    batch's exponential array.  One ``model.unit_times`` call maps a whole
+    batch's exponentials to unit times.
 
     Raises:
         TypeError: if source is of neither accepted type.
-        ValueError: if trials is not positive or the seed is negative.
+        ValueError: if trials is not positive or above ``_MAX_TRIALS`` (the
+            trial streams index at most 2**32 trials), or the seed is
+            negative.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {trials}")
     layout = _source_layout(source)
     redrawn = isinstance(source, CircularShiftSource)
     threshold = recovery_threshold(layout.k_total, q)
@@ -313,14 +344,22 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
         for start in range(0, trials, _SEED_BLOCK)
         for words in _stream_states(seed, range(start, min(start + _SEED_BLOCK, trials)))
     )
-    for _ in range(0, trials, _CHUNK):
-        drawn, unit_times = [], []
-        for rng in itertools.islice(rngs, _CHUNK):
-            if redrawn:
-                drawn.append(source.draw(rng))
-            unit_times.append(model.sample_unit_times(rng, layout.n_workers))
-        supports = source.stack(drawn) if redrawn else layout.support
-        yield _trials(layout, supports, np.array(unit_times), threshold)
+    # rngs comes last in each zip, so a batch stops without taking the next
+    # batch's first generator.
+    for start in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - start)
+        exponentials = np.empty((size, layout.n_workers))
+        if redrawn:
+            pools = source.pools(size)
+            for pool, row, rng in zip(pools, exponentials, rngs):
+                source.draw(rng, pool)
+                rng.standard_exponential(out=row)
+            supports = source.stack(pools)
+        else:
+            for row, rng in zip(exponentials, rngs):
+                rng.standard_exponential(out=row)
+            supports = layout.support
+        yield _trials(layout, supports, model.unit_times(exponentials), threshold)
 
 
 def monte_carlo(
@@ -346,7 +385,7 @@ def monte_carlo(
 
     Raises:
         TypeError: if source is of neither accepted type.
-        ValueError: if trials is not positive or the seed is negative.
+        ValueError: if trials is not in [1, 2**32] or the seed is negative.
 
     Trials run in batches of ``_CHUNK`` (:func:`_batches`), each decided
     with array operations at once; ``train`` consumes the same batches.

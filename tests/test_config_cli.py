@@ -488,6 +488,23 @@ class TestParseConfig:
         parse_config(TABLE_CONFIG)
         assert len(calls) == 1
 
+    def test_trial_counts_bounded_by_the_streams(self):
+        # Trial t's stream hashes t as one 32-bit word, so a run has at most
+        # 2**32 trials (or training iterations); more is a violation.
+        mcc = {"scheme": "mcc", "workers": 8, "kbar": 3}
+        train = {"dim": 16, "samples": 10}
+        assert parse_config({**mcc, "trials": 2**32}).trials == 2**32
+        assert parse_config({**mcc, "train": {**train, "iterations": 2**32}}).train.iterations == 2**32
+        with pytest.raises(ConfigError) as err:
+            parse_config({**mcc, "trials": 2**32 + 5})
+        assert err.value.violations == ["trials: must be <= 4294967296, got 4294967301"]
+        with pytest.raises(ConfigError) as err:
+            parse_config({**mcc, "trials": 2**40, "train": {**train, "iterations": 2**32 + 1}})
+        assert err.value.violations == [
+            "trials: must be <= 4294967296, got 1099511627776",
+            "train.iterations: must be <= 4294967296, got 4294967297",
+        ]
+
     def test_train_dimension_checked(self):
         with pytest.raises(ConfigError, match="train.dim"):
             parse_config(
@@ -629,8 +646,9 @@ class TestCli:
                 "encode", "--scheme", "rcs", "--workers", "20", "--degrees", "1,2,3",
                 "--offsets", "1,4,11,15,6,18", "--redraw", "false",
             ],
+            ["simulate", "--scheme", "mcc", "--workers", "8", "--kbar", "3", "--trials", "4294967297"],
         ],
-        ids=["train-without-section", "enumerate-too-large", "redraw-with-offsets"],
+        ids=["train-without-section", "enumerate-too-large", "redraw-with-offsets", "trials-beyond-streams"],
     )
     def test_failed_command_leaves_no_directory(self, tmp_path, argv):
         out = tmp_path / "fresh" / "out"

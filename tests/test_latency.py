@@ -55,6 +55,43 @@ class TestModel:
         )
 
 
+class TestUnitTimes:
+    """A trial draws standard exponentials and the model maps them; the
+    values and the generator's end state are those of NumPy's exponential
+    draw at scale 1 / mu."""
+
+    PARAMS = [(10.0, 0.01), (1.0, 1.0), (3.0, 0.5), (0.7, 2.5), (1e6, 1e-9)]
+
+    @pytest.mark.parametrize("mu, alpha", PARAMS)
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_unit_times_equal_scaled_exponential_draw(self, mu, alpha, n):
+        model = LatencyModel(mu=mu, alpha=alpha)
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        got = model.unit_times(rng.standard_exponential(n))
+        want = alpha + reference.exponential(1.0 / mu, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("mu, alpha", PARAMS)
+    def test_buffered_batch_equals_per_trial_draws(self, mu, alpha):
+        # _batches writes each trial's draws into a row of one array and
+        # maps the batch at once.
+        model = LatencyModel(mu=mu, alpha=alpha)
+        exponentials = np.empty((5, 9))
+        for t, row in enumerate(exponentials):
+            np.random.default_rng(t).standard_exponential(out=row)
+        want = [alpha + np.random.default_rng(t).exponential(1.0 / mu, 9) for t in range(5)]
+        assert np.array_equal(model.unit_times(exponentials), want)
+
+    @pytest.mark.parametrize("mu, alpha", PARAMS)
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_sample_unit_times_keeps_its_draws(self, mu, alpha, n):
+        model = LatencyModel(mu=mu, alpha=alpha)
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(model.sample_unit_times(rng, n), alpha + reference.exponential(1.0 / mu, n))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestClosedForm:
     MODEL = LatencyModel(mu=10.0, alpha=0.01)
 

@@ -2,11 +2,13 @@
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codedcomp import (
     LatencyModel,
@@ -30,6 +32,7 @@ from codedcomp.simulate import (
     _SEED_BLOCK,
     MonteCarloResult,
     _StreamWords,
+    _arrival_ranks,
     _batches,
     _stream_states,
     _trials,
@@ -44,23 +47,30 @@ MODEL = LatencyModel(mu=10.0, alpha=0.01)
 class _NoStraggleRng:
     """Stand-in generator whose exponential draws are all zero."""
 
-    def exponential(self, scale, size=None):
+    def standard_exponential(self, size=None):
         return np.zeros(size if size is not None else 1)
 
 
 class _TiedModel:
     """Latency model whose workers all take the same unit time, so arrivals tie."""
 
-    def sample_unit_times(self, rng, n):
-        return MODEL.sample_unit_times(_NoStraggleRng(), n)
+    def unit_times(self, exponentials):
+        return MODEL.unit_times(np.zeros_like(exponentials))
 
 
 class _TwoSpeedModel:
-    """Odd workers take twice as long, in a random order of worker ids, so
-    a fast worker's later message ties with a slow worker's earlier one."""
+    """Odd workers take twice as long, in a random order of worker ids (the
+    rank of each worker's exponential draw), so a fast worker's later message
+    ties with a slow worker's earlier one."""
 
-    def sample_unit_times(self, rng, n):
-        return MODEL.alpha * (1.0 + rng.permutation(n) % 2)
+    def unit_times(self, exponentials):
+        ranks = exponentials.argsort(axis=-1).argsort(axis=-1)
+        return MODEL.alpha * (1.0 + ranks % 2)
+
+
+def _unit_times(model, rng, n):
+    """One trial's unit times for n workers, drawn as ``_batches`` draws them."""
+    return model.unit_times(rng.standard_exponential(n))
 
 
 def _hand_built(n_workers, k_total, support, messages, decode="peel", kbar=None):
@@ -226,7 +236,7 @@ class TestClosedFormMatchesOracle:
             res = monte_carlo(asn, q, model, trials, seed=17)
             batches = _run(asn, q, model, trials, 17)
             for t in range(trials):
-                unit_times = model.sample_unit_times(trial_rng(17, t), asn.n_workers)
+                unit_times = _unit_times(model, trial_rng(17, t), asn.n_workers)
                 expected = _oracle(asn, q, unit_times)
                 stop, messages, redundant, mask, completed = expected
                 assert res.times[t] == stop
@@ -305,6 +315,60 @@ class TestMessageTimes:
         assert times.shape == (3, 2, 3, 20)
         for t in np.ndindex(3, 2):
             assert np.array_equal(times[t], message_times(asn, unit_times[t]))
+
+
+def _stable_ranks(flat):
+    """Arrival ranks and rank-ordered times from the stable sort alone."""
+    order = np.argsort(flat, axis=1, kind="stable")
+    ranks = np.empty(flat.shape)
+    ranks[np.arange(flat.shape[0])[:, None], order] = np.arange(flat.shape[1])
+    return ranks, np.take_along_axis(flat, order, axis=1)
+
+
+def _sort_kinds(call):
+    """call's result and the ``kind`` of every ``np.argsort`` it made."""
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        result = call()
+    return result, [c.kwargs.get("kind") for c in spy.call_args_list]
+
+
+class TestArrivalRanks:
+    """The default sort ranks tie-free rows; rows with a tie fall back to
+    the stable sort.  Either way the ranks are the stable sort's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flat=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(1, 12)),
+            elements=st.sampled_from([0.01, 0.02, 0.03]),
+        )
+    )
+    def test_tied_rows_match_stable_sort(self, flat):
+        (ranks, ordered), kinds = _sort_kinds(lambda: _arrival_ranks(flat))
+        want_ranks, want_ordered = _stable_ranks(flat)
+        assert np.array_equal(ranks, want_ranks)
+        assert np.array_equal(ordered, want_ordered)
+        tied = any(len(set(row)) < len(row) for row in flat.tolist())
+        assert kinds == ([None, "stable"] if tied else [None])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, _CHUNK))
+    def test_tie_free_rows_take_the_fast_sort(self, seed, trials):
+        asn = build_uc_mmc(40, 3)
+        unit_times = MODEL.unit_times(np.random.default_rng(seed).standard_exponential((trials, 40)))
+        flat = message_times(asn, unit_times).reshape(trials, -1)
+        assume(all(len(set(row)) == len(row) for row in flat.tolist()))
+        (ranks, ordered), kinds = _sort_kinds(lambda: _arrival_ranks(flat))
+        want_ranks, want_ordered = _stable_ranks(flat)
+        assert np.array_equal(ranks, want_ranks)
+        assert np.array_equal(ordered, want_ordered)
+        assert kinds == [None]
+
+    @pytest.mark.parametrize("model", [_TiedModel(), _TwoSpeedModel()], ids=["tied", "two-speed"])
+    def test_tied_models_reach_the_fallback(self, model):
+        _, kinds = _sort_kinds(lambda: monte_carlo(build_uc_mmc(8, 2), 0.0, model, 40, seed=17))
+        assert "stable" in kinds
 
 
 class TestSimulateIteration:
@@ -478,6 +542,18 @@ class TestTrialStreams:
         rng = np.random.default_rng(_StreamWords(strided))
         assert rng.bit_generator.state == trial_rng(1729, 0).bit_generator.state
 
+    def test_trials_beyond_the_streams_rejected_before_drawing(self, monkeypatch):
+        # Trial indices hash as one 32-bit word; a longer run is refused
+        # before any stream is hashed or any trial drawn.
+        monkeypatch.setattr(simulate, "_stream_states", lambda *args: pytest.fail("hashed a stream"))
+        with pytest.raises(ValueError, match="trials must lie in \\[1, 4294967296\\]"):
+            monte_carlo(build_uc_mmc(8, 2), 0.25, MODEL, 2**32 + 1, seed=1)
+        with pytest.raises(ValueError, match="trials must lie in"):
+            monte_carlo(CircularShiftSource.of(8, [1, 2]), 0.25, MODEL, 2**32 + 1, seed=1)
+        ds = generate_dataset(50, 16, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trials must lie in"):
+            train(ds, build_uc_mmc(8, 2), q=0.25, model=MODEL, eta=0.1, iterations=2**32 + 1, seed=1)
+
     def test_negative_seed_or_trial_rejected(self):
         with pytest.raises(ValueError):
             _stream_states(-1, [0])
@@ -492,9 +568,9 @@ class TestTrialStreams:
         batches and seed blocks, so the draw order per trial is pinned."""
         seen, draw = [], CircularShiftSource.draw
 
-        def recording(source, rng):
+        def recording(source, rng, pools):
             seen.append(rng.bit_generator.state)
-            return draw(source, rng)
+            return draw(source, rng, pools)
 
         monkeypatch.setattr(CircularShiftSource, "draw", recording)
         trials = _SEED_BLOCK + 2 * _CHUNK + 3
@@ -542,6 +618,33 @@ class TestCircularShiftSource:
         for t in range(self.TRIALS):
             expected = self.build(name, trial_rng(1729, t)).support
             assert all(np.array_equal(ids[t], want) for ids, want in zip(batched, expected))
+
+    def test_draw_is_numpy_permutation(self, name):
+        # A buffered draw shuffles arange(k) in place per group, which is
+        # what Generator.permutation(k) does: same values, same end state.
+        source = self.source(name)
+        k = source.layout.n_workers
+        pools = source.pools(3)
+        assert pools.shape == (3, source.groups, k)
+        for t, pool in enumerate(pools):
+            rng, reference = trial_rng(5, t), trial_rng(5, t)
+            drawn = source.draw(rng, pool)
+            expected = [reference.permutation(k) for _ in range(source.groups)]
+            assert drawn is pool
+            assert drawn.dtype == expected[0].dtype and np.array_equal(drawn, expected)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_callable_form_keeps_its_draws(self, name):
+        # source(rng) takes row i's shift from its group's permutation.
+        source = self.source(name)
+        k = source.layout.n_workers
+        for t in (0, 1, 99):
+            rng, reference = trial_rng(5, t), trial_rng(5, t)
+            permutations = np.array([reference.permutation(k) for _ in range(source.groups)])
+            expected = source.at(permutations[source.rows, source.place] + 1)
+            got = source(rng)
+            assert all(np.array_equal(a, b) for a, b in zip(got.support, expected.support))
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_callable_form_is_build_rcs(self, name):
         source = self.source(name)
@@ -599,12 +702,12 @@ def test_circular_shift_source_checks_the_rules():
 
 
 class _DrawnTiesModel:
-    """Unit times of one, two or three alphas drawn from the trial stream, so
-    arrivals of different workers tie often, within a message and across
-    messages."""
+    """Unit times of one, two or three alphas drawn from the trial stream
+    (floor(3E) mod 3 of each exponential draw E), so arrivals of different
+    workers tie often, within a message and across messages."""
 
-    def sample_unit_times(self, rng, n):
-        return MODEL.alpha * (1.0 + rng.integers(0, 3, n))
+    def unit_times(self, exponentials):
+        return MODEL.alpha * (1.0 + np.floor(3.0 * exponentials) % 3)
 
 
 @st.composite
@@ -656,12 +759,12 @@ def test_small_peel_codes_match_oracle(codes, seed):
         for t in range(trials):
             rng = trial_rng(seed, t)
             drawn.append(codes[int(rng.integers(2))])
-            unit_times.append(model.sample_unit_times(rng, layout.n_workers))
+            unit_times.append(_unit_times(model, rng, layout.n_workers))
         supports = tuple(map(np.stack, zip(*(asn.support for asn in drawn))))
         stacked = _trials(layout, supports, np.array(unit_times), recovery_threshold(layout.k_total, q))
         for t in range(trials):
             rng = trial_rng(seed, t)
-            expected = _oracle(layout, q, model.sample_unit_times(rng, layout.n_workers))
+            expected = _oracle(layout, q, _unit_times(model, rng, layout.n_workers))
             stop, messages, redundant, mask, completed = expected
             assert res.times[t] == stop
             assert res.messages[t] == messages
