@@ -123,9 +123,9 @@ class ComputationAssignment:
     any-kbar-workers group decoding, "threshold" for exact-sum schemes that
     need a fixed number of complete workers.  kbar, the complete workers an
     MDS code waits for, lies in [1, n_workers] and is None for any other
-    rule.  A peel code's coefficients
-    must be nonzero, since peeling reads a task's support as the blocks it
-    holds; MDS codes keep their zeros (an evaluation point 0 gives some).
+    rule; a threshold code waits for n_workers - n_orders + 1 >= 1.  A peel
+    code's coefficients must be nonzero, since peeling reads a task's support
+    as the blocks it holds; MDS codes keep their zeros (an evaluation point 0 gives some).
     Assignments hold arrays, so they compare by identity.
     """
 
@@ -150,6 +150,8 @@ class ComputationAssignment:
             raise ValueError(f"an MDS code needs kbar in [1, {self.n_workers}], got {self.kbar}")
         if self.decode != DECODE_MDS and self.kbar is not None:
             raise ValueError(f"kbar applies to MDS codes only, not to a {self.decode} code")
+        if self.decode == DECODE_THRESHOLD and self.n_orders > self.n_workers:
+            raise ValueError(f"threshold code: {self.n_orders} orders exceed {self.n_workers} workers")
         if len(self.coefficients) != len(self.support):
             raise ValueError("support and coefficients must have one array per order")
         for ids, coefs in zip(self.support, self.coefficients):

@@ -7,6 +7,10 @@ Four subcommands cover the library's capabilities:
 * ``simulate``   Monte Carlo completion time / message statistics (CSV + JSON);
 * ``train``      linear-regression training under partial recovery (CSV).
 
+Besides ``--config`` and ``--out``, each flag is made from one config field's
+declaration (``--eval-points`` sets ``eval_points``), and its text goes through
+that field's parser, as a config file's value does.
+
 Every output embeds the fully resolved config (seed included), so a result
 file alone suffices to rerun the experiment.  All randomness flows from the
 seed; rerunning a command reproduces its outputs byte for byte.
@@ -33,7 +37,7 @@ from .config import (
     parse_config,
 )
 from .enumeration import success_table
-from .regression import generate_dataset, train
+from .regression import generate_dataset, gram, train
 from .simulate import monte_carlo
 
 _DATA_TAG = 4294967294
@@ -161,9 +165,13 @@ def _cmd_train(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     if settings is None:
         raise ConfigError(["train: section required for the train command"])
     data_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DATA_TAG)))
-    dataset = generate_dataset(
-        settings.samples, settings.dim, data_rng, noise_std=settings.noise_std
-    )
+    try:
+        dataset = generate_dataset(
+            settings.samples, settings.dim, data_rng, noise_std=settings.noise_std
+        )
+        gram(dataset)  # cached on the dataset, which train reuses
+    except MemoryError as exc:
+        raise ConfigError([f"train: cannot build the dataset: {exc}"]) from exc
     result = train(
         dataset,
         assignment_source(cfg),
@@ -209,30 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--scheme", help="override: scheme name")
-    common.add_argument("--workers", type=int, help="override: number of workers")
-    common.add_argument("--q", type=float, help="override: tolerance in [0, 1]")
-    common.add_argument("--seed", type=int, help="override: base seed")
-    common.add_argument("--trials", type=int, help="override: Monte Carlo trials")
-    common.add_argument("--mu", type=float, help="override: straggling rate")
-    common.add_argument("--alpha", type=float, help="override: per-unit setup time")
-    common.add_argument("--degrees", help="override: comma-separated degrees, e.g. 1,2,3")
-    common.add_argument("--load", type=int, help="override: per-worker load (uc-mmc / gc)")
-    common.add_argument("--kbar", type=int, help="override: recovery threshold (mcc)")
-    common.add_argument("--groups", type=int, help="override: block groups (rcs-general)")
-    common.add_argument("--z", help="override: comma-separated row groups (rcs-general)")
-    common.add_argument("--offsets", help="override: comma-separated 1-based shifts")
-    common.add_argument("--eval-points", dest="eval_points", help="override: comma-separated points (mcc)")
-    common.add_argument("--mode", help="override: computation | communication")
-    common.add_argument(
-        "--redraw",
-        choices=["true", "false"],
-        help="override: redraw randomized constructions every trial",
-    )
-    common.add_argument("--dim", type=int, help="override: train parameter dimension")
-    common.add_argument("--samples", type=int, help="override: train sample count")
-    common.add_argument("--eta", type=float, help="override: train step size")
-    common.add_argument("--iterations", type=int, help="override: train iterations")
+    # No type or choices: the field's parser reads the text, so every bad flag is a violation.
+    for f in (*fields(ExperimentConfig), *fields(TrainSettings)):
+        if f.name != "train":
+            flag = "--" + f.name.replace("_", "-")
+            common.add_argument(flag, dest=f.name, help="override: " + f.metadata["help"])
 
     parser = argparse.ArgumentParser(
         prog="codedcomp",
@@ -247,17 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    """The flags that were given, keyed by config field; train flags form a
-    partial ``train`` section."""
-    values = {
-        key: value
-        for key, value in vars(args).items()
-        if value is not None and key not in ("command", "config", "out")
-    }
-    train_over = {f.name: values.pop(f.name) for f in fields(TrainSettings) if f.name in values}
-    if train_over:
-        values["train"] = train_over
-    return values
+    """The config-field flags that were given; train flags form a partial
+    ``train`` section."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    values = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
+    train = {f.name: given[f.name] for f in fields(TrainSettings) if f.name in given}
+    return {**values, "train": train} if train else values
 
 
 def _report(violations) -> int:

@@ -1,11 +1,14 @@
 """Experiment configuration: parsing, full validation, assignment sources.
 
 Configs are plain JSON objects.  Each field is declared once, on
-ExperimentConfig or TrainSettings, together with its parser and default, and
-parse_config is the one place that reads a config file and merges it with
-overrides.  Each scheme is stated once, in the table ``_SCHEMES``: the
-construction fields it reads, how many of them it requires, the mode its
-builder fixes, and its builder.  The table decides which fields a config may
+ExperimentConfig or TrainSettings, together with its parser, its default and
+the help text of its command-line flag, and parse_config is the one place
+that reads a config file and merges it with overrides.  A flag's text goes
+through the same field parser as a file's value (the numeric parsers read a
+string as the number it spells), so a file may also write ``"workers": "8"``.
+Each scheme is stated once, in the table ``_SCHEMES``: the construction
+fields it reads, how many of them it requires, the mode its builder fixes,
+and its builder.  The table decides which fields a config may
 set and echo, and a config is validated by the one build parse_config makes
 from it: the builder raises its construction rules.  Parsing never stops at
 the first problem: every violation is collected (with its field name) and
@@ -61,13 +64,24 @@ _CONSTRUCTION_TAG = 4294967295
 # value, or records a violation and returns None.
 
 
+def _spelled(value):
+    """A string as the number it spells (an int, else a float), if it does."""
+    if isinstance(value, str):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+    return value
+
+
 def _as_int(key, value, violations, minimum=None, maximum=None) -> int | None:
+    value = _spelled(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and float(value).is_integer():
-            value = int(value)
-        else:
-            violations.append(f"{key}: expected an integer, got {value!r}")
-            return None
+        violations.append(f"{key}: expected an integer, got {value!r}")
+        return None
     value = int(value)
     if minimum is not None and value < minimum:
         violations.append(f"{key}: must be >= {minimum}, got {value}")
@@ -79,6 +93,7 @@ def _as_int(key, value, violations, minimum=None, maximum=None) -> int | None:
 
 
 def _as_number(key, value, violations, positive=False) -> float | None:
+    value = _spelled(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         violations.append(f"{key}: expected a number, got {value!r}")
         return None
@@ -112,15 +127,11 @@ def _as_tolerance(key, value, violations) -> float | None:
 def _as_int_list(key, value, violations) -> tuple[int, ...] | None:
     raw = value
     if isinstance(value, str):
-        try:
-            value = [int(part) for part in value.split(",") if part.strip()]
-        except ValueError:
-            violations.append(f"{key}: could not parse integer list from {raw!r}")
-            return None
+        value = [_spelled(part) for part in value.split(",") if part.strip()]
     if not isinstance(value, (list, tuple)) or not all(
         isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value
     ):
-        violations.append(f"{key}: expected a list of integers, got {value!r}")
+        violations.append(f"{key}: expected a list of integers, got {raw!r}")
         return None
     return tuple(int(v) for v in value)
 
@@ -236,38 +247,38 @@ def _as_train(key, value, violations) -> TrainSettings | None:
     return None if sub else TrainSettings(**values)
 
 
-def _field(parse, default=MISSING):
-    """A config field: its parser and its default, declared together."""
-    return field(default=default, metadata={"parse": parse})
+def _field(parse, default=MISSING, help=""):
+    """A config field: its parser, its default and its flag's help, declared together."""
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass(frozen=True)
 class TrainSettings:
-    dim: int = _field(_as_count)
-    samples: int = _field(_as_count)
-    eta: float = _field(_as_positive, 0.1)
-    iterations: int = _field(_as_trials, 50)
-    noise_std: float = _field(_as_number, 0.01)
+    dim: int = _field(_as_count, help="train parameter dimension")
+    samples: int = _field(_as_count, help="train sample count")
+    eta: float = _field(_as_positive, 0.1, "train step size")
+    iterations: int = _field(_as_trials, 50, "train iterations")
+    noise_std: float = _field(_as_number, 0.01, "train label noise standard deviation")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scheme: str = _field(_as_scheme)
-    workers: int = _field(_as_count)
-    mode: str = _field(_as_mode, MODE_COMPUTATION)
-    degrees: tuple[int, ...] | None = _field(_as_int_list, None)
-    load: int | None = _field(_as_count, None)
-    kbar: int | None = _field(_as_count, None)
-    groups: int = _field(_as_count, 1)
-    z: tuple[int, ...] | None = _field(_as_int_list, None)
-    offsets: tuple[int, ...] | None = _field(_as_int_list, None)
-    eval_points: tuple[float, ...] | None = _field(_as_number_list, None)
-    q: float = _field(_as_tolerance, 0.0)
-    mu: float = _field(_as_positive, 10.0)
-    alpha: float = _field(_as_positive, 0.01)
-    trials: int = _field(_as_trials, 10000)
-    seed: int = _field(partial(_as_int, minimum=0), DEFAULT_SEED)
-    redraw: bool = _field(_as_bool, True)
+    scheme: str = _field(_as_scheme, help="scheme name")
+    workers: int = _field(_as_count, help="number of workers")
+    mode: str = _field(_as_mode, MODE_COMPUTATION, "computation | communication")
+    degrees: tuple[int, ...] | None = _field(_as_int_list, None, "comma-separated degrees, e.g. 1,2,3")
+    load: int | None = _field(_as_count, None, "per-worker load (uc-mmc / gc)")
+    kbar: int | None = _field(_as_count, None, "recovery threshold (mcc)")
+    groups: int = _field(_as_count, 1, "block groups (rcs-general)")
+    z: tuple[int, ...] | None = _field(_as_int_list, None, "comma-separated row groups (rcs-general)")
+    offsets: tuple[int, ...] | None = _field(_as_int_list, None, "comma-separated 1-based shifts")
+    eval_points: tuple[float, ...] | None = _field(_as_number_list, None, "comma-separated points (mcc)")
+    q: float = _field(_as_tolerance, 0.0, "tolerance in [0, 1]")
+    mu: float = _field(_as_positive, 10.0, "straggling rate")
+    alpha: float = _field(_as_positive, 0.01, "per-unit setup time")
+    trials: int = _field(_as_trials, 10000, "Monte Carlo trials")
+    seed: int = _field(partial(_as_int, minimum=0), DEFAULT_SEED, "base seed")
+    redraw: bool = _field(_as_bool, True, "true | false: redraw randomized codes every trial")
     train: TrainSettings | None = _field(_as_train, None)
 
     @property

@@ -65,8 +65,8 @@ def _workers_needed(assignment: ComputationAssignment) -> int:
 def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndarray:
     """Where a count rule stops, per trial: the hit-th smallest of each row
     of first, the (trials, n_workers) first-message times or ranks, with
-    hit = max(needed workers, 1), never more than the workers."""
-    hit = max(_workers_needed(assignment), 1)
+    hit the needed workers, in [1, n_workers] for every buildable code."""
+    hit = _workers_needed(assignment)
     return np.partition(first, hit - 1, axis=1)[:, hit - 1]
 
 

@@ -74,6 +74,8 @@ def generate_dataset(
     """
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
+    # Allocated before any draw, so a size NumPy refuses fails at once.
+    x = np.empty((n_samples, dim))
     if theta_star is None:
         theta_star = rng.uniform(0.0, 1.0, dim)
     else:
@@ -82,7 +84,8 @@ def generate_dataset(
             raise ValueError(f"theta_star must have shape ({dim},)")
     mu = (1.5 / dim) * theta_star
     signs = rng.integers(0, 2, n_samples) * 2 - 1
-    x = rng.standard_normal((n_samples, dim)) + signs[:, None] * mu[None, :]
+    rng.standard_normal(out=x)
+    x += signs[:, None] * mu[None, :]
     y = x @ theta_star + noise_std * rng.standard_normal(n_samples)
     return Dataset(x=x, y=y, theta_star=theta_star)
 
@@ -207,21 +210,9 @@ def train(
         raise ValueError(
             f"dimension {dataset.dim} not divisible into {k_total} blocks"
         )
-    rows = dataset.dim // k_total
     batches = list(_batches(source, q, model, iterations, seed))
-    w_full, c = gram(dataset)
-    n = dataset.n_samples
-    theta = np.zeros(dataset.dim)
     times, messages, masks = (np.concatenate([batch[i] for batch in batches]) for i in (0, 1, 3))
-    losses = np.empty(iterations)
-    for it, mask in enumerate(masks):
-        w_theta = w_full @ theta
-        blocks = {
-            int(b): w_theta[int(b) * rows : (int(b) + 1) * rows]
-            for b in np.nonzero(mask)[0]
-        }
-        theta = partial_gd_step(theta, mask, blocks, c, eta / n)
-        losses[it] = loss(dataset, theta)
+    losses, theta = _descend(dataset, eta, masks)
     return TrainResult(
         losses=losses,
         times=times,
@@ -231,18 +222,26 @@ def train(
     )
 
 
+def _descend(dataset: Dataset, eta: float, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descent from theta = 0, step t updating the blocks masks[t] marks (as
+    :func:`partial_gd_step` does); the loss after each step, and final theta."""
+    w_full, c = gram(dataset)
+    step = eta / dataset.n_samples
+    rows = dataset.dim // masks.shape[1]
+    theta = np.zeros(dataset.dim)
+    losses = np.empty(len(masks))
+    for it, mask in enumerate(masks):
+        theta = np.where(np.repeat(mask, rows), theta - step * (w_full @ theta - c), theta)
+        losses[it] = loss(dataset, theta)
+    return losses, theta
+
+
 def centralized_gd(dataset: Dataset, eta: float, iterations: int) -> TrainResult:
     """Reference full-gradient descent on the same objective.
 
     Shares the dataset's cached :func:`gram` pieces with :func:`train`.
     """
-    w_full, c = gram(dataset)
-    n = dataset.n_samples
-    theta = np.zeros(dataset.dim)
-    losses = np.empty(iterations)
-    for it in range(iterations):
-        theta = theta - (eta / n) * (w_full @ theta - c)
-        losses[it] = loss(dataset, theta)
+    losses, theta = _descend(dataset, eta, np.ones((iterations, 1), dtype=bool))
     return TrainResult(
         losses=losses,
         times=np.zeros(iterations),

@@ -145,13 +145,13 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
     arrivals = message_times(assignment, unit_times)
     flat = arrivals.reshape(n_trials, -1)
     if assignment.decode != DECODE_PEEL:
-        # Everything unlocks at the hit-th first-message arrival, which
-        # needs no ranks; the workers past the needed count are redundant.
-        needed = _workers_needed(assignment)
+        # Everything unlocks at the needed-th first-message arrival, which
+        # needs no ranks; no worker is past the needed count, so none is
+        # redundant.
         times = _count_stop(assignment, arrivals[:, 0])
         completed = times < np.inf
         masks = np.repeat(completed[:, None], assignment.k_total, axis=1)
-        redundant = np.where(completed, max(needed, 1) - needed, 0)
+        redundant = np.zeros(n_trials, dtype=int)
     else:
         trial = np.arange(n_trials)
         ranks, ordered = _arrival_ranks(flat)

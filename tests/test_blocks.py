@@ -141,6 +141,19 @@ class TestAssignmentInvariants:
                 messages=(Message(1, (0,)),), decode=decode, kbar=kbar,
             )
 
+    def test_threshold_code_needs_a_worker(self):
+        # a threshold code waits for n_workers - n_orders + 1 complete
+        # workers: two orders on two workers wait for one, three for none
+        def build(n_orders):
+            return ComputationAssignment(
+                n_workers=2, k_total=2, **self._rows(2, n_orders),
+                messages=(Message(n_orders, tuple(range(n_orders))),), decode="threshold",
+            )
+
+        assert build(2).n_orders == 2
+        with pytest.raises(ValueError, match="3 orders exceed 2 workers"):
+            build(3)
+
     @pytest.mark.parametrize("kbar", [1, 3])
     def test_kbar_bounds_accepted(self, kbar):
         asn = ComputationAssignment(

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import codedcomp
 from codedcomp import ConfigError, parse_config
-from codedcomp.cli import _write_json, main, read_embedded_config
-from codedcomp.config import SCHEMES
+from codedcomp.cli import _overrides_from, _write_json, build_parser, main, read_embedded_config
+from codedcomp.config import SCHEMES, ExperimentConfig, TrainSettings
 
 # Group 2 only occurs in the degree-2 order, so no message ever releases one
 # of its blocks: half of the 12 blocks stay unknown.
@@ -542,6 +543,54 @@ class TestCli:
         assert code == 2
         assert "scheme: cannot construct assignment: " in capsys.readouterr().err
 
+    def test_unallocatable_dataset_exit_code(self, tmp_path, capsys):
+        # NumPy refuses the 45 PiB sample matrix at once, before any draw.
+        out = tmp_path / "fresh" / "out"
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2",
+            "--dim", "80000000", "--samples", "80000000", "--out", str(out),
+        )
+        assert code == 2
+        assert "  - train: cannot build the dataset: " in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
+    def test_one_flag_per_config_field(self):
+        names = [
+            f.name for f in (*fields(ExperimentConfig), *fields(TrainSettings)) if f.name != "train"
+        ]
+        argv = ["simulate"]
+        for name in names:
+            argv += ["--" + name.replace("_", "-"), name]
+        args = vars(build_parser().parse_args(argv))
+        assert args == {"command": "simulate", "config": None, "out": "out", **{n: n for n in names}}
+
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [("workers", "8.0", 8), ("trials", "1e3", 1000), ("redraw", "yes", True),
+         ("q", "0.15", 0.15), ("mu", "10", 10)],
+    )
+    def test_flag_text_parsed_as_file_value(self, key, text, value):
+        base = {"scheme": "rcs", "workers": 8, "degrees": [1, 2]}
+        args = build_parser().parse_args(["simulate", "--" + key, text])
+        from_flag = parse_config(base, _overrides_from(args)).to_dict()
+        assert from_flag == parse_config({**base, key: text}).to_dict()
+        assert from_flag == parse_config({**base, key: value}).to_dict()
+
+    def test_every_bad_flag_listed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = self.run(
+            "simulate", "--scheme", "rcs", "--workers", "abc", "--degrees", "1,2",
+            "--q", "x", "--redraw", "maybe", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration:",
+            "  - workers: expected an integer, got 'abc'",
+            "  - q: expected a number, got 'x'",
+            "  - redraw: expected true or false, got 'maybe'",
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "under-a-file"])
     def test_out_must_be_a_directory(self, tmp_path, capsys, below):
         taken = tmp_path / "taken"
@@ -780,6 +829,23 @@ class TestCli:
         assert embedded["train"]["dim"] == 40
         assert embedded["train"]["samples"] == 100
         assert embedded["train"]["iterations"] == 3
+
+    def test_noise_std_flag_matches_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scheme": "rcs", "workers": 8, "degrees": [1, 2], "q": 0.25,
+            "train": {"dim": 40, "samples": 100, "iterations": 5, "noise_std": 0.5},
+        }))
+        assert self.run("train", "--config", str(path), "--out", str(tmp_path / "file")) == 0
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2", "--q", "0.25",
+            "--dim", "40", "--samples", "100", "--iterations", "5", "--noise-std", "0.5",
+            "--out", str(tmp_path / "flag"),
+        )
+        assert code == 0
+        flag = (tmp_path / "flag" / "training.csv").read_bytes()
+        assert flag == (tmp_path / "file" / "training.csv").read_bytes()
+        assert read_embedded_config(tmp_path / "flag" / "training.csv")["train"]["noise_std"] == 0.5
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"

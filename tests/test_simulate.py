@@ -98,10 +98,11 @@ def _two_orders_one_message():
     return _hand_built(4, 4, ([[0], [1], [2], [3]], [[0], [1], [3], [2]]), (Message(2, (0, 1)),))
 
 
-def _threshold_below_one():
-    # three orders on two workers: the first arrival alone decodes
+def _threshold_one_worker():
+    # three orders on three workers: the first arrival alone decodes
     return _hand_built(
-        2, 3, ([[0], [1]], [[1], [2]], [[2], [0]]), (Message(3, (0, 1, 2)),), "threshold"
+        3, 3, ([[0], [1], [2]], [[1], [2], [0]], [[2], [0], [1]]), (Message(3, (0, 1, 2)),),
+        "threshold",
     )
 
 
@@ -122,7 +123,7 @@ ORACLE_CASES = {
     "mds-two-messages": (_mds_two_messages(), (0.0, 1.0)),
     "two-orders-one-message": (_two_orders_one_message(), (0.0, 0.25, 0.5, 1.0)),
     "uncovered-block": (_uncovered_block(), (0.0, 0.25, 1.0)),
-    "threshold-below-one": (_threshold_below_one(), (0.0, 1.0)),
+    "threshold-one-worker": (_threshold_one_worker(), (0.0, 1.0)),
     "hybrid": (hybrid_example(), (0.0, 0.25, 1.0)),
 }
 
@@ -278,8 +279,8 @@ class TestClosedFormMatchesOracle:
         assert not completed and mask.sum() == 3 and redundant == 3
         _, messages, redundant, _, _ = _decide(_two_orders_one_message(), 0.0, np.random.default_rng(0))
         assert messages == 4 and redundant == 4
-        _, messages, redundant, _, _ = _decide(_threshold_below_one(), 0.0, np.random.default_rng(0))
-        assert messages == 1 and redundant == 1
+        _, messages, redundant, _, _ = _decide(_threshold_one_worker(), 0.0, np.random.default_rng(0))
+        assert messages == 1 and redundant == 0
         _, messages, _, mask, _ = _decide(_mds_two_messages(), 0.0, np.random.default_rng(0))
         # two workers' second messages beat the third worker's first one
         assert messages == 5 and mask.sum() == 4
