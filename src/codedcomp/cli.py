@@ -9,7 +9,8 @@ Four subcommands cover the library's capabilities:
 
 Besides ``--config`` and ``--out``, each flag is made from one config field's
 declaration (``--eval-points`` sets ``eval_points``), and its text goes through
-that field's parser, as a config file's value does.
+that field's parser, as a config file's value does, also when it starts with
+``-`` (``--mu -1e3``).
 
 Every output embeds the fully resolved config (seed included), so a result
 file alone suffices to rerun the experiment.  All randomness flows from the
@@ -23,7 +24,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
 
 import numpy as np
@@ -213,15 +214,38 @@ _COMMANDS = {
 }
 
 
+def _field_flags() -> dict[str, Field]:
+    """Every config field that has a flag, by its flag: ``--`` and the name
+    with ``_`` as ``-``."""
+    return {
+        "--" + f.name.replace("_", "-"): f
+        for f in (*fields(ExperimentConfig), *fields(TrainSettings))
+        if f.name != "train"
+    }
+
+
+def _attach_values(argv) -> list[str]:
+    """argv with every config-field flag joined to a following value that
+    starts with one ``-``: ``--mu -1e3`` becomes ``--mu=-1e3``.  argparse
+    reads such a value as a flag unless it looks like ``-5`` or ``-.5``, so
+    ``-1e3`` or ``-inf`` would end in its usage error instead of reaching
+    the field's parser."""
+    flags, joined = _field_flags(), []
+    for token in argv:
+        if joined and joined[-1] in flags and token.startswith("-") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     # No type or choices: the field's parser reads the text, so every bad flag is a violation.
-    for f in (*fields(ExperimentConfig), *fields(TrainSettings)):
-        if f.name != "train":
-            flag = "--" + f.name.replace("_", "-")
-            common.add_argument(flag, dest=f.name, help="override: " + f.metadata["help"])
+    for flag, f in _field_flags().items():
+        common.add_argument(flag, dest=f.name, help="override: " + f.metadata["help"])
 
     parser = argparse.ArgumentParser(
         prog="codedcomp",
@@ -252,7 +276,7 @@ def _report(violations) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = parse_config(args.config or {}, _overrides_from(args))
     except ConfigError as exc:

@@ -125,15 +125,17 @@ def _as_tolerance(key, value, violations) -> float | None:
 
 
 def _as_int_list(key, value, violations) -> tuple[int, ...] | None:
+    """Each element read by :func:`_as_int`'s rule, so ``2.0`` is 2; a
+    string inside a list is not a number, as in :func:`_as_number_list`."""
     raw = value
     if isinstance(value, str):
         value = [_spelled(part) for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in value
-    ):
-        violations.append(f"{key}: expected a list of integers, got {raw!r}")
-        return None
-    return tuple(int(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        ints = [None if isinstance(v, str) else _as_int(key, v, []) for v in value]
+        if None not in ints:
+            return tuple(ints)
+    violations.append(f"{key}: expected a list of integers, got {raw!r}")
+    return None
 
 
 def _as_number_list(key, value, violations) -> tuple[float, ...] | None:
@@ -378,12 +380,15 @@ def parse_config(
     values = _parse_fields(ExperimentConfig, merged, "", violations)
     name = values["scheme"]
     scheme = _SCHEMES.get(name)
-    missing = []
+    unset = []
     if scheme is not None:
         unused = _unused_fields(name, values["offsets"])
         violations.extend(f"{key}: {why}" for key, why in unused.items() if key in merged)
-        missing = [key for key in scheme.fields[: scheme.required] if values[key] is None]
-        violations.extend(f"{key}: required for scheme {name!r}" for key in missing)
+        # A required field that was given but failed to parse is already a violation.
+        unset = [key for key in scheme.fields[: scheme.required] if values[key] is None]
+        violations.extend(
+            f"{key}: required for scheme {name!r}" for key in unset if key not in merged
+        )
         if scheme.fixed_mode is not None:
             mode, why = scheme.fixed_mode
             if "mode" not in merged:
@@ -393,7 +398,7 @@ def parse_config(
     cfg = ExperimentConfig(**values)
 
     asn = None
-    if scheme is not None and not missing and cfg.workers is not None:
+    if scheme is not None and not unset and cfg.workers is not None:
         try:
             asn = scheme.build(cfg, np.random.default_rng(0))
         except ConfigError as exc:

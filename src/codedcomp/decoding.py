@@ -2,22 +2,24 @@
 
 :func:`_release_ranks` decides which blocks are recoverable, for every
 decode rule and for a whole batch of trials at once: each block's release
-rank is the arrival rank at which it becomes recoverable.  For a peel code
-the ranks are the fixed point of ``R[b] = min over tasks t holding b of
-max(rank(t), R of the other blocks of t)``, iterated from infinity (peeling
-is a closure, and a stopping set stays infinite).  For a count rule
-(``mds``, ``threshold``) every block is released at the ``needed``-th
-smallest first-message rank.  The simulator, exact enumeration and the
-config's finish check all read these ranks.
+key is the arrival key at which it becomes recoverable.  The keys may be
+arrival ranks or arrival times: the release keys are built from min and
+max alone, which commute with any non-decreasing map of arrival order, so
+both give the same decision.  For a peel code the keys are the fixed point
+of ``R[b] = min over tasks t holding b of max(key(t), R of the other blocks
+of t)``, iterated from infinity (peeling is a closure, and a stopping set
+stays infinite).  For a count rule (``mds``, ``threshold``) every block is
+released at the ``needed``-th smallest first-message key.  The simulator,
+exact enumeration and the config's finish check all read these keys.
 
 :func:`decode_blocks` is the one value path, for peel and MDS codes alike:
-``_recovered`` reads the same ranks, 0 for a sent message and infinity for
+``_recovered`` reads the same keys, 0 for a sent message and infinity for
 any other, to name the recovered blocks, and one least-squares solve gives
 their values.
 
 ``PeelingDecoder`` (symbolic, one task at a time) and the exact rational
 oracle ``rref_recoverable``, which upper-bounds what any linear decoder
-could recover, are the references the release ranks are tested against.
+could recover, are the references the release keys are tested against.
 """
 
 from __future__ import annotations
@@ -70,19 +72,30 @@ def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndar
     return np.partition(first, hit - 1, axis=1)[:, hit - 1]
 
 
-def _orders(assignment: ComputationAssignment, supports):
-    """(message index, block ids) of every order, the ids shaped (1 or
-    n_trials, n_workers, d_j) so they broadcast over the trials."""
-    return [
-        (m, supports[j].reshape((-1,) + supports[j].shape[-2:]))
-        for m, msg in enumerate(assignment.messages)
-        for j in msg.orders
-    ]
+def _block_tables(assignment: ComputationAssignment, supports, n_trials: int):
+    """(message index, block table) of every order in a batch of n_trials
+    trials.  supports holds one block-id array per order: (n_workers, d_j)
+    when all trials share the code, (n_trials, n_workers, d_j) for one drawn
+    code per trial.  Entry [i, t * n_workers + w] of an order's table,
+    shape (d_j, n_trials * n_workers), is t * k_total + b for the i-th block
+    b of worker w's task in trial t, so one index into a flat per-block
+    array gathers a whole order's tasks."""
+    offset = assignment.k_total * np.arange(n_trials)[:, None, None]
+    tables = []
+    for m, msg in enumerate(assignment.messages):
+        for j in msg.orders:
+            ids = supports[j] + offset
+            tables.append((m, ids.transpose(2, 0, 1).reshape(ids.shape[2], -1)))
+    return tables
 
 
 def _max_of_others(values: np.ndarray) -> np.ndarray:
     """For every row of a (d, n) array, the elementwise max of the other rows
-    (-inf where there is none): prefix maxima, then suffix maxima folded in."""
+    (-inf where there is none): prefix maxima, then suffix maxima folded in.
+    Two rows are each other's others, so for d == 2 it is values with the
+    rows swapped, a view."""
+    if len(values) == 2:
+        return values[::-1]
     out = np.empty_like(values)
     out[0] = -np.inf
     for i in range(1, len(values)):
@@ -94,40 +107,39 @@ def _max_of_others(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarray) -> np.ndarray:
-    """Release rank of every block in a batch of trials, shape (B, k_total).
+def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) -> np.ndarray:
+    """Release key of every block in a batch of B trials, shape (B, k_total).
 
-    supports holds one block-id array per order: (n_workers, d_j) when all
-    trials share the code, (B, n_workers, d_j) for one drawn code per trial.
-    ranks[b, m, w] is the arrival rank of worker w's message m in trial b
+    tables are the batch's :func:`_block_tables`.  keys[b, m, w] is the
+    arrival rank or arrival time of worker w's message m in trial b
     (infinity for a message that never arrives).  A block is recoverable
-    from the messages ranked r or earlier exactly when its release rank is at
-    most r; a block that is never recoverable has rank infinity.  Degree-1
+    from the messages keyed k or earlier exactly when its release key is at
+    most k; a block that is never recoverable has key infinity.  Each
+    release key is an arrival key picked by min and max, so a non-decreasing
+    map of the keys (ranks to times) maps the release keys alike.  Degree-1
     orders settle before the sweeps, and a code without coded orders
     (uc-mmc) runs no sweep.
     """
-    n_trials, k = ranks.shape[0], assignment.k_total
+    n_trials, k = keys.shape[0], assignment.k_total
     if assignment.decode != DECODE_PEEL:
-        return np.repeat(_count_stop(assignment, ranks[:, 0])[:, None], k, axis=1)
+        return np.repeat(_count_stop(assignment, keys[:, 0])[:, None], k, axis=1)
     # Entries are laid out (d_j, trials * workers) with flat index
     # trial * k + block, so the max over a task's other blocks works on whole
-    # rows.  A degree-1 task always offers its own rank, so those orders
-    # settle once, before the sweeps; each sweep updates the ranks in place,
+    # rows.  A degree-1 task always offers its own key, so those orders
+    # settle once, before the sweeps; each sweep updates the keys in place,
     # one coded order at a time.
-    offset = k * np.arange(n_trials)[:, None, None]
     release = np.full(n_trials * k, np.inf)
-    tasks = []
-    for m, ids in _orders(assignment, supports):
-        flat = (ids + offset).transpose(2, 0, 1).reshape(ids.shape[2], -1)
-        if len(flat) == 1:
-            np.minimum.at(release, flat[0], ranks[:, m].ravel())
+    coded = []
+    for m, table in tables:
+        if len(table) == 1:
+            np.minimum.at(release, table[0], keys[:, m].ravel())
         else:
-            tasks.append((flat, flat.ravel(), ranks[:, m].ravel()))
-    while tasks:
+            coded.append((table, table.ravel(), keys[:, m].ravel()))
+    while coded:
         before = release.copy()
-        for flat, entries, rank in tasks:
-            offers = _max_of_others(release[flat])
-            np.maximum(rank, offers, out=offers)
+        for table, entries, key in coded:
+            offers = _max_of_others(release[table])
+            np.maximum(key, offers, out=offers)
             np.minimum.at(release, entries, offers.ravel())
         if np.array_equal(release, before):
             break
@@ -137,10 +149,11 @@ def _release_ranks(assignment: ComputationAssignment, supports, ranks: np.ndarra
 def _recovered(assignment: ComputationAssignment, sent) -> np.ndarray:
     """Which blocks each of B sets of sent messages recovers, shape (B, k_total):
     sent[b, m, w] says whether worker w's message m is in set b, and a block
-    is recovered when its release rank is finite, a sent message having rank
+    is recovered when its release key is finite, a sent message having key
     0 and any other infinity."""
-    ranks = np.where(sent, 0.0, np.inf)
-    return _release_ranks(assignment, assignment.support, ranks) < np.inf
+    keys = np.where(sent, 0.0, np.inf)
+    tables = _block_tables(assignment, assignment.support, len(keys))
+    return _release_ranks(assignment, tables, keys) < np.inf
 
 
 def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:

@@ -37,6 +37,7 @@ from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import (
     DECODE_MDS,
@@ -128,9 +129,12 @@ def _shift_supports(
     Grid row i is group rows[i] (0-based) shifted by offsets[..., i] - 1, so
     worker w holds block rows[i] * k + (w + offsets[..., i] - 1) mod k, and
     order j takes the next degrees[j] rows down each worker's column.
-    offsets may carry leading trial axes.
+    offsets may carry leading trial axes.  Row s of the windows over
+    0 .. k - 1 repeated twice is the shift (w + s) mod k, so the grid is a
+    gather of whole rows, and only the offsets are reduced mod k.
     """
-    grid = rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
+    shifts = sliding_window_view(np.tile(np.arange(k), 2), k)
+    grid = rows[:, None] * k + shifts[(offsets - 1) % k]
     ends = itertools.accumulate(degrees)
     return tuple(grid[..., end - d : end, :].swapaxes(-1, -2) for end, d in zip(ends, degrees))
 

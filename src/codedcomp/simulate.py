@@ -9,12 +9,16 @@ the final arrival included).
 
 Every decode rule and every source is decided for a batch of trials with
 array operations: ``decoding._release_ranks`` gives each block's release
-rank, the arrival rank at which the block becomes recoverable, and the stop
-is the threshold-th smallest.  Arrival ranks come from NumPy's default sort;
-a trial whose arrival times tie is sorted again with the stable sort, so
-ties still break by message then worker.  A count rule (``mds``,
-``threshold``) releases every block at once, so a simulated trial of one
-needs no ranks: it stops at the ``needed``-th smallest first-message
+key, the arrival time at which the block becomes recoverable, and the stop
+is the threshold-th smallest.  Release keys are picked by min and max,
+which commute with the non-decreasing map from arrival rank to arrival
+time, so time keys decide a trial exactly as ranks would unless another
+arrival ties the stop time.  Only such a trial is ranked, by the stable
+sort so that ties break by message then worker, and decided again on its
+ranks; a trial without one sorts nothing.  Each batch builds its per-order
+block tables (``decoding._block_tables``) once, for the release sweep and
+the pending count alike.  A count rule (``mds``, ``threshold``) releases
+every block at once: it stops at the ``needed``-th smallest first-message
 arrival time.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
@@ -44,7 +48,13 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import DECODE_PEEL, ComputationAssignment
-from .decoding import _count_stop, _orders, _release_ranks, _workers_needed, recovery_threshold
+from .decoding import (
+    _block_tables,
+    _count_stop,
+    _release_ranks,
+    _workers_needed,
+    recovery_threshold,
+)
 from .latency import LatencyModel
 from .schemes import CircularShiftSource
 
@@ -110,23 +120,14 @@ def message_times(assignment: ComputationAssignment, unit_times: np.ndarray) -> 
     return unit_times[..., None, :] * assignment.schedule()[:, None]
 
 
-def _arrival_ranks(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _arrival_ranks(flat: np.ndarray) -> np.ndarray:
     """Rank of every arrival in its row of flat (trials, arrivals), ties
-    broken by column, and each row's arrival times in rank order.
-
-    Distinct keys have one sorted order, so NumPy's default (unstable, fast)
-    sort ranks a row without ties exactly as the stable sort does; only the
-    rows whose sorted times hold an equal adjacent pair are sorted again,
-    stably.  Ranks are floats, ready to meet infinity in the release ranks.
-    """
-    order = np.argsort(flat, axis=1)
-    ordered = np.take_along_axis(flat, order, axis=1)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(flat[tied], axis=1, kind="stable")
+    broken by column: the stable sort's order.  Ranks are floats, ready to
+    meet infinity in the release keys."""
+    order = np.argsort(flat, axis=1, kind="stable")
     ranks = np.empty(flat.shape)
     ranks[np.arange(flat.shape[0])[:, None], order] = np.arange(flat.shape[1])
-    return ranks, ordered
+    return ranks
 
 
 def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):
@@ -148,32 +149,45 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         # Everything unlocks at the needed-th first-message arrival, which
         # needs no ranks; no worker is past the needed count, so none is
         # redundant.
-        times = _count_stop(assignment, arrivals[:, 0])
-        completed = times < np.inf
+        stop = _count_stop(assignment, arrivals[:, 0])
+        completed = stop < np.inf
         masks = np.repeat(completed[:, None], assignment.k_total, axis=1)
         redundant = np.zeros(n_trials, dtype=int)
     else:
-        trial = np.arange(n_trials)
-        ranks, ordered = _arrival_ranks(flat)
-        ranks = ranks.reshape(arrivals.shape)
-        release = _release_ranks(assignment, supports, ranks)
+        # Arrival times are the keys: a block's release key is the time it
+        # becomes recoverable, and the stop is the threshold-th smallest.  A
+        # message has arrived, and a block is recovered, when its key is at
+        # most the cut: the stop, or the largest float for an incomplete
+        # trial, which ingests every message and keeps every block it
+        # releases.  Time keys decide a trial as ranks do unless another
+        # arrival ties the stop; only such trials are keyed again, by rank.
+        tables = _block_tables(assignment, supports, n_trials)
+        release = _release_ranks(assignment, tables, arrivals)
         stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
         completed = stop < np.inf
-        stop_rank = np.where(completed, stop, flat.shape[1] - 1).astype(int)
-        masks = release <= stop_rank[:, None]
+        keys, cut = arrivals, np.minimum(stop, np.finfo(float).max)
+        tied = np.flatnonzero(np.count_nonzero(flat == stop[:, None], axis=1) > 1)
+        if tied.size:
+            ranks = _arrival_ranks(flat[tied]).reshape((tied.size,) + arrivals.shape[1:])
+            subset = [ids if ids.ndim == 2 else ids[tied] for ids in supports]
+            ranked = _release_ranks(assignment, _block_tables(assignment, subset, tied.size), ranks)
+            keys = arrivals.copy()  # flat, a view of arrivals, still counts the messages
+            keys[tied], release[tied] = ranks, ranked
+            cut[tied] = np.partition(ranked, threshold - 1, axis=1)[:, threshold - 1]
+        masks = release <= cut[:, None]
         # Ingested tasks are pending (two or more blocks still unknown), the
         # source of one recovered block each, or redundant.
+        recovered = masks.ravel()
         ingested = pending = 0
-        for m, ids in _orders(assignment, supports):
-            arrived = ranks[:, m] <= stop_rank[:, None]
+        for m, table in tables:
+            arrived = keys[:, m] <= cut[:, None]
             ingested = ingested + arrived.sum(axis=1)
-            if ids.shape[2] > 1:
-                unknown = ids.shape[2] - masks[trial[:, None, None], ids].sum(axis=2)
-                pending = pending + (arrived & (unknown >= 2)).sum(axis=1)
+            if len(table) > 1:
+                known = recovered[table].sum(axis=0).reshape(n_trials, -1)
+                pending = pending + (arrived & (known <= len(table) - 2)).sum(axis=1)
         redundant = ingested - pending - masks.sum(axis=1)
-        times = np.where(completed, ordered[trial, stop_rank], np.inf)
-    messages = (flat <= times[:, None]).sum(axis=1)
-    return times, messages, redundant, masks, completed
+    messages = (flat <= stop[:, None]).sum(axis=1)
+    return stop, messages, redundant, masks, completed
 
 
 @dataclass

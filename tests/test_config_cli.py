@@ -17,6 +17,7 @@ from codedcomp.config import SCHEMES, ExperimentConfig, TrainSettings
 
 # Group 2 only occurs in the degree-2 order, so no message ever releases one
 # of its blocks: half of the 12 blocks stay unknown.
+UC_MMC_FLAGS = ["--scheme", "uc-mmc", "--workers", "4", "--load", "2"]
 UNFINISHABLE = {"scheme": "rcs-general", "workers": 6, "degrees": [1, 1, 2], "groups": 2, "z": [1, 1, 2, 2]}
 
 TABLE_CONFIG = {
@@ -521,6 +522,38 @@ class TestParseConfig:
         cfg = parse_config({"scheme": "rcs", "workers": 10, "degrees": "1,2,3"})
         assert cfg.degrees == (1, 2, 3)
 
+    @pytest.mark.parametrize("degrees", [[1, 2.0], (1.0, 2), [1, np.float64(2)], "1,2.0", "1.0, 2"])
+    def test_integral_floats_in_int_lists(self, degrees):
+        # An integer list reads each element as an integer field reads its value.
+        cfg = parse_config({"scheme": "rcs", "workers": 10, "degrees": degrees})
+        assert cfg.degrees == (1, 2) and all(type(d) is int for d in cfg.degrees)
+        assert cfg == parse_config({"scheme": "rcs", "workers": 10, "degrees": [1, 2]})
+
+    @pytest.mark.parametrize(
+        "data, violation",
+        [
+            ({"scheme": "rcs", "workers": 10, "degrees": [1, 2.5]}, "degrees: expected a list of integers, got [1, 2.5]"),
+            ({"scheme": "rcs", "workers": 10, "degrees": ["1", "2"]}, "degrees: expected a list of integers, got ['1', '2']"),
+            ({"scheme": "rcs", "workers": 10, "degrees": "1,x"}, "degrees: expected a list of integers, got '1,x'"),
+            ({"scheme": "rcs", "workers": 10, "degrees": [True, 2]}, "degrees: expected a list of integers, got [True, 2]"),
+            ({"scheme": "uc-mmc", "workers": 4, "load": "two"}, "load: expected an integer, got 'two'"),
+            (
+                {"scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2, "z": "1,b"},
+                "z: expected a list of integers, got '1,b'",
+            ),
+        ],
+        ids=["fraction", "strings-in-list", "bad-text", "boolean", "load", "rcs-general-z"],
+    )
+    def test_unparsable_required_field_reported_once(self, data, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.violations == [violation]
+
+    def test_absent_required_field_reported(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config({"scheme": "rcs-general", "workers": 4, "degrees": [1, 1], "groups": 2})
+        assert err.value.violations == ["z: required for scheme 'rcs-general'"]
+
 
 class TestCli:
     def run(self, *argv):
@@ -590,6 +623,33 @@ class TestCli:
             "  - redraw: expected true or false, got 'maybe'",
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, violation",
+        [
+            (UC_MMC_FLAGS + ["--mu", "-1e3"], "mu: must be positive, got -1000.0"),
+            (UC_MMC_FLAGS + ["--mu=-1e3"], "mu: must be positive, got -1000.0"),
+            (UC_MMC_FLAGS + ["--q", "-1e-3"], "q: tolerance must lie in [0, 1], got -0.001"),
+            (UC_MMC_FLAGS + ["--q=-1e-3"], "q: tolerance must lie in [0, 1], got -0.001"),
+            (UC_MMC_FLAGS + ["--alpha", "-inf"], "alpha: must be finite, got -inf"),
+            (
+                ["--scheme", "rcs", "--workers", "4", "--degrees", "-1,2"],
+                "degrees: degrees must be positive integers, got [-1, 2]",
+            ),
+        ],
+        ids=["mu", "mu-attached", "q", "q-attached", "alpha-inf", "degrees"],
+    )
+    def test_dash_leading_flag_value_reaches_the_field_parser(self, tmp_path, capsys, flags, violation):
+        # argparse alone reads "-1e3" after --mu as another flag.
+        out = tmp_path / "out"
+        assert self.run("simulate", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == ["invalid configuration:", f"  - {violation}"]
+        assert not out.exists()
+
+    def test_integral_float_list_flag(self, tmp_path):
+        args = build_parser().parse_args(["simulate", "--degrees", "1,2.0"])
+        base = {"scheme": "rcs", "workers": 8}
+        assert parse_config(base, _overrides_from(args)) == parse_config({**base, "degrees": [1, 2]})
 
     @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "under-a-file"])
     def test_out_must_be_a_directory(self, tmp_path, capsys, below):

@@ -24,7 +24,7 @@ from codedcomp import (
     rref_recoverable,
 )
 from codedcomp import decoding
-from codedcomp.decoding import _release_ranks
+from codedcomp.decoding import _block_tables, _release_ranks
 from codedcomp.simulate import make_decode_state, message_times
 
 
@@ -356,7 +356,7 @@ def check_arrival_prefixes(asn, blocks, seed, every=1):
     ranks = np.empty(order.size)
     ranks[order] = np.arange(order.size)
     ranks = ranks.reshape(arrivals.shape)
-    release = _release_ranks(asn, asn.support, ranks[None])[0]
+    release = _release_ranks(asn, _block_tables(asn, asn.support, 1), ranks[None])[0]
     payloads = task_payloads(asn, blocks)
     dec = PeelingDecoder(asn.k_total)
     for r, flat in enumerate(order):
@@ -432,7 +432,7 @@ class TestNumericRecovery:
         # a mask that claims more blocks than the arrived tasks determine:
         # one pair sum for two blocks is well conditioned but has rank 1
         asn = one_worker_code(2, [CodedTask.of_blocks([0, 1])])
-        monkeypatch.setattr(decoding, "_release_ranks", lambda a, s, ranks: np.zeros((1, 2)))
+        monkeypatch.setattr(decoding, "_release_ranks", lambda a, tables, keys: np.zeros((1, 2)))
         with pytest.raises(ValueError, match="rank 1"):
             decode_blocks(asn, all_arrived(asn), task_payloads(asn, np.ones(2)))
 

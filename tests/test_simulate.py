@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from codedcomp import (
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp import generate_dataset, gram, loss, partial_gd_step, train
-from codedcomp import decoding, simulate
+from codedcomp import decoding, schemes, simulate
 from codedcomp.enumeration import all_types, score_vectors_of_type
 from codedcomp.schemes import CircularShiftSource
 from codedcomp.simulate import (
@@ -66,6 +66,24 @@ class _TwoSpeedModel:
     def unit_times(self, exponentials):
         ranks = exponentials.argsort(axis=-1).argsort(axis=-1)
         return MODEL.alpha * (1.0 + ranks % 2)
+
+
+class _DrawnTiesModel:
+    """Unit times of one, two or three alphas drawn from the trial stream
+    (floor(3E) mod 3 of each exponential draw E), so arrivals of different
+    workers tie often, within a message and across messages."""
+
+    def unit_times(self, exponentials):
+        return MODEL.alpha * (1.0 + np.floor(3.0 * exponentials) % 3)
+
+
+class _SomeTrialsTiedModel:
+    """``_DrawnTiesModel``'s unit times in a trial whose first exponential
+    draw is below one, ``MODEL``'s (which never tie) in the others."""
+
+    def unit_times(self, exponentials):
+        tied = exponentials[..., :1] < 1.0
+        return np.where(tied, _DrawnTiesModel().unit_times(exponentials), MODEL.unit_times(exponentials))
 
 
 def _unit_times(model, rng, n):
@@ -270,7 +288,8 @@ class TestClosedFormMatchesOracle:
             for j in msg.orders:
                 for w, (block,) in enumerate(asn.support[j]):
                     expected[:, block] = np.minimum(expected[:, block], ranks[:, m, w])
-        assert np.array_equal(decoding._release_ranks(asn, asn.support, ranks), expected)
+        tables = decoding._block_tables(asn, asn.support, len(ranks))
+        assert np.array_equal(decoding._release_ranks(asn, tables, ranks), expected)
         assert calls == []
 
     def test_cases_reach_every_branch(self):
@@ -326,6 +345,39 @@ def _stable_ranks(flat):
     return ranks, np.take_along_axis(flat, order, axis=1)
 
 
+def _ranked_trials(assignment, supports, unit_times, threshold):
+    """A peel code's batch decided on arrival ranks alone: every row is
+    ranked by the stable sort, the release keys are ranks, and the stop time
+    is read back from the rank-ordered arrivals.  The reference the
+    time-keyed ``_trials`` must equal."""
+    arrivals = message_times(assignment, unit_times)
+    n_trials = len(arrivals)
+    flat = arrivals.reshape(n_trials, -1)
+    trial = np.arange(n_trials)
+    ranks, ordered = _stable_ranks(flat)
+    ranks = ranks.reshape(arrivals.shape)
+    release = decoding._release_ranks(
+        assignment, decoding._block_tables(assignment, supports, n_trials), ranks
+    )
+    stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
+    completed = stop < np.inf
+    stop_rank = np.where(completed, stop, flat.shape[1] - 1).astype(int)
+    masks = release <= stop_rank[:, None]
+    ingested = pending = 0
+    for m, msg in enumerate(assignment.messages):
+        for j in msg.orders:
+            ids = supports[j].reshape((-1,) + supports[j].shape[-2:])
+            arrived = ranks[:, m] <= stop_rank[:, None]
+            ingested = ingested + arrived.sum(axis=1)
+            if ids.shape[2] > 1:
+                unknown = ids.shape[2] - masks[trial[:, None, None], ids].sum(axis=2)
+                pending = pending + (arrived & (unknown >= 2)).sum(axis=1)
+    redundant = ingested - pending - masks.sum(axis=1)
+    times = np.where(completed, ordered[trial, stop_rank], np.inf)
+    messages = (flat <= times[:, None]).sum(axis=1)
+    return times, messages, redundant, masks, completed
+
+
 def _sort_kinds(call):
     """call's result and the ``kind`` of every ``np.argsort`` it made."""
     with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
@@ -333,9 +385,14 @@ def _sort_kinds(call):
     return result, [c.kwargs.get("kind") for c in spy.call_args_list]
 
 
+def _tied_at_stop(flat, times):
+    """Which trials have another arrival at their completion time."""
+    return np.count_nonzero(flat == times[:, None], axis=1) > 1
+
+
 class TestArrivalRanks:
-    """The default sort ranks tie-free rows; rows with a tie fall back to
-    the stable sort.  Either way the ranks are the stable sort's."""
+    """Peel-code trials are decided on arrival times; only a trial with
+    another arrival at its stop time is ranked, by the stable sort."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -346,25 +403,41 @@ class TestArrivalRanks:
         )
     )
     def test_tied_rows_match_stable_sort(self, flat):
-        (ranks, ordered), kinds = _sort_kinds(lambda: _arrival_ranks(flat))
-        want_ranks, want_ordered = _stable_ranks(flat)
-        assert np.array_equal(ranks, want_ranks)
-        assert np.array_equal(ordered, want_ordered)
-        tied = any(len(set(row)) < len(row) for row in flat.tolist())
-        assert kinds == ([None, "stable"] if tied else [None])
+        ranks, kinds = _sort_kinds(lambda: _arrival_ranks(flat))
+        for row, row_ranks in zip(flat.tolist(), ranks):
+            order = sorted(range(len(row)), key=lambda c: (row[c], c))
+            assert row_ranks[order].tolist() == list(range(len(row)))
+        assert kinds == ["stable"]
 
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, _CHUNK))
-    def test_tie_free_rows_take_the_fast_sort(self, seed, trials):
-        asn = build_uc_mmc(40, 3)
-        unit_times = MODEL.unit_times(np.random.default_rng(seed).standard_exponential((trials, 40)))
-        flat = message_times(asn, unit_times).reshape(trials, -1)
-        assume(all(len(set(row)) == len(row) for row in flat.tolist()))
-        (ranks, ordered), kinds = _sort_kinds(lambda: _arrival_ranks(flat))
-        want_ranks, want_ordered = _stable_ranks(flat)
-        assert np.array_equal(ranks, want_ranks)
-        assert np.array_equal(ordered, want_ordered)
-        assert kinds == [None]
+    @pytest.mark.parametrize(
+        "source, q",
+        [(CircularShiftSource.of(40, [1, 2, 4]), 0.15), (build_uc_mmc(40, 3), 0.15)],
+        ids=["rcs", "uc-mmc"],
+    )
+    def test_tie_free_trials_sort_nothing(self, source, q):
+        trials, seed = 2 * _CHUNK + 5, 1729
+        result, kinds = _sort_kinds(lambda: monte_carlo(source, q, MODEL, trials, seed))
+        layout = simulate._source_layout(source)
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            if isinstance(source, CircularShiftSource):
+                source.draw(rng, source.pools(1)[0])
+            flat = message_times(layout, _unit_times(MODEL, rng, layout.n_workers)).ravel()
+            assert not _tied_at_stop(flat[None], result.times[t : t + 1])[0]
+        assert kinds == []
+
+    def test_only_trials_tied_at_the_stop_are_ranked(self, monkeypatch):
+        asn, trials, seed, ranked = build_uc_mmc(8, 2), 200, 5, []
+        rank = simulate._arrival_ranks
+        monkeypatch.setattr(simulate, "_arrival_ranks", lambda flat: ranked.append(flat) or rank(flat))
+        result = monte_carlo(asn, 0.25, _SomeTrialsTiedModel(), trials, seed)
+        flat = np.array([
+            message_times(asn, _unit_times(_SomeTrialsTiedModel(), trial_rng(seed, t), 8)).ravel()
+            for t in range(trials)
+        ])
+        tied = _tied_at_stop(flat, result.times)
+        assert 0 < tied.sum() < trials
+        assert np.array_equal(np.concatenate(ranked), flat[tied])
 
     @pytest.mark.parametrize("model", [_TiedModel(), _TwoSpeedModel()], ids=["tied", "two-speed"])
     def test_tied_models_reach_the_fallback(self, model):
@@ -702,15 +775,6 @@ def test_circular_shift_source_checks_the_rules():
         CircularShiftSource.of(4, [1, 1, 3], groups=2, z=(1, 1, 1, 1, 1))
 
 
-class _DrawnTiesModel:
-    """Unit times of one, two or three alphas drawn from the trial stream
-    (floor(3E) mod 3 of each exponential draw E), so arrivals of different
-    workers tie often, within a message and across messages."""
-
-    def unit_times(self, exponentials):
-        return MODEL.alpha * (1.0 + np.floor(3.0 * exponentials) % 3)
-
-
 @st.composite
 def _small_peel_codes(draw):
     """Two peel codes of one layout: K <= 8 blocks, up to 4 workers, 1-4
@@ -780,3 +844,77 @@ def test_small_peel_codes_match_oracle(codes, seed):
                 for ctype in all_types(asn.n_workers, asn.max_score)
             ]
             assert [(ctype, good) for ctype, good, _ in success_table(asn, q)] == expected
+
+
+def _assert_same_trials(got, want):
+    for field, a, b in zip(("times", "messages", "redundant", "masks", "completed"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=_small_peel_codes(), seed=st.integers(0, 2**16), q=st.sampled_from([0.0, 0.2, 0.5, 0.75]))
+def test_time_keys_match_ranked_oracle(codes, seed, q):
+    """_trials on arrival times equals the decision on stable ranks of every
+    row, for a fixed code and for per-trial supports, with ties drawn often:
+    within a message, across messages and at the stop."""
+    model, trials, layout = _DrawnTiesModel(), 16, codes[0]
+    rng = np.random.default_rng(seed)
+    unit_times = model.unit_times(rng.standard_exponential((trials, layout.n_workers)))
+    drawn = [codes[i] for i in rng.integers(2, size=trials)]
+    supports = tuple(map(np.stack, zip(*(asn.support for asn in drawn))))
+    threshold = recovery_threshold(layout.k_total, q)
+    for support in (layout.support, supports):
+        _assert_same_trials(
+            _trials(layout, support, unit_times, threshold),
+            _ranked_trials(layout, support, unit_times, threshold),
+        )
+
+
+@pytest.mark.parametrize(
+    "source, q, finishes",
+    [
+        (CircularShiftSource.of(8, [1, 2, 3]), 0.0, True),
+        (hybrid_example(), 0.25, True),
+        (CircularShiftSource.of(6, [1, 1, 2], groups=2, z=(1, 1, 2, 2)), 0.25, False),
+        (_uncovered_block(), 0.0, False),
+    ],
+    ids=["rcs", "hybrid", "unfinishable-grouped", "uncovered-block"],
+)
+def test_time_keys_reach_ties_at_the_stop_and_incomplete_trials(source, q, finishes):
+    """The cases the time keys treat apart occur and equal the ranked
+    oracle: trials with another arrival at their stop time, and trials that
+    never finish (the grouped code's second group is only in its degree-2
+    order, block 3 of the uncovered-block code in no task)."""
+    trials, seed, model = 3 * _CHUNK, 11, _DrawnTiesModel()
+    layout = simulate._source_layout(source)
+    threshold = recovery_threshold(layout.k_total, q)
+    supports, unit_times = [], []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        supports.append((source(rng) if isinstance(source, CircularShiftSource) else source).support)
+        unit_times.append(_unit_times(model, rng, layout.n_workers))
+    supports, unit_times = tuple(map(np.stack, zip(*supports))), np.array(unit_times)
+    got = _trials(layout, supports, unit_times, threshold)
+    _assert_same_trials(got, _ranked_trials(layout, supports, unit_times, threshold))
+    _assert_same_trials(got, _run(source, q, model, trials, seed))
+    times, completed = got[0], got[4]
+    if finishes:
+        assert completed.all()
+        assert _tied_at_stop(message_times(layout, unit_times).reshape(trials, -1), times).any()
+    else:
+        assert not completed.any()
+
+
+def test_shift_supports_equal_the_modular_formula():
+    """Every offset 1..k, in every grid row, with two leading trial axes;
+    offsets outside [1, k] wrap as the formula wraps them."""
+    for k, degrees, rows in [(1, [1], [0]), (5, [1, 2], [0, 1, 0]), (40, [1, 2, 4], [0] * 7)]:
+        rows = np.array(rows, dtype=np.int64)
+        shift = np.arange(k)[:, None] + np.arange(len(rows))
+        offsets = np.stack([shift % k + 1, shift[::-1] - k], axis=1)  # (k, 2, L)
+        grid = rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
+        ends = np.cumsum(degrees)
+        got = schemes._shift_supports(k, degrees, rows, offsets)
+        for ids, end, d in zip(got, ends, degrees):
+            assert ids.shape == (k, 2, k, d)
+            assert np.array_equal(ids, grid[..., end - d : end, :].swapaxes(-1, -2))
