@@ -85,7 +85,11 @@ def generate_dataset(
     mu = (1.5 / dim) * theta_star
     signs = rng.integers(0, 2, n_samples) * 2 - 1
     rng.standard_normal(out=x)
-    x += signs[:, None] * mu[None, :]
+    # x + (-mu) equals x - mu bit for bit, so adding or subtracting mu in
+    # place by sign gives x + signs * mu without a (samples, dim) temporary.
+    positive = signs[:, None] > 0
+    np.add(x, mu, out=x, where=positive)
+    np.subtract(x, mu, out=x, where=~positive)
     y = x @ theta_star + noise_std * rng.standard_normal(n_samples)
     return Dataset(x=x, y=y, theta_star=theta_star)
 

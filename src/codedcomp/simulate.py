@@ -25,9 +25,10 @@ Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
 :func:`monte_carlo` and ``regression.train``, hashes the seed words of many
 trials in one array pass (:func:`_stream_states` re-derives NumPy's
-``SeedSequence`` hash) and hands each trial's words to NumPy, which seeds
-the trial's generator from them (:class:`_StreamWords`), so it draws the
-same numbers without running NumPy's hash per trial.  A source is a fixed
+``SeedSequence`` hash).  One word source per block (:class:`_StreamWords`)
+hands the rows to PCG64 in trial order, and a trial builds only its
+``PCG64`` and ``Generator``, so it draws the same numbers without running
+NumPy's hash or building a seed object per trial.  A source is a fixed
 ``ComputationAssignment``, which every trial runs, or a redrawn
 circular-shift code (``schemes.CircularShiftSource``) whose rules and layout
 are fixed once.  Per trial, the stream gives the shift permutations first
@@ -40,6 +41,7 @@ times, and its supports come from one shift-grid expression over the
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -302,18 +304,23 @@ def _stream_states(seed: int, trials) -> np.ndarray:
 
 
 class _StreamWords(ISeedSequence):
-    """One row of :func:`_stream_states`: the four words PCG64 asks
-    ``SeedSequence((seed, t))`` for.  Any other request raises, so a NumPy
+    """Rows of :func:`_stream_states`, served in order: each PCG64 seeded
+    from this source asks for ``SeedSequence((seed, t))``'s four words and
+    gets the next row, so one source seeds a whole block's trials in trial
+    order.  Any other request, or one past the last row, raises, so a NumPy
     that seeds PCG64 differently fails instead of drawing other streams."""
 
     def __init__(self, words: np.ndarray):
-        # PCG64 reads the words' memory directly, so they must be contiguous.
-        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+        # PCG64 reads a row's memory directly, so the rows must be contiguous.
+        self._rows = iter(np.ascontiguousarray(words, dtype=np.uint64).reshape(-1, 4))
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
-        return self._words
+        row = next(self._rows, None)
+        if row is None:
+            raise ValueError("every row of words has seeded a generator")
+        return row
 
 
 def _source_layout(source: AssignmentSource) -> ComputationAssignment:
@@ -334,8 +341,9 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     Yields, per batch, the per-trial arrays of :func:`_trials`: (completion
     times, messages received, redundant tasks, recovered-block masks,
     completed flags).  Trial t draws from the stream of
-    ``trial_rng(seed, t)``, which NumPy seeds from the words hashed for
-    ``_SEED_BLOCK`` trials at a time: first the shift pools of a
+    ``trial_rng(seed, t)``: the words of ``_SEED_BLOCK`` trials are hashed
+    at a time, and one :class:`_StreamWords` per block hands them to PCG64
+    row by row in trial order.  A trial draws first the shift pools of a
     :class:`~codedcomp.schemes.CircularShiftSource`, shuffled in place in
     the batch's pool array (a fixed ``ComputationAssignment`` draws
     nothing), then one standard exponential per worker, written into the
@@ -353,10 +361,14 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     layout = _source_layout(source)
     redrawn = isinstance(source, CircularShiftSource)
     threshold = recovery_threshold(layout.k_total, q)
-    rngs = (
-        np.random.default_rng(_StreamWords(words))
+    blocks = (
+        _stream_states(seed, range(start, min(start + _SEED_BLOCK, trials)))
         for start in range(0, trials, _SEED_BLOCK)
-        for words in _stream_states(seed, range(start, min(start + _SEED_BLOCK, trials)))
+    )
+    rngs = (
+        np.random.Generator(np.random.PCG64(stream))
+        for words in blocks
+        for stream in itertools.repeat(_StreamWords(words), len(words))
     )
     # rngs comes last in each zip, so a batch stops without taking the next
     # batch's first generator.

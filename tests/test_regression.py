@@ -1,5 +1,7 @@
 """Synthetic regression data, partial gradient steps, and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,42 @@ class TestDataset:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             generate_dataset(0, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "theta_star", [None, [0.5, -1.25, 0.0, -0.0, 3.0, -0.0]], ids=["drawn", "given"]
+    )
+    def test_signed_mean_matches_product_formula(self, theta_star):
+        # The mixture means are added or subtracted in place by sign; the
+        # oracle adds the (samples, dim) product signs * mu, as the dataset
+        # was first built, and must agree bit for bit.
+        ds = generate_dataset(300, 6, np.random.default_rng(21), theta_star=theta_star)
+        x, y, truth = _product_formula_dataset(300, 6, np.random.default_rng(21), theta_star)
+        for got, want in [(ds.x, x), (ds.y, y), (ds.theta_star, truth)]:
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_sample_matrix(self):
+        # No (samples, dim) temporary: the peak stays near x and y alone.
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(4000, 500, np.random.default_rng(23))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * ds.x.nbytes + ds.y.nbytes
+
+
+def _product_formula_dataset(n_samples, dim, rng, theta_star=None, noise_std=0.01):
+    """generate_dataset's draws with the mixture means added as the product
+    signs * mu; returns (x, y, theta_star)."""
+    x = np.empty((n_samples, dim))
+    if theta_star is None:
+        theta_star = rng.uniform(0.0, 1.0, dim)
+    theta_star = np.asarray(theta_star, dtype=float)
+    mu = (1.5 / dim) * theta_star
+    signs = rng.integers(0, 2, n_samples) * 2 - 1
+    rng.standard_normal(out=x)
+    x += signs[:, None] * mu[None, :]
+    return x, x @ theta_star + noise_std * rng.standard_normal(n_samples), theta_star
 
 
 class TestGramAndLoss:

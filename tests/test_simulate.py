@@ -86,6 +86,17 @@ class _SomeTrialsTiedModel:
         return np.where(tied, _DrawnTiesModel().unit_times(exponentials), MODEL.unit_times(exponentials))
 
 
+class _RecordingModel:
+    """``MODEL``, keeping a copy of every batch's exponentials."""
+
+    def __init__(self):
+        self.exponentials = []
+
+    def unit_times(self, exponentials):
+        self.exponentials.append(exponentials.copy())
+        return MODEL.unit_times(exponentials)
+
+
 def _unit_times(model, rng, n):
     """One trial's unit times for n workers, drawn as ``_batches`` draws them."""
     return model.unit_times(rng.standard_exponential(n))
@@ -652,6 +663,35 @@ class TestTrialStreams:
         assert len(seen) == trials
         for t, state in enumerate(seen):
             assert state == trial_rng(1729, t).bit_generator.state
+
+    @pytest.mark.parametrize("redrawn", [False, True], ids=["fixed", "redrawn"])
+    def test_every_trial_draws_its_own_stream(self, redrawn):
+        """Each batch's exponentials, row by row, are what trial_rng draws:
+        the shift permutation first for a redrawn code, then one exponential
+        per worker.  The run crosses batches and a seed block."""
+        source = CircularShiftSource.of(8, [1, 2]) if redrawn else build_uc_mmc(8, 2)
+        n = simulate._source_layout(source).n_workers
+        model, trials = _RecordingModel(), _SEED_BLOCK + 2 * _CHUNK + 3
+        monte_carlo(source, 0.25, model, trials, seed=1729)
+        rows = np.concatenate(model.exponentials)
+        assert rows.shape == (trials, n)
+        for t, row in enumerate(rows):
+            reference = trial_rng(1729, t)
+            if redrawn:
+                reference.permutation(n)
+            assert np.array_equal(row, reference.standard_exponential(n))
+
+    def test_word_source_serves_rows_in_order(self):
+        words = _stream_states(7, range(5))
+        stream = _StreamWords(words)
+        for t in range(5):
+            rng = np.random.Generator(np.random.PCG64(stream))
+            assert rng.bit_generator.state == trial_rng(7, t).bit_generator.state
+        # Past its last row the source refuses to seed, as a ValueError.
+        with pytest.raises(ValueError, match="every row"):
+            stream.generate_state(4, np.uint64)
+        with pytest.raises(ValueError, match="every row"):
+            np.random.PCG64(stream)
 
 
 GROUPED_Z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
