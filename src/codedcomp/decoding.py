@@ -10,7 +10,8 @@ of ``R[b] = min over tasks t holding b of max(key(t), R of the other blocks
 of t)``, iterated from infinity (peeling is a closure, and a stopping set
 stays infinite).  For a count rule (``mds``, ``threshold``) every block is
 released at the ``needed``-th smallest first-message key.  The simulator,
-exact enumeration and the config's finish check all read these keys.
+exact enumeration and the config's finish check all read these keys,
+through the per-order block tables of :func:`_block_tables`.
 
 :func:`decode_blocks` is the one value path, for peel and MDS codes alike:
 ``_recovered`` reads the same keys, 0 for a sent message and infinity for
@@ -25,7 +26,6 @@ could recover, are the references the release keys are tested against.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -72,32 +72,32 @@ def _count_stop(assignment: ComputationAssignment, first: np.ndarray) -> np.ndar
     return np.partition(first, hit - 1, axis=1)[:, hit - 1]
 
 
-def _block_tables(assignment: ComputationAssignment, supports, n_trials: int):
+def _block_tables(assignment: ComputationAssignment, n_trials: int, blocks=None):
     """(message index, block table) of every order in a batch of n_trials
-    trials.  supports holds one block-id array per order: (n_workers, d_j)
-    when all trials share the code, (n_trials, n_workers, d_j) for one drawn
-    code per trial.  Entry [i, t * n_workers + w] of an order's table,
-    shape (d_j, n_trials * n_workers), is t * k_total + b for the i-th block
-    b of worker w's task in trial t, so one index into a flat per-block
-    array gathers a whole order's tasks."""
-    offset = assignment.k_total * np.arange(n_trials)[:, None, None]
-    tables = []
-    for m, msg in enumerate(assignment.messages):
-        for j in msg.orders:
-            ids = supports[j] + offset
-            tables.append((m, ids.transpose(2, 0, 1).reshape(ids.shape[2], -1)))
-    return tables
+    trials.  blocks holds one block-id array per order, (d_j, n_trials,
+    n_workers) as ``CircularShiftSource.blocks`` gathers them; None shares
+    the assignment's own supports.  Entry [i, t * n_workers + w] of an
+    order's table is t * k_total + b for the i-th block b of worker w's task
+    in trial t, so one index into a flat per-block array gathers a whole
+    order's tasks."""
+    if blocks is None:
+        blocks = [ids.T[:, None] for ids in assignment.support]
+    offset = assignment.k_total * np.arange(n_trials)[:, None]
+    return [
+        (m, (blocks[j] + offset).reshape(len(blocks[j]), -1))
+        for m, msg in enumerate(assignment.messages)
+        for j in msg.orders
+    ]
 
 
-def _max_of_others(values: np.ndarray) -> np.ndarray:
-    """For every row of a (d, n) array, the elementwise max of the other rows
-    (-inf where there is none): prefix maxima, then suffix maxima folded in.
-    Two rows are each other's others, so for d == 2 it is values with the
-    rows swapped, a view."""
+def _offers(values: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """max(key, the elementwise max of the other rows) for every row of a
+    (d, n) array, as a new contiguous array: prefix maxima started from the
+    key, then suffix maxima.  For d == 2 the other row is the swapped one."""
     if len(values) == 2:
-        return values[::-1]
+        return np.maximum(key, values[::-1])
     out = np.empty_like(values)
-    out[0] = -np.inf
+    out[0] = key
     for i in range(1, len(values)):
         np.maximum(out[i - 1], values[i - 1], out=out[i])
     behind = values[-1].copy()
@@ -124,10 +124,10 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     if assignment.decode != DECODE_PEEL:
         return np.repeat(_count_stop(assignment, keys[:, 0])[:, None], k, axis=1)
     # Entries are laid out (d_j, trials * workers) with flat index
-    # trial * k + block, so the max over a task's other blocks works on whole
-    # rows.  A degree-1 task always offers its own key, so those orders
-    # settle once, before the sweeps; each sweep updates the keys in place,
-    # one coded order at a time.
+    # trial * k + block, so a task's offers work on whole rows.  A degree-1
+    # task always offers its own key, so those orders settle once, before
+    # the sweeps; each sweep updates the keys in place, one coded order at a
+    # time.
     release = np.full(n_trials * k, np.inf)
     coded = []
     for m, table in tables:
@@ -138,9 +138,7 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     while coded:
         before = release.copy()
         for table, entries, key in coded:
-            offers = _max_of_others(release[table])
-            np.maximum(key, offers, out=offers)
-            np.minimum.at(release, entries, offers.ravel())
+            np.minimum.at(release, entries, _offers(release[table], key).ravel())
         if np.array_equal(release, before):
             break
     return release.reshape(n_trials, k)
@@ -152,8 +150,7 @@ def _recovered(assignment: ComputationAssignment, sent) -> np.ndarray:
     is recovered when its release key is finite, a sent message having key
     0 and any other infinity."""
     keys = np.where(sent, 0.0, np.inf)
-    tables = _block_tables(assignment, assignment.support, len(keys))
-    return _release_ranks(assignment, tables, keys) < np.inf
+    return _release_ranks(assignment, _block_tables(assignment, len(keys)), keys) < np.inf
 
 
 def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:
@@ -325,6 +322,8 @@ def rref_recoverable(tasks: Iterable[CodedTask], k_total: int) -> set[int]:
     ids whose rows end up as unit vectors.  This is the best any linear
     decoder can do, so the peeling result is always a subset.
     """
+    from fractions import Fraction  # here: a simulate process never needs it
+
     rows: list[list[Fraction]] = []
     for task in tasks:
         row = [Fraction(0)] * k_total

@@ -121,24 +121,6 @@ def circular_shift_violations(
     return errors
 
 
-def _shift_supports(
-    k: int, degrees: Sequence[int], rows: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Per-order block ids (..., k, d_j) of a shift grid.
-
-    Grid row i is group rows[i] (0-based) shifted by offsets[..., i] - 1, so
-    worker w holds block rows[i] * k + (w + offsets[..., i] - 1) mod k, and
-    order j takes the next degrees[j] rows down each worker's column.
-    offsets may carry leading trial axes.  Row s of the windows over
-    0 .. k - 1 repeated twice is the shift (w + s) mod k, so the grid is a
-    gather of whole rows, and only the offsets are reduced mod k.
-    """
-    shifts = sliding_window_view(np.tile(np.arange(k), 2), k)
-    grid = rows[:, None] * k + shifts[(offsets - 1) % k]
-    ends = itertools.accumulate(degrees)
-    return tuple(grid[..., end - d : end, :].swapaxes(-1, -2) for end, d in zip(ends, degrees))
-
-
 def build_rcs(
     k: int,
     degrees: Sequence[int],
@@ -193,18 +175,21 @@ class CircularShiftSource(NamedTuple):
     Built by :meth:`of`, which checks the rules and fixes everything a draw
     does not change: each row's 0-based group (``rows``) and place in its
     group's pool of shifts (``place``, the number of earlier rows in the same
-    group), the degrees, and ``layout``, one valid draw that carries the
-    messages, mode and task cost.  A batch holds its trials' shift pools in
-    one int array (:meth:`pools`), a trial shuffles only its own row of it
-    (:meth:`draw`), and :meth:`stack` turns the batch into per-order
-    supports in one array pass.  Called with a generator it returns the same
-    assignment as ``build_rcs(..., rng)``.
+    group), the degrees, every row a grid can hold (``shift_rows``: row
+    g * k + s is group g's blocks shifted by s), and ``layout``, one valid
+    draw that carries the messages, mode and task cost.  A batch holds its
+    trials' shift pools in one int array (:meth:`pools`), a trial shuffles
+    only its own row of it (:meth:`draw`), and :meth:`blocks` gathers the
+    batch's grid rows in the decoder's layout, as :meth:`at` does for one
+    code.  Called with a generator it returns the same assignment as
+    ``build_rcs(..., rng)``.
     """
 
     degrees: tuple[int, ...]
     groups: int
     rows: np.ndarray
     place: np.ndarray
+    shift_rows: np.ndarray
     layout: ComputationAssignment
 
     @classmethod
@@ -231,7 +216,12 @@ class CircularShiftSource(NamedTuple):
         degrees = tuple(int(d) for d in degrees)
         rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
         place = np.tril(rows[:, None] == rows, -1).sum(axis=1)
-        support = _shift_supports(k, degrees, rows, place + 1)
+        # Row s of the windows over 0 .. k - 1 repeated twice is the shift
+        # (w + s) mod k, so a grid is a gather of whole rows.
+        windows = sliding_window_view(np.tile(np.arange(k), 2), k)[:k]
+        shift_rows = (k * np.arange(groups)[:, None, None] + windows).reshape(groups * k, k)
+        draws = cls(degrees, groups, rows, place, shift_rows, None)
+        support = draws._supports(place)
         ends = list(itertools.accumulate(degrees))
         sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
         layout = ComputationAssignment(
@@ -244,7 +234,7 @@ class CircularShiftSource(NamedTuple):
             task_cost=1.0 / groups,
             decode=DECODE_PEEL,
         )
-        return cls(degrees, groups, rows, place, layout)
+        return draws._replace(layout=layout)
 
     def pools(self, trials: int) -> np.ndarray:
         """Unshuffled shift pools of a batch, shape (trials, groups, k):
@@ -261,18 +251,24 @@ class CircularShiftSource(NamedTuple):
             rng.shuffle(pool)
         return pools
 
-    def stack(self, drawn: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-order supports, shape (B, k, d_j), of B trials' drawn
-        pools, shape (B, groups, k)."""
-        offsets = drawn[..., self.rows, self.place] + 1
-        return _shift_supports(self.layout.n_workers, self.degrees, self.rows, offsets)
+    def blocks(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-order block ids, (d_j, B, k) as ``decoding._block_tables``
+        takes them, of B codes given each row's 0-based shift, (B, rows):
+        slices of one grid, gathered rows first from ``shift_rows``."""
+        k = self.shift_rows.shape[1]
+        grid = self.shift_rows[self.rows[:, None] * k + shifts.T]
+        ends = itertools.accumulate(self.degrees)
+        return tuple(grid[end - d : end] for end, d in zip(ends, self.degrees))
+
+    def _supports(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (k, d_j) supports of the one code with these row shifts."""
+        return tuple(ids[:, 0].T for ids in self.blocks(shifts[None]))
 
     def at(self, offsets: Sequence[int]) -> ComputationAssignment:
         """The code with the given 1-based shift of each row; its offsets
         are not checked against the rules."""
-        offsets = np.asarray(offsets, dtype=np.int64)
-        support = _shift_supports(self.layout.n_workers, self.degrees, self.rows, offsets)
-        return replace(self.layout, support=support)
+        shifts = (np.asarray(offsets, dtype=np.int64) - 1) % self.layout.n_workers
+        return replace(self.layout, support=self._supports(shifts))
 
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""

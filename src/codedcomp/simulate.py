@@ -17,9 +17,9 @@ arrival ties the stop time.  Only such a trial is ranked, by the stable
 sort so that ties break by message then worker, and decided again on its
 ranks; a trial without one sorts nothing.  Each batch builds its per-order
 block tables (``decoding._block_tables``) once, for the release sweep and
-the pending count alike.  A count rule (``mds``, ``threshold``) releases
-every block at once: it stops at the ``needed``-th smallest first-message
-arrival time.
+the pending count alike; the ranked trials take their columns of the block
+ids.  A count rule (``mds``, ``threshold``) releases every block at once: it
+stops at the ``needed``-th smallest first-message arrival time.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
@@ -35,8 +35,8 @@ are fixed once.  Per trial, the stream gives the shift permutations first
 (a redrawn code only), shuffled in place in the batch's pool array, then one
 standard exponential per worker, written into the batch's array; one
 ``LatencyModel.unit_times`` call turns a batch's exponentials into unit
-times, and its supports come from one shift-grid expression over the
-(trials, rows) offsets.
+times, and one gather of shift-grid rows (``CircularShiftSource.blocks``)
+gives its block ids in the decoder's (d_j, trials, workers) layout.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ def _arrival_ranks(flat: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray, threshold: int):
+def _trials(assignment: ComputationAssignment, blocks, unit_times: np.ndarray, threshold: int):
     """Outcomes of a batch of trials, one row of per-worker unit times each.
 
+    blocks are the per-order block ids ``decoding._block_tables`` takes.
     Returns the per-trial arrays (completion times, messages received,
     redundant tasks, recovered-block masks of shape (trials, k_total),
     completed flags).  A trial that never reaches the threshold ingests
@@ -163,7 +164,7 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         # trial, which ingests every message and keeps every block it
         # releases.  Time keys decide a trial as ranks do unless another
         # arrival ties the stop; only such trials are keyed again, by rank.
-        tables = _block_tables(assignment, supports, n_trials)
+        tables = _block_tables(assignment, n_trials, blocks)
         release = _release_ranks(assignment, tables, arrivals)
         stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
         completed = stop < np.inf
@@ -171,8 +172,8 @@ def _trials(assignment: ComputationAssignment, supports, unit_times: np.ndarray,
         tied = np.flatnonzero(np.count_nonzero(flat == stop[:, None], axis=1) > 1)
         if tied.size:
             ranks = _arrival_ranks(flat[tied]).reshape((tied.size,) + arrivals.shape[1:])
-            subset = [ids if ids.ndim == 2 else ids[tied] for ids in supports]
-            ranked = _release_ranks(assignment, _block_tables(assignment, subset, tied.size), ranks)
+            subset = None if blocks is None else [ids[:, tied] for ids in blocks]
+            ranked = _release_ranks(assignment, _block_tables(assignment, tied.size, subset), ranks)
             keys = arrivals.copy()  # flat, a view of arrivals, still counts the messages
             keys[tied], release[tied] = ranks, ranked
             cut[tied] = np.partition(ranked, threshold - 1, axis=1)[:, threshold - 1]
@@ -217,17 +218,21 @@ class MonteCarloResult:
         return float(np.mean(self.completed))
 
     def time_percentiles(self, qs=(5, 25, 50, 75, 95)) -> dict[str, float]:
-        """Linearly interpolated completion-time percentiles.  A percentile
-        that falls among incomplete trials (infinite times) is infinite; the
-        others are interpolated with those times capped, so no arithmetic
-        meets an infinity."""
-        capped = np.minimum(self.times, np.finfo(float).max)
-        return {
-            f"p{p}": math.inf
-            if np.isinf(np.percentile(self.times, p, method="higher"))
-            else float(np.percentile(capped, p))
-            for p in qs
-        }
+        """Completion-time percentiles, bit for bit ``np.percentile``'s
+        linear ones.  One whose higher neighbour is infinite (an incomplete
+        trial) is infinite; the others interpolate the capped times, so no
+        arithmetic meets an infinity.  NumPy's interpolation is redone from
+        one sort, since ``np.percentile`` imports ``numpy.ma`` when first
+        called."""
+        ordered = np.sort(self.times)
+        capped = np.minimum(ordered, np.finfo(float).max)
+        index = (len(ordered) - 1) * (np.array(qs, dtype=float) / 100)
+        below = np.floor(index).astype(int)
+        a, b = capped[below], capped[np.minimum(below + 1, len(ordered) - 1)]
+        gamma = index - below
+        lerp = np.where(gamma < 0.5, a + (b - a) * gamma, b - (b - a) * (1 - gamma))
+        values = np.where(np.isinf(ordered[np.ceil(index).astype(int)]), np.inf, lerp)
+        return {f"p{p}": float(v) for p, v in zip(qs, values)}
 
     def summary(self) -> dict:
         """Run statistics for JSON output.  A statistic that is not finite
@@ -380,12 +385,12 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
             for pool, row, rng in zip(pools, exponentials, rngs):
                 source.draw(rng, pool)
                 rng.standard_exponential(out=row)
-            supports = source.stack(pools)
+            blocks = source.blocks(pools[:, source.rows, source.place])
         else:
             for row, rng in zip(exponentials, rngs):
                 rng.standard_exponential(out=row)
-            supports = layout.support
-        yield _trials(layout, supports, model.unit_times(exponentials), threshold)
+            blocks = None
+        yield _trials(layout, blocks, model.unit_times(exponentials), threshold)
 
 
 def monte_carlo(

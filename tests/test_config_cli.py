@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -918,3 +922,23 @@ class TestCli:
         embedded = read_embedded_config(tmp_path / "out" / "summary.json")
         assert embedded["trials"] == 15
         assert embedded["q"] == 0.15  # from the file
+
+
+def test_simulate_imports_neither_numpy_ma_nor_fractions(tmp_path):
+    # numpy.ma comes in through np.unique (np.percentile's linear method)
+    # and fractions through the exact oracle's module; a simulate process
+    # needs neither.
+    env = dict(os.environ)
+    src = str(Path(codedcomp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--scheme", "rcs", "--workers", "40", "--degrees", "1,2,4", "--q", "0.15",
+            "--trials", "200", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from codedcomp.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(status, sorted({'numpy.ma', 'fractions'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "summary.json").is_file()

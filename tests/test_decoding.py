@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codedcomp import (
     CodedTask,
@@ -322,6 +323,25 @@ def gc_aggregate(received_workers, k, load):
     return state.recovered_count == k
 
 
+_KEYS = st.sampled_from([0.0, 0.5, 1.0, 3.0, np.inf])
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)), elements=_KEYS), data=st.data())
+def test_offers_are_the_key_against_the_other_rows(values, data):
+    # Few distinct keys, infinity among them, so rows tie with each other
+    # and with the key.
+    key = data.draw(arrays(np.float64, values.shape[1], elements=_KEYS))
+    given_values, given_key = values.copy(), key.copy()
+    got = decoding._offers(values, key)
+    assert got.shape == values.shape and got.flags.c_contiguous
+    for i in range(len(values)):
+        others = np.delete(values, i, axis=0)
+        want = np.maximum(key, others.max(axis=0)) if len(others) else key
+        assert np.array_equal(got[i], want)
+    assert np.array_equal(values, given_values) and np.array_equal(key, given_key)
+
+
 def test_decode_state_is_for_count_rules_only():
     with pytest.raises(ValueError, match="PeelingDecoder"):
         make_decode_state(build_uc_mmc(4, 2))
@@ -356,7 +376,7 @@ def check_arrival_prefixes(asn, blocks, seed, every=1):
     ranks = np.empty(order.size)
     ranks[order] = np.arange(order.size)
     ranks = ranks.reshape(arrivals.shape)
-    release = _release_ranks(asn, _block_tables(asn, asn.support, 1), ranks[None])[0]
+    release = _release_ranks(asn, _block_tables(asn, 1), ranks[None])[0]
     payloads = task_payloads(asn, blocks)
     dec = PeelingDecoder(asn.k_total)
     for r, flat in enumerate(order):

@@ -1,6 +1,7 @@
 """Iteration simulator and Monte Carlo aggregation."""
 
 import json
+import math
 import warnings
 from unittest import mock
 
@@ -24,7 +25,7 @@ from codedcomp import (
 )
 from codedcomp.blocks import DECODE_PEEL, ComputationAssignment, Message
 from codedcomp import generate_dataset, gram, loss, partial_gd_step, train
-from codedcomp import decoding, schemes, simulate
+from codedcomp import decoding, simulate
 from codedcomp.enumeration import all_types, score_vectors_of_type
 from codedcomp.schemes import CircularShiftSource
 from codedcomp.simulate import (
@@ -217,7 +218,7 @@ def _decide(assignment, q, rng):
     """
     unit_times = MODEL.sample_unit_times(rng, assignment.n_workers)
     threshold = recovery_threshold(assignment.k_total, q)
-    return [arr[0] for arr in _trials(assignment, assignment.support, unit_times[None], threshold)]
+    return [arr[0] for arr in _trials(assignment, None, unit_times[None], threshold)]
 
 
 def _run(source, q, model, trials, seed):
@@ -234,7 +235,7 @@ def _rebuilt_per_trial(build, q, model, trials, seed):
         rng = trial_rng(seed, t)
         asn = build(rng)
         unit_times = model.sample_unit_times(rng, asn.n_workers)
-        rows.append(_trials(asn, asn.support, unit_times[None], recovery_threshold(asn.k_total, q)))
+        rows.append(_trials(asn, None, unit_times[None], recovery_threshold(asn.k_total, q)))
     return [np.concatenate(arrs) for arrs in zip(*rows)]
 
 
@@ -287,9 +288,9 @@ class TestClosedFormMatchesOracle:
         # every uc-mmc task has degree 1, so each block's release rank is the
         # smallest rank of the tasks holding it, settled before any sweep
         asn, calls = build_uc_mmc(8, 2), []
-        max_of_others = decoding._max_of_others
+        offers = decoding._offers
         monkeypatch.setattr(
-            decoding, "_max_of_others", lambda values: calls.append(1) or max_of_others(values)
+            decoding, "_offers", lambda values, key: calls.append(1) or offers(values, key)
         )
         rng = np.random.default_rng(5)
         ranks = rng.random((6, len(asn.messages), asn.n_workers))
@@ -299,7 +300,7 @@ class TestClosedFormMatchesOracle:
             for j in msg.orders:
                 for w, (block,) in enumerate(asn.support[j]):
                     expected[:, block] = np.minimum(expected[:, block], ranks[:, m, w])
-        tables = decoding._block_tables(asn, asn.support, len(ranks))
+        tables = decoding._block_tables(asn, len(ranks))
         assert np.array_equal(decoding._release_ranks(asn, tables, ranks), expected)
         assert calls == []
 
@@ -356,11 +357,19 @@ def _stable_ranks(flat):
     return ranks, np.take_along_axis(flat, order, axis=1)
 
 
+def _per_order_blocks(supports):
+    """The block ids ``_trials`` takes for supports: None for a fixed code's
+    (n_workers, d_j) supports, and the (d_j, trials, n_workers) layout of
+    per-trial supports stacked (trials, n_workers, d_j)."""
+    return None if supports[0].ndim == 2 else tuple(ids.transpose(2, 0, 1) for ids in supports)
+
+
 def _ranked_trials(assignment, supports, unit_times, threshold):
     """A peel code's batch decided on arrival ranks alone: every row is
     ranked by the stable sort, the release keys are ranks, and the stop time
     is read back from the rank-ordered arrivals.  The reference the
-    time-keyed ``_trials`` must equal."""
+    time-keyed ``_trials`` must equal; supports are a fixed code's or
+    stacked per trial."""
     arrivals = message_times(assignment, unit_times)
     n_trials = len(arrivals)
     flat = arrivals.reshape(n_trials, -1)
@@ -368,7 +377,7 @@ def _ranked_trials(assignment, supports, unit_times, threshold):
     ranks, ordered = _stable_ranks(flat)
     ranks = ranks.reshape(arrivals.shape)
     release = decoding._release_ranks(
-        assignment, decoding._block_tables(assignment, supports, n_trials), ranks
+        assignment, decoding._block_tables(assignment, n_trials, _per_order_blocks(supports)), ranks
     )
     stop = np.partition(release, threshold - 1, axis=1)[:, threshold - 1]
     completed = stop < np.inf
@@ -595,6 +604,41 @@ class TestMonteCarlo:
         json.dumps(summary, allow_nan=False)
 
 
+def _numpy_percentiles(times, qs):
+    """time_percentiles through np.percentile itself, the reference: the
+    higher element decides infinity, the linear method interpolates the
+    capped times."""
+    capped = np.minimum(times, np.finfo(float).max)
+    return {
+        f"p{p}": math.inf
+        if np.isinf(np.percentile(times, p, method="higher"))
+        else float(np.percentile(capped, p))
+        for p in qs
+    }
+
+
+@pytest.mark.parametrize(
+    "qs", [(5, 25, 50, 75, 95), (5, 40, 50, 60, 75, 100), (0, 2.5, 33.3, 99.9, 100)],
+    ids=["default", "incomplete-test", "fractional"],
+)
+def test_percentiles_are_numpy_linear_percentiles(qs):
+    rng = np.random.default_rng(23)
+    cases = [np.array([2.5]), np.array([np.inf]), np.full(7, 0.3), np.array([1.0, 2.0, 3.0, np.inf, np.inf])]
+    for scale in (1e-300, 1e-9, 1.0, 1e6, 1e300):
+        for n in (1, 2, 3, 10, 101, 1000):
+            times = rng.exponential(scale, n)
+            repeated = rng.choice(times[: max(1, n // 4)], n)
+            incomplete = np.where(rng.random(n) < 0.2, np.inf, times)
+            cases += [times, repeated, incomplete]
+    for times in cases:
+        zeros = np.zeros(len(times), dtype=int)
+        got = MonteCarloResult(len(times), 0, times, zeros, zeros, zeros, np.isfinite(times)).time_percentiles(qs)
+        want = _numpy_percentiles(times, qs)
+        assert list(got) == list(want)
+        assert [type(v) for v in got.values()] == [float] * len(qs)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 class TestTrialStreams:
     """monte_carlo's batched seeding re-derives NumPy's SeedSequence hash and
     lets NumPy seed PCG64 from the hashed words, so both are checked against
@@ -719,19 +763,40 @@ class TestCircularShiftSource:
         return CircularShiftSource.of(k, degrees, **kwargs)
 
     def test_batched_supports_are_build_rcs_draws(self, name, monkeypatch):
+        # A batch's blocks are laid out (d_j, trials, k): trial t's support
+        # is column t, transposed.
         seen = []
 
-        def recording(assignment, supports, unit_times, threshold):
-            seen.append(supports)
-            return _trials(assignment, supports, unit_times, threshold)
+        def recording(assignment, blocks, unit_times, threshold):
+            seen.append(blocks)
+            return _trials(assignment, blocks, unit_times, threshold)
 
         monkeypatch.setattr(simulate, "_trials", recording)
         monte_carlo(self.source(name), 0.15, MODEL, self.TRIALS, seed=1729)
-        assert [len(supports[0]) for supports in seen] == [_CHUNK, _CHUNK, self.TRIALS - 2 * _CHUNK]
-        batched = [np.concatenate(ids) for ids in zip(*seen)]
+        assert [blocks[0].shape[1] for blocks in seen] == [_CHUNK, _CHUNK, self.TRIALS - 2 * _CHUNK]
+        batched = [np.concatenate(ids, axis=1) for ids in zip(*seen)]
         for t in range(self.TRIALS):
             expected = self.build(name, trial_rng(1729, t)).support
-            assert all(np.array_equal(ids[t], want) for ids, want in zip(batched, expected))
+            assert all(np.array_equal(ids[:, t].T, want) for ids, want in zip(batched, expected))
+
+    def test_batch_tables_are_build_rcs_tables(self, name, monkeypatch):
+        # Trial i of a batch owns columns i * k .. (i + 1) * k - 1 of every
+        # order's table, offset by i * k_total; less that offset, they are
+        # the tables of the trial's own build_rcs code.
+        seen, block_tables, k = [], simulate._block_tables, SHIFT_CODES[name][0]
+        monkeypatch.setattr(
+            simulate, "_block_tables",
+            lambda asn, n, blocks=None: seen.append(block_tables(asn, n, blocks)) or seen[-1],
+        )
+        monte_carlo(self.source(name), 0.15, MODEL, self.TRIALS, seed=1729)
+        sizes = [_CHUNK, _CHUNK, self.TRIALS - 2 * _CHUNK]
+        assert [tables[0][1].shape[1] // k for tables in seen] == sizes
+        for start, size, tables in zip(np.cumsum([0] + sizes), sizes, seen):
+            for i in range(size):
+                asn = self.build(name, trial_rng(1729, start + i))
+                for (m, table), (want_m, want) in zip(tables, decoding._block_tables(asn, 1)):
+                    got = table.reshape(len(table), size, k)[:, i] - i * asn.k_total
+                    assert m == want_m and got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_draw_is_numpy_permutation(self, name):
         # A buffered draw shuffles arange(k) in place per group, which is
@@ -866,7 +931,9 @@ def test_small_peel_codes_match_oracle(codes, seed):
             drawn.append(codes[int(rng.integers(2))])
             unit_times.append(_unit_times(model, rng, layout.n_workers))
         supports = tuple(map(np.stack, zip(*(asn.support for asn in drawn))))
-        stacked = _trials(layout, supports, np.array(unit_times), recovery_threshold(layout.k_total, q))
+        stacked = _trials(
+            layout, _per_order_blocks(supports), np.array(unit_times), recovery_threshold(layout.k_total, q)
+        )
         for t in range(trials):
             rng = trial_rng(seed, t)
             expected = _oracle(layout, q, _unit_times(model, rng, layout.n_workers))
@@ -905,7 +972,7 @@ def test_time_keys_match_ranked_oracle(codes, seed, q):
     threshold = recovery_threshold(layout.k_total, q)
     for support in (layout.support, supports):
         _assert_same_trials(
-            _trials(layout, support, unit_times, threshold),
+            _trials(layout, _per_order_blocks(support), unit_times, threshold),
             _ranked_trials(layout, support, unit_times, threshold),
         )
 
@@ -934,7 +1001,7 @@ def test_time_keys_reach_ties_at_the_stop_and_incomplete_trials(source, q, finis
         supports.append((source(rng) if isinstance(source, CircularShiftSource) else source).support)
         unit_times.append(_unit_times(model, rng, layout.n_workers))
     supports, unit_times = tuple(map(np.stack, zip(*supports))), np.array(unit_times)
-    got = _trials(layout, supports, unit_times, threshold)
+    got = _trials(layout, _per_order_blocks(supports), unit_times, threshold)
     _assert_same_trials(got, _ranked_trials(layout, supports, unit_times, threshold))
     _assert_same_trials(got, _run(source, q, model, trials, seed))
     times, completed = got[0], got[4]
@@ -946,15 +1013,20 @@ def test_time_keys_reach_ties_at_the_stop_and_incomplete_trials(source, q, finis
 
 
 def test_shift_supports_equal_the_modular_formula():
-    """Every offset 1..k, in every grid row, with two leading trial axes;
-    offsets outside [1, k] wrap as the formula wraps them."""
-    for k, degrees, rows in [(1, [1], [0]), (5, [1, 2], [0, 1, 0]), (40, [1, 2, 4], [0] * 7)]:
-        rows = np.array(rows, dtype=np.int64)
-        shift = np.arange(k)[:, None] + np.arange(len(rows))
-        offsets = np.stack([shift % k + 1, shift[::-1] - k], axis=1)  # (k, 2, L)
-        grid = rows[:, None] * k + (np.arange(k) + offsets[..., None] - 1) % k
+    """Every shift 0..k-1 in every grid row, gathered for a batch of k codes
+    (blocks, rows first) and for one code at a time (at, whose offsets
+    outside [1, k] wrap as the formula wraps them)."""
+    for k, degrees, z in [(1, [1], None), (5, [1, 2], [1, 2, 1]), (40, [1, 2, 4], None)]:
+        source = CircularShiftSource.of(k, degrees, groups=max(z or [1]), z=z)
+        shifts = (np.arange(k)[:, None] + np.arange(len(source.rows))) % k  # (k codes, L)
+        grid = source.rows[:, None] * k + (np.arange(k) + shifts[..., None]) % k  # (k, L, k)
         ends = np.cumsum(degrees)
-        got = schemes._shift_supports(k, degrees, rows, offsets)
-        for ids, end, d in zip(got, ends, degrees):
-            assert ids.shape == (k, 2, k, d)
-            assert np.array_equal(ids, grid[..., end - d : end, :].swapaxes(-1, -2))
+        for ids, end, d in zip(source.blocks(shifts), ends, degrees):
+            assert ids.shape == (d, k, k)
+            assert np.array_equal(ids, grid[:, end - d : end].transpose(1, 0, 2))
+        for t in range(k):
+            for offsets in (shifts[t] + 1, shifts[t][::-1] - k):
+                want = (np.arange(k) + offsets[:, None] - 1) % k + source.rows[:, None] * k
+                got = source.at(offsets).support
+                for ids, end, d in zip(got, ends, degrees):
+                    assert ids.shape == (k, d) and np.array_equal(ids, want[end - d : end].T)
