@@ -16,6 +16,7 @@ circular-shift code's degrees must follow are stated in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -41,6 +42,8 @@ class CumulativeType:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, numbers.Integral) for c in self.counts):
+            raise ValueError(f"type counts must be integers, got {self.counts}")
         if not self.counts or any(c < 0 for c in self.counts):
             raise ValueError(f"invalid type counts {self.counts}")
 

@@ -118,7 +118,10 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     release key is an arrival key picked by min and max, so a non-decreasing
     map of the keys (ranks to times) maps the release keys alike.  Degree-1
     orders settle before the sweeps, and a code without coded orders
-    (uc-mmc) runs no sweep.
+    (uc-mmc) runs no sweep.  In a sweep each coded order gathers its tasks'
+    keys and computes their offers, and scatters them only if some offer is
+    below the key it would replace; the loop ends after a sweep in which no
+    order scattered, which is the sweep that leaves every key unchanged.
     """
     n_trials, k = keys.shape[0], assignment.k_total
     if assignment.decode != DECODE_PEEL:
@@ -135,22 +138,28 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
             np.minimum.at(release, table[0], keys[:, m].ravel())
         else:
             coded.append((table, table.ravel(), keys[:, m].ravel()))
-    while coded:
-        before = release.copy()
+    moved = bool(coded)
+    while moved:
+        moved = False
         for table, entries, key in coded:
-            np.minimum.at(release, entries, _offers(release[table], key).ravel())
-        if np.array_equal(release, before):
-            break
+            gathered = release[table]
+            offers = _offers(gathered, key)
+            if (offers < gathered).any():
+                np.minimum.at(release, entries, offers.ravel())
+                moved = True
     return release.reshape(n_trials, k)
 
 
-def _recovered(assignment: ComputationAssignment, sent) -> np.ndarray:
+def _recovered(assignment: ComputationAssignment, sent, tables=None) -> np.ndarray:
     """Which blocks each of B sets of sent messages recovers, shape (B, k_total):
     sent[b, m, w] says whether worker w's message m is in set b, and a block
     is recovered when its release key is finite, a sent message having key
-    0 and any other infinity."""
+    0 and any other infinity.  tables are the B sets' :func:`_block_tables`,
+    built here when None."""
     keys = np.where(sent, 0.0, np.inf)
-    return _release_ranks(assignment, _block_tables(assignment, len(keys)), keys) < np.inf
+    if tables is None:
+        tables = _block_tables(assignment, len(keys))
+    return _release_ranks(assignment, tables, keys) < np.inf
 
 
 def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:

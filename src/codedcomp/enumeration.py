@@ -8,31 +8,30 @@ completion-time CDF.  The counting decides one score vector per class
 the code cannot tell apart and weights it by the class size: one sorted
 vector per type for a count rule, one per rotation orbit for a code that
 turning the workers only relabels (the circular-shift codes), and every
-vector otherwise.  The vectors are walked by their flat index, in chunks
-decided by one release-rank call each, and their successes are binned by
-type.
+vector otherwise.  The orbits' smallest vectors come from a necklace walk
+that visits only the prenecklaces; every other vector is walked by its flat
+index.  Either way the vectors come in chunks decided by one release-rank
+call each, and their successes are binned by type.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
-from .decoding import _recovered, recovery_threshold
+from .decoding import _block_tables, _recovered, recovery_threshold
 from .latency import LatencyModel, type_probability
 
 
 # Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
 _MAX_SCORE_VECTORS = 10**7
 # Score vectors decided per release-rank call, so memory stays bounded.  At
-# 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a fifth.
-# A turn-invariant code walks n_workers times as many flat indices per
-# window, but still decides its orbit representatives, which cluster at
-# small indices, at most this many per call: deciding a whole 4,608-index
-# window at once raised the enum-rcs CLI's peak RSS by 1.7 MB.
+# 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a sixth.
+# The necklace walk also extends at most this many prefixes at a time.
 _VECTORS_PER_CALL = 512
 
 
@@ -59,6 +58,9 @@ def score_vectors_of_type(ctype: CumulativeType) -> Iterator[tuple[int, ...]]:
 def all_types(n_workers: int, max_score: int) -> list[CumulativeType]:
     """Every cumulative type for n_workers workers, in descending-score
     lexicographic order (fully finished first)."""
+    for name, value in (("n_workers", n_workers), ("max_score", max_score)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     results: list[CumulativeType] = []
 
     def walk(prefix: list[int], remaining: int, slots: int) -> None:
@@ -72,11 +74,19 @@ def all_types(n_workers: int, max_score: int) -> list[CumulativeType]:
     return results
 
 
+@functools.lru_cache(maxsize=1)
+def _chunk_tables(assignment: ComputationAssignment, rows: int):
+    """The block tables of a chunk of rows score vectors.  The last ones are
+    kept, so every full chunk of a walk reuses one."""
+    return _block_tables(assignment, rows)
+
+
 def _successes(assignment: ComputationAssignment, scores, q: float) -> np.ndarray:
     """Whether the master can stop at each row of a (vectors, n_workers)
     score array, once every worker has sent the messages its score reaches."""
     done = np.array([msg.tasks_done for msg in assignment.messages])[None, :, None]
-    recovered = _recovered(assignment, done <= np.asarray(scores)[:, None, :])
+    sent = done <= np.asarray(scores)[:, None, :]
+    recovered = _recovered(assignment, sent, _chunk_tables(assignment, len(sent)))
     return np.count_nonzero(recovered, axis=1) >= recovery_threshold(assignment.k_total, q)
 
 
@@ -128,22 +138,76 @@ def _symmetry(assignment: ComputationAssignment) -> str:
     return "turns" if _turns_relabel_blocks(assignment) else "none"
 
 
-def _orbit_representatives(start: int, stop: int, base: int, n: int, turns: int):
-    """The flat indices in [start, stop) that are the smallest of their orbit
-    under ``turns`` turns, and each one's orbit size.
+def _necklaces(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The smallest string of every rotation orbit of the base-``base``
+    strings of length n, with its orbit size, in increasing flat-index order:
+    (digits, orbit) chunks of ``_VECTORS_PER_CALL`` rows, the last one
+    shorter.
 
-    A turn moves the leading base-``base`` digit of an n-digit index to the
-    end.  An index drops out at the first turn that makes it smaller, and a
-    kept one's orbit size is ``turns`` over the number of turns that fix it.
+    The walk is the Fredricksen-Kessler-Maiorana algorithm (Ruskey, Savage
+    and Wang, "Generating necklaces", J. Algorithms 1992), one digit at a
+    time over blocks of at most ``_VECTORS_PER_CALL`` prefixes, so it visits
+    only the prenecklaces.  A prefix a of length t and period p extends by
+    the digits a[t - p] to base - 1; it keeps period p for the digit a[t - p]
+    and takes period t + 1 for a larger one.  A string of length n whose
+    period p divides n is the smallest of its orbit, which has p strings.
+    Digits are the smallest signed integers that hold -base (int8 up to
+    base 128); a prefix's row holds n digits, those past its length 0.
     """
-    index = np.arange(start, stop, dtype=np.int64)
-    turned, fixed, top = index, np.ones_like(index), base ** (n - 1)
-    for _ in range(turns - 1):
-        turned = turned % top * base + turned // top
-        kept = turned >= index
-        index, turned, fixed = index[kept], turned[kept], fixed[kept]
-        fixed += turned == index
-    return index, turns // fixed
+    size, dtype = _VECTORS_PER_CALL, np.min_scalar_type(-base)
+    first = np.zeros((base, n), dtype=dtype)
+    first[:, 0] = np.arange(base)
+    # (prefixes, periods, length) blocks still to extend, the next one last.
+    todo = [(first, np.ones(base, dtype=np.int64), 1)]
+    ready: list[tuple[np.ndarray, np.ndarray]] = []
+    buffered = 0
+    while todo:
+        prefix, period, t = todo.pop()
+        if t == n:
+            kept = n % period == 0
+            ready.append((prefix[kept], period[kept]))
+            buffered += len(ready[-1][1])
+            if buffered >= size:
+                digits, orbit = (np.concatenate(parts) for parts in zip(*ready))
+                cut = buffered // size * size
+                for at in range(0, cut, size):
+                    yield digits[at : at + size], orbit[at : at + size]
+                ready, buffered = [(digits[cut:], orbit[cut:])], buffered - cut
+            continue
+        if len(prefix) > size:
+            todo.extend(
+                (prefix[at : at + size], period[at : at + size], t)
+                for at in range((len(prefix) - 1) // size * size, -1, -size)
+            )
+            continue
+        ref = prefix.ravel()[np.arange(0, prefix.size, n) + t - period]
+        width = base - ref.astype(np.int64)
+        child = prefix.repeat(width, axis=0)
+        # Each prefix's new digits count up from its ref to base - 1: a
+        # running sum of ones, which drops from base - 1 to the next ref
+        # where the next prefix's children start.
+        starts = np.cumsum(width) - width
+        step = np.ones(len(child), dtype=dtype)
+        step[starts] = ref - (base - 1)
+        step[0] = ref[0]
+        child[:, t] = np.cumsum(step, dtype=dtype)
+        grown = np.full(len(child), t + 1, dtype=np.int64)
+        grown[starts] = period
+        todo.append((child, grown, t + 1))
+    if buffered:
+        digits, orbit = (np.concatenate(parts) for parts in zip(*ready))
+        yield digits, orbit
+
+
+def _flat_vectors(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every base-``base`` string of length n, worker 0 the leading digit, in
+    flat-index order: (digits, orbit) chunks of ``_VECTORS_PER_CALL`` rows,
+    each orbit 1."""
+    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    count = base**n
+    for start in range(0, count, _VECTORS_PER_CALL):
+        index = np.arange(start, min(start + _VECTORS_PER_CALL, count), dtype=np.int64)
+        yield index[:, None] // weights % base, np.ones(len(index), dtype=np.int64)
 
 
 def success_table(
@@ -152,16 +216,14 @@ def success_table(
     """(type, successful vectors, total vectors) for every cumulative type.
 
     A count rule decides one sorted vector per type and records all of the
-    type's vectors or none.  Any other code walks the flat index of all
-    (max_score + 1) ** n_workers score vectors, worker 0 the leading
-    base-(max_score + 1) digit, in windows of n_turns * ``_VECTORS_PER_CALL``
-    indices, n_turns being n_workers for a code that turning the workers
-    only relabels (``_symmetry``) and 1 otherwise.  Each window's orbit
-    representatives (``_orbit_representatives``) are decided at most
-    ``_VECTORS_PER_CALL`` per release-rank call, and their orbit sizes are
-    binned by type in exact integers.  A vector's type key is its scores
-    sorted in descending order and read as digits; ``all_types`` lists the
-    types in strictly decreasing key order.
+    type's vectors or none.  A code that turning the workers only relabels
+    (``_symmetry``) decides the smallest vector of each rotation orbit, worker
+    0 the leading base-(max_score + 1) digit, as ``_necklaces`` walks them,
+    and any other code decides every vector in flat-index order.  Vectors are
+    decided at most ``_VECTORS_PER_CALL`` per release-rank call, and their
+    orbit sizes are binned by type in exact integers.  A vector's type key is
+    its scores sorted in descending order and read as digits; ``all_types``
+    lists the types in strictly decreasing key order.
 
     Raises:
         ValueError: if the (max_score + 1) ** n_workers score vectors are
@@ -186,23 +248,17 @@ def success_table(
             for at in range(0, len(types), _VECTORS_PER_CALL)
         ])
         return [(ctype, total if good else 0, total) for ctype, good, total in zip(types, ok, totals)]
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = sorted_scores @ weights
-    # The sorted scores' key without a sort: every level l >= 1 adds the
-    # first C[l] weights, C[l] being the workers at score >= l.
-    leading = np.concatenate(([0], np.cumsum(weights)))
-    levels = np.arange(1, base)
-    turns = n if symmetry == "turns" else 1
-    window = turns * _VECTORS_PER_CALL
+    # A type's key weights its descending scores by base ** (n - 1), ...,
+    # 1, so a vector's ascending sorted scores take the weights 1, ..., base
+    # ** (n - 1).
+    weights = base ** np.arange(n, dtype=np.int64)
+    keys = sorted_scores @ weights[::-1]
+    walk = _necklaces if symmetry == "turns" else _flat_vectors
     good = np.zeros(len(types), dtype=np.int64)
-    for start in range(0, count, window):
-        reps, orbit = _orbit_representatives(start, min(start + window, count), base, n, turns)
-        for at in range(0, len(reps), _VECTORS_PER_CALL):
-            scores = reps[at : at + _VECTORS_PER_CALL, None] // weights % base
-            at_least = np.count_nonzero(scores[:, :, None] >= levels, axis=1)
-            rows = np.searchsorted(-keys, -leading[at_least].sum(axis=1))
-            ok = _successes(assignment, scores, q)
-            np.add.at(good, rows[ok], orbit[at : at + _VECTORS_PER_CALL][ok])
+    for scores, orbit in walk(base, n):
+        rows = np.searchsorted(-keys, -(np.sort(scores, axis=1) @ weights))
+        ok = _successes(assignment, scores, q)
+        np.add.at(good, rows[ok], orbit[ok])
     return [(ctype, int(g), total) for ctype, g, total in zip(types, good, totals)]
 
 

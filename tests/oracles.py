@@ -1,8 +1,11 @@
-"""Property checks the tests assert on drawn codes; not collected as tests.
+"""Property checks and reference walks the tests compare the library
+against; not collected as tests.
 
 A circular-shift code draws its shifts without replacement, so every block
 appears equally often in each order and no worker holds a block twice.
 These checks state those properties directly on the task arrays.
+``orbit_representatives`` finds the rotation-orbit representatives that
+``enumeration._necklaces`` walks by filtering every flat index.
 """
 
 import numpy as np
@@ -31,3 +34,21 @@ def worker_uniform(assignment) -> bool:
     """Check that no worker is ever assigned the same block twice."""
     held = np.sort(np.concatenate(assignment.support, axis=1), axis=1)
     return not np.any(held[:, 1:] == held[:, :-1])
+
+
+def orbit_representatives(start: int, stop: int, base: int, n: int, turns: int):
+    """The flat indices in [start, stop) that are the smallest of their orbit
+    under ``turns`` turns, and each one's orbit size.
+
+    A turn moves the leading base-``base`` digit of an n-digit index to the
+    end.  An index drops out at the first turn that makes it smaller, and a
+    kept one's orbit size is ``turns`` over the number of turns that fix it.
+    """
+    index = np.arange(start, stop, dtype=np.int64)
+    turned, fixed, top = index, np.ones_like(index), base ** (n - 1)
+    for _ in range(turns - 1):
+        turned = turned % top * base + turned // top
+        kept = turned >= index
+        index, turned, fixed = index[kept], turned[kept], fixed[kept]
+        fixed += turned == index
+    return index, turns // fixed

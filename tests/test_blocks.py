@@ -57,6 +57,12 @@ class TestTypeOf:
         with pytest.raises(ValueError, match="invalid type counts"):
             CumulativeType(())
 
+    def test_non_integral_counts(self):
+        # 1.5 workers at one score has no multinomial count.
+        with pytest.raises(ValueError, match=r"type counts must be integers, got \(1.5, 2\)"):
+            CumulativeType((1.5, 2))
+        assert CumulativeType((np.int64(1), 2)).worker_count == 3
+
     def test_label(self):
         assert CumulativeType((0, 2, 1)).label() == "(0,2,1)"
 

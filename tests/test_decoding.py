@@ -342,6 +342,90 @@ def test_offers_are_the_key_against_the_other_rows(values, data):
     assert np.array_equal(values, given_values) and np.array_equal(key, given_key)
 
 
+def copy_and_compare_release(assignment, tables, keys):
+    """The release keys by sweeps that each copy the keys and stop once a
+    sweep leaves them equal: the fixed point ``_release_ranks`` reaches."""
+    release = np.full(keys.shape[0] * assignment.k_total, np.inf)
+    coded = []
+    for m, table in tables:
+        if len(table) == 1:
+            np.minimum.at(release, table[0], keys[:, m].ravel())
+        else:
+            coded.append((table, keys[:, m].ravel()))
+    while coded:
+        before = release.copy()
+        for table, key in coded:
+            np.minimum.at(release, table.ravel(), decoding._offers(release[table], key).ravel())
+        if np.array_equal(release, before):
+            break
+    return release.reshape(keys.shape[0], assignment.k_total)
+
+
+@st.composite
+def peel_codes(draw):
+    """Peel codes of one to three workers over one to six blocks, with one to
+    four orders of any degree, grouped into messages at random."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    degrees = draw(st.lists(st.integers(1, k), min_size=1, max_size=4))
+    support = tuple(
+        np.array([draw(st.permutations(range(k)))[:d] for _ in range(n)]) for d in degrees
+    )
+    carrier = draw(st.lists(st.integers(0, len(degrees) - 1), min_size=len(degrees), max_size=len(degrees)))
+    groups = [tuple(j for j in range(len(degrees)) if carrier[j] == m) for m in sorted(set(carrier))]
+    return ComputationAssignment(
+        n_workers=n,
+        k_total=k,
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
+        messages=tuple(Message(i + 1, orders) for i, orders in enumerate(groups)),
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(peel_codes(), st.integers(1, 4), st.booleans(), st.data())
+def test_release_keys_equal_the_copy_and_compare_loop(asn, trials, sent_only, data):
+    # Arrival times with ties and infinity, or 0 for sent and infinity for
+    # unsent as enumeration keys them.
+    elements = st.sampled_from([0.0, np.inf] if sent_only else [0.0, 0.5, 1.0, 2.5, np.inf])
+    keys = data.draw(arrays(np.float64, (trials, len(asn.messages), asn.n_workers), elements=elements))
+    tables = _block_tables(asn, trials)
+    assert np.array_equal(_release_ranks(asn, tables, keys), copy_and_compare_release(asn, tables, keys))
+
+
+class _MinimumSpy:
+    """np.minimum.at, each scatter's size recorded."""
+
+    def __init__(self):
+        self.scatters = []
+
+    def at(self, target, index, values):
+        self.scatters.append(len(np.ravel(index)))
+        np.minimum.at(target, index, values)
+
+
+@pytest.mark.parametrize("coded_key, scatters, release", [(5.0, [1, 1], [0.0, 2.0]), (1.0, [1, 1, 2], [0.0, 1.0])])
+def test_orders_that_cannot_improve_issue_no_scatter(coded_key, scatters, release, monkeypatch):
+    # Blocks 0 and 1 arrive alone at keys 0 and 2, each settling before the
+    # sweeps with one scatter.  The task {0, 1} offers max(its key, the
+    # other block's key) to each block: at key 5 no offer improves, so it
+    # never scatters; at key 1 it lowers block 1 to 1, and the next sweep,
+    # whose offers no longer improve, ends the loop without a scatter.
+    asn = one_worker_code(2, [CodedTask.of_blocks([0]), CodedTask.of_blocks([1]), CodedTask.of_blocks([0, 1])])
+    spy = _MinimumSpy()
+
+    class SpiedNumpy:
+        minimum = spy
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(decoding, "np", SpiedNumpy())
+    keys = np.array([[[0.0], [2.0], [coded_key]]])
+    got = _release_ranks(asn, _block_tables(asn, 1), keys)
+    assert spy.scatters == scatters
+    assert got.tolist() == [release]
+
+
 def test_decode_state_is_for_count_rules_only():
     with pytest.raises(ValueError, match="PeelingDecoder"):
         make_decode_state(build_uc_mmc(4, 2))

@@ -32,6 +32,7 @@ from codedcomp.enumeration import (
     total_vectors,
 )
 from codedcomp.schemes import circular_shift_violations
+from oracles import orbit_representatives
 
 # q = 0: full recovery required
 TABLE_Q0 = {
@@ -176,6 +177,13 @@ class TestHelpers:
         assert labels[-1] == (0, 0, 4)
         assert len(set(labels)) == 15
 
+    def test_all_types_rejects_negative_arguments(self):
+        with pytest.raises(ValueError, match="max_score must be non-negative, got -1"):
+            all_types(3, -1)
+        with pytest.raises(ValueError, match="n_workers must be non-negative, got -2"):
+            all_types(-2, 2)
+        assert all_types(0, 2) == [CumulativeType((0, 0, 0))]
+
 
 class TestKnownVectors:
     def test_uc_mmc_success_examples(self):
@@ -284,6 +292,34 @@ class TestTables:
         keys = [type_key(ctype) for ctype in all_types(workers, max_score)]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         assert keys[0] == (max_score + 1) ** workers - 1 and keys[-1] == 0
+
+
+class TestNecklaces:
+    @staticmethod
+    def walk(base, n):
+        chunks = list(enumeration._necklaces(base, n))
+        return chunks, np.concatenate([d for d, _ in chunks]), np.concatenate([o for _, o in chunks])
+
+    # Digit 129 does not fit in int8, so base 130's rows widen to int16.
+    @pytest.mark.parametrize("base, n", [(2, 1), (2, 12), (3, 9), (4, 6), (5, 5), (130, 2)])
+    def test_necklaces_are_the_orbit_representatives(self, base, n):
+        chunks, digits, orbit = self.walk(base, n)
+        index, size = orbit_representatives(0, base**n, base, n, n)
+        assert digits.dtype == (np.int8 if base <= 128 else np.int16)
+        assert np.array_equal(digits, index[:, None] // base ** np.arange(n - 1, -1, -1) % base)
+        assert np.array_equal(orbit, size)
+        assert orbit.sum() == base**n
+        sizes = [len(d) for d, _ in chunks]
+        assert sizes[:-1] == [enumeration._VECTORS_PER_CALL] * (len(chunks) - 1)
+        assert 0 < sizes[-1] <= enumeration._VECTORS_PER_CALL
+
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_chunk_size_only_regroups(self, size, monkeypatch):
+        _, digits, orbit = self.walk(3, 7)
+        monkeypatch.setattr(enumeration, "_VECTORS_PER_CALL", size)
+        chunks, regrouped, regrouped_orbit = self.walk(3, 7)
+        assert all(len(d) == size for d, _ in chunks[:-1])
+        assert np.array_equal(regrouped, digits) and np.array_equal(regrouped_orbit, orbit)
 
 
 class TestSymmetry:
