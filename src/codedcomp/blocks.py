@@ -42,7 +42,8 @@ class CumulativeType:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, numbers.Integral) for c in self.counts):
+        # type(c) is int first: the ABC check costs most of a type's build.
+        if not all(type(c) is int or isinstance(c, numbers.Integral) for c in self.counts):
             raise ValueError(f"type counts must be integers, got {self.counts}")
         if not self.counts or any(c < 0 for c in self.counts):
             raise ValueError(f"invalid type counts {self.counts}")

@@ -12,6 +12,13 @@ vector otherwise.  The orbits' smallest vectors come from a necklace walk
 that visits only the prenecklaces; every other vector is walked by its flat
 index.  Either way the vectors come in chunks decided by one release-rank
 call each, and their successes are binned by type.
+
+The types of each (n_workers, max_score) come from one cached table (the
+last eight keys are kept): a counts matrix grown one score level at a time
+by array operations, without recursion, so its depth does not grow with
+max_score.  ``all_types``, ``success_table`` and ``completion_cdf`` read
+it, and the latter folds every successful type's probability over an
+array of times at once.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
 from .decoding import _block_tables, _recovered, recovery_threshold
-from .latency import LatencyModel, type_probability
+from .latency import LatencyModel, prob_exactly
 
 
 # Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
@@ -55,29 +62,89 @@ def score_vectors_of_type(ctype: CumulativeType) -> Iterator[tuple[int, ...]]:
     yield from multiset_permutations(scores)
 
 
+class _TypeTable:
+    """Every cumulative type of n_workers workers with scores 0..max_score,
+    in ``all_types`` order: the counts matrix (types x score levels, the
+    highest score first) in the smallest unsigned dtype that holds
+    n_workers.  The other parts are derived from it on first use, since
+    only ``success_table`` reads them: the ``CumulativeType`` objects, the
+    exact totals as Python ints, and each type's scores in descending order
+    with its key, those scores read as base-(max_score + 1) digits.  The
+    keys fit in int64 only under the enumeration limit.  Arrays are
+    read-only, because one table serves every caller.
+
+    The counts grow one score level at a time, without recursion.  Each
+    prefix of levels with k workers left places k, k - 1, ..., 0 of them at
+    the next level (the lowest level takes all k), and a prefix that leaves
+    k workers to m more levels heads comb(k + m - 1, m - 1) types, so each
+    level's column is its prefixes' counts repeated that many times.
+    """
+
+    def __init__(self, n_workers: int, max_score: int) -> None:
+        for name, value in (("n_workers", n_workers), ("max_score", max_score)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        rows = math.comb(n_workers + max_score, max_score)
+        columns = np.empty((max_score + 1, rows), dtype=np.min_scalar_type(n_workers))
+        left = np.array([n_workers])
+        for level in range(max_score + 1):
+            more = max_score - level
+            if more:
+                width = left + 1
+                placed = np.repeat(left, width)
+                left = np.arange(len(placed)) - np.repeat(np.cumsum(width) - width, width)
+                placed -= left
+            else:
+                placed, left = left, np.zeros_like(left)
+            heads = [math.comb(k + more - 1, more - 1) if more else 1 for k in range(n_workers + 1)]
+            columns[level] = np.repeat(placed, np.array(heads)[left])
+        self.n_workers, self.max_score = n_workers, max_score
+        self.counts = columns.T
+        self.counts.flags.writeable = False
+
+    @functools.cached_property
+    def types(self) -> tuple[CumulativeType, ...]:
+        # A block of rows at a time, so no Python list of every row is held.
+        blocks = (self.counts[at : at + 4096].tolist() for at in range(0, len(self.counts), 4096))
+        return tuple(CumulativeType(tuple(row)) for block in blocks for row in block)
+
+    @functools.cached_property
+    def totals(self) -> tuple[int, ...]:
+        return tuple(total_vectors(ctype) for ctype in self.types)
+
+    @functools.cached_property
+    def scores(self) -> np.ndarray:
+        levels = np.arange(self.max_score, -1, -1, dtype=np.min_scalar_type(self.max_score))
+        scores = np.repeat(np.tile(levels, len(self.counts)), self.counts.ravel())
+        scores = scores.reshape(len(self.counts), self.n_workers)
+        scores.flags.writeable = False
+        return scores
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        base = self.max_score + 1
+        keys = self.scores @ base ** np.arange(self.n_workers - 1, -1, -1, dtype=np.int64)
+        keys.flags.writeable = False
+        return keys
+
+
+@functools.lru_cache(maxsize=8)
+def _type_table(n_workers: int, max_score: int) -> _TypeTable:
+    """The type table of (n_workers, max_score), built once per key."""
+    return _TypeTable(n_workers, max_score)
+
+
 def all_types(n_workers: int, max_score: int) -> list[CumulativeType]:
     """Every cumulative type for n_workers workers, in descending-score
     lexicographic order (fully finished first)."""
-    for name, value in (("n_workers", n_workers), ("max_score", max_score)):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-    results: list[CumulativeType] = []
-
-    def walk(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            results.append(CumulativeType(tuple(prefix + [remaining])))
-            return
-        for c in range(remaining, -1, -1):
-            walk(prefix + [c], remaining - c, slots - 1)
-
-    walk([], n_workers, max_score + 1)
-    return results
+    return list(_type_table(n_workers, max_score).types)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _chunk_tables(assignment: ComputationAssignment, rows: int):
-    """The block tables of a chunk of rows score vectors.  The last ones are
-    kept, so every full chunk of a walk reuses one."""
+    """The block tables of a chunk of rows score vectors.  The last two are
+    kept, so a walk's full chunks and its shorter last chunk each reuse
+    one, also from one call to the next on the same code."""
     return _block_tables(assignment, rows)
 
 
@@ -236,15 +303,12 @@ def success_table(
             f"enumeration needs {count} score vectors "
             f"({base}^{n}), above the limit of {_MAX_SCORE_VECTORS}"
         )
-    types = all_types(n, assignment.max_score)
-    totals = [total_vectors(ctype) for ctype in types]
-    # Each type's scores in descending order: the one vector a count rule
-    # decides, and the digits of the type's key.
-    sorted_scores = np.array([np.repeat(np.arange(base - 1, -1, -1), t.counts) for t in types])
+    table = _type_table(n, assignment.max_score)
+    types, totals = table.types, table.totals
     symmetry = _symmetry(assignment)
     if symmetry == "types":
         ok = np.concatenate([
-            _successes(assignment, sorted_scores[at : at + _VECTORS_PER_CALL], q)
+            _successes(assignment, table.scores[at : at + _VECTORS_PER_CALL], q)
             for at in range(0, len(types), _VECTORS_PER_CALL)
         ])
         return [(ctype, total if good else 0, total) for ctype, good, total in zip(types, ok, totals)]
@@ -252,11 +316,11 @@ def success_table(
     # 1, so a vector's ascending sorted scores take the weights 1, ..., base
     # ** (n - 1).
     weights = base ** np.arange(n, dtype=np.int64)
-    keys = sorted_scores @ weights[::-1]
+    descending = -table.keys
     walk = _necklaces if symmetry == "turns" else _flat_vectors
     good = np.zeros(len(types), dtype=np.int64)
     for scores, orbit in walk(base, n):
-        rows = np.searchsorted(-keys, -(np.sort(scores, axis=1) @ weights))
+        rows = np.searchsorted(descending, -(np.sort(scores, axis=1) @ weights))
         ok = _successes(assignment, scores, q)
         np.add.at(good, rows[ok], orbit[ok])
     return [(ctype, int(g), total) for ctype, g, total in zip(types, good, totals)]
@@ -274,14 +338,29 @@ def completion_cdf(
     times the probability of one specific vector of that type.  For an array
     of times the table is counted once, and each entry of the returned array
     equals the call at that one time.
+
+    The result has the bits of summing good * ``type_probability`` over the
+    successful types in table order: P(score = s at t) and its powers are
+    Python floats from ``prob_exactly`` and ``**``, as there, and only the
+    products over score levels (lowest score first) and the sum over types
+    (in order, from 0.0) run on arrays of types x times.  A level no worker
+    of a type reached contributes p ** 0 == 1.0, as if skipped.
     """
-    table = [(ctype, good) for ctype, good, _ in success_table(assignment, q) if good]
-    cost = assignment.task_cost
-
-    def at(time):
-        return sum((good * type_probability(c, time, model, cost) for c, good in table), 0.0)
-
-    if np.ndim(t) == 0:
-        return at(t)
+    good = np.array([g for _, g, _ in success_table(assignment, q)])
+    hit = np.flatnonzero(good)
+    top, cost = assignment.max_score, assignment.task_cost
+    counts = _type_table(assignment.n_workers, top).counts[hit]
     times = np.asarray(t, dtype=float)
-    return np.reshape([at(time) for time in times.ravel().tolist()], times.shape)
+    flat = times.ravel().tolist()
+    prob = np.ones((len(hit), len(flat)))
+    for s in range(top + 1):
+        p = [prob_exactly(s, time, model, cost, max_tasks=top) for time in flat]
+        powers = np.array([[x**c for x in p] for c in range(assignment.n_workers + 1)])
+        prob *= powers[counts[:, top - s]]
+    total = np.zeros(len(flat))
+    # Row by row, as Python's sum adds: NumPy sums a (types, 1) array pairwise.
+    for row in good[hit].astype(float)[:, None] * prob:
+        total += row
+    if np.ndim(t) == 0:
+        return float(total[0])
+    return total.reshape(times.shape)

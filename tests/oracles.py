@@ -6,7 +6,11 @@ appears equally often in each order and no worker holds a block twice.
 These checks state those properties directly on the task arrays.
 ``orbit_representatives`` finds the rotation-orbit representatives that
 ``enumeration._necklaces`` walks by filtering every flat index.
+``type_walk`` lists the cumulative types by the recursive walk that the
+enumeration's type table replaced.
 """
+
+import math
 
 import numpy as np
 
@@ -52,3 +56,26 @@ def orbit_representatives(start: int, stop: int, base: int, n: int, turns: int):
         index, turned, fixed = index[kept], turned[kept], fixed[kept]
         fixed += turned == index
     return index, turns // fixed
+
+
+def type_walk(n_workers: int, max_score: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every cumulative type's counts (highest score first) and its number of
+    score vectors, in descending-score lexicographic order: a recursive walk
+    that places n_workers, n_workers - 1, ..., 0 workers at the top score
+    and walks the rest over the lower scores.  The total is a product of
+    binomials, one per score level."""
+    results = []
+
+    def walk(prefix, remaining, slots):
+        if slots == 1:
+            counts = tuple(prefix + [remaining])
+            total, left = 1, n_workers
+            for c in counts:
+                total, left = total * math.comb(left, c), left - c
+            results.append((counts, total))
+            return
+        for c in range(remaining, -1, -1):
+            walk(prefix + [c], remaining - c, slots - 1)
+
+    walk([], n_workers, max_score + 1)
+    return results

@@ -5,6 +5,9 @@ assignment styles at tolerance 0 and 0.25.  Keys are cumulative types
 (workers at score 2, 1, 0); values are successful score-vector counts.
 """
 
+import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +27,7 @@ from codedcomp import (
     hybrid_example,
     success_table,
     successful_score_vector,
+    type_probability,
 )
 from codedcomp import enumeration
 from codedcomp.enumeration import (
@@ -32,7 +36,7 @@ from codedcomp.enumeration import (
     total_vectors,
 )
 from codedcomp.schemes import circular_shift_violations
-from oracles import orbit_representatives
+from oracles import orbit_representatives, type_walk
 
 # q = 0: full recovery required
 TABLE_Q0 = {
@@ -142,6 +146,11 @@ def shift_codes(draw):
     return build_rcs(k, degrees, rng, offsets=offsets, groups=groups, z=z)
 
 
+def enum_rcs():
+    """The enum-rcs benchmark code: 3**9 score vectors in 55 types."""
+    return build_rcs(9, [1, 2], offsets=[1, 3, 5])
+
+
 def type_key(ctype):
     """The type's scores in descending order, read as base-(max_score + 1) digits."""
     key = 0
@@ -183,6 +192,76 @@ class TestHelpers:
         with pytest.raises(ValueError, match="n_workers must be non-negative, got -2"):
             all_types(-2, 2)
         assert all_types(0, 2) == [CumulativeType((0, 0, 0))]
+
+
+class TestTypeTable:
+    def test_matches_the_recursive_walk(self):
+        for workers in range(11):
+            for max_score in range(5):
+                expected = type_walk(workers, max_score)
+                table = enumeration._type_table(workers, max_score)
+                assert [t.counts for t in all_types(workers, max_score)] == [c for c, _ in expected]
+                assert table.counts.tolist() == [list(c) for c, _ in expected]
+                assert table.totals == tuple(total for _, total in expected)
+                assert table.counts.dtype == np.uint8
+                assert table.scores.tolist() == [
+                    [s for s in range(max_score, -1, -1) for _ in range(c[max_score - s])]
+                    for c, _ in expected
+                ]
+                assert table.keys.tolist() == [type_key(CumulativeType(c)) for c, _ in expected]
+
+    def test_counts_take_the_smallest_dtype(self):
+        table = enumeration._type_table(300, 1)
+        assert table.counts.dtype == np.uint16
+        assert table.counts.tolist() == [[c, 300 - c] for c in range(300, -1, -1)]
+
+    def test_all_types_needs_no_recursion(self):
+        # A recursive walk needs one frame per score level: 151 here.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            types = all_types(2, 150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(types) == math.comb(152, 2)
+        assert types[0].counts == (2,) + (0,) * 150 and types[-1].counts == (0,) * 150 + (2,)
+
+    def test_returned_lists_are_fresh(self):
+        first = all_types(4, 2)
+        expected = list(first)
+        first.reverse()
+        first.append(CumulativeType((9, 9, 9)))
+        assert all_types(4, 2) == expected
+        with pytest.raises(ValueError):
+            enumeration._type_table(4, 2).counts[0, 0] = 1
+
+    def test_interleaved_codes_equal_uncached_runs(self):
+        codes = [enum_rcs(), build_uc_mmc(9, 2), build_mcc(9, 5)]
+        assert {(asn.n_workers, asn.max_score) for asn in codes} == {(9, 2)}
+        expected = []
+        for asn in codes:
+            enumeration._type_table.cache_clear()
+            enumeration._chunk_tables.cache_clear()
+            expected.append([success_table(asn, q) for q in (0.0, 0.25)])
+        for _ in range(2):
+            for asn, tables in zip(codes, expected):
+                assert [success_table(asn, q) for q in (0.0, 0.25)] == tables
+        for tables in expected:
+            for table in tables:
+                for ctype, good, total in table:
+                    assert type(good) is int and type(total) is int
+                    assert all(type(c) is int for c in ctype.counts)
+                json.dumps([(ctype.counts, good, total) for ctype, good, total in table if good])
+
+    def test_repeated_call_builds_no_chunk_tables(self):
+        asn = enum_rcs()
+        success_table(asn, 0.0)
+        misses = enumeration._chunk_tables.cache_info().misses
+        success_table(asn, 0.0)
+        assert enumeration._chunk_tables.cache_info().misses == misses
 
 
 class TestKnownVectors:
@@ -404,6 +483,35 @@ class TestCompletionCdf:
         assert values.shape == grid.shape
         assert values.tolist() == scalars
         assert completion_cdf(asn, 0.25, grid.reshape(41, 1), self.MODEL).shape == (41, 1)
+
+    @staticmethod
+    def type_sum(asn, q, t, model):
+        """Sum of good * type_probability over the successful types, in table order."""
+        table = [(ctype, good) for ctype, good, _ in success_table(asn, q) if good]
+        return sum((good * type_probability(c, t, model, asn.task_cost) for c, good in table), 0.0)
+
+    @pytest.mark.parametrize("source, name", [
+        ("builders", "mcc"), ("builders", "uc-mmc"), ("builders", "hybrid"),
+        ("small", "rcs-communication"), ("small", "gc"), ("enum-rcs", None),
+    ])
+    def test_bits_of_the_type_probability_sum(self, source, name):
+        asn = enum_rcs() if source == "enum-rcs" else code(source, name)
+        alpha = self.MODEL.alpha
+        grid = [0.0, 0.5 * alpha, alpha, *np.linspace(0.011, 1.5, 40).tolist(), 50.0, 1e3, np.inf]
+        for q in (0.0, 0.25):
+            expected = [self.type_sum(asn, q, t, self.MODEL) for t in grid]
+            assert expected[0] == 0.0 and expected[-1] == 1.0
+            assert completion_cdf(asn, q, np.array(grid), self.MODEL).tolist() == expected
+            assert [completion_cdf(asn, q, t, self.MODEL) for t in grid] == expected
+
+    def test_unreached_levels_count_as_one(self):
+        # At q = 1 every vector succeeds.  Below alpha every worker is at
+        # score 0, and at infinity every worker is at the top score, so
+        # one type has probability 1 and its empty levels, of probability
+        # 0, must contribute p ** 0 == 1: not NaN, and no RuntimeWarning.
+        for asn in (*builders().values(), enum_rcs()):
+            values = completion_cdf(asn, 1.0, np.array([0.0, 0.5 * self.MODEL.alpha, np.inf]), self.MODEL)
+            assert values.tolist() == [1.0, 1.0, 1.0]
 
     def test_matches_monte_carlo(self):
         from codedcomp import monte_carlo
