@@ -13,12 +13,12 @@ that visits only the prenecklaces; every other vector is walked by its flat
 index.  Either way the vectors come in chunks decided by one release-rank
 call each, and their successes are binned by type.
 
-The types of each (n_workers, max_score) come from one cached table (the
-last eight keys are kept): a counts matrix grown one score level at a time
-by array operations, without recursion, so its depth does not grow with
-max_score.  ``all_types``, ``success_table`` and ``completion_cdf`` read
-it, and the latter folds every successful type's probability over an
-array of times at once.
+The types of each (n_workers, max_score) come from one cached table (only
+the last key's is kept, so a large table is freed by the next key's): a
+counts matrix grown one score level at a time by array operations, without
+recursion, so its depth does not grow with max_score.  ``all_types``,
+``success_table`` and ``completion_cdf`` read it, and the latter folds
+every successful type's probability over blocks of times at once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ _MAX_SCORE_VECTORS = 10**7
 # 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a sixth.
 # The necklace walk also extends at most this many prefixes at a time.
 _VECTORS_PER_CALL = 512
+# Most (type, time) cells completion_cdf holds in one array (8 MB of
+# floats); a longer time grid is taken in blocks of times.
+_CDF_CELLS = 2**20
 
 
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -128,9 +131,10 @@ class _TypeTable:
         return keys
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _type_table(n_workers: int, max_score: int) -> _TypeTable:
-    """The type table of (n_workers, max_score), built once per key."""
+    """The type table of (n_workers, max_score), built once per key.  Only
+    the last key's is kept, so a large table goes with the next key's call."""
     return _TypeTable(n_workers, max_score)
 
 
@@ -343,24 +347,32 @@ def completion_cdf(
     successful types in table order: P(score = s at t) and its powers are
     Python floats from ``prob_exactly`` and ``**``, as there, and only the
     products over score levels (lowest score first) and the sum over types
-    (in order, from 0.0) run on arrays of types x times.  A level no worker
+    (in order, from 0.0) run on arrays of types x times, a block of times
+    at a time so an array holds at most ``_CDF_CELLS``.  A level no worker
     of a type reached contributes p ** 0 == 1.0, as if skipped.
     """
     good = np.array([g for _, g, _ in success_table(assignment, q)])
     hit = np.flatnonzero(good)
     top, cost = assignment.max_score, assignment.task_cost
     counts = _type_table(assignment.n_workers, top).counts[hit]
+    weights = good[hit].astype(float)[:, None]
     times = np.asarray(t, dtype=float)
     flat = times.ravel().tolist()
-    prob = np.ones((len(hit), len(flat)))
-    for s in range(top + 1):
-        p = [prob_exactly(s, time, model, cost, max_tasks=top) for time in flat]
-        powers = np.array([[x**c for x in p] for c in range(assignment.n_workers + 1)])
-        prob *= powers[counts[:, top - s]]
     total = np.zeros(len(flat))
-    # Row by row, as Python's sum adds: NumPy sums a (types, 1) array pairwise.
-    for row in good[hit].astype(float)[:, None] * prob:
-        total += row
+    # Each time's column is computed alone, so blocks of times change no bits.
+    size = max(1, _CDF_CELLS // max(len(hit), 1))
+    for at in range(0, len(flat), size):
+        block = flat[at : at + size]
+        prob = np.ones((len(hit), len(block)))
+        for s in range(top + 1):
+            p = [prob_exactly(s, time, model, cost, max_tasks=top) for time in block]
+            powers = np.array([[x**c for x in p] for c in range(assignment.n_workers + 1)])
+            prob *= powers[counts[:, top - s]]
+        prob *= weights
+        # Row by row, as Python's sum adds: NumPy sums a (types, 1) array pairwise.
+        part = total[at : at + size]
+        for row in prob:
+            part += row
     if np.ndim(t) == 0:
         return float(total[0])
     return total.reshape(times.shape)

@@ -8,6 +8,7 @@ assignment styles at tolerance 0 and 0.25.  Keys are cumulative types
 import json
 import math
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,14 @@ class TestTypeTable:
                     assert all(type(c) is int for c in ctype.counts)
                 json.dumps([(ctype.counts, good, total) for ctype, good, total in table if good])
 
+    def test_a_table_goes_with_the_next_key(self):
+        assert [t.counts for t in all_types(10, 4)] == [c for c, _ in type_walk(10, 4)]
+        large = weakref.ref(enumeration._type_table(10, 4))
+        assert large().types and large().totals
+        all_types(2, 2)
+        assert large() is None
+        assert enumeration._type_table.cache_info().currsize == 1
+
     def test_repeated_call_builds_no_chunk_tables(self):
         asn = enum_rcs()
         success_table(asn, 0.0)
@@ -503,6 +512,16 @@ class TestCompletionCdf:
             assert expected[0] == 0.0 and expected[-1] == 1.0
             assert completion_cdf(asn, q, np.array(grid), self.MODEL).tolist() == expected
             assert [completion_cdf(asn, q, t, self.MODEL) for t in grid] == expected
+
+    @pytest.mark.parametrize("cells", [1, 100])
+    def test_time_blocks_change_no_bits(self, cells, monkeypatch):
+        # The enum-rcs code has dozens of successful types, so 100 cells
+        # hold a few times a block and the last block is partial.
+        asn, grid = enum_rcs(), np.linspace(0.0, 1.5, 43)
+        whole = completion_cdf(asn, 0.25, grid, self.MODEL)
+        monkeypatch.setattr(enumeration, "_CDF_CELLS", cells)
+        assert completion_cdf(asn, 0.25, grid, self.MODEL).tolist() == whole.tolist()
+        assert whole.tolist() == [self.type_sum(asn, 0.25, t, self.MODEL) for t in grid.tolist()]
 
     def test_unreached_levels_count_as_one(self):
         # At q = 1 every vector succeeds.  Below alpha every worker is at
