@@ -3,7 +3,7 @@
 Tools for straggler-tolerant distributed matrix-vector multiplication where
 the master may stop after recovering only a tolerated fraction of the result
 blocks: randomized circular-shift code constructions and classical baselines,
-a peeling decoder with an exact-elimination oracle, an event-driven straggler
+a peeling decoder with an exact-elimination oracle, a batched straggler
 simulator with exact small-system enumeration, and a linear-regression
 training harness driven by the simulated iterations.
 """

@@ -442,14 +442,15 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
 def assignment_source(cfg: ExperimentConfig):
     """Assignment source for the simulator.
 
-    A circular-shift code with drawn offsets and redraw enabled returns a
+    A scheme that reads ``redraw`` (a circular-shift code), with drawn
+    offsets and redraw enabled, returns a
     :class:`~codedcomp.schemes.CircularShiftSource`: its rules and layout
     are fixed once, each trial draws only its shifts, and called with a
     generator it returns the same code as the scheme's builder.
     Everything else returns one fixed assignment built from a dedicated
     construction stream.
     """
-    if cfg.scheme in ("rcs", "rcs-general") and cfg.offsets is None and cfg.redraw:
+    if cfg.redraw and "redraw" not in _unused_fields(cfg.scheme, cfg.offsets):
         return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
     return concrete_assignment(cfg)
 

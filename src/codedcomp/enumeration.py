@@ -4,21 +4,22 @@ A score vector records how many tasks each worker has finished at some
 instant.  For every cumulative type (histogram of scores) these routines
 count how many of its score vectors let the master stop under a given
 tolerance, and combine the counts with the latency law into the exact
-completion-time CDF.  The counting decides one score vector per class
-the code cannot tell apart and weights it by the class size: one sorted
-vector per type for a count rule, one per rotation orbit for a code that
-turning the workers only relabels (the circular-shift codes), and every
-vector otherwise.  The orbits' smallest vectors come from a necklace walk
-that visits only the prenecklaces; every other vector is walked by its flat
-index.  Either way the vectors come in chunks decided by one release-rank
-call each, and their successes are binned by type.
+completion-time CDF.  One loop decides every code: one score vector per
+class the code cannot tell apart, weighted by the class size, which is a
+type for a count rule, a rotation orbit for a code that turning the workers
+only relabels (the circular-shift codes), and one vector otherwise.  The
+orbits' smallest vectors come from a necklace walk that visits only the
+prenecklaces; every other vector is walked by its flat index.  The vectors
+come in chunks decided by one release-rank call each, on the one block
+table built per call, and their weights are binned by type.
 
 The types of each (n_workers, max_score) come from one cached table (only
 the last key's is kept, so a large table is freed by the next key's): a
 counts matrix grown one score level at a time by array operations, without
-recursion, so its depth does not grow with max_score.  ``all_types``,
-``success_table`` and ``completion_cdf`` read it, and the latter folds
-every successful type's probability over blocks of times at once.
+recursion.  ``all_types``, ``success_table`` and ``completion_cdf`` read it;
+a code whose score vectors or table cells pass the enumeration limit is
+refused first.  ``latency._type_probabilities`` gives ``completion_cdf``
+its types' probabilities over blocks of times.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import numpy as np
 
 from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
 from .decoding import _block_tables, _recovered, recovery_threshold
-from .latency import LatencyModel, prob_exactly
+from .latency import LatencyModel, _type_probabilities
 
 
-# Most score vectors success_table enumerates: (max_score + 1) ** n_workers.
+# Most score vectors success_table enumerates, (max_score + 1) ** n_workers,
+# and most cells of the type table it reads, types x (max_score + 1).
 _MAX_SCORE_VECTORS = 10**7
 # Score vectors decided per release-rank call, so memory stays bounded.  At
 # 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a sixth.
@@ -144,20 +146,15 @@ def all_types(n_workers: int, max_score: int) -> list[CumulativeType]:
     return list(_type_table(n_workers, max_score).types)
 
 
-@functools.lru_cache(maxsize=2)
-def _chunk_tables(assignment: ComputationAssignment, rows: int):
-    """The block tables of a chunk of rows score vectors.  The last two are
-    kept, so a walk's full chunks and its shorter last chunk each reuse
-    one, also from one call to the next on the same code."""
-    return _block_tables(assignment, rows)
-
-
-def _successes(assignment: ComputationAssignment, scores, q: float) -> np.ndarray:
+def _successes(assignment: ComputationAssignment, scores, q: float, tables) -> np.ndarray:
     """Whether the master can stop at each row of a (vectors, n_workers)
-    score array, once every worker has sent the messages its score reaches."""
+    score array, once every worker has sent the messages its score reaches.
+    tables are the :func:`_block_tables` of at least as many vectors; the
+    first columns, one per worker of each vector, are read."""
     done = np.array([msg.tasks_done for msg in assignment.messages])[None, :, None]
     sent = done <= np.asarray(scores)[:, None, :]
-    recovered = _recovered(assignment, sent, _chunk_tables(assignment, len(sent)))
+    columns = len(sent) * assignment.n_workers
+    recovered = _recovered(assignment, sent, [(m, table[:, :columns]) for m, table in tables])
     return np.count_nonzero(recovered, axis=1) >= recovery_threshold(assignment.k_total, q)
 
 
@@ -166,10 +163,8 @@ def successful_score_vector(
 ) -> bool:
     """Whether the master can stop once the workers reach these scores."""
     if len(scores) != assignment.n_workers:
-        raise ValueError(
-            f"expected {assignment.n_workers} scores, got {len(scores)}"
-        )
-    return bool(_successes(assignment, [scores], q)[0])
+        raise ValueError(f"expected {assignment.n_workers} scores, got {len(scores)}")
+    return bool(_successes(assignment, [scores], q, _block_tables(assignment, 1))[0])
 
 
 def total_vectors(ctype: CumulativeType) -> int:
@@ -286,48 +281,49 @@ def success_table(
 ) -> list[tuple[CumulativeType, int, int]]:
     """(type, successful vectors, total vectors) for every cumulative type.
 
-    A count rule decides one sorted vector per type and records all of the
-    type's vectors or none.  A code that turning the workers only relabels
-    (``_symmetry``) decides the smallest vector of each rotation orbit, worker
+    One loop decides every code, each vector weighted by the vectors it
+    stands for (``_symmetry``): a count rule's sorted score row of each type
+    by the type's total; the smallest vector of each rotation orbit, worker
     0 the leading base-(max_score + 1) digit, as ``_necklaces`` walks them,
-    and any other code decides every vector in flat-index order.  Vectors are
-    decided at most ``_VECTORS_PER_CALL`` per release-rank call, and their
-    orbit sizes are binned by type in exact integers.  A vector's type key is
+    by its orbit size; any other code's every vector, in flat-index order,
+    by 1.  Each chunk of at most ``_VECTORS_PER_CALL`` vectors goes to one
+    release-rank call on the call's one block table, and the weights of the
+    successes are binned by type in exact integers.  A vector's type key is
     its scores sorted in descending order and read as digits; ``all_types``
     lists the types in strictly decreasing key order.
 
     Raises:
-        ValueError: if the (max_score + 1) ** n_workers score vectors are
-            more than the enumeration limit of 10**7.
+        ValueError: if the (max_score + 1) ** n_workers score vectors, or
+            the type table's comb(n_workers + max_score, n_workers) types x
+            (max_score + 1) levels, are more than the limit of 10**7.
     """
     base, n = assignment.max_score + 1, assignment.n_workers
-    count = base**n
-    if count > _MAX_SCORE_VECTORS:
+    count, cells = base**n, math.comb(n + base - 1, n) * base
+    if max(count, cells) > _MAX_SCORE_VECTORS:
         raise ValueError(
-            f"enumeration needs {count} score vectors "
-            f"({base}^{n}), above the limit of {_MAX_SCORE_VECTORS}"
+            f"enumeration needs {count} score vectors ({base}^{n}) and a type "
+            f"table of {cells} cells, above the limit of {_MAX_SCORE_VECTORS}"
         )
-    table = _type_table(n, assignment.max_score)
-    types, totals = table.types, table.totals
+    table = _type_table(n, base - 1)
+    size = _VECTORS_PER_CALL
     symmetry = _symmetry(assignment)
     if symmetry == "types":
-        ok = np.concatenate([
-            _successes(assignment, table.scores[at : at + _VECTORS_PER_CALL], q)
-            for at in range(0, len(types), _VECTORS_PER_CALL)
-        ])
-        return [(ctype, total if good else 0, total) for ctype, good, total in zip(types, ok, totals)]
+        totals = np.array(table.totals, dtype=np.int64)
+        chunks = ((table.scores[at : at + size], totals[at : at + size]) for at in range(0, len(totals), size))
+    else:
+        chunks = (_necklaces if symmetry == "turns" else _flat_vectors)(base, n)
     # A type's key weights its descending scores by base ** (n - 1), ...,
-    # 1, so a vector's ascending sorted scores take the weights 1, ..., base
+    # 1, so a vector's ascending sorted scores take the powers 1, ..., base
     # ** (n - 1).
-    weights = base ** np.arange(n, dtype=np.int64)
+    powers = base ** np.arange(n, dtype=np.int64)
     descending = -table.keys
-    walk = _necklaces if symmetry == "turns" else _flat_vectors
-    good = np.zeros(len(types), dtype=np.int64)
-    for scores, orbit in walk(base, n):
-        rows = np.searchsorted(descending, -(np.sort(scores, axis=1) @ weights))
-        ok = _successes(assignment, scores, q)
-        np.add.at(good, rows[ok], orbit[ok])
-    return [(ctype, int(g), total) for ctype, g, total in zip(types, good, totals)]
+    tables = _block_tables(assignment, size)
+    good = np.zeros(len(table.counts), dtype=np.int64)
+    for scores, weight in chunks:
+        rows = np.searchsorted(descending, -(np.sort(scores, axis=1) @ powers))
+        ok = _successes(assignment, scores, q, tables)
+        np.add.at(good, rows[ok], weight[ok])
+    return [(ctype, int(g), total) for ctype, g, total in zip(table.types, good, table.totals)]
 
 
 def completion_cdf(
@@ -344,17 +340,14 @@ def completion_cdf(
     equals the call at that one time.
 
     The result has the bits of summing good * ``type_probability`` over the
-    successful types in table order: P(score = s at t) and its powers are
-    Python floats from ``prob_exactly`` and ``**``, as there, and only the
-    products over score levels (lowest score first) and the sum over types
-    (in order, from 0.0) run on arrays of types x times, a block of times
-    at a time so an array holds at most ``_CDF_CELLS``.  A level no worker
-    of a type reached contributes p ** 0 == 1.0, as if skipped.
+    successful types in table order: both take the types' probabilities
+    from ``latency._type_probabilities``, here on arrays of types x times,
+    a block of times at a time so an array holds at most ``_CDF_CELLS``,
+    and the sum over types runs in order, from 0.0.
     """
     good = np.array([g for _, g, _ in success_table(assignment, q)])
     hit = np.flatnonzero(good)
-    top, cost = assignment.max_score, assignment.task_cost
-    counts = _type_table(assignment.n_workers, top).counts[hit]
+    counts = _type_table(assignment.n_workers, assignment.max_score).counts[hit]
     weights = good[hit].astype(float)[:, None]
     times = np.asarray(t, dtype=float)
     flat = times.ravel().tolist()
@@ -362,12 +355,7 @@ def completion_cdf(
     # Each time's column is computed alone, so blocks of times change no bits.
     size = max(1, _CDF_CELLS // max(len(hit), 1))
     for at in range(0, len(flat), size):
-        block = flat[at : at + size]
-        prob = np.ones((len(hit), len(block)))
-        for s in range(top + 1):
-            p = [prob_exactly(s, time, model, cost, max_tasks=top) for time in block]
-            powers = np.array([[x**c for x in p] for c in range(assignment.n_workers + 1)])
-            prob *= powers[counts[:, top - s]]
+        prob = _type_probabilities(counts, flat[at : at + size], model, assignment.task_cost)
         prob *= weights
         # Row by row, as Python's sum adds: NumPy sums a (types, 1) array pairwise.
         part = total[at : at + size]

@@ -78,6 +78,20 @@ def prob_exactly(
     return prob_at_least(s, t, model, task_cost) - prob_at_least(s + 1, t, model, task_cost)
 
 
+def _type_probabilities(counts: np.ndarray, times, model: LatencyModel, task_cost: float) -> np.ndarray:
+    """(types, times) probabilities of one score vector of each type, for a
+    (types, score levels) counts array, highest score first: the product
+    over scores s, lowest first, of P(exactly s by t) ** (workers at s), a
+    score no worker reached giving p ** 0 == 1.0.  Each factor is a Python
+    float, so the bits are those of the same product taken in Python."""
+    top, most = counts.shape[1] - 1, int(counts.max(initial=0))
+    prob = np.ones((len(counts), len(times)))
+    for s in range(top + 1):
+        p = [prob_exactly(s, time, model, task_cost, max_tasks=top) for time in times]
+        prob *= np.array([[x**c for x in p] for c in range(most + 1)])[counts[:, top - s]]
+    return prob
+
+
 def type_probability(
     ctype: CumulativeType,
     t: float,
@@ -91,12 +105,4 @@ def type_probability(
     Multiply by the number of score vectors of the type to get the type's
     total probability.
     """
-    prob = 1.0
-    for s in range(ctype.max_score + 1):
-        n = ctype.count_for_score(s)
-        if n:
-            p = prob_exactly(s, t, model, task_cost, max_tasks=ctype.max_score)
-            if p == 0.0:
-                return 0.0
-            prob *= p**n
-    return prob
+    return float(_type_probabilities(np.array([ctype.counts]), [t], model, task_cost)[0, 0])

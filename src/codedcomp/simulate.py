@@ -223,10 +223,13 @@ class MonteCarloResult:
         trial) is infinite; the others interpolate the capped times, so no
         arithmetic meets an infinity.  NumPy's interpolation is redone from
         one sort, since ``np.percentile`` imports ``numpy.ma`` when first
-        called."""
+        called; one outside [0, 100], or NaN, raises its ValueError."""
+        percent = np.array(qs, dtype=float)
+        if not np.all((percent >= 0) & (percent <= 100)):
+            raise ValueError("Percentiles must be in the range [0, 100]")
         ordered = np.sort(self.times)
         capped = np.minimum(ordered, np.finfo(float).max)
-        index = (len(ordered) - 1) * (np.array(qs, dtype=float) / 100)
+        index = (len(ordered) - 1) * (percent / 100)
         below = np.floor(index).astype(int)
         a, b = capped[below], capped[np.minimum(below + 1, len(ordered) - 1)]
         gamma = index - below

@@ -7,12 +7,15 @@ These checks state those properties directly on the task arrays.
 ``orbit_representatives`` finds the rotation-orbit representatives that
 ``enumeration._necklaces`` walks by filtering every flat index.
 ``type_walk`` lists the cumulative types by the recursive walk that the
-enumeration's type table replaced.
+enumeration's type table replaced, and ``scalar_type_probability`` takes a
+type's probability by the scalar loop that the array product replaced.
 """
 
 import math
 
 import numpy as np
+
+from codedcomp.latency import prob_exactly
 
 
 def order_uniform(assignment) -> bool:
@@ -79,3 +82,19 @@ def type_walk(n_workers: int, max_score: int) -> list[tuple[tuple[int, ...], int
 
     walk([], n_workers, max_score + 1)
     return results
+
+
+def scalar_type_probability(ctype, t, model, task_cost=1.0) -> float:
+    """Probability of one specific score vector of the type at time t: the
+    product over scores s, lowest first, of P(exactly s tasks by t) raised
+    to the number of workers at s, skipping a score no worker reached and
+    stopping at a zero factor."""
+    prob = 1.0
+    for s in range(ctype.max_score + 1):
+        n = ctype.count_for_score(s)
+        if n:
+            p = prob_exactly(s, t, model, task_cost, max_tasks=ctype.max_score)
+            if p == 0.0:
+                return 0.0
+            prob *= p**n
+    return prob

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codedcomp
-from codedcomp import ConfigError, parse_config
+from codedcomp import ComputationAssignment, ConfigError, assignment_source, parse_config
 from codedcomp.cli import _overrides_from, _write_json, build_parser, main, read_embedded_config
-from codedcomp.config import SCHEMES, ExperimentConfig, TrainSettings
+from codedcomp.config import _SCHEMES, SCHEMES, ExperimentConfig, TrainSettings
+from codedcomp.schemes import CircularShiftSource
 
 # Group 2 only occurs in the degree-2 order, so no message ever releases one
 # of its blocks: half of the 12 blocks stay unknown.
@@ -922,6 +923,27 @@ class TestCli:
         embedded = read_embedded_config(tmp_path / "out" / "summary.json")
         assert embedded["trials"] == 15
         assert embedded["q"] == 0.15  # from the file
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme):
+    construction = {
+        "rcs": {"degrees": [1, 2]},
+        "rcs-general": {"degrees": [1, 1, 2], "groups": 2, "z": [1, 2, 1, 2]},
+        "mcc": {"kbar": 3},
+        "uc-mmc": {"load": 2},
+        "gc": {"load": 2},
+        "hybrid-example": {},
+    }[scheme]
+    cfg = parse_config({"scheme": scheme, "workers": 4 if scheme == "hybrid-example" else 8, **construction})
+    reads = "redraw" in _SCHEMES[scheme].fields
+    assert reads == (scheme in ("rcs", "rcs-general"))
+    offsets = (1, 1, 3, 3) if scheme == "rcs-general" else (1, 3, 5)
+    for given, redraw in itertools.product((None, offsets), (True, False)):
+        source = assignment_source(replace(cfg, offsets=given, redraw=redraw))
+        drawn = reads and given is None and redraw
+        assert isinstance(source, CircularShiftSource) == drawn, (given, redraw)
+        assert isinstance(source, ComputationAssignment) != drawn
 
 
 def test_simulate_imports_neither_numpy_ma_nor_fractions(tmp_path):

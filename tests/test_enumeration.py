@@ -245,7 +245,6 @@ class TestTypeTable:
         expected = []
         for asn in codes:
             enumeration._type_table.cache_clear()
-            enumeration._chunk_tables.cache_clear()
             expected.append([success_table(asn, q) for q in (0.0, 0.25)])
         for _ in range(2):
             for asn, tables in zip(codes, expected):
@@ -265,12 +264,21 @@ class TestTypeTable:
         assert large() is None
         assert enumeration._type_table.cache_info().currsize == 1
 
-    def test_repeated_call_builds_no_chunk_tables(self):
-        asn = enum_rcs()
-        success_table(asn, 0.0)
-        misses = enumeration._chunk_tables.cache_info().misses
-        success_table(asn, 0.0)
-        assert enumeration._chunk_tables.cache_info().misses == misses
+    @pytest.mark.parametrize("name", ["enum-rcs", "mcc", "hybrid"])
+    def test_each_call_builds_one_block_table(self, name, monkeypatch):
+        # One per call, also when the walk ends in a shorter chunk.
+        asn = enum_rcs() if name == "enum-rcs" else builders()[name]
+        built, original = [], enumeration._block_tables
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(enumeration, "_block_tables", counting)
+        expected = success_table(asn, 0.0)
+        assert len(built) == 1
+        assert success_table(asn, 0.0) == expected
+        assert len(built) == 2
 
 
 class TestKnownVectors:
@@ -358,9 +366,9 @@ class TestTables:
         asn = build_rcs(9, [1, 2], offsets=[1, 3, 5]) if source == "enum-rcs" else code(source, name)
         rows, original = [], enumeration._successes
 
-        def recording(assignment, scores, q):
+        def recording(assignment, scores, q, tables):
             rows.append(len(scores))
-            return original(assignment, scores, q)
+            return original(assignment, scores, q, tables)
 
         monkeypatch.setattr(enumeration, "_successes", recording)
         success_table(asn, 0.25)
@@ -555,3 +563,20 @@ class TestSizeGuard:
             success_table(build_uc_mmc(15, 2), 0.0)
         with pytest.raises(ValueError, match="above the limit"):
             completion_cdf(build_uc_mmc(15, 2), 0.0, 0.1, LatencyModel())
+
+    def test_type_table_cells_are_bounded(self, monkeypatch):
+        # 2 workers and 30 score levels: 31**2 = 961 score vectors, under a
+        # limit of 1,000, but comb(32, 30) * 31 = 15,376 type-table cells.
+        asn = build_rcs(2, [1] * 30, np.random.default_rng(0), groups=15, z=[g for g in range(1, 16) for _ in range(2)])
+        assert asn.max_score == 30
+
+        def unbuilt(*args):
+            raise AssertionError("type table built")
+
+        monkeypatch.setattr(enumeration, "_MAX_SCORE_VECTORS", 1000)
+        monkeypatch.setattr(enumeration, "_type_table", unbuilt)
+        message = r"needs 961 score vectors \(31\^2\) and a type table of 15376 cells, above the limit of 1000"
+        with pytest.raises(ValueError, match=message):
+            success_table(asn, 0.0)
+        with pytest.raises(ValueError, match=message):
+            completion_cdf(asn, 0.0, 0.1, LatencyModel())

@@ -7,6 +7,7 @@ import pytest
 
 from codedcomp import CumulativeType, LatencyModel, type_probability
 from codedcomp.latency import prob_at_least, prob_exactly
+from oracles import scalar_type_probability
 
 
 def empirical_scores(model, t, n, seed, task_cost=1.0, max_tasks=None):
@@ -191,6 +192,19 @@ class TestTypeProbability:
             for s in range(3):
                 p_emp *= counts[s] ** ctype.count_for_score(s)
             assert p_single == pytest.approx(p_emp, rel=0.08)
+
+    @pytest.mark.parametrize("task_cost", [1.0, 0.5])
+    @pytest.mark.parametrize("model", [MODEL, LatencyModel(mu=2.5, alpha=0.3)], ids=["fast", "slow"])
+    def test_bits_of_the_scalar_loop(self, model, task_cost):
+        from codedcomp import all_types
+
+        times = [0.0, 1e-9, 0.005, *np.linspace(0.0, 2.0, 41).tolist(), math.inf]
+        for workers, max_score in ((4, 2), (6, 3), (3, 5)):
+            for ctype in all_types(workers, max_score):
+                got = [type_probability(ctype, t, model, task_cost) for t in times]
+                want = [scalar_type_probability(ctype, t, model, task_cost) for t in times]
+                assert [type(p) for p in got] == [float] * len(times)
+                assert [p.hex() for p in got] == [p.hex() for p in want]
 
     def test_types_with_vector_counts_sum_to_one(self):
         from codedcomp import all_types

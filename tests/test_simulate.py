@@ -604,6 +604,18 @@ class TestMonteCarlo:
         json.dumps(summary, allow_nan=False)
 
 
+@pytest.mark.parametrize("qs", [(-10,), (150,), (math.nan,), (5, 50, 100.5)], ids=["below", "above", "nan", "one-of-three"])
+def test_percentiles_outside_the_range_raise(qs):
+    times = np.arange(1.0, 6.0)
+    zeros = np.zeros(5, dtype=int)
+    res = MonteCarloResult(5, 0, times, zeros, zeros, zeros, np.isfinite(times))
+    message = r"Percentiles must be in the range \[0, 100\]"
+    with pytest.raises(ValueError, match=message):
+        np.percentile(times, qs)
+    with pytest.raises(ValueError, match=message):
+        res.time_percentiles(qs)
+
+
 def _numpy_percentiles(times, qs):
     """time_percentiles through np.percentile itself, the reference: the
     higher element decides infinity, the linear method interpolates the
