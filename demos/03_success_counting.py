@@ -34,7 +34,8 @@ SCHEMES = {
 def show(q):
     print(f"\nsuccessful score vectors out of each type's total, q={q}")
     types = all_types(4, 2)
-    header = " ".join(f"{t.label():>9}" for t in types)
+    labels = ["(" + ",".join(map(str, t.counts)) + ")" for t in types]
+    header = " ".join(f"{label:>9}" for label in labels)
     print(f"{'':>22}{header}")
     for name, asn in SCHEMES.items():
         table = {t.counts: (good, total) for t, good, total in success_table(asn, q)}

@@ -8,7 +8,7 @@ simulator with exact small-system enumeration, and a linear-regression
 training harness driven by the simulated iterations.
 """
 
-from .blocks import CodedTask, ComputationAssignment, CumulativeType, Message
+from .blocks import CodedTask, ComputationAssignment, Message
 from .config import (
     DEFAULT_SEED,
     ConfigError,
@@ -30,7 +30,7 @@ from .enumeration import (
     success_table,
     successful_score_vector,
 )
-from .latency import LatencyModel, type_probability
+from .latency import LatencyModel
 from .regression import (
     Dataset,
     centralized_gd,
@@ -55,7 +55,6 @@ __all__ = [
     "CodedTask",
     "ComputationAssignment",
     "ConfigError",
-    "CumulativeType",
     "DEFAULT_SEED",
     "Dataset",
     "ExperimentConfig",
@@ -86,5 +85,4 @@ __all__ = [
     "success_table",
     "successful_score_vector",
     "train",
-    "type_probability",
 ]

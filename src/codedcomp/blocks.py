@@ -16,7 +16,6 @@ circular-shift code's degrees must follow are stated in
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -29,38 +28,6 @@ MODE_COMMUNICATION = "communication"
 DECODE_PEEL = "peel"
 DECODE_MDS = "mds"
 DECODE_THRESHOLD = "threshold"
-
-
-@dataclass(frozen=True)
-class CumulativeType:
-    """Histogram of worker scores: counts[i] workers completed max_score - i tasks.
-
-    Counts are stored in descending score order (N_max, ..., N_0), matching
-    the usual tabulation of straggler states.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        # type(c) is int first: the ABC check costs most of a type's build.
-        if not all(type(c) is int or isinstance(c, numbers.Integral) for c in self.counts):
-            raise ValueError(f"type counts must be integers, got {self.counts}")
-        if not self.counts or any(c < 0 for c in self.counts):
-            raise ValueError(f"invalid type counts {self.counts}")
-
-    @property
-    def max_score(self) -> int:
-        return len(self.counts) - 1
-
-    @property
-    def worker_count(self) -> int:
-        return sum(self.counts)
-
-    def count_for_score(self, score: int) -> int:
-        return self.counts[self.max_score - score]
-
-    def label(self) -> str:
-        return "(" + ",".join(str(c) for c in self.counts) + ")"
 
 
 @dataclass(frozen=True)

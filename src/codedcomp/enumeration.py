@@ -18,21 +18,28 @@ the last key's is kept, so a large table is freed by the next key's): a
 counts matrix grown one score level at a time by array operations, without
 recursion.  ``all_types``, ``success_table`` and ``completion_cdf`` read it;
 a code whose score vectors or table cells pass the enumeration limit is
-refused first.  ``latency._type_probabilities`` gives ``completion_cdf``
-its types' probabilities over blocks of times.
+refused first.
+
+This module owns the cumulative type: ``CumulativeType`` stores its counts,
+highest score first, as every row of the type table does, and
+``_type_probabilities`` takes the one product over score levels, of the
+per-worker law ``latency.prob_exactly``, that gives ``completion_cdf`` its
+types' probabilities over blocks of times.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import DECODE_PEEL, ComputationAssignment, CumulativeType
+from .blocks import DECODE_PEEL, ComputationAssignment
 from .decoding import _block_tables, _recovered, recovery_threshold
-from .latency import LatencyModel, _type_probabilities
+from .latency import LatencyModel, prob_exactly
 
 
 # Most score vectors success_table enumerates, (max_score + 1) ** n_workers,
@@ -45,6 +52,35 @@ _VECTORS_PER_CALL = 512
 # Most (type, time) cells completion_cdf holds in one array (8 MB of
 # floats); a longer time grid is taken in blocks of times.
 _CDF_CELLS = 2**20
+
+
+@dataclass(frozen=True)
+class CumulativeType:
+    """Histogram of worker scores: counts[i] workers completed max_score - i tasks.
+
+    Counts are stored in descending score order (N_max, ..., N_0), matching
+    the usual tabulation of straggler states.
+    """
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # type(c) is int first: the ABC check costs most of a type's build.
+        if not all(type(c) is int or isinstance(c, numbers.Integral) for c in self.counts):
+            raise ValueError(f"type counts must be integers, got {self.counts}")
+        if not self.counts or any(c < 0 for c in self.counts):
+            raise ValueError(f"invalid type counts {self.counts}")
+
+    @property
+    def max_score(self) -> int:
+        return len(self.counts) - 1
+
+    @property
+    def worker_count(self) -> int:
+        return sum(self.counts)
+
+    def count_for_score(self, score: int) -> int:
+        return self.counts[self.max_score - score]
 
 
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -326,6 +362,20 @@ def success_table(
     return [(ctype, int(g), total) for ctype, g, total in zip(table.types, good, table.totals)]
 
 
+def _type_probabilities(counts: np.ndarray, times, model: LatencyModel, task_cost: float) -> np.ndarray:
+    """(types, times) probabilities of one score vector of each type, for a
+    (types, score levels) counts array, highest score first: the product
+    over scores s, lowest first, of P(exactly s by t) ** (workers at s), a
+    score no worker reached giving p ** 0 == 1.0.  Each factor is a Python
+    float, so the bits are those of the same product taken in Python."""
+    top, most = counts.shape[1] - 1, int(counts.max(initial=0))
+    prob = np.ones((len(counts), len(times)))
+    for s in range(top + 1):
+        p = [prob_exactly(s, time, model, task_cost, max_tasks=top) for time in times]
+        prob *= np.array([[x**c for x in p] for c in range(most + 1)])[counts[:, top - s]]
+    return prob
+
+
 def completion_cdf(
     assignment: ComputationAssignment,
     q: float,
@@ -339,11 +389,12 @@ def completion_cdf(
     of times the table is counted once, and each entry of the returned array
     equals the call at that one time.
 
-    The result has the bits of summing good * ``type_probability`` over the
-    successful types in table order: both take the types' probabilities
-    from ``latency._type_probabilities``, here on arrays of types x times,
-    a block of times at a time so an array holds at most ``_CDF_CELLS``,
-    and the sum over types runs in order, from 0.0.
+    The result has the bits of summing good * (the type's probability at
+    that one time) over the successful types in table order: each cell of
+    ``_type_probabilities`` is computed alone, so taking arrays of types x
+    times, a block of times at a time so an array holds at most
+    ``_CDF_CELLS``, changes no bits, and the sum over types runs in order,
+    from 0.0.
     """
     good = np.array([g for _, g, _ in success_table(assignment, q)])
     hit = np.flatnonzero(good)

@@ -4,7 +4,10 @@ A worker needs alpha + E time units per full-size computation, where E is
 exponential with rate mu and drawn once per worker per iteration (a slow
 worker is slow for the whole iteration).  Finishing s computations therefore
 takes s * (alpha + E), which yields a closed-form law for the number of
-computations finished by any deadline.
+computations finished by any deadline: :func:`prob_at_least` and
+:func:`prob_exactly`, for one worker.  The probability of a whole score
+vector, a product of these over the levels of its cumulative type, is taken
+in ``enumeration``.
 
 A trial draws one standard exponential per worker from its stream; the
 model maps them to unit times (:meth:`LatencyModel.unit_times`), for one
@@ -19,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .blocks import CumulativeType
 
 
 @dataclass(frozen=True)
@@ -76,33 +77,3 @@ def prob_exactly(
         if s == max_tasks:
             return prob_at_least(s, t, model, task_cost)
     return prob_at_least(s, t, model, task_cost) - prob_at_least(s + 1, t, model, task_cost)
-
-
-def _type_probabilities(counts: np.ndarray, times, model: LatencyModel, task_cost: float) -> np.ndarray:
-    """(types, times) probabilities of one score vector of each type, for a
-    (types, score levels) counts array, highest score first: the product
-    over scores s, lowest first, of P(exactly s by t) ** (workers at s), a
-    score no worker reached giving p ** 0 == 1.0.  Each factor is a Python
-    float, so the bits are those of the same product taken in Python."""
-    top, most = counts.shape[1] - 1, int(counts.max(initial=0))
-    prob = np.ones((len(counts), len(times)))
-    for s in range(top + 1):
-        p = [prob_exactly(s, time, model, task_cost, max_tasks=top) for time in times]
-        prob *= np.array([[x**c for x in p] for c in range(most + 1)])[counts[:, top - s]]
-    return prob
-
-
-def type_probability(
-    ctype: CumulativeType,
-    t: float,
-    model: LatencyModel,
-    task_cost: float = 1.0,
-) -> float:
-    """Probability of one specific score vector of the given type at time t.
-
-    Workers are independent, so the probability is the product over scores s
-    of P(exactly s tasks by t) raised to the number of workers at score s.
-    Multiply by the number of score vectors of the type to get the type's
-    total probability.
-    """
-    return float(_type_probabilities(np.array([ctype.counts]), [t], model, task_cost)[0, 0])

@@ -192,7 +192,8 @@ def train(
     from :func:`gram`, so only the first run on a dataset computes them.
 
     Raises:
-        TypeError: if source is of neither accepted type.
+        TypeError: if source is of neither accepted type, or iterations
+            (the trial count) or the seed is a bool or not an integer.
         ValueError: before any iteration is simulated, if the assignment is
             not a matrix-vector scheme (exact-sum coding recovers only the
             aggregated gradient, not blocks) or the dimension does not split

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -359,11 +360,15 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     batch's exponentials to unit times.
 
     Raises:
-        TypeError: if source is of neither accepted type.
+        TypeError: if source is of neither accepted type, or trials or the
+            seed is a bool or not an integer (NumPy integers are accepted).
         ValueError: if trials is not positive or above ``_MAX_TRIALS`` (the
             trial streams index at most 2**32 trials), or the seed is
             negative.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {trials}")
     layout = _source_layout(source)
@@ -418,7 +423,8 @@ def monte_carlo(
         MonteCarloResult with one entry per trial.
 
     Raises:
-        TypeError: if source is of neither accepted type.
+        TypeError: if source is of neither accepted type, or trials or the
+            seed is a bool or not an integer.
         ValueError: if trials is not in [1, 2**32] or the seed is negative.
 
     Trials run in batches of ``_CHUNK`` (:func:`_batches`), each decided

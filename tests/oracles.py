@@ -9,6 +9,8 @@ These checks state those properties directly on the task arrays.
 ``type_walk`` lists the cumulative types by the recursive walk that the
 enumeration's type table replaced, and ``scalar_type_probability`` takes a
 type's probability by the scalar loop that the array product replaced.
+``count_rule_mean`` and ``count_rule_cdf`` are the exact completion laws of
+a count rule at q = 0, stated from the latency law alone.
 """
 
 import math
@@ -98,3 +100,35 @@ def scalar_type_probability(ctype, t, model, task_cost=1.0) -> float:
                 return 0.0
             prob *= p**n
     return prob
+
+
+def _count_rule(assignment) -> tuple[int, float]:
+    """A count rule's complete workers needed at q = 0 (kbar for an MDS
+    code, n - load + 1 for a threshold code) and the work s each worker does
+    before its one send."""
+    n = assignment.n_workers
+    needed = assignment.kbar if assignment.decode == "mds" else n - assignment.n_orders + 1
+    return needed, float(assignment.schedule()[0])
+
+
+def count_rule_mean(assignment, model) -> float:
+    """Exact mean completion time of a count rule at q = 0.
+
+    Worker w sends at s * (alpha + E_w), E_w ~ Exp(mu), and the master stops
+    at the needed-th send.  The i-th spacing of n exponential order
+    statistics is Exp(mu * (n - i)), so the mean is
+    s * (alpha + sum over i < needed of 1 / (mu * (n - i))).
+    """
+    needed, s = _count_rule(assignment)
+    n = assignment.n_workers
+    return s * (model.alpha + sum(1.0 / (model.mu * (n - i)) for i in range(needed)))
+
+
+def count_rule_cdf(assignment, t, model) -> float:
+    """Exact P(a count rule finishes by t) at q = 0: P(Bin(n, F(t / s)) >=
+    needed), F(x) = 1 - exp(-mu * (x - alpha)) for x >= alpha the law of one
+    worker's unit time."""
+    needed, s = _count_rule(assignment)
+    n, x = assignment.n_workers, t / s
+    f = 1.0 - math.exp(-model.mu * (x - model.alpha)) if x >= model.alpha else 0.0
+    return sum(math.comb(n, k) * f**k * (1.0 - f) ** (n - k) for k in range(needed, n + 1))

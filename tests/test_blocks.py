@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from codedcomp import CodedTask, ComputationAssignment, CumulativeType, Message, build_rcs
+from codedcomp import CodedTask, ComputationAssignment, Message, build_rcs
+from codedcomp.enumeration import CumulativeType
 from codedcomp.schemes import circular_shift_violations
 
 
@@ -62,9 +63,6 @@ class TestTypeOf:
         with pytest.raises(ValueError, match=r"type counts must be integers, got \(1.5, 2\)"):
             CumulativeType((1.5, 2))
         assert CumulativeType((np.int64(1), 2)).worker_count == 3
-
-    def test_label(self):
-        assert CumulativeType((0, 2, 1)).label() == "(0,2,1)"
 
 
 class TestCodedTask:

@@ -2,7 +2,8 @@
 
 The demos are the library's worked examples; a change that moves any digit
 of their output changes a result a reader can see, so each one's standard
-output is pinned by its sha256.
+output is pinned by its sha256.  Each runs with RuntimeWarnings as errors,
+the filter the tests themselves run under.
 """
 
 import hashlib
@@ -33,7 +34,7 @@ def test_demo_output_pinned(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         env=env, cwd=ROOT, capture_output=True, check=True,
     ).stdout
     assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo]

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codedcomp import (
-    CumulativeType,
     LatencyModel,
     all_types,
     build_gc,
@@ -28,16 +27,16 @@ from codedcomp import (
     hybrid_example,
     success_table,
     successful_score_vector,
-    type_probability,
 )
 from codedcomp import enumeration
 from codedcomp.enumeration import (
+    CumulativeType,
     multiset_permutations,
     score_vectors_of_type,
     total_vectors,
 )
 from codedcomp.schemes import circular_shift_violations
-from oracles import orbit_representatives, type_walk
+from oracles import count_rule_cdf, orbit_representatives, type_walk
 
 # q = 0: full recovery required
 TABLE_Q0 = {
@@ -503,9 +502,11 @@ class TestCompletionCdf:
 
     @staticmethod
     def type_sum(asn, q, t, model):
-        """Sum of good * type_probability over the successful types, in table order."""
-        table = [(ctype, good) for ctype, good, _ in success_table(asn, q) if good]
-        return sum((good * type_probability(c, t, model, asn.task_cost) for c, good in table), 0.0)
+        """Sum of good * the type's probability over the successful types, in table order."""
+        rows = success_table(asn, q)
+        counts = np.array([ctype.counts for ctype, _, _ in rows])
+        probs = enumeration._type_probabilities(counts, [t], model, asn.task_cost)[:, 0].tolist()
+        return sum((good * p for (_, good, _), p in zip(rows, probs) if good), 0.0)
 
     @pytest.mark.parametrize("source, name", [
         ("builders", "mcc"), ("builders", "uc-mmc"), ("builders", "hybrid"),
@@ -539,6 +540,12 @@ class TestCompletionCdf:
         for asn in (*builders().values(), enum_rcs()):
             values = completion_cdf(asn, 1.0, np.array([0.0, 0.5 * self.MODEL.alpha, np.inf]), self.MODEL)
             assert values.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("asn", [build_mcc(8, 4), build_gc(8, 3)], ids=["mcc", "gc"])
+    def test_count_rules_match_the_binomial_law(self, asn):
+        grid = np.linspace(0.0, 1.5, 61)
+        exact = [count_rule_cdf(asn, t, self.MODEL) for t in grid.tolist()]
+        assert completion_cdf(asn, 0.0, grid, self.MODEL) == pytest.approx(exact, rel=0, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         from codedcomp import monte_carlo

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from codedcomp import CumulativeType, LatencyModel, type_probability
+from codedcomp import LatencyModel
+from codedcomp.enumeration import _type_probabilities
 from codedcomp.latency import prob_at_least, prob_exactly
 from oracles import scalar_type_probability
 
@@ -163,34 +164,34 @@ class TestTypeProbability:
 
     def test_before_setup_only_all_idle(self):
         t = 0.5 * self.MODEL.alpha
-        idle = CumulativeType((0, 0, 4))
-        busy = CumulativeType((0, 1, 3))
-        assert type_probability(idle, t, self.MODEL) == 1.0
-        assert type_probability(busy, t, self.MODEL) == 0.0
+        # the types (0, 0, 4), all idle, and (0, 1, 3), one worker busy
+        idle, busy = _type_probabilities(np.array([[0, 0, 4], [0, 1, 3]]), [t], self.MODEL, 1.0)[:, 0]
+        assert idle == 1.0
+        assert busy == 0.0
 
     def test_product_structure(self):
         t = 0.2
-        ctype = CumulativeType((1, 2, 1))
         expected = (
             prob_exactly(2, t, self.MODEL, max_tasks=2)
             * prob_exactly(1, t, self.MODEL, max_tasks=2) ** 2
             * prob_exactly(0, t, self.MODEL, max_tasks=2)
         )
-        assert type_probability(ctype, t, self.MODEL) == pytest.approx(expected)
+        prob = _type_probabilities(np.array([[1, 2, 1]]), [t], self.MODEL, 1.0)
+        assert prob[0, 0] == pytest.approx(expected)
 
     def test_monte_carlo_cross_check(self):
         t = 0.2
         n = 100_000
         scores = empirical_scores(self.MODEL, t, n, seed=9, max_tasks=2)
         # the types of [2, 2, 2, 2], [2, 1, 0, 1] and [0, 0, 0, 0]
-        for type_counts in ((4, 0, 0), (1, 2, 1), (0, 0, 4)):
-            ctype = CumulativeType(type_counts)
-            p_single = type_probability(ctype, t, self.MODEL)
+        types = np.array([(4, 0, 0), (1, 2, 1), (0, 0, 4)])
+        singles = _type_probabilities(types, [t], self.MODEL, 1.0)[:, 0]
+        for type_counts, p_single in zip(types, singles):
             # empirical probability that one worker hits each score, multiplied
             counts = {s: float(np.mean(scores == s)) for s in range(3)}
             p_emp = 1.0
             for s in range(3):
-                p_emp *= counts[s] ** ctype.count_for_score(s)
+                p_emp *= counts[s] ** type_counts[2 - s]
             assert p_single == pytest.approx(p_emp, rel=0.08)
 
     @pytest.mark.parametrize("task_cost", [1.0, 0.5])
@@ -200,8 +201,10 @@ class TestTypeProbability:
 
         times = [0.0, 1e-9, 0.005, *np.linspace(0.0, 2.0, 41).tolist(), math.inf]
         for workers, max_score in ((4, 2), (6, 3), (3, 5)):
-            for ctype in all_types(workers, max_score):
-                got = [type_probability(ctype, t, model, task_cost) for t in times]
+            types = all_types(workers, max_score)
+            counts = np.array([ctype.counts for ctype in types])
+            # every type's counts in one call: each cell is computed alone
+            for ctype, got in zip(types, _type_probabilities(counts, times, model, task_cost).tolist()):
                 want = [scalar_type_probability(ctype, t, model, task_cost) for t in times]
                 assert [type(p) for p in got] == [float] * len(times)
                 assert [p.hex() for p in got] == [p.hex() for p in want]
@@ -211,7 +214,9 @@ class TestTypeProbability:
         from codedcomp.enumeration import total_vectors
 
         t = 0.17
+        types = all_types(4, 2)
+        probs = _type_probabilities(np.array([ctype.counts for ctype in types]), [t], self.MODEL, 1.0)
         total = 0.0
-        for ctype in all_types(4, 2):
-            total += total_vectors(ctype) * type_probability(ctype, t, self.MODEL)
+        for ctype, p in zip(types, probs[:, 0].tolist()):
+            total += total_vectors(ctype) * p
         assert total == pytest.approx(1.0, abs=1e-12)

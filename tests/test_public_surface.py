@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "CodedTask",
     "ComputationAssignment",
     "ConfigError",
-    "CumulativeType",
     "DEFAULT_SEED",
     "Dataset",
     "ExperimentConfig",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "success_table",
     "successful_score_vector",
     "train",
-    "type_probability",
 ]
 
 

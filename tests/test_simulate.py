@@ -42,6 +42,8 @@ from codedcomp.simulate import (
     trial_rng,
 )
 
+from oracles import count_rule_mean
+
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
 
@@ -536,6 +538,17 @@ class TestSimulateIteration:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("seed", [101, 202])
+    @pytest.mark.parametrize("name", ["mcc", "gc"])
+    def test_count_rule_mean_matches_exact_law(self, name, seed):
+        # The settings of acceptance criteria 3 and 4, at both their seeds.
+        asn = build_mcc(40, 14) if name == "mcc" else build_gc(40, 6)
+        res = monte_carlo(asn, 0.0, MODEL, 10_000, seed)
+        exact = count_rule_mean(asn, MODEL)
+        assert exact == pytest.approx(0.157237 if name == "mcc" else 1.257126, abs=5e-7)
+        se = float(np.std(res.times, ddof=1)) / math.sqrt(len(res.times))
+        assert abs(res.mean_time - exact) <= 4 * se, (res.mean_time, exact, se)
+
     def test_reproducible(self):
         a = monte_carlo(build_uc_mmc(10, 2), 0.2, MODEL, 50, seed=7)
         b = monte_carlo(build_uc_mmc(10, 2), 0.2, MODEL, 50, seed=7)
@@ -703,6 +716,27 @@ class TestTrialStreams:
         for t in (-1, 2**32):
             with pytest.raises(ValueError):
                 _stream_states(0, [t])
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        (5, 1.7, "seed must be an integer, got 1.7"),
+        (5, True, "seed must be an integer, got True"),
+        (True, 1, "trials must be an integer, got True"),
+        (5.0, 1, "trials must be an integer, got 5.0"),
+    ], ids=["float-seed", "bool-seed", "bool-trials", "float-trials"])
+    def test_non_integer_trials_or_seed_rejected(self, trials, seed, message):
+        # A float must not be truncated to a seed, nor a bool taken as one trial.
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            monte_carlo(build_mcc(8, 3), 0.0, MODEL, trials, seed)
+        ds = generate_dataset(50, 16, np.random.default_rng(0))
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            train(ds, build_uc_mmc(8, 2), q=0.25, model=MODEL, eta=0.1, iterations=trials, seed=seed)
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        got = monte_carlo(build_mcc(8, 3), 0.0, MODEL, np.int64(70), np.uint32(3))
+        want = monte_carlo(build_mcc(8, 3), 0.0, MODEL, 70, 3)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.messages, want.messages)
+        assert np.array_equal(got.recovered, want.recovered)
 
     def test_factory_sees_each_trial_stream(self, monkeypatch):
         """Every trial starts from the state trial_rng gives it, across
