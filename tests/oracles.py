@@ -11,6 +11,9 @@ enumeration's type table replaced, and ``scalar_type_probability`` takes a
 type's probability by the scalar loop that the array product replaced.
 ``count_rule_mean`` and ``count_rule_cdf`` are the exact completion laws of
 a count rule at q = 0, stated from the latency law alone.
+``per_iteration_descend`` is the training descent with each loss taken by
+:func:`~codedcomp.regression.loss` right after its step, as it was before
+the losses were taken from cache-sized row blocks of X.
 """
 
 import math
@@ -18,6 +21,7 @@ import math
 import numpy as np
 
 from codedcomp.latency import prob_exactly
+from codedcomp.regression import gram, loss
 
 
 def order_uniform(assignment) -> bool:
@@ -132,3 +136,18 @@ def count_rule_cdf(assignment, t, model) -> float:
     n, x = assignment.n_workers, t / s
     f = 1.0 - math.exp(-model.mu * (x - model.alpha)) if x >= model.alpha else 0.0
     return sum(math.comb(n, k) * f**k * (1.0 - f) ** (n - k) for k in range(needed, n + 1))
+
+
+def per_iteration_descend(dataset, eta, masks) -> tuple[np.ndarray, np.ndarray]:
+    """Descent from theta = 0, step t updating the coordinate blocks
+    masks[t] marks, with the loss of each step taken before the next; the
+    losses and the final theta."""
+    w_full, c = gram(dataset)
+    step = eta / dataset.n_samples
+    rows = dataset.dim // masks.shape[1]
+    theta = np.zeros(dataset.dim)
+    losses = np.empty(len(masks))
+    for it, mask in enumerate(masks):
+        theta = np.where(np.repeat(mask, rows), theta - step * (w_full @ theta - c), theta)
+        losses[it] = loss(dataset, theta)
+    return losses, theta

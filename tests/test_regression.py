@@ -1,10 +1,15 @@
 """Synthetic regression data, partial gradient steps, and training."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codedcomp
 from codedcomp import (
     Dataset,
     LatencyModel,
@@ -18,8 +23,9 @@ from codedcomp import (
     partial_gd_step,
     train,
 )
-from codedcomp import simulate
+from codedcomp import regression, simulate
 from codedcomp.schemes import CircularShiftSource
+from oracles import per_iteration_descend
 
 MODEL = LatencyModel(mu=10.0, alpha=0.01)
 
@@ -307,3 +313,149 @@ class TestTrain:
         assert np.array_equal(result.times, reference.times)
         assert np.array_equal(result.messages, reference.messages)
         assert np.array_equal(result.recovered_fraction * 8, reference.recovered)
+
+
+class TestArguments:
+    RUNS = {
+        "train": lambda ds, eta, iterations: train(
+            ds, build_uc_mmc(4, 2), q=0.0, model=MODEL, eta=eta, iterations=iterations, seed=0
+        ),
+        "centralized_gd": centralized_gd,
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("iterations", [5.0, True, 0.5, "5"])
+    def test_non_integer_iterations_rejected(self, run, iterations):
+        ds = generate_dataset(20, 8, np.random.default_rng(51))
+        with pytest.raises(TypeError, match="iterations must be an integer"):
+            self.RUNS[run](ds, 0.1, iterations)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("iterations", [0, -3, np.int64(0)])
+    def test_iterations_below_one_rejected(self, run, iterations):
+        ds = generate_dataset(20, 8, np.random.default_rng(52))
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            self.RUNS[run](ds, 0.1, iterations)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_eta_must_be_finite_and_positive(self, run, eta):
+        ds = generate_dataset(20, 8, np.random.default_rng(53))
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            self.RUNS[run](ds, eta, 5)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("iterations", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_iterations_accepted(self, run, iterations):
+        ds = generate_dataset(20, 8, np.random.default_rng(54))
+        got, want = self.RUNS[run](ds, 0.1, iterations), self.RUNS[run](ds, 0.1, 5)
+        assert np.array_equal(got.losses, want.losses)
+        assert np.array_equal(got.theta, want.theta)
+
+
+class TestBufferedLosses:
+    @pytest.mark.parametrize(
+        "n_rows, size, blocks",
+        [
+            (1, 4, [(0, 1)]),
+            (3, 4, [(0, 3)]),
+            (5, 4, [(0, 5)]),
+            (6, 4, [(0, 4), (4, 6)]),
+            (16, 16, [(0, 16)]),
+            (17, 16, [(0, 17)]),
+            (35, 16, [(0, 16), (16, 32), (32, 35)]),
+            (33, 16, [(0, 16), (16, 33)]),
+        ],
+    )
+    def test_row_blocks_join_a_one_row_tail(self, n_rows, size, blocks):
+        assert regression._row_blocks(n_rows, size) == blocks
+
+    # Blocks of 16 rows and a buffer of 3 thetas, so that each case's X
+    # stays a few hundred elements (which OpenBLAS multiplies on one thread
+    # whatever its setting) while samples fall one below, on and above the
+    # block edges, in each residue mod 4, and the iterations flush a partial
+    # buffer, one full one, two, and two and a partial one.
+    @pytest.mark.parametrize("samples", [15, 16, 17, 18, 31, 33, 35])
+    @pytest.mark.parametrize("iterations", [2, 3, 6, 7])
+    def test_equal_per_iteration_losses(self, monkeypatch, samples, iterations):
+        dim = 8
+        monkeypatch.setattr(regression, "_LOSS_BLOCK_BYTES", 8 * dim * 16)
+        monkeypatch.setattr(regression, "_LOSS_BUFFER_BYTES", 8 * (dim + samples) * 3)
+        ds = generate_dataset(samples, dim, np.random.default_rng(samples))
+        source = CircularShiftSource.of(4, [1, 2])
+        result = train(ds, source, q=0.25, model=MODEL, eta=0.1, iterations=iterations, seed=iterations)
+        batches = simulate._batches(source, 0.25, MODEL, iterations, iterations)
+        masks = np.concatenate([batch[3] for batch in batches])
+        _assert_same_descent(result, per_iteration_descend(ds, 0.1, masks))
+        full = np.ones((iterations, 1), dtype=bool)
+        _assert_same_descent(centralized_gd(ds, 0.1, iterations), per_iteration_descend(ds, 0.1, full))
+
+    def test_default_budgets_equal_per_iteration_losses(self):
+        # 30 thetas wait at 1,000 samples of dimension 80: two full buffers
+        # and a partial one, in one row block.
+        ds = generate_dataset(1000, 80, np.random.default_rng(55))
+        full = np.ones((70, 1), dtype=bool)
+        _assert_same_descent(centralized_gd(ds, 0.1, 70), per_iteration_descend(ds, 0.1, full))
+
+    def test_row_blocked_products_equal_the_whole_product(self):
+        # The property _losses rests on.  It holds at one BLAS thread; with
+        # several, OpenBLAS splits a product's rows by the thread count, so
+        # the grid runs in a child process limited to one.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        src = str(Path(codedcomp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parent), src, env.get("PYTHONPATH")])
+        )
+        code = "from test_regression import row_block_mismatches\nprint(row_block_mismatches())\n"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _assert_same_descent(result, oracle):
+    losses, theta = oracle
+    assert result.losses.tobytes() == losses.tobytes()
+    assert result.theta.tobytes() == theta.tobytes()
+
+
+def row_block_mismatches() -> list[tuple[int, int, str, int]]:
+    """The (rows, columns, layout, block rows) at which a product of X with
+    a vector taken one row block at a time (:func:`regression._row_blocks`)
+    differs in any bit from the whole product.
+
+    Blocks of 4, 8 and 12 rows cover 1 to 39 rows at 1 to 2,000 columns in
+    C, Fortran, column-strided and sliced layouts; blocks of 64 rows at
+    2,000 columns and of 260 at 500 (the row blocks of ``_losses``) cover
+    one below to three above 1, 2, 3, 15 and 64 blocks, up to 4,099 rows.
+    """
+    rng = np.random.default_rng(57)
+    base = rng.standard_normal((4100, 2000))
+    vector = rng.standard_normal(2000)
+
+    def layouts(m, d, all_layouts):
+        yield "C", np.ascontiguousarray(base[:m, :d])
+        if all_layouts:
+            yield "F", np.asfortranarray(base[:m, :d])
+            if 2 * d <= base.shape[1]:
+                yield "strided", base[:m, : 2 * d : 2]
+            yield "sliced", base[1 : m + 1, base.shape[1] - d :]
+
+    def mismatches(m, d, sizes, all_layouts):
+        for layout, x in layouts(m, d, all_layouts):
+            whole = x @ vector[:d]
+            for size in sizes:
+                blocked = np.empty(m)
+                for a, b in regression._row_blocks(m, size):
+                    np.matmul(x[a:b], vector[:d], out=blocked[a:b])
+                if blocked.tobytes() != whole.tobytes():
+                    yield m, d, layout, size
+
+    found = []
+    for d in (1, 2, 3, 5, 8, 17, 64, 255, 2000):
+        for m in range(1, 40):
+            found += mismatches(m, d, (4, 8, 12), True)
+    for size, d in ((64, 2000), (260, 500)):
+        for count in (1, 2, 3, 15, 64):
+            for m in range(count * size - 1, count * size + 4):
+                if m < base.shape[0]:
+                    found += mismatches(m, d, (size,), m <= 1000)
+    return found

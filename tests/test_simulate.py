@@ -724,11 +724,12 @@ class TestTrialStreams:
         (5.0, 1, "trials must be an integer, got 5.0"),
     ], ids=["float-seed", "bool-seed", "bool-trials", "float-trials"])
     def test_non_integer_trials_or_seed_rejected(self, trials, seed, message):
-        # A float must not be truncated to a seed, nor a bool taken as one trial.
+        # A float must not be truncated to a seed, nor a bool taken as one
+        # trial; train names its trial count iterations.
         with pytest.raises(TypeError, match=f"^{message}$"):
             monte_carlo(build_mcc(8, 3), 0.0, MODEL, trials, seed)
         ds = generate_dataset(50, 16, np.random.default_rng(0))
-        with pytest.raises(TypeError, match=f"^{message}$"):
+        with pytest.raises(TypeError, match=f"^{message.replace('trials', 'iterations')}$"):
             train(ds, build_uc_mmc(8, 2), q=0.25, model=MODEL, eta=0.1, iterations=trials, seed=seed)
 
     def test_numpy_integer_trials_and_seed_accepted(self):
