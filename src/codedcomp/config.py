@@ -116,6 +116,14 @@ _as_trials = partial(_as_int, minimum=1, maximum=_MAX_TRIALS)
 _as_positive = partial(_as_number, positive=True)
 
 
+def _as_nonnegative(key, value, violations) -> float | None:
+    value = _as_number(key, value, violations)
+    if value is not None and value < 0:
+        violations.append(f"{key}: must be >= 0, got {value}")
+        return None
+    return value
+
+
 def _as_tolerance(key, value, violations) -> float | None:
     value = _as_number(key, value, violations)
     if value is not None and not 0.0 <= value <= 1.0:
@@ -260,7 +268,7 @@ class TrainSettings:
     samples: int = _field(_as_count, help="train sample count")
     eta: float = _field(_as_positive, 0.1, "train step size")
     iterations: int = _field(_as_trials, 50, "train iterations")
-    noise_std: float = _field(_as_number, 0.01, "train label noise standard deviation")
+    noise_std: float = _field(_as_nonnegative, 0.01, "train label noise standard deviation (>= 0)")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,14 @@ the master recovered before stopping.
 A Dataset's arrays are read-only, so its Gram pieces are computed once, on
 the first :func:`gram` call, and every training run on it reuses them.
 
-The loss after each step reads all of X, while the step itself reads only
-W.  No step depends on a loss, so training takes the losses of a few steps
-at a time, from one pass over X in cache-sized row blocks (after Goto and
-van de Geijn, "Anatomy of high-performance matrix multiplication", ACM TOMS
-2008).  At one BLAS thread each loss equals :func:`loss` bit for bit.
+A step multiplies only the rows of W that its recovered blocks need, as
+the master receives only those blocks of W theta.  The loss after each
+step reads all of X.  No step depends on a loss, so training takes the
+losses of several steps at a time, from one pass over X in cache-sized row
+blocks (after Goto and van de Geijn, "Anatomy of high-performance matrix
+multiplication", ACM TOMS 2008).  Both products run over the row ranges of
+:func:`_row_spans`, so at one BLAS thread each step and loss keeps the
+whole product's bits.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .latency import LatencyModel
 from .simulate import AssignmentSource, _batches, _source_layout
 
 # Loss evaluation: the bytes of thetas waiting for their losses, with their
-# predictions (5 steps at 2,000 dimensions and 4,000 samples), and of X per
-# row block, small enough to stay in a core's L2 cache while each waiting
-# theta multiplies it.  A larger buffer is faster still, but raises the peak
-# memory of a training run.
-_LOSS_BUFFER_BYTES = 2**18
-_LOSS_BLOCK_BYTES = 2**20
+# predictions (10 steps at 2,000 dimensions and 4,000 samples), and of X per
+# row block (32 rows there), small enough to stay in a core's L2 cache while
+# each waiting theta multiplies it.  A larger buffer is faster still, but
+# raises the peak memory of a training run.
+_LOSS_BUFFER_BYTES = 2**19
+_LOSS_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,12 @@ class Dataset:
     theta_star: np.ndarray
 
     def __post_init__(self) -> None:
+        x, y, theta_star = (np.shape(getattr(self, name)) for name in ("x", "y", "theta_star"))
+        if len(x) != 2 or y != x[:1] or theta_star != x[1:]:
+            raise ValueError(
+                "x must be 2-D, y of shape (n_samples,) and theta_star of shape "
+                f"(dim,); got x {x}, y {y} and theta_star {theta_star}"
+            )
         for name in ("x", "y", "theta_star"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
@@ -86,10 +95,22 @@ def generate_dataset(
 
     The ground truth theta* has uniform [0, 1] entries (unless given).  Each
     sample comes from an equal mixture of N(mu, I) and N(-mu, I) with
-    mu = (1.5 / dim) * theta*, and labels are y = x . theta* + noise.
+    mu = (1.5 / dim) * theta*, and labels are y = x . theta* + noise, with
+    noise drawn from N(0, noise_std^2) (noise_std = 0 gives noiseless labels).
+
+    Raises:
+        TypeError: if n_samples or dim is a bool or not an integer (NumPy
+            integers are accepted).
+        ValueError: if n_samples or dim is below 1, noise_std is negative or
+            not finite, or theta_star does not have shape (dim,).
     """
+    for name, value in (("n_samples", n_samples), ("dim", dim)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     # Allocated before any draw, so a size NumPy refuses fails at once.
     x = np.empty((n_samples, dim))
     if theta_star is None:
@@ -256,19 +277,27 @@ def _descend(dataset: Dataset, eta: float, masks: np.ndarray) -> tuple[np.ndarra
     """Descent from theta = 0, step t updating the blocks masks[t] marks (as
     :func:`partial_gd_step` does); the loss after each step, and final theta.
 
-    No step reads a loss, so the thetas of a few steps (as many as fit in
-    ``_LOSS_BUFFER_BYTES`` with their predictions) wait, and one pass over X
-    gives all their losses.
+    A step takes ``W theta`` only over the row spans of its recovered
+    blocks.  No step reads a loss, so the thetas of a few steps (as many as
+    fit in ``_LOSS_BUFFER_BYTES`` with their predictions) wait, and one
+    pass over X gives all their losses.
     """
     w_full, c = gram(dataset)
     step = eta / dataset.n_samples
     rows = dataset.dim // masks.shape[1]
+    unsplit = -(-dataset.dim // 4) * 4  # a span size no run of W exceeds
     width = max(1, _LOSS_BUFFER_BYTES // (8 * (dataset.dim + dataset.n_samples)))
     theta = np.zeros(dataset.dim)
+    product = np.empty(dataset.dim)
     waiting: list[np.ndarray] = []
     losses: list[float] = []
     for mask in masks:
-        theta = np.where(np.repeat(mask, rows), theta - step * (w_full @ theta - c), theta)
+        need = np.repeat(mask, rows)
+        for a, b in _row_spans(need, unsplit):
+            np.matmul(w_full[a:b], theta, out=product[a:b])
+        stepped = theta.copy()
+        stepped[need] = theta[need] - step * (product[need] - c[need])
+        theta = stepped
         waiting.append(theta)
         if len(waiting) == width:
             losses += _losses(dataset, waiting)
@@ -281,32 +310,47 @@ def _losses(dataset: Dataset, thetas: list[np.ndarray]) -> list[float]:
     """``loss(dataset, theta)`` for each theta, bit for bit, from one pass
     over X.
 
-    Each row block of X (:func:`_row_blocks`), a multiple of 4 rows and
-    about ``_LOSS_BLOCK_BYTES``, stays in cache while every theta's
-    ``x[a:b] @ theta`` is written into its prediction row.  With one
-    BLAS thread, OpenBLAS computes each row of a matrix-vector product alike
-    in any block of a multiple of 4 rows, so the predictions equal
-    ``x @ theta``; with several, each product splits its rows among the
-    threads, and the bits depend on that split.
+    Each row block of X (:func:`_row_spans` of every row), of about
+    ``_LOSS_BLOCK_BYTES``, stays in cache while every theta's
+    ``x[a:b] @ theta`` is written into its prediction row.
     """
     x, n = dataset.x, dataset.n_samples
     size = max(4, _LOSS_BLOCK_BYTES // (8 * max(dataset.dim, 1)) // 4 * 4)
     predictions = np.empty((len(thetas), n))
-    for a, b in _row_blocks(n, size):
+    for a, b in _row_spans(np.ones(n, dtype=bool), size):
         for theta, prediction in zip(thetas, predictions):
             np.matmul(x[a:b], theta, out=prediction[a:b])
     residuals = np.subtract(dataset.y, predictions, out=predictions)
     return [float(r @ r / (2.0 * n)) for r in residuals]
 
 
-def _row_blocks(n_rows: int, size: int) -> list[tuple[int, int]]:
-    """Row ranges [a, b) of ``size`` rows covering X in order, but for the
-    last, which joins the one before if it would have 1 row (NumPy computes
-    a 1-row product as a dot product, not a matrix-vector product)."""
-    edges = list(range(0, n_rows, size)) + [n_rows]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
+def _row_spans(need: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b), in order, that cover every row ``need`` marks.
+
+    Each range starts on a multiple of 4 rows and holds at most ``size``
+    rows (a positive multiple of 4), a multiple of 4 unless it ends at the
+    last row; a 1-row tail joins the range before it, which then holds one
+    row more (NumPy computes a 1-row product as a dot product, not a
+    matrix-vector product).  With one BLAS thread, OpenBLAS computes each
+    row of a matrix-vector product taken over such a range as the whole
+    product does; with several, each product splits its rows among the
+    threads, and the bits depend on that split.
+    """
+    n_rows = len(need)
+    groups = np.zeros(-(-n_rows // 4) * 4, dtype=bool)
+    groups[:n_rows] = need
+    groups = groups.reshape(-1, 4).any(axis=1)
+    tail = n_rows % 4 == 1 and len(groups) > 1 and groups[-1]
+    if tail:
+        groups[-2] = True
+    edges = np.flatnonzero(np.diff(groups, prepend=False, append=False))
+    spans = []
+    for first, last in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        starts = range(4 * first, 4 * last, size)
+        spans += [(a, min(a + size, 4 * last, n_rows)) for a in starts]
+    if tail and spans[-1][1] - spans[-1][0] == 1:
+        spans[-2:] = [(spans[-2][0], n_rows)]
+    return spans
 
 
 def centralized_gd(dataset: Dataset, eta: float, iterations: int) -> TrainResult:

@@ -11,9 +11,11 @@ enumeration's type table replaced, and ``scalar_type_probability`` takes a
 type's probability by the scalar loop that the array product replaced.
 ``count_rule_mean`` and ``count_rule_cdf`` are the exact completion laws of
 a count rule at q = 0, stated from the latency law alone.
-``per_iteration_descend`` is the training descent with each loss taken by
+``per_iteration_descend`` is the training descent with each step taking
+the whole ``W theta`` and each loss taken by
 :func:`~codedcomp.regression.loss` right after its step, as it was before
-the losses were taken from cache-sized row blocks of X.
+steps multiplied only the recovered rows of W and losses were taken from
+cache-sized row blocks of X.
 """
 
 import math

@@ -117,7 +117,7 @@ def valid_configs(draw):
         }
         _optional(draw, train, "eta", st.floats(1e-6, 10.0))
         _optional(draw, train, "iterations", st.integers(1, 1000))
-        _optional(draw, train, "noise_std", st.floats(-1e3, 1e3))
+        _optional(draw, train, "noise_std", st.floats(0.0, 1e3))
         data["train"] = train
     return data
 
@@ -326,6 +326,10 @@ class TestParseConfig:
                 "train.noise_std: must be finite",
             ),
             (
+                {"train": {"dim": 40, "samples": 10, "noise_std": -0.5}},
+                "train.noise_std: must be >= 0, got -0.5",
+            ),
+            (
                 {"scheme": "mcc", "workers": 3, "kbar": 2, "eval_points": [1, float("nan"), 2]},
                 "eval_points: must be finite",
             ),
@@ -351,7 +355,7 @@ class TestParseConfig:
         ],
         ids=[
             "negative-seed", "unhashable-mode", "zero-groups", "overflowing-points",
-            "nan-mu", "inf-alpha", "inf-eta", "nan-noise-std", "nan-eval-point",
+            "nan-mu", "inf-alpha", "inf-eta", "nan-noise-std", "negative-noise-std", "nan-eval-point",
             "duplicate-offsets", "out-of-range-offsets", "duplicate-grouped-offsets",
             "uc-mmc-communication", "hybrid-communication", "boolean-eval-points",
             "string-eval-points", "huge-rcs", "huge-uc-mmc",
@@ -911,6 +915,24 @@ class TestCli:
         flag = (tmp_path / "flag" / "training.csv").read_bytes()
         assert flag == (tmp_path / "file" / "training.csv").read_bytes()
         assert read_embedded_config(tmp_path / "flag" / "training.csv")["train"]["noise_std"] == 0.5
+
+    def test_negative_noise_std_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fresh" / "out"
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "4", "--degrees", "1,2", "--dim", "8",
+            "--samples", "10", "--iterations", "2", "--noise-std", "-1", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[1:] == ["  - train.noise_std: must be >= 0, got -1.0"]
+        assert not (tmp_path / "fresh").exists()
+
+    def test_zero_noise_std_accepted(self, tmp_path):
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "4", "--degrees", "1,2", "--dim", "8",
+            "--samples", "10", "--iterations", "2", "--noise-std", "0", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert read_embedded_config(tmp_path / "training.csv")["train"]["noise_std"] == 0.0
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"

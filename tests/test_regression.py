@@ -64,6 +64,44 @@ class TestDataset:
             generate_dataset(0, 4, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
+        "n_samples, dim, name",
+        [(2.5, 4, "n_samples"), (True, 4, "n_samples"), ("3", 4, "n_samples"), (3, 4.0, "dim"), (3, False, "dim")],
+    )
+    def test_non_integer_sizes_rejected(self, n_samples, dim, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            generate_dataset(n_samples, dim, np.random.default_rng(0))
+
+    def test_numpy_integer_sizes_accepted(self):
+        got = generate_dataset(np.int64(6), np.int32(3), np.random.default_rng(4))
+        want = generate_dataset(6, 3, np.random.default_rng(4))
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+    @pytest.mark.parametrize("noise_std", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+    def test_bad_noise_std_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
+            generate_dataset(10, 4, np.random.default_rng(0), noise_std=noise_std)
+
+    def test_zero_noise_gives_noiseless_labels(self):
+        ds = generate_dataset(10, 4, np.random.default_rng(24), noise_std=0)
+        assert np.all(np.isfinite(ds.y))
+        assert ds.y.tobytes() == (ds.x @ ds.theta_star).tobytes()
+
+    @pytest.mark.parametrize(
+        "x, y, theta_star",
+        [
+            (np.ones((3, 2)), np.ones(5), np.ones(2)),
+            (np.ones((3, 2)), np.ones(3), np.ones(3)),
+            (np.ones((3, 2)), np.ones((3, 1)), np.ones(2)),
+            (np.ones(3), np.ones(3), np.ones(1)),
+            (np.ones((3, 2, 1)), np.ones(3), np.ones(2)),
+        ],
+        ids=["y-length", "theta-length", "y-2d", "x-1d", "x-3d"],
+    )
+    def test_dataset_shapes_checked(self, x, y, theta_star):
+        with pytest.raises(ValueError, match="x must be 2-D, y of shape"):
+            Dataset(x=x, y=y, theta_star=theta_star)
+
+    @pytest.mark.parametrize(
         "theta_star", [None, [0.5, -1.25, 0.0, -0.0, 3.0, -0.0]], ids=["drawn", "given"]
     )
     def test_signed_mean_matches_product_formula(self, theta_star):
@@ -368,7 +406,45 @@ class TestBufferedLosses:
         ],
     )
     def test_row_blocks_join_a_one_row_tail(self, n_rows, size, blocks):
-        assert regression._row_blocks(n_rows, size) == blocks
+        assert regression._row_spans(np.ones(n_rows, dtype=bool), size) == blocks
+
+    @pytest.mark.parametrize(
+        "n_rows, needed, size, spans",
+        [
+            (8, [], 8, []),
+            (8, [5], 8, [(4, 8)]),
+            (10, [3, 4], 12, [(0, 8)]),
+            (10, [9], 12, [(8, 10)]),
+            (9, [8], 12, [(4, 9)]),
+            (9, [0, 8], 12, [(0, 9)]),
+            (9, [0, 8], 4, [(0, 4), (4, 9)]),
+            (13, [1, 12], 4, [(0, 4), (8, 13)]),
+            (21, [0, 1, 2, 13, 14], 8, [(0, 4), (12, 16)]),
+            (21, range(4, 21), 8, [(4, 12), (12, 21)]),
+            (1, [0], 4, [(0, 1)]),
+            (2, [1], 4, [(0, 2)]),
+        ],
+    )
+    def test_row_spans_of_needed_rows(self, n_rows, needed, size, spans):
+        need = np.zeros(n_rows, dtype=bool)
+        need[list(needed)] = True
+        assert regression._row_spans(need, size) == spans
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9, 10, 11, 12, 45, 64, 65])
+    @pytest.mark.parametrize("size", [4, 8, 12, 68])
+    def test_row_spans_rules(self, n_rows, size):
+        rng = np.random.default_rng(1000 * n_rows + size)
+        for density in (0.1, 0.5, 0.9, 1.0):
+            need = rng.random(n_rows) < density
+            spans = regression._row_spans(need, size)
+            covered = np.zeros(n_rows, dtype=bool)
+            for (a, b), after in zip(spans, spans[1:] + [(n_rows + 1, None)]):
+                assert a % 4 == 0 and a < b <= after[0]
+                assert b == n_rows or (b - a) % 4 == 0
+                assert b - a <= size or (b == n_rows and b - a == size + 1 and n_rows % 4 == 1)
+                assert b - a > 1 or n_rows == 1
+                covered[a:b] = True
+            assert np.all(covered[need])
 
     # Blocks of 16 rows and a buffer of 3 thetas, so that each case's X
     # stays a few hundred elements (which OpenBLAS multiplies on one thread
@@ -391,8 +467,8 @@ class TestBufferedLosses:
         _assert_same_descent(centralized_gd(ds, 0.1, iterations), per_iteration_descend(ds, 0.1, full))
 
     def test_default_budgets_equal_per_iteration_losses(self):
-        # 30 thetas wait at 1,000 samples of dimension 80: two full buffers
-        # and a partial one, in one row block.
+        # 60 thetas wait at 1,000 samples of dimension 80: one full buffer
+        # and a partial one, over row blocks of 816 and 184 rows.
         ds = generate_dataset(1000, 80, np.random.default_rng(55))
         full = np.ones((70, 1), dtype=bool)
         _assert_same_descent(centralized_gd(ds, 0.1, 70), per_iteration_descend(ds, 0.1, full))
@@ -411,6 +487,60 @@ class TestBufferedLosses:
         assert done.stdout.splitlines()[-1] == "[]"
 
 
+class TestRecoveredSpans:
+    # Seven blocks of 1 to 13 rows give every dimension residue mod 4, and
+    # W (at most 91 x 91) and X (at most 91 x 40) stay small enough that
+    # OpenBLAS multiplies them on one thread whatever its setting.
+    @pytest.mark.parametrize("rows", range(1, 14))
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.6, 1.0])
+    def test_train_equals_whole_product_steps(self, rows, q):
+        ds = generate_dataset(40, 7 * rows, np.random.default_rng(rows))
+        source = CircularShiftSource.of(7, [1, 2])
+        result = train(ds, source, q=q, model=MODEL, eta=0.1, iterations=12, seed=rows)
+        batches = simulate._batches(source, q, MODEL, 12, rows)
+        masks = np.concatenate([batch[3] for batch in batches])
+        assert masks.any() == (q < 1) and masks.all() == (q == 0)
+        _assert_same_descent(result, per_iteration_descend(ds, 0.1, masks))
+        if q == 0:
+            full = per_iteration_descend(ds, 0.1, np.ones((12, 1), dtype=bool))
+            _assert_same_descent(result, full)
+            _assert_same_descent(centralized_gd(ds, 0.1, 12), full)
+
+    @pytest.mark.parametrize("rows", range(1, 14))
+    def test_runs_at_the_first_and_last_blocks(self, rows):
+        ds = generate_dataset(40, 7 * rows, np.random.default_rng(100 + rows))
+        masks = np.array(
+            [
+                [1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0, 1],
+                [1, 0, 0, 0, 0, 0, 1],
+                [1, 1, 1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 1, 1, 1],
+                [0, 1, 1, 1, 1, 1, 0],
+                [0, 0, 0, 0, 0, 0, 0],
+                [1, 0, 1, 0, 1, 0, 1],
+                [0, 1, 0, 1, 0, 1, 0],
+                [1, 1, 1, 1, 1, 1, 1],
+                [0, 0, 0, 1, 0, 0, 0],
+                [1, 1, 0, 0, 0, 1, 1],
+            ],
+            dtype=bool,
+        )
+        got, want = regression._descend(ds, 0.1, masks), per_iteration_descend(ds, 0.1, masks)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_nothing_recovered_takes_no_product(self, monkeypatch):
+        ds = generate_dataset(40, 14, np.random.default_rng(7))
+        spans, row_spans = [], regression._row_spans
+        monkeypatch.setattr(
+            regression, "_row_spans", lambda need, size: spans.append(row_spans(need, size)) or spans[-1]
+        )
+        result = train(ds, CircularShiftSource.of(7, [1, 2]), q=1.0, model=MODEL, eta=0.1, iterations=4, seed=0)
+        assert spans == [[]] * 4 + [[(0, 40)]]
+        assert np.array_equal(result.theta, np.zeros(14))
+        assert np.array_equal(result.losses, np.full(4, loss(ds, np.zeros(14))))
+
+
 def _assert_same_descent(result, oracle):
     losses, theta = oracle
     assert result.losses.tobytes() == losses.tobytes()
@@ -419,17 +549,22 @@ def _assert_same_descent(result, oracle):
 
 def row_block_mismatches() -> list[tuple[int, int, str, int]]:
     """The (rows, columns, layout, block rows) at which a product of X with
-    a vector taken one row block at a time (:func:`regression._row_blocks`)
+    a vector taken over the row ranges of :func:`regression._row_spans`
     differs in any bit from the whole product.
 
     Blocks of 4, 8 and 12 rows cover 1 to 39 rows at 1 to 2,000 columns in
     C, Fortran, column-strided and sliced layouts; blocks of 64 rows at
-    2,000 columns and of 260 at 500 (the row blocks of ``_losses``) cover
-    one below to three above 1, 2, 3, 15 and 64 blocks, up to 4,099 rows.
+    2,000 columns and of 260 at 500 (row blocks of ``_losses``) cover one
+    below to three above 1, 2, 3, 15 and 64 blocks, up to 4,099 rows.
+    Square C-ordered matrices shaped as W are cut by the spans of a step's
+    recovered blocks (layout ``W`` and the pattern's number), at 1 to 13
+    rows per block of 2, 3, 7 and 9 blocks and at 50 and 667 rows per block
+    of 40 and 3 blocks (dimensions 2,000 and 2,001).
     """
     rng = np.random.default_rng(57)
     base = rng.standard_normal((4100, 2000))
-    vector = rng.standard_normal(2000)
+    vector = rng.standard_normal(2001)
+    square = rng.standard_normal((2001, 2001))
 
     def layouts(m, d, all_layouts):
         yield "C", np.ascontiguousarray(base[:m, :d])
@@ -439,15 +574,36 @@ def row_block_mismatches() -> list[tuple[int, int, str, int]]:
                 yield "strided", base[:m, : 2 * d : 2]
             yield "sliced", base[1 : m + 1, base.shape[1] - d :]
 
+    def differs(x, need, size):
+        whole = x @ vector[: x.shape[1]]
+        spans = regression._row_spans(need, size)
+        for a, b in spans:
+            if np.matmul(x[a:b], vector[: x.shape[1]]).tobytes() != whole[a:b].tobytes():
+                return True
+        return False
+
     def mismatches(m, d, sizes, all_layouts):
         for layout, x in layouts(m, d, all_layouts):
-            whole = x @ vector[:d]
             for size in sizes:
-                blocked = np.empty(m)
-                for a, b in regression._row_blocks(m, size):
-                    np.matmul(x[a:b], vector[:d], out=blocked[a:b])
-                if blocked.tobytes() != whole.tobytes():
+                if differs(x, np.ones(m, dtype=bool), size):
                     yield m, d, layout, size
+
+    def patterns(k):
+        yield from np.eye(k, dtype=bool)
+        yield np.ones(k, dtype=bool)
+        yield np.arange(k) % 2 == 0
+        yield np.arange(k) % 2 == 1
+        yield (np.arange(k) == 0) | (np.arange(k) == k - 1)
+        yield from rng.random((6, k)) < 0.7
+
+    def step_mismatches(rows, k):
+        d = rows * k
+        w = np.ascontiguousarray(square[:d, :d])
+        whole = -(-d // 4) * 4
+        for number, mask in enumerate(patterns(k)):
+            for size in (whole, 8) if d < 200 else (whole,):
+                if differs(w, np.repeat(mask, rows), size):
+                    yield d, d, f"W{number}", size
 
     found = []
     for d in (1, 2, 3, 5, 8, 17, 64, 255, 2000):
@@ -458,4 +614,9 @@ def row_block_mismatches() -> list[tuple[int, int, str, int]]:
             for m in range(count * size - 1, count * size + 4):
                 if m < base.shape[0]:
                     found += mismatches(m, d, (size,), m <= 1000)
+    for rows in range(1, 14):
+        for k in (2, 3, 7, 9):
+            found += step_mismatches(rows, k)
+    found += step_mismatches(50, 40)
+    found += step_mismatches(667, 3)
     return found
