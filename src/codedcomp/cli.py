@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import Field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .config import (
     parse_config,
 )
 from .enumeration import success_table
-from .regression import generate_dataset, gram, train
+from .regression import _openblas_threads, generate_dataset, gram, train
 from .simulate import monte_carlo
 
 _DATA_TAG = 4294967294
@@ -68,6 +69,11 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_columns(path: Path, cfg: ExperimentConfig, columns: dict) -> None:
+    """A CSV of equal-length columns, each under its header."""
+    _write_csv(path, cfg, list(columns), zip(*columns.values()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -133,24 +139,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         assignment_source(cfg), cfg.q, cfg.model(), cfg.trials, cfg.seed
     )
     elapsed = time.perf_counter() - start
-    rows = [
-        [
-            t,
-            repr(float(result.times[t])),
-            int(result.messages[t]),
-            int(result.redundant[t]),
-            int(result.recovered[t]),
-            int(result.completed[t]),
-        ]
-        for t in range(result.trials)
-    ]
     trials_path = out_dir / "trials.csv"
-    _write_csv(
-        trials_path,
-        cfg,
-        ["trial", "completion_time", "messages", "redundant", "recovered_blocks", "completed"],
-        rows,
-    )
+    _write_columns(trials_path, cfg, {
+        "trial": range(result.trials),
+        "completion_time": map(repr, result.times.tolist()),
+        "messages": result.messages.tolist(),
+        "redundant": result.redundant.tolist(),
+        "recovered_blocks": result.recovered.tolist(),
+        "completed": result.completed.astype(int).tolist(),
+    })
     summary_path = out_dir / "summary.json"
     _write_json(summary_path, {"config": cfg.to_dict(), "results": result.summary()})
     print(
@@ -165,6 +162,9 @@ def _cmd_train(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     settings = cfg.train
     if settings is None:
         raise ConfigError(["train: section required for the train command"])
+    if _openblas_threads() is None:
+        message = "NumPy's BLAS is not its bundled OpenBLAS; the output depends on its thread count"
+        print("train: " + message, file=sys.stderr)
     data_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DATA_TAG)))
     try:
         dataset = generate_dataset(
@@ -182,23 +182,14 @@ def _cmd_train(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         settings.iterations,
         cfg.seed,
     )
-    rows = [
-        [
-            it + 1,
-            repr(float(result.losses[it])),
-            repr(float(result.times[it])),
-            int(result.messages[it]),
-            repr(float(result.recovered_fraction[it])),
-        ]
-        for it in range(settings.iterations)
-    ]
     path = out_dir / "training.csv"
-    _write_csv(
-        path,
-        cfg,
-        ["iteration", "loss", "iteration_time", "messages", "recovered_fraction"],
-        rows,
-    )
+    _write_columns(path, cfg, {
+        "iteration": range(1, settings.iterations + 1),
+        "loss": map(repr, result.losses.tolist()),
+        "iteration_time": map(repr, result.times.tolist()),
+        "messages": result.messages.tolist(),
+        "recovered_fraction": map(repr, result.recovered_fraction.tolist()),
+    })
     print(
         f"train: {cfg.scheme} q={cfg.q} iterations={settings.iterations} "
         f"final_loss={result.losses[-1]:.6e} total_time={result.total_time:.4f}"
@@ -240,7 +231,8 @@ def _attach_values(argv) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Flags are spelled out in full, so a new field cannot re-bind an abbreviation.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     # No type or choices: the field's parser reads the text, so every bad flag is a violation.
@@ -250,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codedcomp",
         description="Coded distributed computation with partial recovery",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("encode", parents=[common], help="dump a concrete assignment as JSON")
-    sub.add_parser("enumerate", parents=[common], help="tabulate successful score vectors (CSV)")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo timing statistics (CSV + JSON)")
-    sub.add_parser("train", parents=[common], help="regression training under partial recovery (CSV)")
+    command = partial(sub.add_parser, parents=[common], allow_abbrev=False)
+    command("encode", help="dump a concrete assignment as JSON")
+    command("enumerate", help="tabulate successful score vectors (CSV)")
+    command("simulate", help="Monte Carlo timing statistics (CSV + JSON)")
+    command("train", help="regression training under partial recovery (CSV)")
     return parser
 
 

@@ -75,14 +75,24 @@ def _spelled(value):
     return value
 
 
-def _as_int(key, value, violations, minimum=None, maximum=None) -> int | None:
+def _as_number(key, value, violations, integer=False, minimum=None, maximum=None) -> float | None:
+    """A number in [minimum, maximum]: an integer (``2.0`` is 2), which never
+    passes through float, so it may have any size, or else a finite float."""
     value = _spelled(value)
-    if isinstance(value, float) and value.is_integer():
+    if integer and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        violations.append(f"{key}: expected an integer, got {value!r}")
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        violations.append(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
         return None
-    value = int(value)
+    try:
+        value = int(value) if integer else float(value)
+    except OverflowError:
+        violations.append(f"{key}: must be finite, got an integer too large for a float")
+        return None
+    if not integer and not math.isfinite(value):
+        violations.append(f"{key}: must be finite, got {value}")
+        return None
     if minimum is not None and value < minimum:
         violations.append(f"{key}: must be >= {minimum}, got {value}")
         return None
@@ -92,34 +102,16 @@ def _as_int(key, value, violations, minimum=None, maximum=None) -> int | None:
     return value
 
 
-def _as_number(key, value, violations, positive=False) -> float | None:
-    value = _spelled(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        violations.append(f"{key}: expected a number, got {value!r}")
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        violations.append(f"{key}: must be finite, got an integer too large for a float")
-        return None
-    if not math.isfinite(value):
-        violations.append(f"{key}: must be finite, got {value}")
-        return None
-    if positive and value <= 0:
-        violations.append(f"{key}: must be positive, got {value}")
-        return None
-    return value
+_as_int = partial(_as_number, integer=True)
+_as_count = partial(_as_number, integer=True, minimum=1)
+_as_trials = partial(_as_number, integer=True, minimum=1, maximum=_MAX_TRIALS)
+_as_nonnegative = partial(_as_number, minimum=0)
 
 
-_as_count = partial(_as_int, minimum=1)
-_as_trials = partial(_as_int, minimum=1, maximum=_MAX_TRIALS)
-_as_positive = partial(_as_number, positive=True)
-
-
-def _as_nonnegative(key, value, violations) -> float | None:
+def _as_positive(key, value, violations) -> float | None:
     value = _as_number(key, value, violations)
-    if value is not None and value < 0:
-        violations.append(f"{key}: must be >= 0, got {value}")
+    if value is not None and value <= 0:
+        violations.append(f"{key}: must be positive, got {value}")
         return None
     return value
 

@@ -16,22 +16,27 @@ losses of several steps at a time, from one pass over X in cache-sized row
 blocks (after Goto and van de Geijn, "Anatomy of high-performance matrix
 multiplication", ACM TOMS 2008).  Both products run over the row ranges of
 :func:`_row_spans`, so at one BLAS thread each step and loss keeps the
-whole product's bits.
+whole product's bits.  Every product a training run's bytes depend on (the
+labels, the Gram pieces, the steps and the losses) runs under
+:func:`_one_blas_thread`, so where NumPy bundles OpenBLAS the bytes do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .blocks import DECODE_THRESHOLD, MODE_COMPUTATION
 from .latency import LatencyModel
-from .simulate import AssignmentSource, _batches, _source_layout
+from .simulate import AssignmentSource, _batches, _check_integers, _source_layout
 
 # Loss evaluation: the bytes of thetas waiting for their losses, with their
 # predictions (10 steps at 2,000 dimensions and 4,000 samples), and of X per
@@ -40,6 +45,37 @@ from .simulate import AssignmentSource, _batches, _source_layout
 # raises the peak memory of a training run.
 _LOSS_BUFFER_BYTES = 2**19
 _LOSS_BLOCK_BYTES = 2**19
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy's
+    wheels bundle, found with ctypes; None for any other BLAS."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*scipy_openblas*"), *root.glob(".dylibs/*scipy_openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            if get is not None:
+                return get, getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed products on one BLAS thread, then restore the count.
+    With several, OpenBLAS splits a product's rows among them, and the bits
+    depend on the split.  Under another BLAS this changes nothing."""
+    if _openblas_threads() is None:
+        yield
+        return
+    get, set_threads = _openblas_threads()
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 @dataclass(frozen=True)
@@ -69,6 +105,7 @@ class Dataset:
             object.__setattr__(self, name, view)
 
     @cached_property
+    @_one_blas_thread()
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         w, c = self.x.T @ self.x, self.x.T @ self.y
         w.flags.writeable = False
@@ -104,9 +141,7 @@ def generate_dataset(
         ValueError: if n_samples or dim is below 1, noise_std is negative or
             not finite, or theta_star does not have shape (dim,).
     """
-    for name, value in (("n_samples", n_samples), ("dim", dim)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_integers(n_samples=n_samples, dim=dim)
     if n_samples < 1 or dim < 1:
         raise ValueError("n_samples and dim must be positive")
     if not (math.isfinite(noise_std) and noise_std >= 0):
@@ -127,7 +162,8 @@ def generate_dataset(
     positive = signs[:, None] > 0
     np.add(x, mu, out=x, where=positive)
     np.subtract(x, mu, out=x, where=~positive)
-    y = x @ theta_star + noise_std * rng.standard_normal(n_samples)
+    with _one_blas_thread():
+        y = x @ theta_star + noise_std * rng.standard_normal(n_samples)
     return Dataset(x=x, y=y, theta_star=theta_star)
 
 
@@ -265,14 +301,14 @@ def train(
 
 def _check_descent(eta: float, iterations: int) -> None:
     """The checks :func:`train` and :func:`centralized_gd` share."""
-    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral):
-        raise TypeError(f"iterations must be an integer, got {iterations!r}")
+    _check_integers(iterations=iterations)
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
+@_one_blas_thread()
 def _descend(dataset: Dataset, eta: float, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descent from theta = 0, step t updating the blocks masks[t] marks (as
     :func:`partial_gd_step` does); the loss after each step, and final theta.

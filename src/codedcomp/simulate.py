@@ -16,10 +16,10 @@ time, so time keys decide a trial exactly as ranks would unless another
 arrival ties the stop time.  Only such a trial is ranked, by the stable
 sort so that ties break by message then worker, and decided again on its
 ranks; a trial without one sorts nothing.  Each batch builds its per-order
-block tables (``decoding._block_tables``) once, for the release sweep and
-the pending count alike; the ranked trials take their columns of the block
-ids.  A count rule (``mds``, ``threshold``) releases every block at once: it
-stops at the ``needed``-th smallest first-message arrival time.
+block tables (``decoding._block_tables``) once, for the release sweeps (a
+second one, on ranks, if a trial ties) and the pending count alike.  A
+count rule (``mds``, ``threshold``) releases every block at once: it stops
+at the ``needed``-th smallest first-message arrival time.
 
 Trial t draws from the stream ``SeedSequence((seed, t))`` of
 :func:`trial_rng`.  :func:`_batches`, the one trial loop behind
@@ -172,12 +172,10 @@ def _trials(assignment: ComputationAssignment, blocks, unit_times: np.ndarray, t
         keys, cut = arrivals, np.minimum(stop, np.finfo(float).max)
         tied = np.flatnonzero(np.count_nonzero(flat == stop[:, None], axis=1) > 1)
         if tied.size:
-            ranks = _arrival_ranks(flat[tied]).reshape((tied.size,) + arrivals.shape[1:])
-            subset = None if blocks is None else [ids[:, tied] for ids in blocks]
-            ranked = _release_ranks(assignment, _block_tables(assignment, tied.size, subset), ranks)
             keys = arrivals.copy()  # flat, a view of arrivals, still counts the messages
-            keys[tied], release[tied] = ranks, ranked
-            cut[tied] = np.partition(ranked, threshold - 1, axis=1)[:, threshold - 1]
+            keys[tied] = _arrival_ranks(flat[tied]).reshape((tied.size,) + arrivals.shape[1:])
+            release = _release_ranks(assignment, tables, keys)  # the same where untied
+            cut[tied] = np.partition(release[tied], threshold - 1, axis=1)[:, threshold - 1]
         masks = release <= cut[:, None]
         # Ingested tasks are pending (two or more blocks still unknown), the
         # source of one recovered block each, or redundant.
@@ -332,6 +330,13 @@ class _StreamWords(ISeedSequence):
         return row
 
 
+def _check_integers(**values) -> None:
+    """Raise TypeError for the first value that is a bool or not an integer."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _source_layout(source: AssignmentSource) -> ComputationAssignment:
     """The assignment every trial of source matches in all but its supports."""
     if isinstance(source, CircularShiftSource):
@@ -366,9 +371,7 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
             trial streams index at most 2**32 trials), or the seed is
             negative.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_integers(trials=trials, seed=seed)
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {_MAX_TRIALS}], got {trials}")
     layout = _source_layout(source)

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import codedcomp
 from codedcomp import ComputationAssignment, ConfigError, assignment_source, parse_config
+from codedcomp import cli
 from codedcomp.cli import _overrides_from, _write_json, build_parser, main, read_embedded_config
 from codedcomp.config import _SCHEMES, SCHEMES, ExperimentConfig, TrainSettings
+from codedcomp.regression import _openblas_threads
 from codedcomp.schemes import CircularShiftSource
 
 # Group 2 only occurs in the degree-2 order, so no message ever releases one
@@ -748,6 +750,35 @@ class TestCli:
         embedded = read_embedded_config(tmp_path / "training.csv")
         assert embedded["train"]["dim"] == 40
 
+    @pytest.mark.skipif(_openblas_threads() is None, reason="NumPy's BLAS is not its bundled OpenBLAS")
+    def test_train_reports_nothing_under_bundled_openblas(self, tmp_path, capsys):
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "4", "--degrees", "1,2",
+            "--dim", "8", "--samples", "10", "--iterations", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_train_reports_thread_dependent_bytes_under_another_blas(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        code = self.run(
+            "train", "--scheme", "rcs", "--workers", "4", "--degrees", "1,2",
+            "--dim", "8", "--samples", "10", "--iterations", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "train: NumPy's BLAS is not its bundled OpenBLAS; the output depends on its thread count"
+        ]
+
+    def test_abbreviated_flags_rejected(self, tmp_path, capsys):
+        # argparse would read these as --workers 4 --load 2 --trials 5.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            self.run("simulate", *UC_MMC_FLAGS[:2], "--work", "4", "--lo", "2", "--tri", "5", "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --work 4 --lo 2 --tri 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_requires_section(self, tmp_path, capsys):
         code = self.run(
             "train", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2",
@@ -830,6 +861,20 @@ class TestCli:
             _write_json(tmp_path / "summary.json", {"mean_time": float("inf")})
         _write_json(tmp_path / "summary.json", {"mean_time": None})
         assert json.loads((tmp_path / "summary.json").read_text()) == {"mean_time": None}
+
+    def test_400_digit_seed_runs(self, tmp_path):
+        # An integer field never passes through float, so a seed of any
+        # size is an integer, not an overflow.
+        seed = int("7" * 400)
+        assert parse_config({**TABLE_CONFIG, "seed": seed}).seed == seed
+        assert parse_config({**TABLE_CONFIG, "seed": float(10**300)}).seed == int(float(10**300))
+        code = self.run(
+            "simulate", "--scheme", "rcs", "--workers", "8", "--degrees", "1,2",
+            "--trials", "70", "--seed", str(seed), "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert read_embedded_config(tmp_path / "trials.csv")["seed"] == seed
+        assert json.loads((tmp_path / "summary.json").read_text())["results"]["seed"] == seed
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = self.run(
@@ -966,6 +1011,24 @@ def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme):
         drawn = reads and given is None and redraw
         assert isinstance(source, CircularShiftSource) == drawn, (given, redraw)
         assert isinstance(source, ComputationAssignment) != drawn
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="NumPy's BLAS is not its bundled OpenBLAS")
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At 2 threads OpenBLAS splits a product's rows between them; training
+    # pins its products to one thread, so both runs write the same bytes.
+    src = str(Path(codedcomp.__file__).resolve().parents[1])
+    argv = ["train", "--scheme", "rcs", "--workers", "40", "--degrees", "1,2,3", "--q", "0.3",
+            "--dim", "2000", "--samples", "4000"]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "codedcomp.cli", *argv, "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        digests.append(hashlib.sha256((out / "training.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_simulate_imports_neither_numpy_ma_nor_fractions(tmp_path):

@@ -461,6 +461,18 @@ class TestArrivalRanks:
         assert 0 < tied.sum() < trials
         assert np.array_equal(np.concatenate(ranked), flat[tied])
 
+    @pytest.mark.parametrize(
+        "source", [CircularShiftSource.of(8, [1, 2, 3]), build_uc_mmc(8, 2)], ids=["rcs", "uc-mmc"]
+    )
+    def test_a_tied_batch_builds_its_tables_once(self, source, monkeypatch):
+        # Ranked trials are swept again on the batch's own tables.
+        built, ranked = [], []
+        block_tables, rank = simulate._block_tables, simulate._arrival_ranks
+        monkeypatch.setattr(simulate, "_block_tables", lambda *args: built.append(args) or block_tables(*args))
+        monkeypatch.setattr(simulate, "_arrival_ranks", lambda flat: ranked.append(flat) or rank(flat))
+        monte_carlo(source, 0.25, _SomeTrialsTiedModel(), 2 * _CHUNK + 5, seed=5)
+        assert len(built) == len(ranked) == 3
+
     @pytest.mark.parametrize("model", [_TiedModel(), _TwoSpeedModel()], ids=["tied", "two-speed"])
     def test_tied_models_reach_the_fallback(self, model):
         _, kinds = _sort_kinds(lambda: monte_carlo(build_uc_mmc(8, 2), 0.0, model, 40, seed=17))
