@@ -10,15 +10,17 @@ type for a count rule, a rotation orbit for a code that turning the workers
 only relabels (the circular-shift codes), and one vector otherwise.  The
 orbits' smallest vectors come from a necklace walk that visits only the
 prenecklaces; every other vector is walked by its flat index.  The vectors
-come in chunks decided by one release-rank call each, on the one block
-table built per call, and their weights are binned by type.
+go in slices to one release-rank call each, on the one block table built
+per call, and their weights are binned by type.
 
 The types of each (n_workers, max_score) come from one cached table (only
 the last key's is kept, so a large table is freed by the next key's): a
 counts matrix grown one score level at a time by array operations, without
 recursion.  ``all_types``, ``success_table`` and ``completion_cdf`` read it;
 a code whose score vectors or table cells pass the enumeration limit is
-refused first.
+refused first.  The table also holds the necklaces of its key, walked once
+and sorted into type rows on the first rotation code's call, so a later
+call at that key only decides its own code's vectors.
 
 This module owns the cumulative type: ``CumulativeType`` stores its counts,
 highest score first, as every row of the type table does, and
@@ -47,7 +49,8 @@ from .latency import LatencyModel, prob_exactly
 _MAX_SCORE_VECTORS = 10**7
 # Score vectors decided per release-rank call, so memory stays bounded.  At
 # 9 workers with scores 0-2, 512 ran faster than 256 or 1,024 by a sixth.
-# The necklace walk also extends at most this many prefixes at a time.
+# The necklace walk also extends at most this many prefixes at a time, so
+# a cold walk holds one such block besides the necklaces it fills.
 _VECTORS_PER_CALL = 512
 # Most (type, time) cells completion_cdf holds in one array (8 MB of
 # floats); a longer time grid is taken in blocks of times.
@@ -80,6 +83,8 @@ class CumulativeType:
         return sum(self.counts)
 
     def count_for_score(self, score: int) -> int:
+        if not 0 <= score <= self.max_score:
+            raise ValueError(f"score must lie in [0, {self.max_score}], got {score}")
         return self.counts[self.max_score - score]
 
 
@@ -111,8 +116,11 @@ class _TypeTable:
     only ``success_table`` reads them: the ``CumulativeType`` objects, the
     exact totals as Python ints, and each type's scores in descending order
     with its key, those scores read as base-(max_score + 1) digits.  The
-    keys fit in int64 only under the enumeration limit.  Arrays are
-    read-only, because one table serves every caller.
+    keys fit in int64 only under the enumeration limit.  ``necklaces`` holds
+    every rotation orbit's smallest vector in ``_necklaces`` order, as
+    (digits, orbit sizes, type rows) in the smallest dtypes that hold them,
+    filled block by block from the walk: about 20 MB at the limit.
+    Arrays are read-only, because one table serves every caller.
 
     The counts grow one score level at a time, without recursion.  Each
     prefix of levels with k workers left places k, k - 1, ..., 0 of them at
@@ -167,6 +175,30 @@ class _TypeTable:
         keys = self.scores @ base ** np.arange(self.n_workers - 1, -1, -1, dtype=np.int64)
         keys.flags.writeable = False
         return keys
+
+    def type_rows(self, scores: np.ndarray) -> np.ndarray:
+        """The type row of each score vector: its scores sorted in ascending
+        order take the powers 1, ..., base ** (n_workers - 1), which gives
+        its type's key, and the keys strictly decrease down the table."""
+        powers = (self.max_score + 1) ** np.arange(self.n_workers, dtype=np.int64)
+        return np.searchsorted(-self.keys, -(np.sort(scores, axis=1) @ powers))
+
+    @functools.cached_property
+    def necklaces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Burnside: the orbits average the strings each rotation fixes.
+        base, n = self.max_score + 1, self.n_workers
+        count = sum(base ** math.gcd(i, n) for i in range(n)) // n
+        digits = np.empty((count, n), dtype=np.min_scalar_type(-base))
+        orbit = np.empty(count, dtype=np.min_scalar_type(n))
+        rows = np.empty(count, dtype=np.min_scalar_type(len(self.counts)))
+        at = 0
+        for part, size in _necklaces(base, n):
+            end = at + len(size)
+            digits[at:end], orbit[at:end], rows[at:end] = part, size, self.type_rows(part)
+            at = end
+        for array in (digits, orbit, rows):
+            array.flags.writeable = False
+        return digits, orbit, rows
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,8 +275,7 @@ def _symmetry(assignment: ComputationAssignment) -> str:
 def _necklaces(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The smallest string of every rotation orbit of the base-``base``
     strings of length n, with its orbit size, in increasing flat-index order:
-    (digits, orbit) chunks of ``_VECTORS_PER_CALL`` rows, the last one
-    shorter.
+    (digits, orbit) blocks of any length, some empty.
 
     The walk is the Fredricksen-Kessler-Maiorana algorithm (Ruskey, Savage
     and Wang, "Generating necklaces", J. Algorithms 1992), one digit at a
@@ -261,20 +292,11 @@ def _necklaces(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     first[:, 0] = np.arange(base)
     # (prefixes, periods, length) blocks still to extend, the next one last.
     todo = [(first, np.ones(base, dtype=np.int64), 1)]
-    ready: list[tuple[np.ndarray, np.ndarray]] = []
-    buffered = 0
     while todo:
         prefix, period, t = todo.pop()
         if t == n:
             kept = n % period == 0
-            ready.append((prefix[kept], period[kept]))
-            buffered += len(ready[-1][1])
-            if buffered >= size:
-                digits, orbit = (np.concatenate(parts) for parts in zip(*ready))
-                cut = buffered // size * size
-                for at in range(0, cut, size):
-                    yield digits[at : at + size], orbit[at : at + size]
-                ready, buffered = [(digits[cut:], orbit[cut:])], buffered - cut
+            yield prefix[kept], period[kept]
             continue
         if len(prefix) > size:
             todo.extend(
@@ -296,20 +318,16 @@ def _necklaces(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         grown = np.full(len(child), t + 1, dtype=np.int64)
         grown[starts] = period
         todo.append((child, grown, t + 1))
-    if buffered:
-        digits, orbit = (np.concatenate(parts) for parts in zip(*ready))
-        yield digits, orbit
 
 
-def _flat_vectors(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _flat_vectors(base: int, n: int) -> Iterator[np.ndarray]:
     """Every base-``base`` string of length n, worker 0 the leading digit, in
-    flat-index order: (digits, orbit) chunks of ``_VECTORS_PER_CALL`` rows,
-    each orbit 1."""
+    flat-index order, in chunks of ``_VECTORS_PER_CALL`` rows."""
     weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     count = base**n
     for start in range(0, count, _VECTORS_PER_CALL):
         index = np.arange(start, min(start + _VECTORS_PER_CALL, count), dtype=np.int64)
-        yield index[:, None] // weights % base, np.ones(len(index), dtype=np.int64)
+        yield index[:, None] // weights % base
 
 
 def success_table(
@@ -320,13 +338,13 @@ def success_table(
     One loop decides every code, each vector weighted by the vectors it
     stands for (``_symmetry``): a count rule's sorted score row of each type
     by the type's total; the smallest vector of each rotation orbit, worker
-    0 the leading base-(max_score + 1) digit, as ``_necklaces`` walks them,
-    by its orbit size; any other code's every vector, in flat-index order,
-    by 1.  Each chunk of at most ``_VECTORS_PER_CALL`` vectors goes to one
-    release-rank call on the call's one block table, and the weights of the
-    successes are binned by type in exact integers.  A vector's type key is
-    its scores sorted in descending order and read as digits; ``all_types``
-    lists the types in strictly decreasing key order.
+    0 the leading base-(max_score + 1) digit, as the type table's cached
+    necklaces hold them, by its orbit size; any other code's every vector,
+    in flat-index order, by 1.  Each slice of at most ``_VECTORS_PER_CALL``
+    vectors goes to one release-rank call on the call's one block table,
+    and the weights of the successes are binned by type in exact integers.
+    A vector's type row is the row of its scores sorted in descending order
+    (``_TypeTable.type_rows``).
 
     Raises:
         ValueError: if the (max_score + 1) ** n_workers score vectors, or
@@ -343,22 +361,19 @@ def success_table(
     table = _type_table(n, base - 1)
     size = _VECTORS_PER_CALL
     symmetry = _symmetry(assignment)
-    if symmetry == "types":
-        totals = np.array(table.totals, dtype=np.int64)
-        chunks = ((table.scores[at : at + size], totals[at : at + size]) for at in range(0, len(totals), size))
+    if symmetry == "none":
+        # Up to 10**7 vectors, so they are streamed a chunk at a time.
+        sources = ((s, np.ones(len(s), dtype=np.int64), table.type_rows(s)) for s in _flat_vectors(base, n))
+    elif symmetry == "turns":
+        sources = [table.necklaces]
     else:
-        chunks = (_necklaces if symmetry == "turns" else _flat_vectors)(base, n)
-    # A type's key weights its descending scores by base ** (n - 1), ...,
-    # 1, so a vector's ascending sorted scores take the powers 1, ..., base
-    # ** (n - 1).
-    powers = base ** np.arange(n, dtype=np.int64)
-    descending = -table.keys
+        sources = [(table.scores, np.array(table.totals, dtype=np.int64), np.arange(len(table.counts)))]
     tables = _block_tables(assignment, size)
     good = np.zeros(len(table.counts), dtype=np.int64)
-    for scores, weight in chunks:
-        rows = np.searchsorted(descending, -(np.sort(scores, axis=1) @ powers))
-        ok = _successes(assignment, scores, q, tables)
-        np.add.at(good, rows[ok], weight[ok])
+    for scores, weight, rows in sources:
+        for at in range(0, len(rows), size):
+            ok = _successes(assignment, scores[at : at + size], q, tables)
+            np.add.at(good, rows[at : at + size][ok], weight[at : at + size][ok])
     return [(ctype, int(g), total) for ctype, g, total in zip(table.types, good, table.totals)]
 
 

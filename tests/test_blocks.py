@@ -64,6 +64,14 @@ class TestTypeOf:
             CumulativeType((1.5, 2))
         assert CumulativeType((np.int64(1), 2)).worker_count == 3
 
+    @pytest.mark.parametrize("score", [-1, 3, 4, 5])
+    def test_count_for_score_outside_the_levels(self, score):
+        # counts[max_score - score] would wrap to another level's count.
+        ctype = CumulativeType((2, 1, 0))
+        assert [ctype.count_for_score(s) for s in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match=rf"score must lie in \[0, 2\], got {score}"):
+            ctype.count_for_score(score)
+
 
 class TestCodedTask:
     def test_of_blocks(self):

@@ -390,31 +390,75 @@ class TestTables:
 
 
 class TestNecklaces:
-    @staticmethod
-    def walk(base, n):
-        chunks = list(enumeration._necklaces(base, n))
-        return chunks, np.concatenate([d for d, _ in chunks]), np.concatenate([o for _, o in chunks])
-
     # Digit 129 does not fit in int8, so base 130's rows widen to int16.
     @pytest.mark.parametrize("base, n", [(2, 1), (2, 12), (3, 9), (4, 6), (5, 5), (130, 2)])
     def test_necklaces_are_the_orbit_representatives(self, base, n):
-        chunks, digits, orbit = self.walk(base, n)
+        table = enumeration._type_table(n, base - 1)
+        digits, orbit, rows = table.necklaces
         index, size = orbit_representatives(0, base**n, base, n, n)
         assert digits.dtype == (np.int8 if base <= 128 else np.int16)
         assert np.array_equal(digits, index[:, None] // base ** np.arange(n - 1, -1, -1) % base)
         assert np.array_equal(orbit, size)
         assert orbit.sum() == base**n
-        sizes = [len(d) for d, _ in chunks]
-        assert sizes[:-1] == [enumeration._VECTORS_PER_CALL] * (len(chunks) - 1)
-        assert 0 < sizes[-1] <= enumeration._VECTORS_PER_CALL
+        descending = np.sort(digits, axis=1)[:, ::-1].astype(np.int64)
+        assert np.array_equal(table.keys[rows], descending @ base ** np.arange(n - 1, -1, -1))
+        walked = list(enumeration._necklaces(base, n))
+        assert np.array_equal(np.concatenate([d for d, _ in walked]), digits)
+        assert np.array_equal(np.concatenate([o for _, o in walked]), orbit)
 
-    @pytest.mark.parametrize("size", [1, 7, 100])
+    @pytest.mark.parametrize("size", [1, 7, 100, 512])
     def test_chunk_size_only_regroups(self, size, monkeypatch):
-        _, digits, orbit = self.walk(3, 7)
+        # One slice of every vector is the reference; each size walks the
+        # necklaces again in blocks of that many prefixes.
+        asn, grid = build_rcs(7, [1, 2], offsets=[1, 3, 5]), np.linspace(0.0, 1.5, 17)
+        model = TestCompletionCdf.MODEL
+        assert enumeration._symmetry(asn) == "turns"
+        monkeypatch.setattr(enumeration, "_VECTORS_PER_CALL", 3**7 + 1)
+        enumeration._type_table.cache_clear()
+        held = enumeration._type_table(7, 2).necklaces
+        table, cdf = success_table(asn, 0.25), completion_cdf(asn, 0.25, grid, model)
         monkeypatch.setattr(enumeration, "_VECTORS_PER_CALL", size)
-        chunks, regrouped, regrouped_orbit = self.walk(3, 7)
-        assert all(len(d) == size for d, _ in chunks[:-1])
-        assert np.array_equal(regrouped, digits) and np.array_equal(regrouped_orbit, orbit)
+        enumeration._type_table.cache_clear()
+        for got, want in zip(enumeration._type_table(7, 2).necklaces, held):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert success_table(asn, 0.25) == table
+        assert completion_cdf(asn, 0.25, grid, model).tolist() == cdf.tolist()
+
+
+class TestHeldNecklaces:
+    """The rotation classes of each (workers, max score), held by its type table."""
+
+    def test_one_walk_per_key(self, monkeypatch):
+        walks, original = [], enumeration._necklaces
+
+        def counting(base, n):
+            walks.append((base, n))
+            return original(base, n)
+
+        monkeypatch.setattr(enumeration, "_necklaces", counting)
+        enumeration._type_table.cache_clear()
+        first = success_table(enum_rcs(), 0.0)
+        assert success_table(enum_rcs(), 0.25) != first
+        uc_mmc = build_uc_mmc(9, 2)
+        assert enumeration._symmetry(uc_mmc) == "turns"
+        success_table(uc_mmc, 0.0)
+        assert walks == [(3, 9)]
+        success_table(build_uc_mmc(4, 2), 0.0)
+        assert walks == [(3, 9), (3, 4)]
+        assert success_table(enum_rcs(), 0.0) == first
+        assert walks == [(3, 9), (3, 4), (3, 9)]
+
+    @pytest.mark.parametrize("base, n", [(b, n) for b in (2, 3, 4, 6) for n in range(1, 8)] + [(130, 2)])
+    def test_compact_dtypes_and_burnside_count(self, base, n):
+        table = enumeration._type_table(n, base - 1)
+        digits, orbit, rows = table.necklaces
+        burnside = sum(base ** math.gcd(i, n) for i in range(n)) // n
+        assert len(digits) == len(orbit) == len(rows) == burnside
+        assert burnside == len(orbit_representatives(0, base**n, base, n, n)[0])
+        assert digits.dtype == (np.int8 if base <= 128 else np.int16)
+        assert orbit.dtype == np.uint8
+        assert rows.dtype == (np.uint8 if len(table.counts) <= 255 else np.uint16)
+        assert not any(array.flags.writeable for array in (digits, orbit, rows))
 
 
 class TestSymmetry:
