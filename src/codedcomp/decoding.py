@@ -3,20 +3,20 @@
 :func:`_release_ranks` decides which blocks are recoverable, for every
 decode rule and for a whole batch of trials at once: each block's release
 key is the arrival key at which it becomes recoverable.  The keys may be
-arrival ranks or arrival times: the release keys are built from min and
-max alone, which commute with any non-decreasing map of arrival order, so
-both give the same decision.  For a peel code the keys are the fixed point
+arrival ranks, times or sent flags: the release keys are built from min
+and max alone, which commute with any non-decreasing map of the keys, so
+all give the same decision.  For a peel code the keys are the fixed point
 of ``R[b] = min over tasks t holding b of max(key(t), R of the other blocks
-of t)``, iterated from infinity (peeling is a closure, and a stopping set
-stays infinite).  For a count rule (``mds``, ``threshold``) every block is
-released at the ``needed``-th smallest first-message key.  The simulator,
-exact enumeration and the config's finish check all read these keys,
-through the per-order block tables of :func:`_block_tables`.
+of t)``, iterated from infinity or an integer dtype's largest value (a
+stopping set keeps that start).  For a count rule every block is released
+at the ``needed``-th smallest first-message key.  The simulator, exact
+enumeration and the config's finish check all read these keys, through
+the per-order block tables of :func:`_block_tables`.
 
 :func:`decode_blocks` is the one value path, for peel and MDS codes alike:
-``_recovered`` reads the same keys, 0 for a sent message and infinity for
-any other, to name the recovered blocks, and one least-squares solve gives
-their values.
+``_recovered`` names the recovered blocks from one-byte keys, 0 for a sent
+message and 1 for any other (a block is recovered at release key 0), and
+one least-squares solve gives their values.
 
 ``PeelingDecoder`` (symbolic, one task at a time) and the exact rational
 oracle ``rref_recoverable``, which upper-bounds what any linear decoder
@@ -111,12 +111,12 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     """Release key of every block in a batch of B trials, shape (B, k_total).
 
     tables are the batch's :func:`_block_tables`.  keys[b, m, w] is the
-    arrival rank or arrival time of worker w's message m in trial b
-    (infinity for a message that never arrives).  A block is recoverable
+    arrival rank or time of worker w's message m in trial b (infinity for
+    one that never arrives), or an integer key.  A block is recoverable
     from the messages keyed k or earlier exactly when its release key is at
-    most k; a block that is never recoverable has key infinity.  Each
-    release key is an arrival key picked by min and max, so a non-decreasing
-    map of the keys (ranks to times) maps the release keys alike.  Degree-1
+    most k; one never recoverable keeps the start, infinity or an integer
+    dtype's largest value.  Release keys are picked by min and max, so a
+    non-decreasing map of the keys (ranks to times) maps them alike.  Degree-1
     orders settle before the sweeps, and a code without coded orders
     (uc-mmc) runs no sweep.  In a sweep each coded order gathers its tasks'
     keys and computes their offers, and scatters them only if some offer is
@@ -131,7 +131,8 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     # task always offers its own key, so those orders settle once, before
     # the sweeps; each sweep updates the keys in place, one coded order at a
     # time.
-    release = np.full(n_trials * k, np.inf)
+    top = np.inf if keys.dtype.kind == "f" else np.iinfo(keys.dtype).max
+    release = np.full(n_trials * k, top, dtype=keys.dtype)
     coded = []
     for m, table in tables:
         if len(table) == 1:
@@ -152,14 +153,14 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
 
 def _recovered(assignment: ComputationAssignment, sent, tables=None) -> np.ndarray:
     """Which blocks each of B sets of sent messages recovers, shape (B, k_total):
-    sent[b, m, w] says whether worker w's message m is in set b, and a block
-    is recovered when its release key is finite, a sent message having key
-    0 and any other infinity.  tables are the B sets' :func:`_block_tables`,
-    built here when None."""
-    keys = np.where(sent, 0.0, np.inf)
+    sent[b, m, w] says whether worker w's message m is in set b.  The uint8
+    keys are 0 for a sent message and 1 for any other, so a block is
+    recovered when its release key is 0.  tables are the B sets'
+    :func:`_block_tables`, built here when None."""
+    keys = np.logical_not(sent).view(np.uint8)
     if tables is None:
         tables = _block_tables(assignment, len(keys))
-    return _release_ranks(assignment, tables, keys) < np.inf
+    return _release_ranks(assignment, tables, keys) == 0
 
 
 def decode_blocks(assignment: ComputationAssignment, arrived, payloads) -> dict[int, np.ndarray]:

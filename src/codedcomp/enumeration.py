@@ -342,7 +342,7 @@ def success_table(
     necklaces hold them, by its orbit size; any other code's every vector,
     in flat-index order, by 1.  Each slice of at most ``_VECTORS_PER_CALL``
     vectors goes to one release-rank call on the call's one block table,
-    and the weights of the successes are binned by type in exact integers.
+    and ``np.bincount`` sums the successes' weights by type, exact below 2**53.
     A vector's type row is the row of its scores sorted in descending order
     (``_TypeTable.type_rows``).
 
@@ -369,11 +369,11 @@ def success_table(
     else:
         sources = [(table.scores, np.array(table.totals, dtype=np.int64), np.arange(len(table.counts)))]
     tables = _block_tables(assignment, size)
-    good = np.zeros(len(table.counts), dtype=np.int64)
+    good = np.zeros(len(table.counts))
     for scores, weight, rows in sources:
         for at in range(0, len(rows), size):
             ok = _successes(assignment, scores[at : at + size], q, tables)
-            np.add.at(good, rows[at : at + size][ok], weight[at : at + size][ok])
+            good += np.bincount(rows[at : at + size][ok], weight[at : at + size][ok], minlength=len(good))
     return [(ctype, int(g), total) for ctype, g, total in zip(table.types, good, table.totals)]
 
 

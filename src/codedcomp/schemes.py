@@ -37,7 +37,6 @@ from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import (
     DECODE_MDS,
@@ -141,8 +140,8 @@ def build_rcs(
     coefficients.  In "computation" mode each coded task is one unit of work
     and goes out in its own message; in "communication" mode each row is one
     unit and the order-j message leaves after degrees[0] + ... + degrees[j]
-    units.  The code is a draw of :class:`CircularShiftSource` (``source(rng)``),
-    or the source at the given offsets.
+    units.  Drawn offsets give a draw of :class:`CircularShiftSource`
+    (``source(rng)``); given ones build the code alone, as ``source.at`` does.
 
     Args:
         k: number of workers (= blocks per group).
@@ -163,10 +162,30 @@ def build_rcs(
         ConfigError: listing every :func:`circular_shift_violations`.
     """
     _check(circular_shift_violations(k, degrees, groups, z, offsets))
-    source = CircularShiftSource._unchecked(k, degrees, mode, groups, z)
     if offsets is None:
+        source = CircularShiftSource._unchecked(k, degrees, mode, groups, z)
         return source(rng if rng is not None else np.random.default_rng())
-    return source.at(offsets)
+    rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
+    return _circular_code(k, degrees, mode, groups, rows, np.asarray(offsets, dtype=np.int64) - 1)
+
+
+def _circular_code(k, degrees, mode, groups, rows, shifts) -> ComputationAssignment:
+    """The circular-shift code whose row i gives worker w the block
+    rows[i] * k + (w + shifts[i]) mod k, for 0-based groups and shifts."""
+    grid = rows[:, None] * k + (np.arange(k) + shifts[:, None]) % k
+    ends = list(itertools.accumulate(int(d) for d in degrees))
+    support = tuple(grid[start:end].T for start, end in zip([0] + ends, ends))
+    sends = ends if mode == MODE_COMMUNICATION else range(1, len(ends) + 1)
+    return ComputationAssignment(
+        n_workers=k,
+        k_total=k * groups,
+        support=support,
+        coefficients=tuple(np.ones(ids.shape) for ids in support),
+        messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
+        mode=mode,
+        task_cost=1.0 / groups,
+        decode=DECODE_PEEL,
+    )
 
 
 class CircularShiftSource(NamedTuple):
@@ -180,9 +199,9 @@ class CircularShiftSource(NamedTuple):
     draw that carries the messages, mode and task cost.  A batch holds its
     trials' shift pools in one int array (:meth:`pools`), a trial shuffles
     only its own row of it (:meth:`draw`), and :meth:`blocks` gathers the
-    batch's grid rows in the decoder's layout, as :meth:`at` does for one
-    code.  Called with a generator it returns the same assignment as
-    ``build_rcs(..., rng)``.
+    batch's grid rows in the decoder's layout; one code (:meth:`at`) is
+    built as ``build_rcs`` builds given offsets.  Called with a generator it
+    returns the same assignment as ``build_rcs(..., rng)``.
     """
 
     degrees: tuple[int, ...]
@@ -216,25 +235,10 @@ class CircularShiftSource(NamedTuple):
         degrees = tuple(int(d) for d in degrees)
         rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
         place = np.tril(rows[:, None] == rows, -1).sum(axis=1)
-        # Row s of the windows over 0 .. k - 1 repeated twice is the shift
-        # (w + s) mod k, so a grid is a gather of whole rows.
-        windows = sliding_window_view(np.tile(np.arange(k), 2), k)[:k]
-        shift_rows = (k * np.arange(groups)[:, None, None] + windows).reshape(groups * k, k)
-        draws = cls(degrees, groups, rows, place, shift_rows, None)
-        support = draws._supports(place)
-        ends = list(itertools.accumulate(degrees))
-        sends = ends if mode == MODE_COMMUNICATION else range(1, len(degrees) + 1)
-        layout = ComputationAssignment(
-            n_workers=k,
-            k_total=k * groups,
-            support=support,
-            coefficients=tuple(np.ones(ids.shape) for ids in support),
-            messages=tuple(Message(n, (j,)) for j, n in enumerate(sends)),
-            mode=mode,
-            task_cost=1.0 / groups,
-            decode=DECODE_PEEL,
-        )
-        return draws._replace(layout=layout)
+        # Row g * k + s shifts group g by s, so a batch's grid is a gather of whole rows.
+        index = np.arange(groups * k)[:, None]
+        shift_rows = index // k * k + (np.arange(k) + index) % k
+        return cls(degrees, groups, rows, place, shift_rows, _circular_code(k, degrees, mode, groups, rows, place))
 
     def pools(self, trials: int) -> np.ndarray:
         """Unshuffled shift pools of a batch, shape (trials, groups, k):
@@ -260,15 +264,10 @@ class CircularShiftSource(NamedTuple):
         ends = itertools.accumulate(self.degrees)
         return tuple(grid[end - d : end] for end, d in zip(ends, self.degrees))
 
-    def _supports(self, shifts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The (k, d_j) supports of the one code with these row shifts."""
-        return tuple(ids[:, 0].T for ids in self.blocks(shifts[None]))
-
     def at(self, offsets: Sequence[int]) -> ComputationAssignment:
-        """The code with the given 1-based shift of each row; its offsets
-        are not checked against the rules."""
-        shifts = (np.asarray(offsets, dtype=np.int64) - 1) % self.layout.n_workers
-        return replace(self.layout, support=self._supports(shifts))
+        """The code with the given 1-based shift of each row, unchecked."""
+        shifts = np.asarray(offsets, dtype=np.int64) - 1
+        return _circular_code(self.layout.n_workers, self.degrees, self.layout.mode, self.groups, self.rows, shifts)
 
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""

@@ -20,6 +20,7 @@ from codedcomp import (
     build_uc_mmc,
     concrete_assignment,
     decode_blocks,
+    hybrid_example,
     parse_config,
     recovery_threshold,
     rref_recoverable,
@@ -424,6 +425,46 @@ def test_orders_that_cannot_improve_issue_no_scatter(coded_key, scatters, releas
     got = _release_ranks(asn, _block_tables(asn, 1), keys)
     assert spy.scatters == scatters
     assert got.tolist() == [release]
+
+
+CRITERION_5_Z = (1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2)
+
+# name: the code whose sent sets are decided on byte keys and on float keys
+BYTE_KEY_CODES = {
+    "rcs-9": lambda rng: build_rcs(9, [1, 2], offsets=[1, 3, 5]),
+    "rcs-general-8": lambda rng: build_rcs(8, [1, 1, 2], rng, groups=2, z=[1, 2, 1, 2]),
+    "rcs-40": lambda rng: build_rcs(40, [1, 2, 4], rng),
+    "rcs-general-40": lambda rng: build_rcs(40, [1, 1, 4, 8], rng, groups=2, z=CRITERION_5_Z),
+    "uc-mmc-40": lambda rng: build_uc_mmc(40, 3),
+    "hybrid": lambda rng: hybrid_example(),
+    "mcc-8": lambda rng: build_mcc(8, 3),
+    "mcc-40": lambda rng: build_mcc(40, 14),
+    "gc-40": lambda rng: build_gc(40, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_KEY_CODES))
+def test_byte_keys_equal_the_float_closure(name):
+    # Random sent sets at densities from sparse to nearly full, plus the
+    # all-sent and none-sent sets.  The uint8 keys (0 sent, 1 not) start
+    # every block at 255 and must reach the float fixed point from infinity.
+    rng = np.random.default_rng(33)
+    asn = BYTE_KEY_CODES[name](rng)
+    shape = (len(asn.messages), asn.n_workers)
+    density = np.linspace(0.05, 0.95, 62)[:, None, None]
+    sent = np.concatenate([rng.random((62,) + shape) < density, np.ones((2,) + shape, bool)])
+    sent[-1] = False
+    tables = _block_tables(asn, len(sent))
+    floats = _release_ranks(asn, tables, np.where(sent, 0.0, np.inf))
+    got = decoding._recovered(asn, sent)
+    assert got.dtype == bool and np.array_equal(got, floats < np.inf)
+    # A byte key is 0 where the sent messages recover the block, 1 where
+    # every message does, and the start 255 where none recover it.
+    every = _release_ranks(asn, tables, np.zeros(sent.shape)) < np.inf
+    release = _release_ranks(asn, tables, np.logical_not(sent).view(np.uint8))
+    assert release.dtype == np.uint8
+    assert np.array_equal(release, np.where(got, 0, np.where(every, 1, 255)))
+    assert got[-2].all() and not got[-1].any()
 
 
 def test_decode_state_is_for_count_rules_only():

@@ -5,6 +5,7 @@ assignment styles at tolerance 0 and 0.25.  Keys are cumulative types
 (workers at score 2, 1, 0); values are successful score-vector counts.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -387,6 +388,41 @@ class TestTables:
         keys = [type_key(ctype) for ctype in all_types(workers, max_score)]
         assert all(a > b for a, b in zip(keys, keys[1:]))
         assert keys[0] == (max_score + 1) ** workers - 1 and keys[-1] == 0
+
+
+def swapped_enum_rcs():
+    """The enum-rcs code with two workers' coded tasks swapped, so turning
+    the workers no longer relabels its blocks: every vector is decided."""
+    asn = enum_rcs()
+    coded = asn.support[1].copy()
+    coded[[0, 1]] = coded[[1, 0]]
+    return replace(asn, support=(asn.support[0], coded))
+
+
+# symmetry: (code, q, sha256 of repr([(counts, good, total), ...])), recorded
+# while the successes were binned by np.add.at into an int64 array.
+EXACT_TABLES = {
+    "types": (lambda: build_mcc(8, 3), 0.0, "fe3808df7bf2f1ff57792deca7b432795f8c73fdb9fb50ffc7e64beaf6dfb34c"),
+    "turns": (
+        lambda: build_rcs(8, [1, 1, 2], offsets=[1, 1, 3, 5], groups=2, z=[1, 2, 1, 2]),
+        0.25,
+        "c8249cb7659157221087844aac4eb72554eca1e42ed83eb1d24f473a3bdb3428",
+    ),
+    "none": (swapped_enum_rcs, 0.25, "a9d18803bf71606c93b50b23ee53ef210a5de8adbf3b6a4a991e7a08c789887e"),
+}
+
+
+class TestExactCounts:
+    @pytest.mark.parametrize("symmetry", sorted(EXACT_TABLES))
+    def test_counts_are_python_ints_of_the_pinned_table(self, symmetry):
+        # np.bincount sums in float64; every count must come back as an
+        # exact Python int, so the table's repr is the pinned one.
+        build, q, digest = EXACT_TABLES[symmetry]
+        asn = build()
+        assert enumeration._symmetry(asn) == symmetry
+        rows = [(c.counts, good, total) for c, good, total in success_table(asn, q)]
+        assert all(type(good) is int and type(total) is int for _, good, total in rows)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestNecklaces:

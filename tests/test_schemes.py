@@ -19,7 +19,8 @@ from codedcomp import (
     hybrid_example,
     parse_config,
 )
-from codedcomp.schemes import circular_shift_violations, mds_violations
+from codedcomp import blocks
+from codedcomp.schemes import CircularShiftSource, circular_shift_violations, mds_violations
 from oracles import order_uniform, worker_uniform
 
 # Pinned 20-worker circular-shift construction: offsets drawn in the order
@@ -163,6 +164,67 @@ class TestGeneralizedRcs:
             for g in (0, 1):
                 own = [o for o, rg in zip(row_offsets(asn), row_groups(asn)) if rg == g]
                 assert len(set(own)) == len(own)
+
+
+# name: (k, degrees, offsets, build_rcs keywords) of explicit-offset codes
+EXPLICIT_CODES = {
+    "one-group": (20, [1, 2, 3], [1, 4, 11, 15, 6, 18], {}),
+    "one-group-communication": (20, [1, 2, 3], [1, 4, 11, 15, 6, 18], {"mode": "communication"}),
+    "grouped": (8, [1, 1, 2], [1, 1, 3, 5], {"groups": 2, "z": [1, 2, 1, 2]}),
+    "grouped-communication": (
+        4, [1, 1, 3], [1, 1, 3, 4, 3], {"groups": 2, "z": [2, 1, 1, 2, 2], "mode": "communication"}
+    ),
+}
+
+
+class TestExplicitOffsets:
+    """build_rcs with explicit offsets builds its code once, as the redrawn
+    source's ``at`` does."""
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT_CODES))
+    def test_build_equals_the_source_at_the_offsets(self, name, monkeypatch):
+        k, degrees, offsets, kwargs = EXPLICIT_CODES[name]
+        built = []
+        check = blocks.ComputationAssignment.__post_init__
+        monkeypatch.setattr(
+            blocks.ComputationAssignment, "__post_init__", lambda asn: built.append(asn) or check(asn)
+        )
+        asn = build_rcs(k, degrees, offsets=offsets, **kwargs)
+        assert built == [asn]  # one validated code, no layout beside it
+        want = CircularShiftSource.of(k, degrees, **kwargs).at(offsets)
+        for field in ("n_workers", "k_total", "messages", "mode", "task_cost", "decode", "kbar"):
+            assert getattr(asn, field) == getattr(want, field)
+        for got, expected in ((asn.support, want.support), (asn.coefficients, want.coefficients)):
+            assert len(got) == len(expected) == len(degrees)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        z = kwargs.get("z", [1] * len(offsets))
+        assert row_offsets(asn) == tuple(offsets)
+        assert row_groups(asn) == tuple(g - 1 for g in z)
+
+    @pytest.mark.parametrize(
+        "degrees, offsets, kwargs, violations",
+        [
+            (
+                [1, 2], [1, 1, 9], {},
+                ["offsets: must lie in [1, 8], got [1, 1, 9]",
+                 "offsets: must be distinct within a group, got [1, 1, 9]"],
+            ),
+            (
+                [1, 1, 2], [1, 1, 3], {"groups": 2, "z": [1, 2, 1, 2]},
+                ["offsets: expected 4 entries (sum of degrees), got 3"],
+            ),
+            (
+                [1, 1, 2], [2, 5, 2, 0], {"groups": 2, "z": [1, 2, 1, 2]},
+                ["offsets: must lie in [1, 8], got [2, 5, 2, 0]",
+                 "offsets: must be distinct within a group, got [2, 5, 2, 0]"],
+            ),
+        ],
+    )
+    def test_bad_offsets_raise_every_violation(self, degrees, offsets, kwargs, violations):
+        with pytest.raises(ConfigError) as err:
+            build_rcs(8, degrees, offsets=offsets, **kwargs)
+        assert err.value.violations == violations
 
 
 class TestMcc:
