@@ -43,10 +43,7 @@ from .regression import _openblas_threads, generate_dataset, gram, train
 from .simulate import monte_carlo
 
 _DATA_TAG = 4294967294
-
-
-def _config_comment(cfg: ExperimentConfig) -> str:
-    return "# config: " + json.dumps(cfg.to_dict(), sort_keys=True)
+_CONFIG_PREFIX = "# config: "
 
 
 def read_embedded_config(path: str | Path) -> dict:
@@ -57,15 +54,14 @@ def read_embedded_config(path: str | Path) -> dict:
             return json.load(fh)["config"]
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
-    prefix = "# config: "
-    if not first.startswith(prefix):
+    if not first.startswith(_CONFIG_PREFIX):
         raise ValueError(f"{path} carries no embedded config")
-    return json.loads(first[len(prefix) :])
+    return json.loads(first[len(_CONFIG_PREFIX) :])
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(cfg) + "\n")
+        fh.write(_CONFIG_PREFIX + json.dumps(cfg.to_dict(), sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

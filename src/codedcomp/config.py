@@ -172,7 +172,7 @@ class _Scheme(NamedTuple):
     fields: tuple[str, ...]  # the construction fields its builder reads
     required: int  # how many of fields, from the first, must be set
     fixed_mode: tuple[str, str] | None  # (the mode its builder fixes, why)
-    build: Callable[["ExperimentConfig", np.random.Generator], ComputationAssignment]
+    build: Callable[["ExperimentConfig", np.random.Generator | None], ComputationAssignment]
 
 
 # In the order the ``scheme:`` violation lists them.
@@ -442,20 +442,25 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
 def assignment_source(cfg: ExperimentConfig):
     """Assignment source for the simulator.
 
-    A scheme that reads ``redraw`` (a circular-shift code), with drawn
-    offsets and redraw enabled, returns a
+    A drawn code with redraw enabled returns a
     :class:`~codedcomp.schemes.CircularShiftSource`: its rules and layout
     are fixed once, each trial draws only its shifts, and called with a
     generator it returns the same code as the scheme's builder.
-    Everything else returns one fixed assignment built from a dedicated
-    construction stream.
+    Everything else returns one fixed :func:`concrete_assignment`.
     """
-    if cfg.redraw and "redraw" not in _unused_fields(cfg.scheme, cfg.offsets):
+    if cfg.redraw and _drawn(cfg):
         return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
     return concrete_assignment(cfg)
 
 
+def _drawn(cfg: ExperimentConfig) -> bool:
+    """Whether cfg's code is drawn: a scheme that reads ``redraw`` (a
+    circular-shift code) without explicit offsets."""
+    return cfg.offsets is None and "redraw" in _SCHEMES[cfg.scheme].fields
+
+
 def concrete_assignment(cfg: ExperimentConfig) -> ComputationAssignment:
-    """One reproducible assignment drawn from the config's construction stream."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CONSTRUCTION_TAG)))
+    """One reproducible assignment; a drawn code comes from the config's
+    construction stream, and every other code draws nothing."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CONSTRUCTION_TAG))) if _drawn(cfg) else None
     return _SCHEMES[cfg.scheme].build(cfg, rng)

@@ -243,33 +243,27 @@ def total_vectors(ctype: CumulativeType) -> int:
     return count
 
 
-def _turns_relabel_blocks(assignment: ComputationAssignment) -> bool:
-    """Whether turning the workers by one only relabels the blocks: worker
-    (w + 1) % n's task of every order holds the blocks of worker w's, each
-    block b turned to (b // n) * n + (b % n + 1) % n within its group of n."""
+def _symmetry(assignment: ComputationAssignment) -> str:
+    """Which score vectors ``success_table`` decides once for a whole class.
+
+    "types" for a count rule, which sees only how many workers sent each
+    message: one sorted vector decides its type.  "turns" for a peel code
+    that turning the workers by one only relabels: worker (w + 1) % n's task
+    of every order holds the blocks of worker w's, each block b turned to
+    (b // n) * n + (b % n + 1) % n within its group of n, so one vector
+    decides its rotation orbit.  "none" otherwise: every vector is decided.
+    """
+    if assignment.decode != DECODE_PEEL:
+        return "types"
     n = assignment.n_workers
-    if assignment.k_total % n:
-        return False
-    return all(
+    turns = assignment.k_total % n == 0 and all(
         np.array_equal(
             np.sort(ids // n * n + (ids % n + 1) % n, axis=1),
             np.sort(np.roll(ids, -1, axis=0), axis=1),
         )
         for ids in assignment.support
     )
-
-
-def _symmetry(assignment: ComputationAssignment) -> str:
-    """Which score vectors ``success_table`` decides once for a whole class.
-
-    "types" for a count rule, which sees only how many workers sent each
-    message: one sorted vector decides its type.  "turns" for a peel code
-    that turning the workers only relabels: one vector decides its rotation
-    orbit.  "none" otherwise: every vector is decided.
-    """
-    if assignment.decode != DECODE_PEEL:
-        return "types"
-    return "turns" if _turns_relabel_blocks(assignment) else "none"
+    return "turns" if turns else "none"
 
 
 def _necklaces(base: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

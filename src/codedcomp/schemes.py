@@ -161,10 +161,10 @@ def build_rcs(
     Raises:
         ConfigError: listing every :func:`circular_shift_violations`.
     """
-    _check(circular_shift_violations(k, degrees, groups, z, offsets))
     if offsets is None:
-        source = CircularShiftSource._unchecked(k, degrees, mode, groups, z)
+        source = CircularShiftSource.of(k, degrees, mode, groups, z)
         return source(rng if rng is not None else np.random.default_rng())
+    _check(circular_shift_violations(k, degrees, groups, z, offsets))
     rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
     return _circular_code(k, degrees, mode, groups, rows, np.asarray(offsets, dtype=np.int64) - 1)
 
@@ -227,11 +227,6 @@ class CircularShiftSource(NamedTuple):
             ConfigError: listing every :func:`circular_shift_violations`.
         """
         _check(circular_shift_violations(k, degrees, groups, z, None))
-        return cls._unchecked(k, degrees, mode, groups, z)
-
-    @classmethod
-    def _unchecked(cls, k, degrees, mode, groups, z) -> "CircularShiftSource":
-        """:meth:`of` for a caller that has already checked the rules."""
         degrees = tuple(int(d) for d in degrees)
         rows = np.zeros(sum(degrees), dtype=np.int64) if z is None else np.asarray(z, dtype=np.int64) - 1
         place = np.tril(rows[:, None] == rows, -1).sum(axis=1)

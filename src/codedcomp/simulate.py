@@ -377,28 +377,27 @@ def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: in
     layout = _source_layout(source)
     redrawn = isinstance(source, CircularShiftSource)
     threshold = recovery_threshold(layout.k_total, q)
-    blocks = (
+    hashed_words = (
         _stream_states(seed, range(start, min(start + _SEED_BLOCK, trials)))
         for start in range(0, trials, _SEED_BLOCK)
     )
     rngs = (
         np.random.Generator(np.random.PCG64(stream))
-        for words in blocks
+        for words in hashed_words
         for stream in itertools.repeat(_StreamWords(words), len(words))
     )
-    # rngs comes last in each zip, so a batch stops without taking the next
-    # batch's first generator.
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)
         exponentials = np.empty((size, layout.n_workers))
+        batch_rngs = itertools.islice(rngs, size)
         if redrawn:
             pools = source.pools(size)
-            for pool, row, rng in zip(pools, exponentials, rngs):
+            for pool, row, rng in zip(pools, exponentials, batch_rngs):
                 source.draw(rng, pool)
                 rng.standard_exponential(out=row)
             blocks = source.blocks(pools[:, source.rows, source.place])
         else:
-            for row, rng in zip(exponentials, rngs):
+            for row, rng in zip(exponentials, batch_rngs):
                 rng.standard_exponential(out=row)
             blocks = None
         yield _trials(layout, blocks, model.unit_times(exponentials), threshold)

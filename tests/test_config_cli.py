@@ -993,7 +993,7 @@ class TestCli:
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme):
+def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme, monkeypatch):
     construction = {
         "rcs": {"degrees": [1, 2]},
         "rcs-general": {"degrees": [1, 1, 2], "groups": 2, "z": [1, 2, 1, 2]},
@@ -1006,11 +1006,16 @@ def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme):
     reads = "redraw" in _SCHEMES[scheme].fields
     assert reads == (scheme in ("rcs", "rcs-general"))
     offsets = (1, 1, 3, 3) if scheme == "rcs-general" else (1, 3, 5)
+    calls, seed_sequence = [], np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: calls.append(args) or seed_sequence(*args))
     for given, redraw in itertools.product((None, offsets), (True, False)):
+        calls.clear()
         source = assignment_source(replace(cfg, offsets=given, redraw=redraw))
         drawn = reads and given is None and redraw
         assert isinstance(source, CircularShiftSource) == drawn, (given, redraw)
         assert isinstance(source, ComputationAssignment) != drawn
+        # Only a code drawn once hashes the construction stream.
+        assert len(calls) == (reads and given is None and not redraw), (given, redraw)
 
 
 @pytest.mark.skipif(_openblas_threads() is None, reason="NumPy's BLAS is not its bundled OpenBLAS")

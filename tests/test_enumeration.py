@@ -508,7 +508,6 @@ class TestSymmetry:
             build_uc_mmc(40, 3),
         ]
         for asn in codes:
-            assert enumeration._turns_relabel_blocks(asn)
             assert enumeration._symmetry(asn) == "turns"
 
     def test_count_rules_decide_types(self):
@@ -516,7 +515,6 @@ class TestSymmetry:
             assert enumeration._symmetry(asn) == "types"
 
     def test_hybrid_does_not_turn(self):
-        assert not enumeration._turns_relabel_blocks(hybrid_example())
         assert enumeration._symmetry(hybrid_example()) == "none"
 
     def test_swapped_supports_do_not_turn(self):
@@ -524,15 +522,15 @@ class TestSymmetry:
         coded = asn.support[1].copy()
         coded[[0, 1]] = coded[[1, 0]]
         swapped = replace(asn, support=(asn.support[0], coded))
-        assert not enumeration._turns_relabel_blocks(swapped)
+        assert enumeration._symmetry(swapped) == "none"
         assert success_table(swapped, 0.25) == oracle_table(swapped, 0.25)
 
     def test_blocks_must_fill_whole_turns(self):
         # One block more than the workers: the support still turns, but
         # block 4 has no place in a group of four.
         asn = build_rcs(4, [1, 2], offsets=[1, 2, 4])
-        assert enumeration._turns_relabel_blocks(asn)
-        assert not enumeration._turns_relabel_blocks(replace(asn, k_total=5))
+        assert enumeration._symmetry(asn) == "turns"
+        assert enumeration._symmetry(replace(asn, k_total=5)) == "none"
 
 
 class TestCompletionCdf:

@@ -620,3 +620,18 @@ def row_block_mismatches() -> list[tuple[int, int, str, int]]:
     found += step_mismatches(50, 40)
     found += step_mismatches(667, 3)
     return found
+
+
+class TestBlasLookup:
+    def test_numpy_without_bundled_openblas_finds_none(self, monkeypatch, tmp_path):
+        # No numpy.libs or .dylibs folder beside this NumPy.
+        (tmp_path / "numpy").mkdir()
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert regression._openblas_threads.__wrapped__() is None
+
+    def test_another_blas_sets_no_thread_count(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(regression, "_openblas_threads", lambda: calls.append("lookup"))
+        with regression._one_blas_thread():
+            calls.append("body")
+        assert calls == ["lookup", "body"]
