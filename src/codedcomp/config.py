@@ -397,10 +397,12 @@ def parse_config(
                 violations.append(f"mode: scheme {name!r} {why}; use {mode!r}")
     cfg = ExperimentConfig(**values)
 
+    # A drawn code is checked on its source's layout, which recovers what
+    # every draw recovers; no generator is built and nothing is drawn.
     asn = None
     if scheme is not None and not unset and cfg.workers is not None:
         try:
-            asn = scheme.build(cfg, np.random.default_rng(0))
+            asn = _circular_source(cfg).layout if _drawn(cfg) else scheme.build(cfg, None)
         except ConfigError as exc:
             violations.extend(exc.violations)
         except (ValueError, OverflowError, MemoryError) as exc:
@@ -426,8 +428,9 @@ def parse_config(
 def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
     """A ``q:`` violation if even every message together recovers fewer
     blocks than the tolerance needs: every trial would then run to the end
-    without a result.  One drawn assignment decides it, since a
-    circular-shift code recovers the same whole groups whatever its offsets."""
+    without a result.  One assignment decides it, a drawn code's layout
+    among them, since a circular-shift code recovers the same whole groups
+    whatever its offsets."""
     every_message = np.ones((1, len(asn.messages), asn.n_workers), dtype=bool)
     recovered = int(np.count_nonzero(_recovered(asn, every_message)))
     needed = recovery_threshold(asn.k_total, q)
@@ -449,8 +452,16 @@ def assignment_source(cfg: ExperimentConfig):
     Everything else returns one fixed :func:`concrete_assignment`.
     """
     if cfg.redraw and _drawn(cfg):
-        return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
+        return _circular_source(cfg)
     return concrete_assignment(cfg)
+
+
+def _circular_source(cfg: ExperimentConfig) -> CircularShiftSource:
+    """The checked source of cfg's drawn circular-shift code, built from the
+    fields its scheme reads, as the scheme's builder builds it."""
+    if "z" in _SCHEMES[cfg.scheme].fields:
+        return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
+    return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode)
 
 
 def _drawn(cfg: ExperimentConfig) -> bool:

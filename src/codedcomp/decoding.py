@@ -8,10 +8,14 @@ and max alone, which commute with any non-decreasing map of the keys, so
 all give the same decision.  For a peel code the keys are the fixed point
 of ``R[b] = min over tasks t holding b of max(key(t), R of the other blocks
 of t)``, iterated from infinity or an integer dtype's largest value (a
-stopping set keeps that start).  For a count rule every block is released
-at the ``needed``-th smallest first-message key.  The simulator, exact
-enumeration and the config's finish check all read these keys, through
-the per-order block tables of :func:`_block_tables`.
+stopping set keeps that start).  The sweeps drop dead tasks, those keyed
+at or above the release key of every block they hold: release keys only
+fall and a task's offer is never below its key, so a dead task can never
+lower a key again and dropping it leaves the fixed point unchanged, bit for
+bit.  For a count rule every block is released at the ``needed``-th
+smallest first-message key.  The simulator, exact enumeration and the
+config's finish check all read these keys, through the per-order block
+tables of :func:`_block_tables`.
 
 :func:`decode_blocks` is the one value path, for peel and MDS codes alike:
 ``_recovered`` names the recovered blocks from one-byte keys, 0 for a sent
@@ -118,10 +122,16 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
     dtype's largest value.  Release keys are picked by min and max, so a
     non-decreasing map of the keys (ranks to times) maps them alike.  Degree-1
     orders settle before the sweeps, and a code without coded orders
-    (uc-mmc) runs no sweep.  In a sweep each coded order gathers its tasks'
-    keys and computes their offers, and scatters them only if some offer is
-    below the key it would replace; the loop ends after a sweep in which no
-    order scattered, which is the sweep that leaves every key unchanged.
+    (uc-mmc) runs no sweep.  In a sweep each coded order gathers its live
+    tasks' keys and computes their offers, and scatters them only if some
+    offer is below the key it would replace; the loop ends after a sweep in
+    which no order scattered, which is the sweep that leaves every key
+    unchanged.  A task is live while its key is below the release key of
+    some block it holds.  A dead one offers every block at least its key,
+    which is at least the block's release key, and keys only fall, so it
+    stays dead and never scatters: each order keeps its live tasks (by
+    :func:`_live`) once after the degree-1 settle and once after the first
+    sweep, which leaves about a sixth of the coded tasks at rcs K=40.
     """
     n_trials, k = keys.shape[0], assignment.k_total
     if assignment.decode != DECODE_PEEL:
@@ -138,17 +148,33 @@ def _release_ranks(assignment: ComputationAssignment, tables, keys: np.ndarray) 
         if len(table) == 1:
             np.minimum.at(release, table[0], keys[:, m].ravel())
         else:
-            coded.append((table, table.ravel(), keys[:, m].ravel()))
-    moved = bool(coded)
+            coded.append((table, keys[:, m].ravel()))
+    coded = _live(release, coded)
+    moved, first = bool(coded), True
     while moved:
         moved = False
-        for table, entries, key in coded:
+        for table, key in coded:
             gathered = release[table]
             offers = _offers(gathered, key)
             if (offers < gathered).any():
-                np.minimum.at(release, entries, offers.ravel())
+                np.minimum.at(release, table.ravel(), offers.ravel())
                 moved = True
+        if first:
+            coded, first = _live(release, coded), False
     return release.reshape(n_trials, k)
+
+
+def _live(release: np.ndarray, coded):
+    """The (table, key) of every coded order's live tasks, those keyed below
+    the release key of some block they hold; an order with none is dropped.
+    np.take gives the kept columns C-contiguous, so a sweep's ravel of them
+    is a view."""
+    live = []
+    for table, key in coded:
+        cols = np.flatnonzero(key < release[table].max(axis=0))
+        if cols.size:
+            live.append((np.take(table, cols, axis=1), key[cols]))
+    return live
 
 
 def _recovered(assignment: ComputationAssignment, sent, tables=None) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The digests were recorded before tasks were stored as arrays and peeled with
 unknown-block counts (the mcc and gc digests before their trials were
-computed in closed form); a faster construction, decoder or simulator must
+computed in closed form, the rcs-1222 and rcs-communication digests before
+the release sweeps dropped tasks that can no longer lower a key); a faster construction, decoder or simulator must
 reproduce every per-trial array, and every success count, bit for bit.  The
 builder digests were recorded before the circular-shift code was built
 straight into its task arrays; they pin each seeded draw and the generator
@@ -38,6 +39,17 @@ MONTE_CARLO = {
             "z": [1, 1, 2, 1, 2, 2], "q": 0.2, "trials": 200, "seed": 7,
         },
         "e638a97babb44c0aa091132565bc6654fbc9fda731bce403819de9ca8f565e1f",
+    ),
+    "rcs-1222": (
+        {"scheme": "rcs", "workers": 40, "degrees": [1, 2, 2, 2], "q": 0.1, "trials": 300, "seed": 1729},
+        "dddb730e5e589c1e5d9e58693843f8e6f2e7be269fffc6be2dcd1c05968078e5",
+    ),
+    "rcs-communication": (
+        {
+            "scheme": "rcs", "workers": 40, "degrees": [1, 2, 3], "mode": "communication",
+            "q": 0.3, "trials": 300, "seed": 1729,
+        },
+        "29909dcc7aadd1297b91dba3080aa1f8e16a29ce1e5c581a50f85ef147a031e9",
     ),
     "uc-mmc": (
         {"scheme": "uc-mmc", "workers": 40, "load": 3, "q": 0.15, "trials": 300, "seed": 1729},

@@ -1018,6 +1018,43 @@ def test_assignment_source_redraws_when_the_scheme_reads_redraw(scheme, monkeypa
         assert len(calls) == (reads and given is None and not redraw), (given, redraw)
 
 
+@pytest.mark.parametrize(
+    "data, violations",
+    [
+        ({"scheme": "rcs", "workers": 40, "degrees": [1, 2, 4], "q": 0.15}, None),
+        (
+            {
+                "scheme": "rcs-general", "workers": 40, "degrees": [1, 1, 4, 8], "groups": 2,
+                "z": [1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 2, 2], "mode": "communication", "q": 0.15,
+            },
+            None,
+        ),
+        (
+            {"scheme": "rcs", "workers": 4, "degrees": [2], "q": 0.5},
+            ["degrees: criterion (i) violated: first degree must be 1 so the first message is uncoded, got 2"],
+        ),
+        (
+            {"scheme": "rcs-general", "workers": 8, "degrees": [1], "groups": 2, "z": [1], "q": 0.15},
+            ["q: all messages together recover 8 of 16 blocks, but tolerance 0.15 needs 14"],
+        ),
+    ],
+    ids=["rcs", "rcs-general", "rcs-rules", "rcs-general-tolerance"],
+)
+def test_a_drawn_code_is_checked_without_a_generator(data, violations, monkeypatch):
+    # The rules and the tolerance of a drawn code are checked on its
+    # source's layout, so parsing builds no generator and draws nothing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    if violations is None:
+        assert parse_config(data).scheme == data["scheme"]
+    else:
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.violations == violations
+
+
 @pytest.mark.skipif(_openblas_threads() is None, reason="NumPy's BLAS is not its bundled OpenBLAS")
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     # At 2 threads OpenBLAS splits a product's rows between them; training

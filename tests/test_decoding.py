@@ -14,6 +14,7 @@ from codedcomp import (
     LatencyModel,
     Message,
     PeelingDecoder,
+    assignment_source,
     build_gc,
     build_mcc,
     build_rcs,
@@ -21,13 +22,14 @@ from codedcomp import (
     concrete_assignment,
     decode_blocks,
     hybrid_example,
+    monte_carlo,
     parse_config,
     recovery_threshold,
     rref_recoverable,
 )
-from codedcomp import decoding
-from codedcomp.decoding import _block_tables, _release_ranks
-from codedcomp.simulate import make_decode_state, message_times
+from codedcomp import decoding, simulate
+from codedcomp.decoding import _block_tables, _offers, _release_ranks
+from codedcomp.simulate import _arrival_ranks, make_decode_state, message_times
 
 
 def random_instance(rng, max_blocks=8, max_tasks=12):
@@ -344,9 +346,12 @@ def test_offers_are_the_key_against_the_other_rows(values, data):
 
 
 def copy_and_compare_release(assignment, tables, keys):
-    """The release keys by sweeps that each copy the keys and stop once a
-    sweep leaves them equal: the fixed point ``_release_ranks`` reaches."""
-    release = np.full(keys.shape[0] * assignment.k_total, np.inf)
+    """The release keys by sweeps over every task that each copy the keys
+    and stop once a sweep leaves them equal: the fixed point
+    ``_release_ranks`` reaches.  Every block starts at infinity, or at an
+    integer dtype's largest value, in the keys' dtype."""
+    top = np.inf if keys.dtype.kind == "f" else np.iinfo(keys.dtype).max
+    release = np.full(keys.shape[0] * assignment.k_total, top, dtype=keys.dtype)
     coded = []
     for m, table in tables:
         if len(table) == 1:
@@ -394,23 +399,31 @@ def test_release_keys_equal_the_copy_and_compare_loop(asn, trials, sent_only, da
 
 
 class _MinimumSpy:
-    """np.minimum.at, each scatter's size recorded."""
+    """np.minimum.at, each scatter's size recorded, and ``_offers``, the
+    keys each sweep gathers and the task keys beside them recorded."""
 
     def __init__(self):
         self.scatters = []
+        self.gathers = []
 
     def at(self, target, index, values):
         self.scatters.append(len(np.ravel(index)))
         np.minimum.at(target, index, values)
+
+    def offers(self, values, key):
+        self.gathers.append((values.tolist(), key.tolist()))
+        return _offers(values, key)
 
 
 @pytest.mark.parametrize("coded_key, scatters, release", [(5.0, [1, 1], [0.0, 2.0]), (1.0, [1, 1, 2], [0.0, 1.0])])
 def test_orders_that_cannot_improve_issue_no_scatter(coded_key, scatters, release, monkeypatch):
     # Blocks 0 and 1 arrive alone at keys 0 and 2, each settling before the
     # sweeps with one scatter.  The task {0, 1} offers max(its key, the
-    # other block's key) to each block: at key 5 no offer improves, so it
-    # never scatters; at key 1 it lowers block 1 to 1, and the next sweep,
-    # whose offers no longer improve, ends the loop without a scatter.
+    # other block's key) to each block: at key 5, at or above both blocks,
+    # no offer can improve, so no sweep gathers it; at key 1 the first sweep
+    # gathers it and lowers block 1 to 1, which leaves the task at or above
+    # both blocks, so the next sweep gathers nothing and ends the loop
+    # without a scatter.
     asn = one_worker_code(2, [CodedTask.of_blocks([0]), CodedTask.of_blocks([1]), CodedTask.of_blocks([0, 1])])
     spy = _MinimumSpy()
 
@@ -421,9 +434,13 @@ def test_orders_that_cannot_improve_issue_no_scatter(coded_key, scatters, releas
             return getattr(np, name)
 
     monkeypatch.setattr(decoding, "np", SpiedNumpy())
+    monkeypatch.setattr(decoding, "_offers", spy.offers)
     keys = np.array([[[0.0], [2.0], [coded_key]]])
     got = _release_ranks(asn, _block_tables(asn, 1), keys)
     assert spy.scatters == scatters
+    # Only the first sweep gathers the task, and only while it is keyed
+    # below block 1's key 2.
+    assert spy.gathers == ([([[0.0], [2.0]], [coded_key])] if coded_key < 2 else [])
     assert got.tolist() == [release]
 
 
@@ -465,6 +482,41 @@ def test_byte_keys_equal_the_float_closure(name):
     assert release.dtype == np.uint8
     assert np.array_equal(release, np.where(got, 0, np.where(every, 1, 255)))
     assert got[-2].all() and not got[-1].any()
+
+
+# name: a drawn code at the paper's scale, K = 40
+PAPER_SCALE = {
+    "rcs-40": {"scheme": "rcs", "workers": 40, "degrees": [1, 2, 4], "q": 0.15},
+    "rcs-general-40": {
+        "scheme": "rcs-general", "workers": 40, "degrees": [1, 1, 4, 8], "groups": 2, "z": CRITERION_5_Z,
+        "q": 0.15,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_SCALE))
+def test_simulated_batches_release_as_the_unpruned_sweeps(name, monkeypatch):
+    # Two 64-trial batches as monte_carlo draws them.  Dropping dead tasks
+    # from the sweeps must leave the fixed point of every key kind unchanged:
+    # the arrival times, their stable-sort ranks (the tie path) and one-byte
+    # sent keys for arrival prefixes from 5% of the messages to all of them.
+    cfg = parse_config(PAPER_SCALE[name])
+    batches = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            simulate, "_release_ranks",
+            lambda asn, tables, keys: batches.append((asn, tables, keys)) or _release_ranks(asn, tables, keys),
+        )
+        monte_carlo(assignment_source(cfg), cfg.q, cfg.model(), 128, 35)
+    assert len(batches) >= 2
+    for asn, tables, times in batches:
+        assert times.shape == (64, len(asn.messages), 40)
+        ranks = _arrival_ranks(times.reshape(64, -1)).reshape(times.shape)
+        sent = ranks < np.linspace(0.05, 1.0, 64)[:, None, None] * ranks[0].size
+        for keys in (times, ranks, np.logical_not(sent).view(np.uint8)):
+            got = _release_ranks(asn, tables, keys)
+            assert got.dtype == keys.dtype
+            assert np.array_equal(got, copy_and_compare_release(asn, tables, keys))
 
 
 def test_decode_state_is_for_count_rules_only():
