@@ -8,13 +8,14 @@ through the same field parser as a file's value (the numeric parsers read a
 string as the number it spells), so a file may also write ``"workers": "8"``.
 Each scheme is stated once, in the table ``_SCHEMES``: the construction
 fields it reads, how many of them it requires, the mode its builder fixes,
-and its builder.  The table decides which fields a config may
-set and echo, and a config is validated by the one build parse_config makes
-from it: the builder raises its construction rules.  Parsing never stops at
-the first problem: every violation is collected (with its field name) and
-reported at once via ConfigError.  A parsed config resolves all defaults,
-serializes back to an equal dict, and can build the assignment source used
-by the simulator.
+and its builder, which returns the code's source: a drawn circular-shift
+code's CircularShiftSource, else the one fixed assignment.  The table
+decides which fields a config may set and echo, and a config is validated
+by the one build parse_config makes from it, whose rules the builder raises.
+Parsing never stops at the first problem: every violation is collected (with
+its field name) and reported at once via ConfigError.  A parsed config
+resolves all defaults, serializes back to an equal dict, and builds the
+assignment source used by the simulator.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .schemes import (
     build_uc_mmc,
     hybrid_example,
 )
-from .simulate import _MAX_TRIALS
+from .simulate import _MAX_TRIALS, AssignmentSource, _source_layout
 
 DEFAULT_SEED = 1729
 
@@ -167,41 +168,47 @@ def _as_bool(key, value, violations) -> bool | None:
 
 
 class _Scheme(NamedTuple):
-    """What a config of one scheme may set, and how it is built."""
+    """What a config of one scheme may set, and how its code is built."""
 
     fields: tuple[str, ...]  # the construction fields its builder reads
     required: int  # how many of fields, from the first, must be set
     fixed_mode: tuple[str, str] | None  # (the mode its builder fixes, why)
-    build: Callable[["ExperimentConfig", np.random.Generator | None], ComputationAssignment]
+    build: Callable[["ExperimentConfig"], AssignmentSource]  # the code's checked source
+
+
+def _circular_shift(cfg: ExperimentConfig, groups: int, z: tuple[int, ...] | None) -> AssignmentSource:
+    """The source of cfg's circular-shift code over groups with row groups z:
+    drawn without offsets, else the one code at cfg's offsets."""
+    if cfg.offsets is None:
+        return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, groups, z)
+    return build_rcs(cfg.workers, cfg.degrees, None, cfg.offsets, cfg.mode, groups, z)
 
 
 # In the order the ``scheme:`` violation lists them.
 _SCHEMES = {
     "rcs": _Scheme(
         ("degrees", "offsets", "redraw"), 1, None,
-        lambda cfg, rng: build_rcs(cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode),
+        lambda cfg: _circular_shift(cfg, 1, None),
     ),
     "rcs-general": _Scheme(
         ("degrees", "z", "groups", "offsets", "redraw"), 2, None,
-        lambda cfg, rng: build_rcs(
-            cfg.workers, cfg.degrees, rng, cfg.offsets, cfg.mode, cfg.groups, cfg.z
-        ),
+        lambda cfg: _circular_shift(cfg, cfg.groups, cfg.z),
     ),
     "mcc": _Scheme(
         ("kbar", "eval_points"), 1, (MODE_COMPUTATION, "codes before computation"),
-        lambda cfg, rng: build_mcc(cfg.workers, cfg.kbar, cfg.eval_points),
+        lambda cfg: build_mcc(cfg.workers, cfg.kbar, cfg.eval_points),
     ),
     "uc-mmc": _Scheme(
         ("load",), 1, (MODE_COMPUTATION, "sends its blocks uncoded"),
-        lambda cfg, rng: build_uc_mmc(cfg.workers, cfg.load),
+        lambda cfg: build_uc_mmc(cfg.workers, cfg.load),
     ),
     "gc": _Scheme(
         ("load",), 1, (MODE_COMMUNICATION, "codes after computation"),
-        lambda cfg, rng: build_gc(cfg.workers, cfg.load),
+        lambda cfg: build_gc(cfg.workers, cfg.load),
     ),
     "hybrid-example": _Scheme(
         (), 0, (MODE_COMPUTATION, "has a fixed computation schedule"),
-        lambda cfg, rng: hybrid_example(cfg.workers),
+        lambda cfg: hybrid_example(cfg.workers),
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -402,7 +409,7 @@ def parse_config(
     asn = None
     if scheme is not None and not unset and cfg.workers is not None:
         try:
-            asn = _circular_source(cfg).layout if _drawn(cfg) else scheme.build(cfg, None)
+            asn = _source_layout(scheme.build(cfg))
         except ConfigError as exc:
             violations.extend(exc.violations)
         except (ValueError, OverflowError, MemoryError) as exc:
@@ -442,36 +449,19 @@ def _tolerance_violations(asn: ComputationAssignment, q: float) -> list[str]:
     ]
 
 
-def assignment_source(cfg: ExperimentConfig):
-    """Assignment source for the simulator.
-
-    A drawn code with redraw enabled returns a
-    :class:`~codedcomp.schemes.CircularShiftSource`: its rules and layout
-    are fixed once, each trial draws only its shifts, and called with a
-    generator it returns the same code as the scheme's builder.
-    Everything else returns one fixed :func:`concrete_assignment`.
-    """
-    if cfg.redraw and _drawn(cfg):
-        return _circular_source(cfg)
-    return concrete_assignment(cfg)
-
-
-def _circular_source(cfg: ExperimentConfig) -> CircularShiftSource:
-    """The checked source of cfg's drawn circular-shift code, built from the
-    fields its scheme reads, as the scheme's builder builds it."""
-    if "z" in _SCHEMES[cfg.scheme].fields:
-        return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode, cfg.groups, cfg.z)
-    return CircularShiftSource.of(cfg.workers, cfg.degrees, cfg.mode)
-
-
-def _drawn(cfg: ExperimentConfig) -> bool:
-    """Whether cfg's code is drawn: a scheme that reads ``redraw`` (a
-    circular-shift code) without explicit offsets."""
-    return cfg.offsets is None and "redraw" in _SCHEMES[cfg.scheme].fields
+def assignment_source(cfg: ExperimentConfig) -> AssignmentSource:
+    """Assignment source for the simulator: with redraw enabled, the
+    scheme's build (a drawn code's
+    :class:`~codedcomp.schemes.CircularShiftSource`, whose trials each draw
+    only their shifts, or one fixed assignment), else one fixed
+    :func:`concrete_assignment`."""
+    return _SCHEMES[cfg.scheme].build(cfg) if cfg.redraw else concrete_assignment(cfg)
 
 
 def concrete_assignment(cfg: ExperimentConfig) -> ComputationAssignment:
-    """One reproducible assignment; a drawn code comes from the config's
-    construction stream, and every other code draws nothing."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CONSTRUCTION_TAG))) if _drawn(cfg) else None
-    return _SCHEMES[cfg.scheme].build(cfg, rng)
+    """One reproducible assignment: a drawn source is drawn once from the
+    config's construction stream, and a fixed build is returned as it is."""
+    source = _SCHEMES[cfg.scheme].build(cfg)
+    if isinstance(source, CircularShiftSource):
+        return source(np.random.default_rng(np.random.SeedSequence((cfg.seed, _CONSTRUCTION_TAG))))
+    return source

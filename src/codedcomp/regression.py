@@ -273,7 +273,7 @@ def train(
             matrix-vector scheme (exact-sum coding recovers only the
             aggregated gradient, not blocks) or the dimension does not split
             evenly over the blocks; also if iterations is above 2**32, one
-            trial stream per iteration.
+            trial stream per iteration, or if q is NaN or outside [0, 1].
     """
     _check_descent(eta, iterations)
     layout = _source_layout(source)

@@ -427,7 +427,8 @@ def monte_carlo(
     Raises:
         TypeError: if source is of neither accepted type, or trials or the
             seed is a bool or not an integer.
-        ValueError: if trials is not in [1, 2**32] or the seed is negative.
+        ValueError: before any trial, if trials is not in [1, 2**32], the
+            seed is negative, or q is NaN or outside [0, 1].
 
     Trials run in batches of ``_CHUNK`` (:func:`_batches`), each decided
     with array operations at once; ``train`` consumes the same batches.

@@ -51,6 +51,21 @@ MONTE_CARLO = {
         },
         "29909dcc7aadd1297b91dba3080aa1f8e16a29ce1e5c581a50f85ef147a031e9",
     ),
+    # Drawn once from the construction stream (redraw false), then fixed.
+    "rcs-general-fixed": (
+        {
+            "scheme": "rcs-general", "workers": 20, "degrees": [1, 2, 3], "groups": 2,
+            "z": [1, 1, 2, 1, 2, 2], "q": 0.2, "trials": 200, "seed": 7, "redraw": False,
+        },
+        "979712c5ec7fcaaa1e542e2f709b0b28d88cd00fe3031fbf1db97829cedede37",
+    ),
+    "rcs-communication-fixed": (
+        {
+            "scheme": "rcs", "workers": 40, "degrees": [1, 2, 4], "mode": "communication",
+            "q": 0.15, "trials": 300, "seed": 1729, "redraw": False,
+        },
+        "07daa9321ecbc5a0c0282e68913ed99786dda9de6adda4803a4cc5d1cfae6eba",
+    ),
     "uc-mmc": (
         {"scheme": "uc-mmc", "workers": 40, "load": 3, "q": 0.15, "trials": 300, "seed": 1729},
         "efe318f960bc51f3d208db58b4074b031e7ed2e4c35d83157a84361b519494fd",

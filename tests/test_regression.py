@@ -323,6 +323,26 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             train(ds, source, q=0.0, model=MODEL, eta=0.1, iterations=3, seed=0)
 
+    @pytest.mark.parametrize("q", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda source, q: monte_carlo(source, q, MODEL, trials=5, seed=0),
+            lambda source, q: train(
+                generate_dataset(20, 8, np.random.default_rng(45)), source,
+                q=q, model=MODEL, eta=0.1, iterations=3, seed=0,
+            ),
+        ],
+        ids=["monte_carlo", "train"],
+    )
+    def test_bad_tolerance_rejected_before_any_trial(self, monkeypatch, run, q):
+        def unreachable(self, exponentials):
+            raise AssertionError("unit times were computed for a bad tolerance")
+
+        monkeypatch.setattr(LatencyModel, "unit_times", unreachable)
+        with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\], got"):
+            run(CircularShiftSource.of(4, [1, 2]), q)
+
     def test_dimension_must_split(self):
         ds = generate_dataset(50, 10, np.random.default_rng(41))
         with pytest.raises(ValueError, match="divisible"):
