@@ -6,83 +6,40 @@ blocks: randomized circular-shift code constructions and classical baselines,
 a peeling decoder with an exact-elimination oracle, a batched straggler
 simulator with exact small-system enumeration, and a linear-regression
 training harness driven by the simulated iterations.
+
+Each export loads its module on first use (PEP 562), so importing the
+package, or one command's modules, loads no other module's code.
 """
 
-from .blocks import CodedTask, ComputationAssignment, Message
-from .config import (
-    DEFAULT_SEED,
-    ConfigError,
-    ExperimentConfig,
-    TrainSettings,
-    assignment_source,
-    concrete_assignment,
-    parse_config,
-)
-from .decoding import (
-    PeelingDecoder,
-    decode_blocks,
-    recovery_threshold,
-    rref_recoverable,
-)
-from .enumeration import (
-    all_types,
-    completion_cdf,
-    success_table,
-    successful_score_vector,
-)
-from .latency import LatencyModel
-from .regression import (
-    Dataset,
-    centralized_gd,
-    generate_dataset,
-    gram,
-    loss,
-    partial_gd_step,
-    train,
-)
-from .schemes import (
-    build_gc,
-    build_mcc,
-    build_rcs,
-    build_uc_mmc,
-    hybrid_example,
-)
-from .simulate import MonteCarloResult, monte_carlo
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CodedTask",
-    "ComputationAssignment",
-    "ConfigError",
-    "DEFAULT_SEED",
-    "Dataset",
-    "ExperimentConfig",
-    "LatencyModel",
-    "Message",
-    "MonteCarloResult",
-    "PeelingDecoder",
-    "TrainSettings",
-    "all_types",
-    "assignment_source",
-    "build_gc",
-    "build_mcc",
-    "build_rcs",
-    "build_uc_mmc",
-    "centralized_gd",
-    "completion_cdf",
-    "concrete_assignment",
-    "decode_blocks",
-    "generate_dataset",
-    "gram",
-    "hybrid_example",
-    "loss",
-    "monte_carlo",
-    "parse_config",
-    "partial_gd_step",
-    "recovery_threshold",
-    "rref_recoverable",
-    "success_table",
-    "successful_score_vector",
-    "train",
-]
+# Every export, by the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "blocks": "CodedTask ComputationAssignment Message",
+        "config": "DEFAULT_SEED ExperimentConfig TrainSettings assignment_source concrete_assignment parse_config",
+        "decoding": "PeelingDecoder decode_blocks recovery_threshold rref_recoverable",
+        "enumeration": "all_types completion_cdf success_table successful_score_vector",
+        "latency": "LatencyModel",
+        "regression": "Dataset centralized_gd generate_dataset gram loss partial_gd_step train",
+        "schemes": "ConfigError build_gc build_mcc build_rcs build_uc_mmc hybrid_example",
+        "simulate": "MonteCarloResult monte_carlo",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import Field, fields
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,29 @@ from .config import (
     concrete_assignment,
     parse_config,
 )
-from .enumeration import success_table
-from .regression import _openblas_threads, generate_dataset, gram, train
-from .simulate import monte_carlo
 
 _DATA_TAG = 4294967294
 _CONFIG_PREFIX = "# config: "
+# The library calls of the commands, by their module, each loaded on first
+# use (PEP 562), so a process imports only its own command's modules.  The
+# commands call them as attributes of this module (``_cli.monte_carlo``),
+# which a caller may replace.
+_CALLS = {
+    "monte_carlo": "simulate",
+    "success_table": "enumeration",
+    "train": "regression",
+    "generate_dataset": "regression",
+    "gram": "regression",
+    "_openblas_threads": "regression",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_CALLS[name]}", __package__), name)
+    return value
 
 
 def read_embedded_config(path: str | Path) -> dict:
@@ -115,7 +133,7 @@ def _cmd_encode(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 def _cmd_enumerate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     asn = concrete_assignment(cfg)
     try:
-        table = success_table(asn, cfg.q)
+        table = _cli.success_table(asn, cfg.q)
     except ValueError as exc:
         raise ConfigError([f"workers: {exc}"]) from exc
     header = [f"workers_at_{s}" for s in range(asn.max_score, -1, -1)]
@@ -131,7 +149,7 @@ def _cmd_enumerate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     start = time.perf_counter()
-    result = monte_carlo(
+    result = _cli.monte_carlo(
         assignment_source(cfg), cfg.q, cfg.model(), cfg.trials, cfg.seed
     )
     elapsed = time.perf_counter() - start
@@ -158,18 +176,18 @@ def _cmd_train(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     settings = cfg.train
     if settings is None:
         raise ConfigError(["train: section required for the train command"])
-    if _openblas_threads() is None:
+    if _cli._openblas_threads() is None:
         message = "NumPy's BLAS is not its bundled OpenBLAS; the output depends on its thread count"
         print("train: " + message, file=sys.stderr)
     data_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _DATA_TAG)))
     try:
-        dataset = generate_dataset(
+        dataset = _cli.generate_dataset(
             settings.samples, settings.dim, data_rng, noise_std=settings.noise_std
         )
-        gram(dataset)  # cached on the dataset, which train reuses
+        _cli.gram(dataset)  # cached on the dataset, which train reuses
     except MemoryError as exc:
         raise ConfigError([f"train: cannot build the dataset: {exc}"]) from exc
-    result = train(
+    result = _cli.train(
         dataset,
         assignment_source(cfg),
         cfg.q,

@@ -33,15 +33,17 @@ from .blocks import MODE_COMMUNICATION, MODE_COMPUTATION, ComputationAssignment
 from .decoding import _recovered, recovery_threshold
 from .latency import LatencyModel
 from .schemes import (
+    _MAX_TRIALS,
+    AssignmentSource,
     CircularShiftSource,
     ConfigError,
+    _source_layout,
     build_gc,
     build_mcc,
     build_rcs,
     build_uc_mmc,
     hybrid_example,
 )
-from .simulate import _MAX_TRIALS, AssignmentSource, _source_layout
 
 DEFAULT_SEED = 1729
 

@@ -34,7 +34,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -267,6 +267,24 @@ class CircularShiftSource(NamedTuple):
     def __call__(self, rng: np.random.Generator) -> ComputationAssignment:
         """One drawn code, equal to ``build_rcs(..., rng)``."""
         return self.at(self.draw(rng, self.pools(1)[0])[self.rows, self.place] + 1)
+
+
+AssignmentSource = Union[ComputationAssignment, CircularShiftSource]
+# Trial t's stream hashes t as one 32-bit word, so a run has at most 2**32
+# trials.
+_MAX_TRIALS = 2**32
+
+
+def _source_layout(source: AssignmentSource) -> ComputationAssignment:
+    """The assignment every trial of source matches in all but its supports."""
+    if isinstance(source, CircularShiftSource):
+        return source.layout
+    if isinstance(source, ComputationAssignment):
+        return source
+    raise TypeError(
+        "source must be a ComputationAssignment or a CircularShiftSource, "
+        f"got {type(source).__name__}"
+    )
 
 
 def mds_violations(k: int, kbar: int, eval_points: Sequence[float] | None) -> list[str]:

@@ -45,7 +45,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -59,9 +58,7 @@ from .decoding import (
     recovery_threshold,
 )
 from .latency import LatencyModel
-from .schemes import CircularShiftSource
-
-AssignmentSource = Union[ComputationAssignment, CircularShiftSource]
+from .schemes import _MAX_TRIALS, AssignmentSource, CircularShiftSource, _source_layout
 
 # Trials per batch.  Memory grows with the batch, not the trial count; at
 # rcs K=40, batches of 64 trials run as fast as batches of 256 and hold a
@@ -72,9 +69,6 @@ _CHUNK = 64
 # trials, 0.2 us at 1,024 on a 2-vCPU x86-64 VM); its output is 32 bytes
 # per trial.
 _SEED_BLOCK = 1024
-# Trial t's stream hashes t as one 32-bit word, so a run has at most 2**32
-# trials.
-_MAX_TRIALS = 2**32
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 2**32 - 1
@@ -335,18 +329,6 @@ def _check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _source_layout(source: AssignmentSource) -> ComputationAssignment:
-    """The assignment every trial of source matches in all but its supports."""
-    if isinstance(source, CircularShiftSource):
-        return source.layout
-    if isinstance(source, ComputationAssignment):
-        return source
-    raise TypeError(
-        "source must be a ComputationAssignment or a CircularShiftSource, "
-        f"got {type(source).__name__}"
-    )
 
 
 def _batches(source: AssignmentSource, q: float, model: LatencyModel, trials: int, seed: int):

@@ -4,6 +4,10 @@ A name added to or dropped from ``codedcomp.__all__`` must change this list
 too, so the surface only moves on purpose.
 """
 
+import importlib
+
+import pytest
+
 import codedcomp
 
 PUBLIC_NAMES = [
@@ -51,3 +55,25 @@ def test_exports_are_the_listed_names():
 def test_every_export_imports():
     missing = [name for name in PUBLIC_NAMES if not hasattr(codedcomp, name)]
     assert not missing
+
+
+def test_dir_and_star_import_cover_the_exports():
+    assert set(PUBLIC_NAMES) <= set(dir(codedcomp))
+    namespace = {}
+    exec("from codedcomp import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_export_is_its_home_modules_object(name):
+    home = importlib.import_module(f"codedcomp.{codedcomp._EXPORTS[name]}")
+    value = getattr(codedcomp, name)
+    assert value is getattr(home, name)
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'codedcomp' has no attribute 'no_such_name'"):
+        codedcomp.no_such_name
+    with pytest.raises(ImportError):
+        from codedcomp import no_such_name  # noqa: F401
